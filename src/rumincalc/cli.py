@@ -14,8 +14,9 @@ numeric   grid experiments: derivative convergence, kernel decay slopes,
           the fundamental-solution gauge scan.
 
 Reports are JSON lines on stdout (optionally teed to --json and flattened
-to --csv). Exit codes: 0 on success, 1 when an exact identity fails, 2 when
-a numeric tolerance is missed under --strict (soft warning otherwise).
+to --csv). Exit codes: 0 on success, 1 when an exact identity fails or the
+arguments are invalid, 2 when a numeric tolerance is missed under --strict
+(soft warning otherwise).
 """
 
 from __future__ import annotations
@@ -40,6 +41,12 @@ from .rumin_complex import (
     horizontal_representability_report,
     laplacian_commutation_report,
 )
+
+
+# retries for a nonzero random closed section before a hard failure
+MAX_DRAWS = 20
+# the smallest grid on which every grid probe runs
+MIN_GRID = 8
 
 
 @dataclass
@@ -318,13 +325,14 @@ def cmd_homotopy(cfg: RunConfig) -> int:
         "status": "exact-zero" if failures == 0 else "failed",
     })
 
-    gap = Fraction(2 if (cfg.h or 1) == n + 1 else 1, Q)
+    h_gap = 1 if cfg.h is None else cfg.h
+    gap = Fraction(2 if h_gap == n + 1 else 1, Q)
     admissible = 1.0 / cfg.p - 1.0 / cfg.q <= float(gap) + 1e-12
     rep.emit({
         "report": "homotopy",
         "check": "exponent admissibility",
         "n": n,
-        "h": cfg.h or 1,
+        "h": h_gap,
         "p": cfg.p,
         "q": cfg.q,
         "admissible": admissible,
@@ -332,12 +340,24 @@ def cmd_homotopy(cfg: RunConfig) -> int:
 
     probe_degrees = [cfg.h] if cfg.h is not None else sorted({1, n + 1})
     for h in probe_degrees:
-        omega = None
-        while not omega:
+        for _ in range(MAX_DRAWS):
             phi = ctx.form_from_core(
                 h - 1, [_random_poly(rng, nv, 2, terms=2) for _ in range(dims[h - 1])]
             )
             omega = ctx.rumin_d(phi)
+            if omega:
+                break
+        else:
+            rep.hard(False)
+            rep.emit({
+                "report": "homotopy",
+                "check": "Poincare quotient scaling exponent",
+                "n": n,
+                "h": h,
+                "status": "failed",
+                "reason": f"no nonzero closed {h}-section in {MAX_DRAWS} draws",
+            })
+            continue
         probe = scaling_probe(
             ctx, omega, cfg.p, cfg.q,
             lam=Fraction(cfg.lam).limit_denominator(100),
@@ -485,13 +505,14 @@ def build_parser() -> argparse.ArgumentParser:
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--n", type=int, default=1, help="group index (1..3)")
         cmd.add_argument("--h", type=int, default=None, help="restrict to one degree")
-        cmd.add_argument("--p", type=float, default=2.0, help="source exponent")
-        cmd.add_argument("--q", type=float, default=2.0, help="target exponent")
+        cmd.add_argument("--p", type=float, default=2.0, help="source exponent (>= 1)")
+        cmd.add_argument("--q", type=float, default=2.0, help="target exponent (>= 1)")
         cmd.add_argument("--lambda", dest="lam", type=float, default=2.0,
                          help="domain-loss factor (> 1)")
         cmd.add_argument("--poly-degree", type=int, default=3,
                          help="degree cap for random polynomial data")
-        cmd.add_argument("--grid", type=int, default=20, help="grid resolution")
+        cmd.add_argument("--grid", type=int, default=20,
+                         help=f"grid resolution (>= {MIN_GRID})")
         cmd.add_argument("--seed", type=int, default=0, help="RNG seed")
         cmd.add_argument("--strict", action="store_true",
                          help="numeric tolerance misses exit 2 instead of warning")
@@ -504,28 +525,37 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+def _argument_error(args) -> str | None:
+    """The first invalid argument, described in one line, or None."""
     if args.n < 1 or args.n > 3:
-        print("error: --n must be 1, 2, or 3", file=sys.stderr)
-        return 1
+        return "--n must be 1, 2, or 3"
     if args.lam <= 1.0:
-        print("error: --lambda must exceed 1", file=sys.stderr)
+        return "--lambda must exceed 1"
+    top = 2 * args.n + 1
+    h_range = {"basis": (0, top), "verify": (0, top - 1), "homotopy": (1, top)}.get(args.command)
+    if args.h is not None and h_range and not h_range[0] <= args.h <= h_range[1]:
+        low, high = h_range
+        return f"--h must lie in {low}..{high} for {args.command} at n = {args.n}"
+    if args.grid < MIN_GRID:
+        return f"--grid must be at least {MIN_GRID}"
+    if args.p < 1.0 or args.q < 1.0:
+        return "--p and --q must be at least 1"
+    if args.poly_degree < 0:
+        return "--poly-degree must be at least 0"
+    return None
+
+
+def main(argv=None) -> int:
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # usage errors exit 1: exit code 2 means a strict numeric miss
+        return 1 if exc.code else 0
+    error = _argument_error(args)
+    if error:
+        print(f"error: {error}", file=sys.stderr)
         return 1
-    cfg = RunConfig(
-        n=args.n,
-        h=args.h,
-        p=args.p,
-        q=args.q,
-        lam=args.lam,
-        poly_degree=args.poly_degree,
-        grid=args.grid,
-        seed=args.seed,
-        strict=args.strict,
-        json_path=args.json_path,
-        csv_path=args.csv_path,
-        inject_delta_sign_fault=args.inject_delta_sign_fault,
-    )
+    cfg = RunConfig(**{k: v for k, v in vars(args).items() if k != "command"})
     handler = {
         "basis": cmd_basis,
         "verify": cmd_verify,

@@ -221,22 +221,6 @@ class EnvOp:
         return [self.terms.get(exp, Fraction(0)) for exp in basis]
 
 
-def env_multiply(a: EnvOp, b: EnvOp) -> EnvOp:
-    return a * b
-
-
-def act(a: EnvOp, f: Poly) -> Poly:
-    return a.act(f)
-
-
-def formal_adjoint(a: EnvOp) -> EnvOp:
-    return a.adjoint()
-
-
-def homogeneous_degree(a: EnvOp) -> int | None:
-    return a.homogeneous_degree()
-
-
 def env_to_json(a: EnvOp) -> str:
     rows = [
         {"multi_index": list(exp), "numerator": c.numerator, "denominator": c.denominator}

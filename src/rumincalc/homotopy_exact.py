@@ -360,6 +360,8 @@ def scaling_probe(
     expected = Q / q - Q / p + (2 if h == n + 1 else 1)
     r1, r2 = float(radii[0]), float(radii[-1])
     ratio1, ratio2 = rows[0]["ratio"], rows[-1]["ratio"]
+    if not ratio1 or not ratio2:
+        raise ValueError(f"Poincare quotient is 0 at resolution {resolution}; no slope to fit")
     slope = math.log(ratio2 / ratio1) / math.log(r2 / r1)
     return {
         "n": n,

@@ -124,13 +124,6 @@ def gram_schmidt(vectors):
     return ortho, norms2
 
 
-def in_span(vectors, v):
-    """Is v in span(vectors)? Exact rank test."""
-    if not vectors:
-        return all(x == 0 for x in v)
-    return rank(vectors) == rank(vectors + [v])
-
-
 def same_span(a, b):
     """Do two lists of vectors span the same subspace?"""
     ra = rank(a) if a else 0

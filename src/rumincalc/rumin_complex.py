@@ -14,20 +14,25 @@ and the intrinsic differential d_c = P_E0 ∘ d ∘ P_E ∘ P_E0.
 
 Because d_c is left-invariant and homogeneous, it is a matrix of constant
 coefficient operators in the enveloping algebra once forms are written in the
-E0 bases. ``rumin_d_matrix`` recovers this matrix exactly by applying the
-projector pipeline to monomial coefficients of weighted degree <= 2 and
-solving one shared linear system; full rank and a zero residual are asserted,
-so a wrong ansatz cannot slip through silently.
+E0 bases. ``rumin_d_matrix`` composes that matrix directly: d on Lambda^h is a
+matrix D_h of frame fields plus the constant d0, and on E0 (where d0^{-1}
+vanishes) the formula above becomes
+
+    d_c = B_{h+1}^T N^{-1} . P_E0 . D_h . (1 - d0^{-1} D_h) . B_h
+
+with B_h the E0 basis as columns and N the diagonal of its squared norms.
+``rumin_d`` on forms stays an independent route to the same operator.
 """
 
 from __future__ import annotations
 
 import json
+import operator
 from fractions import Fraction
 
 from . import linalg
 from .envelope import EnvOp, env_from_json, env_to_json
-from .exterior_weights import build_spaces, covector_coords, d0_matrix, lambda_masks
+from .exterior_weights import _merge_sign, build_spaces, covector_coords, d0_matrix, lambda_masks
 from .forms import Form, apply_mask_matrix, exterior_d
 from .polynomials import Poly
 
@@ -74,23 +79,17 @@ class OperatorMatrix:
     def is_zero(self) -> bool:
         return all(not e for row in self.entries for e in row)
 
-    def __add__(self, other: "OperatorMatrix") -> "OperatorMatrix":
+    def _combine(self, other: "OperatorMatrix", op) -> "OperatorMatrix":
         if self.shape != other.shape:
             raise ValueError("shape mismatch")
-        entries = [
-            [self.entries[i][j] + other.entries[i][j] for j in range(self.cols)]
-            for i in range(self.rows)
-        ]
+        entries = [list(map(op, a, b)) for a, b in zip(self.entries, other.entries)]
         return OperatorMatrix(self.n, self.src_degree, self.dst_degree, entries, self.shape)
 
+    def __add__(self, other: "OperatorMatrix") -> "OperatorMatrix":
+        return self._combine(other, operator.add)
+
     def __sub__(self, other: "OperatorMatrix") -> "OperatorMatrix":
-        if self.shape != other.shape:
-            raise ValueError("shape mismatch")
-        entries = [
-            [self.entries[i][j] - other.entries[i][j] for j in range(self.cols)]
-            for i in range(self.rows)
-        ]
-        return OperatorMatrix(self.n, self.src_degree, self.dst_degree, entries, self.shape)
+        return self._combine(other, operator.sub)
 
     def compose(self, inner: "OperatorMatrix") -> "OperatorMatrix":
         """self ∘ inner (apply ``inner`` first)."""
@@ -162,37 +161,6 @@ class OperatorMatrix:
         return cls(data["n"], data["src_degree"], data["dst_degree"], entries)
 
 
-def _weighted_monomials(n: int, max_wdeg: int) -> list:
-    """Exponent tuples in (x, y, t) of weighted degree <= max_wdeg (t weighs 2)."""
-    nv = 2 * n + 1
-    out = []
-
-    def rec(prefix, remaining, pos):
-        if pos == nv:
-            out.append(tuple(prefix))
-            return
-        w = 2 if pos == nv - 1 else 1
-        k = 0
-        while k * w <= remaining:
-            rec(prefix + [k], remaining - k * w, pos + 1)
-            k += 1
-
-    rec([], max_wdeg, 0)
-    return sorted(out)
-
-
-def _unknown_ops(n: int) -> list:
-    """PBW operators of homogeneous weight <= 2: 1, W_a, W_a W_b (a<=b), T."""
-    ops = [EnvOp.one(n)]
-    for a in range(2 * n):
-        ops.append(EnvOp.generator(n, a))
-    for a in range(2 * n):
-        for b in range(a, 2 * n):
-            ops.append(EnvOp.generator(n, a) * EnvOp.generator(n, b))
-    ops.append(EnvOp.generator(n, 2 * n))
-    return ops
-
-
 class RuminContext:
     """Exact cached data for (E0, d_c) on H^n."""
 
@@ -207,7 +175,6 @@ class RuminContext:
         self.d0_pinv = [None] + [self._pseudo_inverse(h) for h in range(self.top)]
         self._p_e0 = [self._core_projector(h) for h in range(self.top + 1)]
         self._d_matrices: dict = {}
-        self._extraction = None
 
     # -- exact matrix data -------------------------------------------------
 
@@ -227,7 +194,6 @@ class RuminContext:
         of d0. Built by solving in the basis (d0 W-basis, V-basis), which is a
         basis of Lambda^{h+1} because V is a complement of the image.
         """
-        n = self.n
         src_dim = len(self.masks[h + 1])
         dst_dim = len(self.masks[h])
         W = self.spaces[h][1]
@@ -238,18 +204,20 @@ class RuminContext:
         columns = images + v_vecs
         if len(columns) != src_dim:
             raise AssertionError("image of d0 and V do not complement each other")
-        B = [[columns[j][i] for j in range(src_dim)] for i in range(src_dim)]
+        aug = [
+            [columns[j][i] for j in range(src_dim)]
+            + [Fraction(1) if k == i else Fraction(0) for k in range(src_dim)]
+            for i in range(src_dim)
+        ]
+        red, pivots = linalg.rref(aug)
+        if pivots != list(range(src_dim)):
+            raise AssertionError("d0 image basis is degenerate")
+        # row i of the right block: i-th basis coordinate of every unit vector
         out = [[Fraction(0)] * src_dim for _ in range(dst_dim)]
-        for k in range(src_dim):
-            e = [Fraction(1) if i == k else Fraction(0) for i in range(src_dim)]
-            c = linalg.solve(B, e)
-            if c is None:
-                raise AssertionError("d0 image basis is degenerate")
+        for w, row in zip(w_vecs, red):
             for r in range(dst_dim):
-                out[r][k] = sum(
-                    (c[i] * w_vecs[i][r] for i in range(len(w_vecs)) if c[i] != 0),
-                    Fraction(0),
-                )
+                if w[r] != 0:
+                    out[r] = [o + w[r] * c for o, c in zip(out[r], row[src_dim:])]
         return out
 
     def _core_projector(self, h: int) -> list:
@@ -330,95 +298,54 @@ class RuminContext:
                 out = out + Form.from_covector(b).mul_poly(g)
         return out
 
-    # -- exact extraction of the d_c matrix ----------------------------------
+    # -- the d_c matrix ------------------------------------------------------
 
-    def _extraction_system(self):
-        """Shared least-squares data for reading operators off their action.
+    def _constant(self, matrix: list, src_degree: int, dst_degree: int) -> OperatorMatrix:
+        """A nonempty Fraction matrix as an operator matrix of scalar operators."""
+        one = EnvOp.one(self.n)
+        entries = [[one.scale(c) for c in row] for row in matrix]
+        return OperatorMatrix(self.n, src_degree, dst_degree, entries)
 
-        Rows are indexed by (test monomial, output exponent); columns by the
-        unknown operator basis. The matrix has full column rank, so exact
-        normal equations recover the unique coefficients; callers still check
-        the residual row by row.
+    def _d_operator(self, h: int) -> OperatorMatrix:
+        """d: Lambda^h -> Lambda^{h+1} in the left frame, on coefficients.
+
+        d(f omega_I) = sum_i (W_i f) omega_i ^ omega_I + f d0(omega_I).
         """
-        if self._extraction is not None:
-            return self._extraction
-        n = self.n
-        nv = 2 * n + 1
-        mons = _weighted_monomials(n, 2)
-        ops = _unknown_ops(n)
-        exps = mons  # closed: weight <= 2 operators keep wdeg <= 2 exponents
-        exp_index = {e: i for i, e in enumerate(exps)}
-        rows = len(mons) * len(exps)
-        A = [[Fraction(0)] * len(ops) for _ in range(rows)]
-        for mi, J in enumerate(mons):
-            mono = Poly.monomial(nv, J)
-            for k, op in enumerate(ops):
-                img = op.act(mono)
-                for e, c in img.terms.items():
-                    A[mi * len(exps) + exp_index[e]][k] = c
-        gram = linalg.matmul([list(col) for col in zip(*A)], A)
-        dim = len(ops)
-        aug = [gram[i][:] + [Fraction(1) if j == i else Fraction(0) for j in range(dim)] for i in range(dim)]
-        red, pivots = linalg.rref(aug)
-        if len(pivots) != dim or pivots != list(range(dim)):
-            raise AssertionError("operator extraction system is rank deficient")
-        gram_inv = [row[dim:] for row in red]
-        self._extraction = (mons, ops, exp_index, A, gram_inv)
-        return self._extraction
-
-    def _fit_operator(self, rhs: list) -> EnvOp:
-        """Solve A c = rhs exactly (full-rank least squares + residual check)."""
-        mons, ops, exp_index, A, gram_inv = self._extraction_system()
-        At_r = [
-            sum((A[r][k] * rhs[r] for r in range(len(rhs)) if rhs[r] != 0), Fraction(0))
-            for k in range(len(ops))
-        ]
-        c = linalg.matvec(gram_inv, At_r)
-        for r in range(len(rhs)):
-            val = sum((A[r][k] * c[k] for k in range(len(ops)) if c[k] != 0), Fraction(0))
-            if val != rhs[r]:
-                raise AssertionError("operator does not lie in the weight <= 2 ansatz")
-        out = EnvOp.zero(self.n)
-        for k, ck in enumerate(c):
-            if ck != 0:
-                out = out + ops[k].scale(ck)
-        return out
+        row_of = {m: r for r, m in enumerate(self.masks[h + 1])}
+        d = self._constant(self.d0[h], h, h + 1)
+        for col, mask in enumerate(self.masks[h]):
+            for i in range(2 * self.n + 1):
+                if not mask >> i & 1:
+                    w = EnvOp.generator(self.n, i).scale(_merge_sign(1 << i, mask))
+                    d.entries[row_of[mask | 1 << i]][col] += w
+        return d
 
     def rumin_d_matrix(self, h: int) -> OperatorMatrix:
-        """The matrix of d_c: E0^h -> E0^{h+1}, recovered exactly."""
+        """The matrix of d_c: E0^h -> E0^{h+1}, composed from d and the projectors."""
         if h in self._d_matrices:
             return self._d_matrices[h]
         if not 0 <= h <= self.top:
             raise ValueError("degree out of range")
-        n = self.n
-        nv = 2 * n + 1
         src = self.core(h)
-        dst_dim = self.core(h + 1).dim if h < self.top else 0
-        if h == self.top or src.dim == 0 or dst_dim == 0:
-            mat = OperatorMatrix.zero(n, h, h + 1, dst_dim, src.dim)
-            self._d_matrices[h] = mat
-            return mat
-        mons, ops, exp_index, A, gram_inv = self._extraction_system()
-        nrows = len(mons) * len(exp_index)
-        entries = [[None] * src.dim for _ in range(dst_dim)]
-        for j, b in enumerate(src.basis):
-            # one pipeline run per test monomial, shared by all target indices
-            images = []
-            for J in mons:
-                mono = Poly.monomial(nv, J)
-                image = self.rumin_d(Form.from_covector(b).mul_poly(mono))
-                images.append(self.core_coefficients(image, h + 1))
-            for i in range(dst_dim):
-                rhs = [Fraction(0)] * nrows
-                for mi, coeffs in enumerate(images):
-                    for e, c in coeffs[i].terms.items():
-                        if e not in exp_index:
-                            raise AssertionError(
-                                "pipeline output leaves the weight <= 2 test space"
-                            )
-                        rhs[mi * len(exp_index) + exp_index[e]] = c
-                entries[i][j] = self._fit_operator(rhs)
-        mat = OperatorMatrix(n, h, h + 1, entries)
+        if h == self.top:
+            mat = OperatorMatrix.zero(self.n, h, h + 1, 0, src.dim)
+        else:
+            dst = self.core(h + 1)
+            columns = [covector_coords(b, self.masks[h]) for b in src.basis]
+            embed = self._constant([list(row) for row in zip(*columns)], h, h)
+            coords = self._constant(
+                [
+                    [c / n2 for c in covector_coords(b, self.masks[h + 1])]
+                    for b, n2 in zip(dst.basis, dst.norms2)
+                ],
+                h + 1, h + 1,
+            )
+            d = self._d_operator(h)
+            d0_inv = self._constant(self.d0_pinv[h + 1], h + 1, h)
+            p_e0 = self._constant(self._p_e0[h + 1], h + 1, h + 1)
+            # P_E on E0, where d0^{-1} vanishes, is 1 - d0^{-1} d
+            rumin = embed - d0_inv.compose(d.compose(embed))
+            mat = coords.compose(p_e0).compose(d.compose(rumin))
         self._d_matrices[h] = mat
         return mat
 

@@ -6,6 +6,9 @@ import sys
 import pytest
 
 from rumincalc import cli
+from rumincalc.forms import Form
+from rumincalc.homotopy_exact import scaling_probe
+from rumincalc.polynomials import Poly
 
 
 def run_cli(capsys, argv):
@@ -135,10 +138,63 @@ def test_json_and_csv_outputs(tmp_path, capsys):
     assert "dimension" in table[0]
 
 
-def test_invalid_arguments(capsys):
+def test_invalid_arguments(capsys, ctx1):
     assert cli.main(["basis", "--n", "5"]) == 1
     assert cli.main(["basis", "--n", "1", "--lambda", "1.0"]) == 1
     capsys.readouterr()
+    for argv in (
+        ["numeric", "--n", "1", "--grid", "0"],
+        ["numeric", "--n", "1", "--grid", "7"],
+        ["homotopy", "--n", "1", "--h", "2", "--grid", "4"],
+        ["homotopy", "--n", "2", "--h", "1", "--grid", "5"],
+        ["homotopy", "--n", "1", "--p", "0.5"],
+        ["homotopy", "--n", "1", "--q", "0"],
+        ["verify", "--n", "1", "--poly-degree", "-1"],
+    ):
+        assert cli.main(argv) == 1, argv
+        assert len(capsys.readouterr().err.strip().splitlines()) == 1, argv
+    # usage errors must not exit 2, which means a strict numeric miss
+    assert cli.main(["verify", "--bogus"]) == 1
+    capsys.readouterr()
+    omega = ctx1.rumin_d(Form.from_function(1, Poly.var(3, 0) ** 2))
+    with pytest.raises(ValueError, match="resolution 3"):
+        scaling_probe(ctx1, omega, 2.0, 2.0, resolution=3)
+
+
+def _rejects_degree(capsys, argv):
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert not captured.out
+    assert len(captured.err.strip().splitlines()) == 1
+    assert "--h" in captured.err
+
+
+def test_basis_rejects_degree_out_of_range(capsys):
+    _rejects_degree(capsys, ["basis", "--n", "1", "--h", "4"])
+    _rejects_degree(capsys, ["basis", "--n", "1", "--h", "-1"])
+
+
+def test_verify_rejects_degree_out_of_range(capsys):
+    _rejects_degree(capsys, ["verify", "--n", "1", "--h", "9"])
+    _rejects_degree(capsys, ["verify", "--n", "1", "--h", "3"])
+
+
+def test_homotopy_rejects_degree_out_of_range(capsys):
+    # --h 0 used to loop forever drawing sections of the top degree
+    _rejects_degree(capsys, ["homotopy", "--n", "1", "--h", "0"])
+    _rejects_degree(capsys, ["homotopy", "--n", "1", "--h", "4"])
+
+
+def test_homotopy_gives_up_on_closed_data_after_bounded_draws(capsys, monkeypatch):
+    monkeypatch.setattr(
+        cli.RuminContext, "rumin_d", lambda self, form: Form.zero(self.n)
+    )
+    code, rows = run_cli(capsys, ["homotopy", "--n", "1", "--h", "1", "--grid", "8"])
+    assert code == 1
+    (row,) = [r for r in rows if r["check"] == "Poincare quotient scaling exponent"]
+    assert row["status"] == "failed"
+    assert str(cli.MAX_DRAWS) in row["reason"]
 
 
 def test_strict_mode_escalates_soft_misses(capsys, monkeypatch):

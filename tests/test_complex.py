@@ -72,6 +72,26 @@ def test_dc_squares_to_zero_on_random_sections(ctx1):
             assert not ctx1.rumin_d(ctx1.rumin_d(omega))
 
 
+def test_dc_matrix_matches_the_form_pipeline(ctx1, ctx2):
+    # rumin_d on forms is an independent route to d_c; compare them on
+    # sections of higher degree than any test monomial the matrix was read off
+    rng = random.Random(6)
+    for ctx in (ctx1, ctx2):
+        for h in range(2 * ctx.n + 1):
+            mat = ctx.rumin_d_matrix(h)
+            nonzero = 0
+            for degree in (3, 4):
+                for _ in range(2):
+                    coeffs = [
+                        random_poly(rng, 2 * ctx.n + 1, degree, terms=2)
+                        for _ in range(ctx.core(h).dim)
+                    ]
+                    image = ctx.rumin_d(ctx.form_from_core(h, coeffs))
+                    assert ctx.form_from_core(h + 1, mat.apply(coeffs)) == image
+                    nonzero += bool(image)
+            assert nonzero
+
+
 def test_entries_are_homogeneous_t_free_and_horizontal(ctx1, ctx2):
     for ctx in (ctx1, ctx2):
         for h in range(2 * ctx.n + 1):
