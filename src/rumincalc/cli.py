@@ -31,9 +31,9 @@ from fractions import Fraction
 
 from .envelope import EnvOp
 from .exterior_weights import core_dimension_oracle
-from .forms import Form
+from .forms import random_form
 from .group_geometry import homogeneous_dimension
-from .polynomials import Poly
+from .polynomials import random_poly
 from .rumin_complex import (
     OperatorMatrix,
     RuminContext,
@@ -108,30 +108,6 @@ class Reporter:
         if self.soft_misses and self.config.strict:
             return 2
         return 0
-
-
-def _random_poly(rng: random.Random, nvars: int, degree: int, terms: int = 4) -> Poly:
-    out: dict = {}
-    for _ in range(terms):
-        exp = [0] * nvars
-        for _ in range(rng.randrange(degree + 1)):
-            exp[rng.randrange(nvars)] += 1
-        coeff = Fraction(rng.randrange(-6, 7), rng.randrange(1, 4))
-        key = tuple(exp)
-        out[key] = out.get(key, Fraction(0)) + coeff
-    return Poly(nvars, {k: v for k, v in out.items() if v})
-
-
-def _random_coord_form(rng: random.Random, n: int, k: int, degree: int) -> Form:
-    nv = 2 * n + 1
-    form = Form.zero(n, "coord")
-    for mask in range(1 << nv):
-        if bin(mask).count("1") != k:
-            continue
-        p = _random_poly(rng, nv, degree, terms=2)
-        if p:
-            form = form + Form.monomial(n, mask, p, frame="coord")
-    return form
 
 
 def _negate_matrix(mat: OperatorMatrix) -> OperatorMatrix:
@@ -245,7 +221,7 @@ def cmd_verify(cfg: RunConfig) -> int:
     worst = None
     for h in _degrees(cfg, top - 1):
         for _ in range(3):
-            zeta = _random_poly(rng, nv, cfg.poly_degree)
+            zeta = random_poly(rng, nv, cfg.poly_degree)
             audit = commutator_audit(ctx, h, zeta)
             trials += 1
             all_ok = all_ok and audit["ok"]
@@ -284,7 +260,7 @@ def cmd_homotopy(cfg: RunConfig) -> int:
     count = 0
     for k in (1, 2, 3):
         for _ in range(5):
-            omega = _random_coord_form(rng, n, k, min(cfg.poly_degree, 4))
+            omega = random_form(rng, n, k, min(cfg.poly_degree, 4), frame="coord")
             if not omega:
                 continue
             for weight in (point, bump):
@@ -307,7 +283,7 @@ def cmd_homotopy(cfg: RunConfig) -> int:
     for h in _degrees(cfg, 2 * n + 1, lowest=1):
         for trial in range(3):
             phi = ctx.form_from_core(
-                h - 1, [_random_poly(rng, nv, cfg.poly_degree, terms=2) for _ in range(dims[h - 1])]
+                h - 1, [random_poly(rng, nv, cfg.poly_degree, terms=2) for _ in range(dims[h - 1])]
             )
             omega = ctx.rumin_d(phi)
             if not omega:
@@ -342,7 +318,7 @@ def cmd_homotopy(cfg: RunConfig) -> int:
     for h in probe_degrees:
         for _ in range(MAX_DRAWS):
             phi = ctx.form_from_core(
-                h - 1, [_random_poly(rng, nv, 2, terms=2) for _ in range(dims[h - 1])]
+                h - 1, [random_poly(rng, nv, 2, terms=2) for _ in range(dims[h - 1])]
             )
             omega = ctx.rumin_d(phi)
             if omega:
@@ -504,7 +480,8 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--n", type=int, default=1, help="group index (1..3)")
-        cmd.add_argument("--h", type=int, default=None, help="restrict to one degree")
+        cmd.add_argument("--h", type=int, default=None,
+                         help="restrict to one degree (basis, verify, homotopy)")
         cmd.add_argument("--p", type=float, default=2.0, help="source exponent (>= 1)")
         cmd.add_argument("--q", type=float, default=2.0, help="target exponent (>= 1)")
         cmd.add_argument("--lambda", dest="lam", type=float, default=2.0,
@@ -531,11 +508,13 @@ def _argument_error(args) -> str | None:
         return "--n must be 1, 2, or 3"
     if args.lam <= 1.0:
         return "--lambda must exceed 1"
-    top = 2 * args.n + 1
-    h_range = {"basis": (0, top), "verify": (0, top - 1), "homotopy": (1, top)}.get(args.command)
-    if args.h is not None and h_range and not h_range[0] <= args.h <= h_range[1]:
-        low, high = h_range
-        return f"--h must lie in {low}..{high} for {args.command} at n = {args.n}"
+    if args.h is not None:
+        if args.command == "numeric":
+            return "--h does not apply to numeric"
+        top = 2 * args.n + 1
+        low, high = {"basis": (0, top), "verify": (0, top - 1), "homotopy": (1, top)}[args.command]
+        if not low <= args.h <= high:
+            return f"--h must lie in {low}..{high} for {args.command} at n = {args.n}"
     if args.grid < MIN_GRID:
         return f"--grid must be at least {MIN_GRID}"
     if args.p < 1.0 or args.q < 1.0:

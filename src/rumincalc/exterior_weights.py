@@ -9,13 +9,19 @@ The differential of the coframe is computed from the structure equations
 d omega(U, V) = -omega([U, V]) on frame fields, not hardcoded; with the group
 conventions here this yields d theta = -sum_j omega_j ^ omega_{j+n}, and the
 Lefschetz operator is wedging with the horizontal 2-covector d theta.
+
+``d_table`` is the one definition of d used by every layer: per coframe
+monomial it holds the image under d0 and the frame-field steps
+f omega_I -> (W_i f) omega_i ^ omega_I. Forms, the weight split and the
+operator matrices of ``rumin_complex`` all read it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from functools import lru_cache
+from typing import Mapping, NamedTuple
 
 from . import linalg
 from .envelope import EnvOp
@@ -114,23 +120,16 @@ class Covector:
     def degrees(self) -> set:
         return {mask.bit_count() for mask in self.terms}
 
-    def is_homogeneous(self) -> bool:
-        return len(self.degrees()) <= 1
-
     def is_horizontal(self) -> bool:
         theta_bit = 1 << (2 * self.n)
         return all(not mask & theta_bit for mask in self.terms)
 
-    def weight_of_mask(self, mask: int) -> int:
-        theta_bit = 1 << (2 * self.n)
-        horiz = (mask & ~theta_bit).bit_count()
-        return horiz + (2 if mask & theta_bit else 0)
-
     def weights(self) -> set:
-        return {self.weight_of_mask(m) for m in self.terms}
+        return {mask_weight(self.n, m) for m in self.terms}
 
     def pure_weight_part(self, w: int) -> "Covector":
-        return Covector(self.n, {m: c for m, c in self.terms.items() if self.weight_of_mask(m) == w})
+        n = self.n
+        return Covector(n, {m: c for m, c in self.terms.items() if mask_weight(n, m) == w})
 
     def horizontal_part(self) -> "Covector":
         theta_bit = 1 << (2 * self.n)
@@ -150,21 +149,34 @@ class Covector:
         return Covector(self.n, terms)
 
 
-def wedge(a: Covector, b: Covector) -> Covector:
-    if a.n != b.n:
-        raise ValueError("covectors on different groups")
+def mask_weight(n: int, mask: int) -> int:
+    """Weight of a coframe monomial: 1 per horizontal factor, 2 for theta."""
+    return mask.bit_count() + (mask >> (2 * n) & 1)
+
+
+def wedge_terms(a: Mapping, b: Mapping) -> dict:
+    """Wedge of two mask -> coefficient maps, zero sums left in.
+
+    Coefficients only need ``*``, ``+`` and unary ``-``, so the same loop
+    serves Fraction covectors and Poly-coefficient forms, whose constructors
+    drop the zeros.
+    """
     terms: dict = {}
-    for m1, c1 in a.terms.items():
-        for m2, c2 in b.terms.items():
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
             if m1 & m2:
                 continue
             m = m1 | m2
-            s = terms.get(m, Fraction(0)) + _merge_sign(m1, m2) * c1 * c2
-            if s == 0:
-                terms.pop(m, None)
-            else:
-                terms[m] = s
-    return Covector(a.n, terms)
+            term = c1 * c2 if _merge_sign(m1, m2) > 0 else -(c1 * c2)
+            s = terms.get(m)
+            terms[m] = term if s is None else s + term
+    return terms
+
+
+def wedge(a: Covector, b: Covector) -> Covector:
+    if a.n != b.n:
+        raise ValueError("covectors on different groups")
+    return Covector(a.n, wedge_terms(a.terms, b.terms))
 
 
 def inner(a: Covector, b: Covector) -> Fraction:
@@ -173,11 +185,6 @@ def inner(a: Covector, b: Covector) -> Fraction:
         raise ValueError("covectors on different groups")
     small, big = (a.terms, b.terms) if len(a.terms) <= len(b.terms) else (b.terms, a.terms)
     return sum((c * big[m] for m, c in small.items() if m in big), Fraction(0))
-
-
-def frame_bracket(n: int, a: int, b: int) -> EnvOp:
-    wa, wb = EnvOp.generator(n, a), EnvOp.generator(n, b)
-    return wa * wb - wb * wa
 
 
 def structure_d_one_form(n: int, i: int) -> Covector:
@@ -190,41 +197,72 @@ def structure_d_one_form(n: int, i: int) -> Covector:
     e_i = tuple(1 if g == i else 0 for g in range(2 * n + 1))
     for a in range(2 * n + 1):
         for b in range(a + 1, 2 * n + 1):
-            pairing = frame_bracket(n, a, b).terms.get(e_i, Fraction(0))
+            wa, wb = EnvOp.generator(n, a), EnvOp.generator(n, b)
+            pairing = (wa * wb - wb * wa).terms.get(e_i, Fraction(0))
             if pairing:
                 terms[(1 << a) | (1 << b)] = -pairing
     return Covector(n, terms)
 
 
+class CoframeD(NamedTuple):
+    """d of one coframe monomial omega_I.
+
+    ``d0`` is d(omega_I) as sorted (mask, coefficient) pairs. ``steps`` holds
+    one (i, mask of omega_i ^ omega_I, sign) per index i not in I, where
+    omega_i ^ omega_I = sign * omega_(I + i); on f omega_I the differential is
+    sum_i (W_i f) sign omega_(I + i) + f d0.
+    """
+
+    d0: tuple
+    steps: tuple
+
+
+@lru_cache(maxsize=None)
+def d_table(n: int) -> tuple:
+    """``CoframeD`` of every coframe monomial of H^n, indexed by mask.
+
+    d0 comes from the bracket-derived structure equations by Leibniz over
+    the factors: d(a ^ omega_i ^ b) contributes (-1)^deg(a) a ^ d omega_i ^ b.
+    """
+    nv = 2 * n + 1
+    d_one = [structure_d_one_form(n, i).terms for i in range(nv)]
+    table = []
+    for mask in range(1 << nv):
+        d0: dict = {}
+        steps = []
+        for i in range(nv):
+            bit = 1 << i
+            if not mask & bit:
+                steps.append((i, mask | bit, _merge_sign(bit, mask)))
+                continue
+            before, after = mask & (bit - 1), mask & ~((bit << 1) - 1)
+            sign = -1 if before.bit_count() % 2 else 1
+            for m2, c in d_one[i].items():
+                if m2 & (before | after):
+                    continue
+                s = sign * _merge_sign(before, m2) * _merge_sign(before | m2, after)
+                target = before | m2 | after
+                d0[target] = d0.get(target, 0) + s * c
+        table.append(CoframeD(tuple(sorted((m, c) for m, c in d0.items() if c)), tuple(steps)))
+    return tuple(table)
+
+
 def dtheta(n: int) -> Covector:
-    return structure_d_one_form(n, 2 * n)
+    return algebraic_d(Covector.one_form(n, 2 * n))
 
 
 def algebraic_d(c: Covector) -> Covector:
-    """d on constant-coefficient covectors, by Leibniz over the factors.
+    """d on constant-coefficient covectors, read off ``d_table``.
 
     Horizontal coframe elements are closed here; only theta contributes. This
     is exactly the weight-preserving piece d_0 acting on basis covectors.
     """
-    n = c.n
-    ds = {i: structure_d_one_form(n, i) for i in range(2 * n + 1)}
-    out = Covector.zero(n)
+    table = d_table(c.n)
+    terms: dict = {}
     for mask, coeff in c.terms.items():
-        indices = [i for i in range(2 * n + 1) if mask >> i & 1]
-        for pos, i in enumerate(indices):
-            di = ds[i]
-            if not di:
-                continue
-            before = 0
-            for j in indices[:pos]:
-                before |= 1 << j
-            after = 0
-            for j in indices[pos + 1 :]:
-                after |= 1 << j
-            sign = -1 if pos % 2 else 1
-            piece = wedge(wedge(Covector.basis(n, before), di), Covector.basis(n, after))
-            out = out + piece.scale(sign * coeff)
-    return out
+        for target, v in table[mask].d0:
+            terms[target] = terms.get(target, 0) + coeff * v
+    return Covector(c.n, terms)
 
 
 def lefschetz(a: Covector) -> Covector:
@@ -299,10 +337,9 @@ def _kernel(matrix: list, src_dim: int) -> list:
 
 def d0_matrix(n: int, h: int) -> list:
     """Matrix of the algebraic differential Lambda^h -> Lambda^{h+1}."""
-    src = lambda_masks(n, h)
-    dst = lambda_masks(n, h + 1)
-    cols = [algebraic_d(Covector.basis(n, m)) for m in src]
-    return [[col.terms.get(dm, Fraction(0)) for col in cols] for dm in dst]
+    table = d_table(n)
+    cols = [dict(table[m].d0) for m in lambda_masks(n, h)]
+    return [[col.get(dm, Fraction(0)) for col in cols] for dm in lambda_masks(n, h + 1)]
 
 
 def build_spaces(n: int, h: int):

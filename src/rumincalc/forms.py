@@ -12,18 +12,24 @@ supported:
   covector is closed and d only differentiates coefficients. This is the
   frame the cone homotopy integrates in.
 
+In both frames d is read off ``exterior_weights.d_table``: its frame-field
+steps give the derivative terms (partials in the coordinate frame, X_i, Y_i,
+T in the left frame) with their wedge signs, and its d0 column gives the
+structure-equation term of the left frame.
+
 Conversion between the frames substitutes
 theta = dt - 1/2 sum_j (x_j dy_j - y_j dx_j) and back.
 """
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from typing import Mapping
 
 from .envelope import derive
-from .exterior_weights import Covector, _merge_sign, algebraic_d
-from .polynomials import Poly
+from .exterior_weights import Covector, d_table, lambda_masks, mask_weight, wedge_terms
+from .polynomials import Poly, random_poly
 
 FRAMES = ("left", "coord")
 
@@ -150,20 +156,6 @@ class Form:
             raise ValueError("form is not of pure degree")
         return degs.pop() if degs else 0
 
-    def is_horizontal(self) -> bool:
-        theta_bit = 1 << (2 * self.n)
-        return all(not m & theta_bit for m in self.coeffs)
-
-    def weight_of_mask(self, mask: int) -> int:
-        theta_bit = 1 << (2 * self.n)
-        return (mask & ~theta_bit).bit_count() + (2 if mask & theta_bit else 0)
-
-    def pure_weight_part(self, w: int) -> "Form":
-        return Form(
-            self.n, self.frame,
-            {m: p for m, p in self.coeffs.items() if self.weight_of_mask(m) == w},
-        )
-
     def coefficient(self, mask: int) -> Poly:
         return self.coeffs.get(mask, Poly.zero(2 * self.n + 1))
 
@@ -183,23 +175,43 @@ class Form:
 
 def wedge_forms(a: Form, b: Form) -> Form:
     a._check(b)
-    coeffs: dict = {}
-    for m1, p1 in a.coeffs.items():
-        for m2, p2 in b.coeffs.items():
-            if m1 & m2:
-                continue
-            m = m1 | m2
-            term = (p1 * p2).scale(_merge_sign(m1, m2))
-            s = coeffs.get(m)
-            s = term if s is None else s + term
-            if s.terms:
-                coeffs[m] = s
-            else:
-                coeffs.pop(m, None)
-    return Form(a.n, a.frame, coeffs)
+    return Form(a.n, a.frame, wedge_terms(a.coeffs, b.coeffs))
+
+
+def random_form(rng: random.Random, n: int, k: int, degree: int, frame: str = "left") -> Form:
+    """A k-form with a two-term random coefficient of degree <= ``degree`` per monomial."""
+    nv = 2 * n + 1
+    return Form(n, frame, {m: random_poly(rng, nv, degree, terms=2) for m in lambda_masks(n, k)})
 
 
 # -- exterior differential --------------------------------------------------
+
+
+def _d_coefficients(form: Form, by_weight: bool) -> tuple:
+    """Coefficients of d(form) as (weight shift 0, 1, 2) mask -> Poly dicts.
+
+    Shift 0 is d0 (left frame only), 1 a horizontal field, 2 the field T.
+    Without ``by_weight`` the three entries are one shared dict holding all
+    of d.
+    """
+    n, left = form.n, form.frame == "left"
+    table = d_table(n)
+    parts = ({}, {}, {}) if by_weight else ({},) * 3
+
+    def add(part: dict, mask: int, p: Poly) -> None:
+        s = part.get(mask)
+        part[mask] = p if s is None else s + p
+
+    for mask, p in form.coeffs.items():
+        d0, steps = table[mask]
+        if left:
+            for target, c in d0:
+                add(parts[0], target, p.scale(c))
+        for i, target, sign in steps:
+            dp = derive(n, i, p) if left else p.partial(i)
+            if dp.terms:
+                add(parts[1 if i < 2 * n else 2], target, dp if sign > 0 else -dp)
+    return parts
 
 
 def exterior_d(form: Form) -> Form:
@@ -209,30 +221,7 @@ def exterior_d(form: Form) -> Form:
     the structure-equation d on each coframe monomial. Coordinate frame: the
     coframe is closed, only coefficients differentiate.
     """
-    n = form.n
-    nv = 2 * n + 1
-    out = Form.zero(n, form.frame)
-    for mask, p in form.coeffs.items():
-        if form.frame == "left":
-            for i in range(nv):
-                dp = derive(n, i, p)
-                if dp.terms:
-                    out = out + wedge_forms(
-                        Form.monomial(n, 1 << i, dp, form.frame),
-                        Form.monomial(n, mask, Poly.const(nv, 1), form.frame),
-                    )
-            dS = algebraic_d(Covector.basis(n, mask))
-            if dS:
-                out = out + Form.from_covector(dS, form.frame).mul_poly(p)
-        else:
-            for i in range(nv):
-                dp = p.partial(i)
-                if dp.terms:
-                    out = out + wedge_forms(
-                        Form.monomial(n, 1 << i, dp, form.frame),
-                        Form.monomial(n, mask, Poly.const(nv, 1), form.frame),
-                    )
-    return out
+    return Form(form.n, form.frame, _d_coefficients(form, by_weight=False)[0])
 
 
 def split_d(form: Form):
@@ -243,67 +232,33 @@ def split_d(form: Form):
     """
     if form.frame != "left":
         raise ValueError("weight splitting needs the left-invariant frame")
-    n = form.n
-    nv = 2 * n + 1
-    d0 = Form.zero(n)
-    d1 = Form.zero(n)
-    d2 = Form.zero(n)
-    one = Poly.const(nv, 1)
-    for mask, p in form.coeffs.items():
-        dS = algebraic_d(Covector.basis(n, mask))
-        if dS:
-            d0 = d0 + Form.from_covector(dS).mul_poly(p)
-        for i in range(2 * n):
-            dp = derive(n, i, p)
-            if dp.terms:
-                d1 = d1 + wedge_forms(
-                    Form.monomial(n, 1 << i, dp), Form.monomial(n, mask, one)
-                )
-        dp = derive(n, 2 * n, p)
-        if dp.terms:
-            d2 = d2 + wedge_forms(
-                Form.monomial(n, 1 << (2 * n), dp), Form.monomial(n, mask, one)
-            )
-    return d0, d1, d2
-
-
-def d0_form(form: Form) -> Form:
-    return split_d(form)[0]
+    return tuple(Form(form.n, "left", part) for part in _d_coefficients(form, by_weight=True))
 
 
 # -- frame conversion --------------------------------------------------------
 
 
-def _one_form_images(n: int, direction: str) -> list:
-    """Images of the 2n+1 basis one-forms under the frame change."""
+def _one_form_images(n: int, target: str) -> list:
+    """Images in the ``target`` frame of the 2n+1 basis one-forms of the other."""
     nv = 2 * n + 1
     one = Poly.const(nv, 1)
-    half = Fraction(1, 2)
-    images = []
-    for i in range(2 * n):
-        target = "coord" if direction == "left_to_coord" else "left"
-        images.append(Form.monomial(n, 1 << i, one, target))
-    if direction == "left_to_coord":
-        # theta = dt - 1/2 sum (x_j dy_j - y_j dx_j)
-        coeffs = {1 << (2 * n): one}
-        for j in range(n):
-            coeffs[1 << (n + j)] = Poly.var(nv, j).scale(-half)
-            coeffs[1 << j] = Poly.var(nv, n + j).scale(half)
-        images.append(Form(n, "coord", coeffs))
-    else:
-        # dt = theta + 1/2 sum (x_j dy_j - y_j dx_j)
-        coeffs = {1 << (2 * n): one}
-        for j in range(n):
-            coeffs[1 << (n + j)] = Poly.var(nv, j).scale(half)
-            coeffs[1 << j] = Poly.var(nv, n + j).scale(-half)
-        images.append(Form(n, "left", coeffs))
+    # theta = dt - 1/2 sum (x_j dy_j - y_j dx_j), so dt = theta + the same sum
+    half = Fraction(-1, 2) if target == "coord" else Fraction(1, 2)
+    images = [Form.monomial(n, 1 << i, one, target) for i in range(2 * n)]
+    coeffs = {1 << (2 * n): one}
+    for j in range(n):
+        coeffs[1 << (n + j)] = Poly.var(nv, j).scale(half)
+        coeffs[1 << j] = Poly.var(nv, n + j).scale(-half)
+    images.append(Form(n, target, coeffs))
     return images
 
 
-def _convert(form: Form, direction: str, target: str) -> Form:
+def _convert(form: Form, target: str) -> Form:
+    if form.frame == target:
+        return form
     n = form.n
     nv = 2 * n + 1
-    images = _one_form_images(n, direction)
+    images = _one_form_images(n, target)
     out = Form.zero(n, target)
     unit = Poly.const(nv, 1)
     for mask, p in form.coeffs.items():
@@ -316,15 +271,11 @@ def _convert(form: Form, direction: str, target: str) -> Form:
 
 
 def to_coordinate_frame(form: Form) -> Form:
-    if form.frame == "coord":
-        return form
-    return _convert(form, "left_to_coord", "coord")
+    return _convert(form, "coord")
 
 
 def to_left_frame(form: Form) -> Form:
-    if form.frame == "left":
-        return form
-    return _convert(form, "coord_to_left", "left")
+    return _convert(form, "left")
 
 
 # -- pullback under translation + dilation -----------------------------------
@@ -362,7 +313,7 @@ def pullback_translation_dilation(form: Form, base, r) -> Form:
     images = translation_dilation_images(n, base, r)
     coeffs = {}
     for mask, p in form.coeffs.items():
-        factor = r ** form.weight_of_mask(mask)
+        factor = r ** mask_weight(n, mask)
         q = p.compose(images).scale(factor)
         if q.terms:
             coeffs[mask] = q

@@ -79,20 +79,22 @@ class Grid:
     def from_function(cls, n: int, horizontal_half_width: float, resolution: int, fn,
                       t_half_width: float | None = None, t_resolution: int | None = None) -> "Grid":
         g = cls.empty(n, horizontal_half_width, resolution, t_half_width, t_resolution)
-        vals = np.asarray(fn(*g.meshes()), dtype=float)
-        if vals.shape != g.values.shape:  # constant integrands return scalars
-            vals = np.broadcast_to(vals, g.values.shape).copy()
-        g.values = vals
+        g._fill(fn(*g.meshes()))
         return g
 
     @classmethod
     def from_poly(cls, n: int, horizontal_half_width: float, resolution: int, poly,
                   t_half_width: float | None = None, t_resolution: int | None = None) -> "Grid":
-        return cls.from_function(
-            n, horizontal_half_width, resolution,
-            lambda *axes: poly.evaluate_float(list(axes)),
-            t_half_width, t_resolution,
-        )
+        g = cls.empty(n, horizontal_half_width, resolution, t_half_width, t_resolution)
+        axes = np.ix_(*[g.axis(i) for i in range(2 * n + 1)])
+        g._fill(poly.evaluate_float(list(axes)))
+        return g
+
+    def _fill(self, vals) -> None:
+        vals = np.asarray(vals, dtype=float)
+        if vals.shape != self.values.shape:  # constants and axis-free terms broadcast
+            vals = np.broadcast_to(vals, self.values.shape).copy()
+        self.values = vals
 
     # -- quadrature ----------------------------------------------------------
 

@@ -16,6 +16,7 @@ Example:
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
@@ -238,15 +239,40 @@ class Poly:
         return total
 
     def evaluate_float(self, values: Sequence):
-        """Evaluate with float coefficients; values may be numpy arrays."""
+        """Evaluate with float coefficients; values may be numpy arrays.
+
+        Arrays need only broadcast against each other (axis vectors from
+        ``np.ix_`` will do). Each power values[i] ** e is computed once and
+        shared by every term that uses it.
+        """
+        powers: dict = {}
         total = 0.0
         for exp, c in self.terms.items():
             v = float(c)
             for i, e in enumerate(exp):
                 if e:
-                    v = v * values[i] ** e
+                    if (i, e) not in powers:
+                        powers[i, e] = values[i] ** e
+                    v = v * powers[i, e]
             total = total + v
         return total
+
+
+def random_fraction(rng: random.Random) -> Fraction:
+    """A small rational: numerator in -6..6, denominator in 1..3."""
+    return Fraction(rng.randrange(-6, 7), rng.randrange(1, 4))
+
+
+def random_poly(rng: random.Random, nvars: int, degree: int, terms: int = 4) -> Poly:
+    """Up to ``terms`` random monomials of total degree at most ``degree``."""
+    out: dict = {}
+    for _ in range(terms):
+        exp = [0] * nvars
+        for _ in range(rng.randrange(degree + 1)):
+            exp[rng.randrange(nvars)] += 1
+        key = tuple(exp)
+        out[key] = out.get(key, Fraction(0)) + random_fraction(rng)
+    return Poly(nvars, {k: v for k, v in out.items() if v})
 
 
 def symmetric_box_integral(p: Poly) -> Fraction:

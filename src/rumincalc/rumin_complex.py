@@ -32,7 +32,7 @@ from fractions import Fraction
 
 from . import linalg
 from .envelope import EnvOp, env_from_json, env_to_json
-from .exterior_weights import _merge_sign, build_spaces, covector_coords, d0_matrix, lambda_masks
+from .exterior_weights import build_spaces, covector_coords, d0_matrix, d_table, lambda_masks
 from .forms import Form, apply_mask_matrix, exterior_d
 from .polynomials import Poly
 
@@ -309,15 +309,15 @@ class RuminContext:
     def _d_operator(self, h: int) -> OperatorMatrix:
         """d: Lambda^h -> Lambda^{h+1} in the left frame, on coefficients.
 
-        d(f omega_I) = sum_i (W_i f) omega_i ^ omega_I + f d0(omega_I).
+        d(f omega_I) = sum_i (W_i f) omega_i ^ omega_I + f d0(omega_I), with
+        the frame-field steps and d0 both read off ``d_table``.
         """
         row_of = {m: r for r, m in enumerate(self.masks[h + 1])}
         d = self._constant(self.d0[h], h, h + 1)
+        table = d_table(self.n)
         for col, mask in enumerate(self.masks[h]):
-            for i in range(2 * self.n + 1):
-                if not mask >> i & 1:
-                    w = EnvOp.generator(self.n, i).scale(_merge_sign(1 << i, mask))
-                    d.entries[row_of[mask | 1 << i]][col] += w
+            for i, target, sign in table[mask].steps:
+                d.entries[row_of[target]][col] += EnvOp.generator(self.n, i).scale(sign)
         return d
 
     def rumin_d_matrix(self, h: int) -> OperatorMatrix:

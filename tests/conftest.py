@@ -1,12 +1,12 @@
 """Shared generators and cached contexts for the test suite."""
 
 import random
-from fractions import Fraction
 
 import pytest
 
-from rumincalc.forms import Form
-from rumincalc.polynomials import Poly
+# the test modules import random_form and random_poly from here
+from rumincalc.forms import Form, random_form  # noqa: F401
+from rumincalc.polynomials import random_fraction, random_poly
 from rumincalc.rumin_complex import RuminContext
 
 _CONTEXTS = {}
@@ -28,36 +28,8 @@ def ctx2():
     return shared_context(2)
 
 
-def random_fraction(rng: random.Random) -> Fraction:
-    return Fraction(rng.randrange(-6, 7), rng.randrange(1, 4))
-
-
-def random_poly(rng: random.Random, nvars: int, degree: int, terms: int = 4) -> Poly:
-    out = {}
-    for _ in range(terms):
-        exp = [0] * nvars
-        for _ in range(rng.randrange(degree + 1)):
-            exp[rng.randrange(nvars)] += 1
-        key = tuple(exp)
-        out[key] = out.get(key, Fraction(0)) + random_fraction(rng)
-    return Poly(nvars, {k: v for k, v in out.items() if v})
-
-
 def random_point_coords(rng: random.Random, nvars: int) -> list:
     return [random_fraction(rng) for _ in range(nvars)]
-
-
-def random_form(rng: random.Random, n: int, k: int, degree: int,
-                frame: str = "left") -> Form:
-    nv = 2 * n + 1
-    form = Form.zero(n, frame)
-    for mask in range(1 << nv):
-        if bin(mask).count("1") != k:
-            continue
-        p = random_poly(rng, nv, degree, terms=2)
-        if p:
-            form = form + Form.monomial(n, mask, p, frame=frame)
-    return form
 
 
 def random_core_form(rng: random.Random, ctx: RuminContext, h: int, degree: int) -> Form:

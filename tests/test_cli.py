@@ -150,6 +150,7 @@ def test_invalid_arguments(capsys, ctx1):
         ["homotopy", "--n", "1", "--p", "0.5"],
         ["homotopy", "--n", "1", "--q", "0"],
         ["verify", "--n", "1", "--poly-degree", "-1"],
+        ["numeric", "--n", "1", "--h", "1"],
     ):
         assert cli.main(argv) == 1, argv
         assert len(capsys.readouterr().err.strip().splitlines()) == 1, argv

@@ -107,6 +107,26 @@ def test_from_poly_matches_from_function():
     assert a.half_widths == (0.5, 0.5, 0.25)  # t window defaults to H^2
 
 
+def test_from_poly_is_bitwise_the_per_term_sum_on_full_meshes():
+    # axis vectors and shared powers must not change a single bit against
+    # the plain term-by-term evaluation on full meshes
+    rng = random.Random(12)
+    p = random_poly(rng, 5, 4, terms=40) + Poly.const(5, Fraction(1, 3))
+    g = Grid.from_poly(2, 0.7, 9, p, t_resolution=11)
+    meshes = g.meshes()
+    expected = 0.0
+    for exp, c in p.terms.items():
+        v = float(c)
+        for i, e in enumerate(exp):
+            if e:
+                v = v * meshes[i] ** e
+        expected = expected + v
+    assert np.array_equal(g.values, expected)
+    x_only = Grid.from_poly(2, 0.7, 9, Poly.var(5, 0) ** 3)
+    assert x_only.values.shape == g.shape[:4] + (9,)
+    assert np.array_equal(x_only.values, x_only.meshes()[0] ** 3)
+
+
 def test_second_order_multi_indices():
     idx = second_order_multi_indices(1)
     assert ("T",) in idx
