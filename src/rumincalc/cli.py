@@ -243,6 +243,7 @@ def cmd_homotopy(cfg: RunConfig) -> int:
     from .group_geometry import Ball, identity
     from .homotopy_exact import (
         AveragingWeight,
+        admissible_gap,
         euclidean_homotopy_residual,
         rumin_primitive_residual,
         scaling_probe,
@@ -252,7 +253,6 @@ def cmd_homotopy(cfg: RunConfig) -> int:
     rng = random.Random(cfg.seed)
     n = cfg.n
     nv = 2 * n + 1
-    Q = homogeneous_dimension(n)
     point = AveragingWeight.point_mass()
     bump = AveragingWeight.bump(Fraction(1, 3))
 
@@ -302,7 +302,7 @@ def cmd_homotopy(cfg: RunConfig) -> int:
     })
 
     h_gap = 1 if cfg.h is None else cfg.h
-    gap = Fraction(2 if h_gap == n + 1 else 1, Q)
+    gap = admissible_gap(n, h_gap)
     admissible = 1.0 / cfg.p - 1.0 / cfg.q <= float(gap) + 1e-12
     rep.emit({
         "report": "homotopy",

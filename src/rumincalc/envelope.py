@@ -7,7 +7,8 @@ T = d/dt. The only nonzero bracket is [X_j, Y_j] = T, and T is central.
 An ``EnvOp`` is a rational linear combination of ordered monomials
 W^I = X_1^{i_1} ... X_n^{i_n} Y_1^{j_1} ... Y_n^{j_n} T^{k}, stored as a dict
 from exponent tuples (length 2n+1) to Fraction. Products are renormalized into
-this basis; the only rewrite needed is Y_j^m X_j = X_j Y_j^m - m Y_j^{m-1} T.
+this basis in closed form: T is central, so the only rewrite is
+Y_j^b X_j^a = sum_k (-1)^k k! C(a,k) C(b,k) X_j^(a-k) Y_j^(b-k) T^k.
 
 The homogeneity degree d(I) counts horizontal exponents once and the T
 exponent twice, matching the anisotropic dilations.
@@ -17,7 +18,8 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from math import comb
+from itertools import chain, product
+from math import comb, perm
 from typing import Mapping
 
 from . import linalg
@@ -43,27 +45,44 @@ def derive(n: int, field_index: int, f: Poly) -> Poly:
     raise ValueError(f"field index {field_index} out of range")
 
 
-def _mono_times_gen(I: tuple, g: int, n: int) -> dict:
-    """W^I * W_g renormalized. At most one correction term appears."""
+def _mono_product(I: tuple, J: tuple, n: int) -> list:
+    """W^I W^J in PBW order, as [(exponent, integer coefficient)].
+
+    Only Y_j^b (from I) has to pass X_j^a (from J); each k in the closed form
+    moves one X_j Y_j pair into a T, so distinct choices give distinct
+    exponents and nothing needs merging.
+    """
     t = 2 * n
-    out_exp = list(I)
-    out_exp[g] += 1
-    out = {tuple(out_exp): Fraction(1)}
-    if g < n:
-        m = I[n + g]
-        if m:
-            corr = list(I)
-            corr[n + g] -= 1
-            corr[t] += 1
-            out[tuple(corr)] = Fraction(-m)
+    out = [(tuple(i + j for i, j in zip(I, J)), 1)]
+    for j in range(n):
+        a, b = J[j], I[n + j]
+        if not (a and b):
+            continue
+        expanded = []
+        for exp, c in out:
+            for k in range(min(a, b) + 1):
+                e = list(exp)
+                e[j] -= k
+                e[n + j] -= k
+                e[t] += k
+                expanded.append((tuple(e), (-1) ** k * perm(a, k) * comb(b, k) * c))
+        out = expanded
     return out
 
 
-def _mono_word(I: tuple) -> list:
-    word = []
-    for g, e in enumerate(I):
-        word.extend([g] * e)
-    return word
+def _collect(n: int, pairs) -> "EnvOp":
+    """Sum (exponent, nonzero coefficient) pairs into an EnvOp, dropping cancelled terms."""
+    terms: dict = {}
+    for exp, c in pairs:
+        s = terms.get(exp)
+        s = c if s is None else s + c
+        if s == 0:
+            terms.pop(exp, None)
+        else:
+            terms[exp] = s
+    out = EnvOp.__new__(EnvOp)
+    out.n, out.terms = n, terms
+    return out
 
 
 class EnvOp:
@@ -98,16 +117,7 @@ class EnvOp:
         return cls(n, {tuple(exp): Fraction(1)})
 
     def __add__(self, other: "EnvOp") -> "EnvOp":
-        terms = dict(self.terms)
-        for exp, c in other.terms.items():
-            s = terms.get(exp, Fraction(0)) + c
-            if s == 0:
-                terms.pop(exp, None)
-            else:
-                terms[exp] = s
-        out = EnvOp.__new__(EnvOp)
-        out.n, out.terms = self.n, terms
-        return out
+        return _collect(self.n, chain(self.terms.items(), other.terms.items()))
 
     def __neg__(self) -> "EnvOp":
         out = EnvOp.__new__(EnvOp)
@@ -131,30 +141,12 @@ class EnvOp:
         """Operator composition self after other, renormalized."""
         if self.n != other.n:
             raise ValueError("operators on different groups")
-        total: dict = {}
-        for J, cj in other.terms.items():
-            word = _mono_word(J)
-            for I, ci in self.terms.items():
-                partial = {I: ci * cj}
-                for g in word:
-                    nxt: dict = {}
-                    for exp, c in partial.items():
-                        for exp2, c2 in _mono_times_gen(exp, g, self.n).items():
-                            s = nxt.get(exp2, Fraction(0)) + c * c2
-                            if s == 0:
-                                nxt.pop(exp2, None)
-                            else:
-                                nxt[exp2] = s
-                    partial = nxt
-                for exp, c in partial.items():
-                    s = total.get(exp, Fraction(0)) + c
-                    if s == 0:
-                        total.pop(exp, None)
-                    else:
-                        total[exp] = s
-        out = EnvOp.__new__(EnvOp)
-        out.n, out.terms = self.n, total
-        return out
+        return _collect(self.n, (
+            (exp, ci * cj * k)
+            for I, ci in self.terms.items()
+            for J, cj in other.terms.items()
+            for exp, k in _mono_product(I, J, self.n)
+        ))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, EnvOp) and self.n == other.n and self.terms == other.terms
@@ -191,16 +183,19 @@ class EnvOp:
         return total
 
     def adjoint(self) -> "EnvOp":
-        """Formal L2 adjoint: the anti-automorphism sending each W to -W."""
-        total = EnvOp.zero(self.n)
+        """Formal L2 adjoint: the anti-automorphism sending each W to -W.
+
+        X^a Y^b T^c goes to (-1)^(|a|+|b|+c) (Y^b T^c)(X^a), since the letters
+        of each kind commute among themselves.
+        """
+        n = self.n
+        pairs = []
         for exp, c in self.terms.items():
-            word = _mono_word(exp)
-            acc = EnvOp.one(self.n)
-            for g in reversed(word):
-                acc = acc * EnvOp.generator(self.n, g)
-            sign = -1 if len(word) % 2 else 1
-            total = total + acc.scale(sign * c)
-        return total
+            xs = exp[:n] + (0,) * (n + 1)
+            yts = (0,) * n + exp[n:]
+            signed = -c if sum(exp) % 2 else c
+            pairs.extend((e, signed * k) for e, k in _mono_product(yts, xs, n))
+        return _collect(n, pairs)
 
     def order(self) -> int | None:
         if not self.terms:
@@ -241,20 +236,18 @@ def env_from_json(s: str) -> EnvOp:
     return EnvOp(n, terms)
 
 
+def word_op(n: int, word) -> EnvOp:
+    """The PBW-normalized product W_{word[0]} W_{word[1]} ... of generators."""
+    acc = EnvOp.one(n)
+    for g in word:
+        acc = acc * EnvOp.generator(n, g)
+    return acc
+
+
 def horizontal_word_products(n: int, length: int) -> list:
-    """All PBW-normalized products of exactly ``length`` horizontal generators."""
-    if length == 0:
-        return [EnvOp.one(n)]
-    words = [[g] for g in range(2 * n)]
-    for _ in range(length - 1):
-        words = [w + [g] for w in words for g in range(2 * n)]
-    out = []
-    for w in words:
-        acc = EnvOp.one(n)
-        for g in w:
-            acc = acc * EnvOp.generator(n, g)
-        out.append(acc)
-    return out
+    """All PBW-normalized products of exactly ``length`` horizontal generators,
+    in the lexicographic order of their words."""
+    return [word_op(n, w) for w in product(range(2 * n), repeat=length)]
 
 
 def horizontal_span_coefficients(a: EnvOp, max_length: int) -> list | None:
@@ -265,17 +258,9 @@ def horizontal_span_coefficients(a: EnvOp, max_length: int) -> list | None:
     what "a differential operator in the horizontal derivatives" means; its
     PBW normal form may still show T through commutators.
     """
-    words = [()]
-    frontier = [()]
-    for _ in range(max_length):
-        frontier = [w + (g,) for w in frontier for g in range(2 * a.n)]
-        words.extend(frontier)
-    normalized = []
-    for w in words:
-        acc = EnvOp.one(a.n)
-        for g in w:
-            acc = acc * EnvOp.generator(a.n, g)
-        normalized.append(acc)
+    lengths = range(max_length + 1)
+    words = [w for k in lengths for w in product(range(2 * a.n), repeat=k)]
+    normalized = [op for k in lengths for op in horizontal_word_products(a.n, k)]
     basis = sorted({exp for op in normalized for exp in op.terms} | set(a.terms))
     mat = [[op.terms.get(exp, Fraction(0)) for op in normalized] for exp in basis]
     rhs = [a.terms.get(exp, Fraction(0)) for exp in basis]
@@ -392,9 +377,7 @@ def leibniz_commutator_from_words(n: int, words: list, zeta: Poly) -> PolyDiffOp
                 deriv = derive(n, g, deriv)
             if not deriv:
                 continue
-            rest_op = EnvOp.one(n)
-            for g in rest:
-                rest_op = rest_op * EnvOp.generator(n, g)
+            rest_op = word_op(n, rest)
             scaled = c * deriv
             contrib = PolyDiffOp(
                 n, {exp: scaled * cc for exp, cc in rest_op.terms.items()}

@@ -99,7 +99,7 @@ class ConvexDomain:
     def euclidean_inradius(self) -> Fraction:
         if self.kind == "euclidean_ball":
             return self.radius
-        return min(self.radius, self.radius * self.radius)
+        return euclidean_inradius(self.radius)
 
     def default_weight(self, exponent: int = 3) -> AveragingWeight:
         return AveragingWeight.bump(self.euclidean_inradius() / 2, exponent)
@@ -157,14 +157,10 @@ def _collapse_y(n: int, doubled: dict, y_images: list) -> Form:
     return Form(n, "coord", coeffs)
 
 
-def cartan_homotopy(y, omega: Form, k: int | None = None) -> Form:
-    """The cone homotopy centered at the concrete point y, exactly.
-
-    omega must be a coordinate-frame polynomial form of pure degree k >= 1;
-    y is a sequence of 2n+1 rationals.
-    """
+def _cone_degree(name: str, omega: Form, k: int | None) -> int:
+    """The degree k >= 1 of a coordinate-frame form, checked against omega."""
     if omega.frame != "coord":
-        raise ValueError("cartan_homotopy works in the coordinate coframe")
+        raise ValueError(f"{name} works in the coordinate coframe")
     degree = omega.degree()
     if k is None:
         k = degree
@@ -172,6 +168,16 @@ def cartan_homotopy(y, omega: Form, k: int | None = None) -> Form:
         raise ValueError("the cone homotopy needs degree >= 1")
     if omega and degree != k:
         raise ValueError(f"form has degree {degree}, not {k}")
+    return k
+
+
+def cartan_homotopy(y, omega: Form, k: int | None = None) -> Form:
+    """The cone homotopy centered at the concrete point y, exactly.
+
+    omega must be a coordinate-frame polynomial form of pure degree k >= 1;
+    y is a sequence of 2n+1 rationals.
+    """
+    k = _cone_degree("cartan_homotopy", omega, k)
     n = omega.n
     nv = 2 * n + 1
     y = [Fraction(v) for v in y]
@@ -185,15 +191,7 @@ def averaged_homotopy(weight: AveragingWeight, omega: Form, k: int | None = None
     """K_Euc omega: the cone homotopy averaged over y against the weight."""
     if weight.mass != 1:
         raise ValueError("averaging weight must have total mass 1")
-    if omega.frame != "coord":
-        raise ValueError("averaged_homotopy works in the coordinate coframe")
-    degree = omega.degree()
-    if k is None:
-        k = degree
-    if k == 0:
-        raise ValueError("the cone homotopy needs degree >= 1")
-    if omega and degree != k:
-        raise ValueError(f"form has degree {degree}, not {k}")
+    k = _cone_degree("averaged_homotopy", omega, k)
     n = omega.n
     nv = 2 * n + 1
     doubled = _cone_homotopy_doubled(omega)
@@ -253,7 +251,9 @@ def rumin_primitive_residual(ctx: RuminContext, weight: AveragingWeight, omega: 
 # -- Poincare quotient and its scaling -----------------------------------------
 
 
-def _admissible_gap(n: int, h: int) -> Fraction:
+def admissible_gap(n: int, h: int) -> Fraction:
+    """The largest 1/p - 1/q a degree-h Poincare inequality allows: 1/Q, or
+    2/Q in degree n + 1, whose primitive inverts the order-2 d_c out of n."""
     Q = homogeneous_dimension(n)
     return Fraction(2 if h == n + 1 else 1, Q)
 
@@ -285,7 +285,7 @@ def poincare_quotient(
         raise ValueError("input form is not d_c-closed")
     n = ctx.n
     h = omega.degree() if omega else 0
-    gap = _admissible_gap(n, h)
+    gap = admissible_gap(n, h)
     admissible = Fraction(1) / Fraction(p).limit_denominator(10**6) - Fraction(1) / Fraction(
         q
     ).limit_denominator(10**6) <= gap

@@ -92,6 +92,10 @@ class KernelFlowDerivative:
         return self.base.n
 
     @property
+    def t_weight(self) -> float:
+        return self.base.t_weight
+
+    @property
     def mu(self) -> float:
         return self.base.mu - 1
 
@@ -144,6 +148,10 @@ class CutoffKernel:
     @property
     def n(self) -> int:
         return self.base.n
+
+    @property
+    def t_weight(self) -> float:
+        return self.base.t_weight
 
     @property
     def mu(self) -> float:
@@ -204,7 +212,7 @@ def group_convolve(f: Grid, kernel, output_points: np.ndarray | None = None,
 
     m_out = xs[0].size
     acc = np.zeros(m_out)
-    eps = (vol / gauge_ball_volume(n, getattr(kernel, "t_weight", 1.0))) ** (1.0 / (2 * n + 2))
+    eps = (vol / gauge_ball_volume(n, kernel.t_weight)) ** (1.0 / (2 * n + 2))
     policy = kernel.cell_estimate(eps)
     singular_touched = 0
 
@@ -222,7 +230,7 @@ def group_convolve(f: Grid, kernel, output_points: np.ndarray | None = None,
         z.append(t)
         vals = kernel.evaluate(z)
         if policy is not None:
-            rho4 = _gauge4(z, getattr(kernel, "t_weight", 1.0))
+            rho4 = _gauge4(z, kernel.t_weight)
             near = rho4 < eps**4
             if np.any(near):
                 singular_touched += int(near.sum())

@@ -182,7 +182,8 @@ class RuminContext:
         return self.spaces[h][2]
 
     def gram(self, h: int) -> list:
-        return self.spaces[h][2].norms2
+        """Squared norms of the E0^h basis; empty past the top degree."""
+        return self.spaces[h][2].norms2 if h <= self.top else []
 
     def core_dims(self) -> list:
         return [self.core(h).dim for h in range(self.top + 1)]
@@ -363,38 +364,20 @@ class RuminContext:
 
         Away from the middle degrees this is d_c delta_c + delta_c d_c; the
         term whose d_c crosses the middle (order 2) is squared so both terms
-        have matching homogeneity. Matrices that run off the ends of the
-        complex are zero and drop out on their own.
+        have matching homogeneity. At the two ends of the complex only the
+        term that stays inside it is present.
         """
-        n = self.n
-        dim = self.core(h).dim
-        down_d = (
-            self.rumin_d_matrix(h - 1)
-            if h > 0
-            else OperatorMatrix.zero(self.n, -1, 0, dim, 0)
-        )
-        down_delta = (
-            self.rumin_delta_matrix(h - 1)
-            if h > 0
-            else OperatorMatrix.zero(self.n, 0, -1, 0, dim)
-        )
-        up_d = (
-            self.rumin_d_matrix(h)
-            if h < self.top
-            else OperatorMatrix.zero(self.n, h, h + 1, 0, dim)
-        )
-        up_delta = (
-            self.rumin_delta_matrix(h)
-            if h < self.top
-            else OperatorMatrix.zero(self.n, h + 1, h, dim, 0)
-        )
-        lower = down_d.compose(down_delta)
-        upper = up_delta.compose(up_d)
-        if h == n:
-            lower = lower.compose(lower)
-        elif h == n + 1:
-            upper = upper.compose(upper)
-        return lower + upper
+        if not 0 <= h <= self.top:
+            raise ValueError("degree out of range")
+        lap = None
+        if h > 0:
+            lower = self.rumin_d_matrix(h - 1).compose(self.rumin_delta_matrix(h - 1))
+            lap = lower.compose(lower) if h == self.n else lower
+        if h < self.top:
+            upper = self.rumin_delta_matrix(h).compose(self.rumin_d_matrix(h))
+            upper = upper.compose(upper) if h == self.n + 1 else upper
+            lap = upper if lap is None else lap + upper
+        return lap
 
     def laplacian_order(self, h: int) -> int:
         return 4 if h in (self.n, self.n + 1) else 2
@@ -412,15 +395,13 @@ def laplacian_commutation_report(ctx: RuminContext) -> dict:
     n = ctx.n
     top = 2 * n + 1
     checks = []
-
-    def lap(h):
-        return ctx.rumin_laplacian(h)
+    lap = [ctx.rumin_laplacian(h) for h in range(top + 1)]
 
     for h in range(top):
         if h in (n - 1, n + 1):
             continue
         d = ctx.rumin_d_matrix(h)
-        residual = d.compose(lap(h)) - lap(h + 1).compose(d)
+        residual = d.compose(lap[h]) - lap[h + 1].compose(d)
         checks.append({
             "identity": f"d_c Delta_{h} = Delta_{h + 1} d_c",
             "exact_zero": residual.is_zero(),
@@ -429,7 +410,7 @@ def laplacian_commutation_report(ctx: RuminContext) -> dict:
         if h in (n, n + 2):
             continue
         delta = ctx.rumin_delta_matrix(h - 1)
-        residual = delta.compose(lap(h)) - lap(h - 1).compose(delta)
+        residual = delta.compose(lap[h]) - lap[h - 1].compose(delta)
         checks.append({
             "identity": f"delta_c Delta_{h} = Delta_{h - 1} delta_c",
             "exact_zero": residual.is_zero(),
@@ -445,13 +426,13 @@ def laplacian_commutation_report(ctx: RuminContext) -> dict:
     cross_delta_hi = delta_hi.compose(d_hi).compose(delta_hi)
     substitutes = [
         (f"Delta_{n} d_c = (d_c delta_c d_c) Delta_{n - 1}",
-         lap(n).compose(d_lo) - cross_d_lo.compose(lap(n - 1))),
+         lap[n].compose(d_lo) - cross_d_lo.compose(lap[n - 1])),
         (f"d_c Delta_{n + 1} = Delta_{n + 2} (d_c delta_c d_c)",
-         d_hi.compose(lap(n + 1)) - lap(n + 2).compose(cross_d_hi)),
+         d_hi.compose(lap[n + 1]) - lap[n + 2].compose(cross_d_hi)),
         (f"delta_c Delta_{n} = Delta_{n - 1} (delta_c d_c delta_c)",
-         delta_lo.compose(lap(n)) - lap(n - 1).compose(cross_delta_lo)),
+         delta_lo.compose(lap[n]) - lap[n - 1].compose(cross_delta_lo)),
         (f"Delta_{n + 1} delta_c = (delta_c d_c delta_c) Delta_{n + 2}",
-         lap(n + 1).compose(delta_hi) - cross_delta_hi.compose(lap(n + 2))),
+         lap[n + 1].compose(delta_hi) - cross_delta_hi.compose(lap[n + 2])),
     ]
     for name, residual in substitutes:
         checks.append({"identity": name, "exact_zero": residual.is_zero()})

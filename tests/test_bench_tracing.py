@@ -7,7 +7,7 @@ test suite rather than a later traced benchmark run.
 import importlib.util
 from pathlib import Path
 
-from rumincalc import exterior_weights, forms
+from rumincalc import envelope, exterior_weights, forms, rumin_complex
 
 TRACING = Path(__file__).resolve().parents[1] / "benchmarks" / "tracing.py"
 
@@ -21,12 +21,21 @@ def _load_tracing():
 
 def test_tracer_installs_and_uninstalls():
     tracing = _load_tracing()
-    originals = (exterior_weights.algebraic_d, forms.exterior_d)
+
+    def traced():
+        return (
+            exterior_weights.algebraic_d,
+            forms.exterior_d,
+            envelope.EnvOp.__mul__,  # counted
+            rumin_complex.laplacian_commutation_report,  # a span
+        )
+
+    originals = traced()
     tracer = tracing.Tracer()
     try:
         tracer.install()
-        assert exterior_weights.algebraic_d is not originals[0]
-        assert forms.exterior_d is not originals[1]
+        for now, before in zip(traced(), originals):
+            assert now is not before
     finally:
         tracer.uninstall()
-    assert (exterior_weights.algebraic_d, forms.exterior_d) == originals
+    assert traced() == originals

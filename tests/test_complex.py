@@ -112,6 +112,13 @@ def test_delta_is_the_gram_adjoint(ctx1):
     # adjoint twice returns the original
     again = delta0.adjoint(ctx1.gram(1), ctx1.gram(0))
     assert again == d0
+    # out of the top degree d_c is 0 x dim and delta_c the dim x 0 zero matrix
+    top = ctx1.top
+    dim = ctx1.core(top).dim
+    assert ctx1.rumin_d_matrix(top).shape == (0, dim)
+    delta_top = ctx1.rumin_delta_matrix(top)
+    assert delta_top.shape == (dim, 0)
+    assert delta_top.is_zero()
 
 
 def test_degree_zero_laplacian_is_sum_of_squares(ctx1, ctx2):
@@ -139,6 +146,9 @@ def test_laplacian_orders_and_self_adjointness(ctx1, ctx2):
                 assert entry.homogeneous_degree() == order
             gram = ctx.gram(h)
             assert lap.adjoint(gram, gram) == lap
+        for h in (-1, 2 * n + 2):
+            with pytest.raises(ValueError, match="degree out of range"):
+                ctx.rumin_laplacian(h)
 
 
 def test_laplacian_commutation_identities(ctx1, ctx2):

@@ -65,6 +65,15 @@ def test_pbw_confluence_random():
         assert left == a
 
 
+def _random_op(rng, n):
+    """Three terms, every exponent in 0..3."""
+    return EnvOp(n, {
+        tuple(rng.randrange(4) for _ in range(2 * n + 1)):
+            Fraction(rng.randrange(-3, 4) or 1, rng.randrange(1, 3))
+        for _ in range(3)
+    })
+
+
 def test_action_matches_normalization():
     rng = random.Random(1)
     for n in (1, 2):
@@ -80,6 +89,14 @@ def test_action_matches_normalization():
             for g in reversed(word):
                 direct = derive(n, g, direct)
             assert op.act(f) == direct
+    # products of multi-term operators with exponents up to 3 reach every k
+    # of the closed form Y^b X^a = sum_k ...; act composes derive, not products
+    for n in (1, 2):
+        nv = 2 * n + 1
+        for _ in range(8):
+            a, b = _random_op(rng, n), _random_op(rng, n)
+            f = random_poly(rng, nv, 24, terms=6)
+            assert (a * b).act(f) == a.act(b.act(f))
 
 
 def test_adjoint_is_an_involution_and_antihomomorphism():

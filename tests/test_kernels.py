@@ -89,6 +89,16 @@ def test_kernel_split_reconstructs_exactly():
     # tail is globally bounded even at the origin
     assert tail.cell_estimate(0.01) == 0.0
     assert local.cell_estimate(0.01) == k.cell_estimate(0.01)
+    # the two parts convolve back to the kernel, with the singular cell sized
+    # by the base gauge weight also when t is weighted
+    f = bump_grid(1, 1.0, 12, 0.5)
+    for t_weight in (1.0, 16.0):
+        k = HomogeneousKernel(1, 1.0, t_weight)
+        local, tail = kernel_split(k, 0.5)
+        assert local.t_weight == tail.t_weight == k.horizontal_derivative(1).t_weight == t_weight
+        whole, _ = group_convolve(f, k)
+        parts = group_convolve(f, local)[0].values + group_convolve(f, tail)[0].values
+        assert np.allclose(parts, whole.values, rtol=0, atol=1e-12)
 
 
 def test_cutoff_kernel_validation():
