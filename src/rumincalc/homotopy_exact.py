@@ -4,11 +4,17 @@ The Euclidean ingredient is the cone homotopy centered at a point y,
 
     K_y omega(x) = int_0^1 s^{k-1} iota_{x-y} omega(y + s(x-y)) ds,
 
-evaluated exactly on polynomial k-forms in the coordinate coframe; averaging
-over y against a normalized weight psi keeps everything rational because only
-monomial moments of psi enter. The intrinsic primitive operator is the
-composite K = P_E0 . P_E . K_Euc . P_E, which satisfies omega = d_c K omega
-exactly on d_c-closed sections of E0 in positive degree.
+evaluated exactly on polynomial k-forms in the coordinate coframe. On a
+monomial c x^alpha dx_I the segment point s x + (1-s) y expands binomially,
+and each power of s integrates to a Beta value B(p, q) on integers, so K_y
+is a finite sum whose only dependence on y is through the monomials y^beta.
+Averaging over y against a normalized weight psi (Iwaniec-Lutoborski)
+replaces each y^beta by the moment of psi, which is an exact rational; one
+closed form serves both the cone at a point and its average. The intrinsic
+primitive operator is the composite K = P_E0 . P_E . K_Euc . P_E. It is a
+chain homotopy on the sections of E0: omega = d_c K omega + K d_c omega in
+positive degree, and f = K d_c f + (psi-average of f) in degree 0, so
+omega = d_c K omega exactly on d_c-closed sections of positive degree.
 
 The Poincare quotient and its dilation scaling probe live here too: the
 primitive is exact, only the L^p/L^q ball norms are quadrature.
@@ -20,6 +26,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 
 from . import grid as gridmod
 from .forms import (
@@ -108,57 +115,56 @@ class ConvexDomain:
 # -- Euclidean cone homotopy ---------------------------------------------------
 
 
-def _cone_homotopy_doubled(omega: Form) -> dict:
-    """K_y omega over the doubled ring Q[x, y], mask -> Poly(2 nv).
+def _cone_homotopy(omega: Form, moment) -> Form:
+    """The cone homotopy of omega with y^beta replaced by moment(beta).
 
-    x occupies variables 0..nv-1, the cone center y occupies nv..2nv-1; the
-    cone parameter is integrated out exactly.
+    For omega = c x^alpha dx_I of degree k, expand (s x + (1-s) y)^alpha
+    binomially and integrate s^(k-1) against it over [0, 1]:
+
+        K omega = sum_{j in I} +-_j c sum_{a <= alpha} C(alpha, a)
+                  B(|a| + k, |alpha| - |a| + 1)
+                  [m(alpha - a) x^(a + e_j) - m(alpha - a + e_j) x^a] dx_{I - j}
+
+    with +-_j = (-1)^(position of j in I) and B(p, q) = (p-1)!(q-1)!/(p+q-1)!.
+    m(beta) = y^beta gives the cone at y, and the moments of psi its average.
     """
-    n = omega.n
-    nv = 2 * n + 1
-    big = 2 * nv + 1  # x block, y block, cone parameter s
-    s_index = 2 * nv
-    s = Poly.var(big, s_index)
-    sub_images = [
-        Poly.var(big, nv + i) + s * (Poly.var(big, i) - Poly.var(big, nv + i))
-        for i in range(nv)
-    ]
-    segment = [Poly.var(big, i) - Poly.var(big, nv + i) for i in range(nv)]
+    nv = 2 * omega.n + 1
+    moments: dict = {}
+
+    def m(beta: tuple) -> Fraction:
+        if beta not in moments:
+            moments[beta] = moment(beta)
+        return moments[beta]
 
     out: dict = {}
     for mask, p in omega.coeffs.items():
         k = mask.bit_count()
-        p_sub = p.compose(sub_images)
-        weighted = p_sub * s ** (k - 1)
         indices = [i for i in range(nv) if mask >> i & 1]
-        for pos, idx in enumerate(indices):
-            sign = -1 if pos % 2 else 1
-            integrand = (weighted * segment[idx]).scale(sign)
-            integrated = integrand.eliminate_unit_integral(s_index)
-            reduced = Poly(2 * nv, {exp[:-1]: c for exp, c in integrated.terms.items()})
-            rest = mask & ~(1 << idx)
-            acc = out.get(rest)
-            acc = reduced if acc is None else acc + reduced
-            if acc.terms:
-                out[rest] = acc
-            else:
-                out.pop(rest, None)
-    return out
+        for alpha, c in p.terms.items():
+            size = sum(alpha)
+            for a in product(*(range(e + 1) for e in alpha)):
+                rest = tuple(e - b for e, b in zip(alpha, a))
+                low = sum(a)
+                coeff = c * Fraction(
+                    math.prod(math.comb(e, b) for e, b in zip(alpha, a))
+                    * math.factorial(low + k - 1) * math.factorial(size - low),
+                    math.factorial(size + k),
+                )
+                m_rest = m(rest)
+                for pos, j in enumerate(indices):
+                    signed = -coeff if pos % 2 else coeff
+                    terms = out.setdefault(mask & ~(1 << j), {})
+                    if m_rest:
+                        up = a[:j] + (a[j] + 1,) + a[j + 1:]
+                        terms[up] = terms.get(up, 0) + signed * m_rest
+                    m_shift = m(rest[:j] + (rest[j] + 1,) + rest[j + 1:])
+                    if m_shift:
+                        terms[a] = terms.get(a, 0) - signed * m_shift
+    return Form(omega.n, "coord", {mask: Poly(nv, terms) for mask, terms in out.items()})
 
 
-def _collapse_y(n: int, doubled: dict, y_images: list) -> Form:
-    nv = 2 * n + 1
-    images = [Poly.var(nv, i) for i in range(nv)] + y_images
-    coeffs = {}
-    for mask, p in doubled.items():
-        q = p.compose(images)
-        if q.terms:
-            coeffs[mask] = q
-    return Form(n, "coord", coeffs)
-
-
-def _cone_degree(name: str, omega: Form, k: int | None) -> int:
-    """The degree k >= 1 of a coordinate-frame form, checked against omega."""
+def _cone_degree(name: str, omega: Form, k: int | None) -> None:
+    """Check that omega is a coordinate-frame form of degree k >= 1 (k=None: its own)."""
     if omega.frame != "coord":
         raise ValueError(f"{name} works in the coordinate coframe")
     degree = omega.degree()
@@ -168,7 +174,6 @@ def _cone_degree(name: str, omega: Form, k: int | None) -> int:
         raise ValueError("the cone homotopy needs degree >= 1")
     if omega and degree != k:
         raise ValueError(f"form has degree {degree}, not {k}")
-    return k
 
 
 def cartan_homotopy(y, omega: Form, k: int | None = None) -> Form:
@@ -177,36 +182,20 @@ def cartan_homotopy(y, omega: Form, k: int | None = None) -> Form:
     omega must be a coordinate-frame polynomial form of pure degree k >= 1;
     y is a sequence of 2n+1 rationals.
     """
-    k = _cone_degree("cartan_homotopy", omega, k)
-    n = omega.n
-    nv = 2 * n + 1
+    _cone_degree("cartan_homotopy", omega, k)
     y = [Fraction(v) for v in y]
-    if len(y) != nv:
+    if len(y) != 2 * omega.n + 1:
         raise ValueError("y needs 2n+1 coordinates")
-    doubled = _cone_homotopy_doubled(omega)
-    return _collapse_y(n, doubled, [Poly.const(nv, v) for v in y])
+    return _cone_homotopy(omega, lambda beta: math.prod(v**b for v, b in zip(y, beta)))
 
 
 def averaged_homotopy(weight: AveragingWeight, omega: Form, k: int | None = None) -> Form:
     """K_Euc omega: the cone homotopy averaged over y against the weight."""
     if weight.mass != 1:
         raise ValueError("averaging weight must have total mass 1")
-    k = _cone_degree("averaged_homotopy", omega, k)
-    n = omega.n
-    nv = 2 * n + 1
-    doubled = _cone_homotopy_doubled(omega)
-    coeffs = {}
-    for mask, p in doubled.items():
-        terms: dict = {}
-        for exp, c in p.terms.items():
-            alpha, beta = exp[:nv], exp[nv:]
-            m = weight.moment(beta, nv)
-            if m != 0:
-                terms[alpha] = terms.get(alpha, Fraction(0)) + c * m
-        q = Poly(nv, terms)
-        if q.terms:
-            coeffs[mask] = q
-    return Form(n, "coord", coeffs)
+    _cone_degree("averaged_homotopy", omega, k)
+    nv = 2 * omega.n + 1
+    return _cone_homotopy(omega, lambda beta: weight.moment(beta, nv))
 
 
 def euclidean_homotopy_residual(weight: AveragingWeight, omega: Form) -> Form:
@@ -246,6 +235,23 @@ def rumin_homotopy_K(ctx: RuminContext, weight: AveragingWeight, omega: Form) ->
 
 def rumin_primitive_residual(ctx: RuminContext, weight: AveragingWeight, omega: Form) -> Form:
     return omega - ctx.rumin_d(rumin_homotopy_K(ctx, weight, omega))
+
+
+def rumin_homotopy_residual(ctx: RuminContext, weight: AveragingWeight, omega: Form) -> Form:
+    """omega - d_c K omega - K d_c omega for omega in E0^h, any h; must vanish.
+
+    K is a chain homotopy between the identity and the psi-average: in
+    degree 0, where K omega is not defined, the term d_c K f is replaced by
+    the constant sum_alpha c_alpha m(alpha) of f = sum_alpha c_alpha x^alpha.
+    """
+    if not omega:
+        return omega
+    out = omega - rumin_homotopy_K(ctx, weight, ctx.rumin_d(omega))
+    if omega.degree() > 0:
+        return out - ctx.rumin_d(rumin_homotopy_K(ctx, weight, omega))
+    nv = 2 * ctx.n + 1
+    average = sum(c * weight.moment(alpha, nv) for alpha, c in omega.coeffs[0].terms.items())
+    return out - Form.from_function(ctx.n, Poly.const(nv, average))
 
 
 # -- Poincare quotient and its scaling -----------------------------------------

@@ -217,17 +217,6 @@ class Poly:
             total = total + term
         return total
 
-    def eliminate_unit_integral(self, i: int) -> "Poly":
-        """Integrate variable ``i`` over [0, 1] (the variable disappears)."""
-        terms: dict = {}
-        for exp, c in self.terms.items():
-            e = list(exp)
-            d = e[i]
-            e[i] = 0
-            key = tuple(e)
-            terms[key] = terms.get(key, Fraction(0)) + c / (d + 1)
-        return Poly(self.nvars, terms)
-
     def evaluate_exact(self, values: Sequence) -> Fraction:
         total = Fraction(0)
         for exp, c in self.terms.items():

@@ -7,7 +7,7 @@ test suite rather than a later traced benchmark run.
 import importlib.util
 from pathlib import Path
 
-from rumincalc import envelope, exterior_weights, forms, rumin_complex
+from rumincalc import envelope, exterior_weights, forms, homotopy_exact, rumin_complex
 
 TRACING = Path(__file__).resolve().parents[1] / "benchmarks" / "tracing.py"
 
@@ -28,6 +28,8 @@ def test_tracer_installs_and_uninstalls():
             forms.exterior_d,
             envelope.EnvOp.__mul__,  # counted
             rumin_complex.laplacian_commutation_report,  # a span
+            homotopy_exact.averaged_homotopy,
+            homotopy_exact.rumin_homotopy_K,
         )
 
     originals = traced()

@@ -79,6 +79,9 @@ def test_homotopy_subcommand(capsys):
     by_check = {r["check"]: r for r in rows}
     assert by_check["omega - d K omega - K d omega = 0 (Euclidean)"]["status"] == "exact-zero"
     assert by_check["omega = d_c K omega on closed sections"]["status"] == "exact-zero"
+    chain = by_check["omega = d_c K omega + K d_c omega on E0 sections"]
+    assert chain["status"] == "exact-zero" and chain["trials"] > 0
+    assert rows[-1] is chain  # drawn last, so the rows above keep their data
     assert by_check["exponent admissibility"]["admissible"] is True
     scaling = [r for r in rows if r["check"] == "Poincare quotient scaling exponent"]
     assert {r["h"] for r in scaling} == {1, 2}

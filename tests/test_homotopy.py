@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_core_form, random_form
+from conftest import random_core_form, random_form, random_point_coords, shared_context
 from rumincalc.forms import Form, exterior_d, to_coordinate_frame, to_left_frame
 from rumincalc.group_geometry import Ball, from_coords, identity
 from rumincalc.homotopy_exact import (
@@ -15,6 +15,7 @@ from rumincalc.homotopy_exact import (
     euclidean_homotopy_residual,
     poincare_quotient,
     rumin_homotopy_K,
+    rumin_homotopy_residual,
     rumin_primitive_residual,
     scaling_probe,
 )
@@ -23,6 +24,71 @@ from rumincalc.polynomials import Poly
 
 POINT = AveragingWeight.point_mass()
 BUMP = AveragingWeight.bump(Fraction(1, 2))
+
+
+def _doubled_ring_cone(omega: Form) -> dict:
+    """Oracle: K_y omega over Q[x, y, s], s integrated out; mask -> Poly(x, y).
+
+    x occupies variables 0..nv-1, the cone center y nv..2nv-1 and the cone
+    parameter s the last one, which is integrated over [0, 1] term by term.
+    """
+    nv = 2 * omega.n + 1
+    big = 2 * nv + 1
+    s = Poly.var(big, 2 * nv)
+    sub_images = [
+        Poly.var(big, nv + i) + s * (Poly.var(big, i) - Poly.var(big, nv + i))
+        for i in range(nv)
+    ]
+    out: dict = {}
+    for mask, p in omega.coeffs.items():
+        weighted = p.compose(sub_images) * s ** (mask.bit_count() - 1)
+        indices = [i for i in range(nv) if mask >> i & 1]
+        for pos, idx in enumerate(indices):
+            integrand = weighted * (Poly.var(big, idx) - Poly.var(big, nv + idx))
+            terms: dict = {}
+            for exp, c in integrand.terms.items():
+                terms[exp[:-1]] = terms.get(exp[:-1], 0) + c / (exp[-1] + 1)
+            rest = mask & ~(1 << idx)
+            acc = out.get(rest, Poly.zero(2 * nv))
+            out[rest] = acc + Poly(2 * nv, terms).scale(-1 if pos % 2 else 1)
+    return out
+
+
+def _oracle_average(weight: AveragingWeight, omega: Form) -> Form:
+    """The doubled-ring cone with each y^beta replaced by the moment of psi."""
+    nv = 2 * omega.n + 1
+    coeffs = {}
+    for mask, p in _doubled_ring_cone(omega).items():
+        terms: dict = {}
+        for exp, c in p.terms.items():
+            alpha, beta = exp[:nv], exp[nv:]
+            terms[alpha] = terms.get(alpha, 0) + c * weight.moment(beta, nv)
+        coeffs[mask] = Poly(nv, terms)
+    return Form(omega.n, "coord", coeffs)
+
+
+def _oracle_at(y, omega: Form) -> Form:
+    """The doubled-ring cone with y substituted."""
+    nv = 2 * omega.n + 1
+    images = [Poly.var(nv, i) for i in range(nv)] + [Poly.const(nv, v) for v in y]
+    coeffs = {mask: p.compose(images) for mask, p in _doubled_ring_cone(omega).items()}
+    return Form(omega.n, "coord", coeffs)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_closed_form_equals_the_doubled_ring_oracle(n):
+    rng = random.Random(10 + n)
+    nv = 2 * n + 1
+    y = random_point_coords(rng, nv)
+    while not any(y):
+        y = random_point_coords(rng, nv)
+    for k in range(1, nv + 1):
+        omega = Form.zero(n, "coord")
+        while not omega:
+            omega = random_form(rng, n, k, 3 if n < 3 else 2, frame="coord")
+        for w in (POINT, BUMP):
+            assert averaged_homotopy(w, omega) == _oracle_average(w, omega)
+        assert cartan_homotopy(y, omega) == _oracle_at(y, omega)
 
 
 def test_cone_homotopy_primitive_of_dx():
@@ -153,6 +219,21 @@ def test_rumin_primitive_residual_vanishes(ctx1, ctx2):
                 if not omega:
                     continue
                 assert not rumin_primitive_residual(ctx, w, omega)
+
+
+def test_rumin_chain_homotopy_residual_vanishes(ctx1, ctx2):
+    # omega = d_c K omega + K d_c omega on non-closed sections of every
+    # degree; in degree 0 the psi-average takes the place of d_c K f
+    rng = random.Random(5)
+    cases = [(ctx1, (POINT, BUMP), 2), (ctx2, (POINT, BUMP), 2), (shared_context(3), (BUMP,), 1)]
+    for ctx, weights, trials in cases:
+        for h in range(2 * ctx.n + 2):
+            for w in weights:
+                for _ in range(trials):
+                    omega = random_core_form(rng, ctx, h, 2)
+                    while h < 2 * ctx.n + 1 and not ctx.rumin_d(omega):
+                        omega = random_core_form(rng, ctx, h, 2)
+                    assert not rumin_homotopy_residual(ctx, w, omega)
 
 
 def test_rumin_homotopy_error_contracts(ctx1):

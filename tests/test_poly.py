@@ -75,14 +75,6 @@ def test_scale_and_compose():
     assert q.nvars == 3
 
 
-def test_eliminate_unit_integral():
-    s = Poly.var(2, 1)
-    x = Poly.var(2, 0)
-    p = x * s**2 + s
-    out = p.eliminate_unit_integral(1)
-    assert out == x.scale(Fraction(1, 3)) + Poly.const(2, Fraction(1, 2))
-
-
 def test_evaluate_exact_and_box_integral():
     x = Poly.var(2, 0)
     y = Poly.var(2, 1)
