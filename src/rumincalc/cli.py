@@ -14,9 +14,9 @@ numeric   grid experiments: derivative convergence, kernel decay slopes,
           the fundamental-solution gauge scan.
 
 Reports are JSON lines on stdout (optionally teed to --json and flattened
-to --csv). Exit codes: 0 on success, 1 when an exact identity fails or the
-arguments are invalid, 2 when a numeric tolerance is missed under --strict
-(soft warning otherwise).
+to --csv). Exit codes: 0 on success, 1 when an exact identity fails, the
+arguments are invalid or a report file cannot be written, 2 when a numeric
+tolerance is missed under --strict (soft warning otherwise).
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import random
 import sys
 from dataclasses import dataclass
@@ -89,20 +90,25 @@ class Reporter:
         return ok
 
     def finish(self) -> int:
-        if self.config.json_path:
-            with open(self.config.json_path, "w") as fh:
-                for row in self.rows:
-                    fh.write(json.dumps(row, sort_keys=True, default=str) + "\n")
-        if self.config.csv_path:
-            flat = [
-                {k: v for k, v in row.items() if isinstance(v, (str, int, float, bool))}
-                for row in self.rows
-            ]
-            keys = sorted({k for row in flat for k in row})
-            with open(self.config.csv_path, "w", newline="") as fh:
-                writer = csv.DictWriter(fh, fieldnames=keys)
-                writer.writeheader()
-                writer.writerows(flat)
+        try:
+            if self.config.json_path:
+                with open(self.config.json_path, "w") as fh:
+                    for row in self.rows:
+                        fh.write(json.dumps(row, sort_keys=True, default=str) + "\n")
+            if self.config.csv_path:
+                flat = [
+                    {k: v for k, v in row.items() if isinstance(v, (str, int, float, bool))}
+                    for row in self.rows
+                ]
+                keys = sorted({k for row in flat for k in row})
+                with open(self.config.csv_path, "w", newline="") as fh:
+                    writer = csv.DictWriter(fh, fieldnames=keys)
+                    writer.writeheader()
+                    writer.writerows(flat)
+        except OSError as exc:
+            # the rows are already on stdout; only the copy is lost
+            print(f"error: cannot write the report file: {exc}", file=sys.stderr)
+            return 1
         if self.hard_failures:
             return 1
         if self.soft_misses and self.config.strict:
@@ -507,6 +513,8 @@ def _argument_error(args) -> str | None:
     """The first invalid argument, described in one line, or None."""
     if args.n < 1 or args.n > 3:
         return "--n must be 1, 2, or 3"
+    if not all(map(math.isfinite, (args.p, args.q, args.lam))):
+        return "--p, --q and --lambda must be finite"
     if args.lam <= 1.0:
         return "--lambda must exceed 1"
     if args.h is not None:

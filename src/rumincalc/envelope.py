@@ -23,7 +23,9 @@ from math import comb, perm
 from typing import Mapping
 
 from . import linalg
-from .polynomials import Poly
+from .polynomials import Poly, add_terms
+
+_HALF = Fraction(1, 2)
 
 
 def derive(n: int, field_index: int, f: Poly) -> Poly:
@@ -43,6 +45,38 @@ def derive(n: int, field_index: int, f: Poly) -> Poly:
         x_i = Poly.var(f.nvars, field_index - n)
         return f.partial(field_index) + Fraction(1, 2) * x_i * f.partial(t)
     raise ValueError(f"field index {field_index} out of range")
+
+
+def frame_derivatives(n: int, f: Poly, frame: str) -> list:
+    """[W_0 f, ..., W_2n f], all frame fields of f in one pass over its terms.
+
+    ``frame`` is ``"left"`` for the fields X_i, Y_i, T of ``derive`` or
+    ``"coord"`` for the partials d/dx_i, d/dy_i, d/dt. In the left frame
+    d/dt f is taken once, and its terms times y_i/2 or x_i/2 are exponent
+    shifts added to the partials.
+    """
+    if f.nvars != 2 * n + 1:
+        raise ValueError("polynomial not in the group coordinate ring")
+    if frame not in ("left", "coord"):
+        raise ValueError(f"unknown frame {frame!r}")
+    t = 2 * n
+    out = [{} for _ in range(t + 1)]
+    for exp, c in f.terms.items():
+        for i, k in enumerate(exp):
+            if k:
+                # distinct monomials have distinct partials: no merging
+                out[i][exp[:i] + (k - 1,) + exp[i + 1:]] = c if k == 1 else c * k
+    if frame == "left":
+        halves = []
+        for e, v in out[t].items():
+            v = v * _HALF
+            halves.append((e, v, -v))
+        for j in range(n):
+            # X_j = d/dx_j - (y_j/2) d/dt and Y_j = d/dy_j + (x_j/2) d/dt
+            y, x = n + j, j
+            add_terms(out[j], ((e[:y] + (e[y] + 1,) + e[y + 1:], neg) for e, _, neg in halves))
+            add_terms(out[y], ((e[:x] + (e[x] + 1,) + e[x + 1:], pos) for e, pos, _ in halves))
+    return [Poly.wrap(f.nvars, terms) for terms in out]
 
 
 def _mono_product(I: tuple, J: tuple, n: int) -> list:
@@ -72,16 +106,8 @@ def _mono_product(I: tuple, J: tuple, n: int) -> list:
 
 def _collect(n: int, pairs) -> "EnvOp":
     """Sum (exponent, nonzero coefficient) pairs into an EnvOp, dropping cancelled terms."""
-    terms: dict = {}
-    for exp, c in pairs:
-        s = terms.get(exp)
-        s = c if s is None else s + c
-        if s == 0:
-            terms.pop(exp, None)
-        else:
-            terms[exp] = s
     out = EnvOp.__new__(EnvOp)
-    out.n, out.terms = n, terms
+    out.n, out.terms = n, add_terms({}, pairs)
     return out
 
 

@@ -27,9 +27,9 @@ import random
 from fractions import Fraction
 from typing import Mapping
 
-from .envelope import derive
+from .envelope import frame_derivatives
 from .exterior_weights import Covector, d_table, lambda_masks, mask_weight, wedge_terms
-from .polynomials import Poly, random_poly
+from .polynomials import Poly, add_terms, random_poly
 
 FRAMES = ("left", "coord")
 
@@ -191,27 +191,32 @@ def _d_coefficients(form: Form, by_weight: bool) -> tuple:
     """Coefficients of d(form) as (weight shift 0, 1, 2) mask -> Poly dicts.
 
     Shift 0 is d0 (left frame only), 1 a horizontal field, 2 the field T.
-    Without ``by_weight`` the three entries are one shared dict holding all
-    of d.
+    Without ``by_weight`` a one-entry tuple holds all of d. The frame fields of
+    each coefficient come from one ``frame_derivatives`` pass, and every
+    target coefficient is summed in place as a term dict.
     """
     n, left = form.n, form.frame == "left"
     table = d_table(n)
     parts = ({}, {}, {}) if by_weight else ({},) * 3
 
-    def add(part: dict, mask: int, p: Poly) -> None:
-        s = part.get(mask)
-        part[mask] = p if s is None else s + p
-
     for mask, p in form.coeffs.items():
         d0, steps = table[mask]
         if left:
             for target, c in d0:
-                add(parts[0], target, p.scale(c))
+                add_terms(parts[0].setdefault(target, {}), ((e, v * c) for e, v in p.terms.items()))
+        derivatives = frame_derivatives(n, p, form.frame)
         for i, target, sign in steps:
-            dp = derive(n, i, p) if left else p.partial(i)
-            if dp.terms:
-                add(parts[1 if i < 2 * n else 2], target, dp if sign > 0 else -dp)
-    return parts
+            terms = derivatives[i].terms
+            if terms:
+                add_terms(
+                    parts[1 if i < 2 * n else 2].setdefault(target, {}),
+                    terms.items() if sign > 0 else ((e, -v) for e, v in terms.items()),
+                )
+    nv = 2 * n + 1
+    return tuple(
+        {m: Poly.wrap(nv, terms) for m, terms in part.items() if terms}
+        for part in (parts if by_weight else parts[:1])
+    )
 
 
 def exterior_d(form: Form) -> Form:
@@ -325,19 +330,16 @@ def pullback_translation_dilation(form: Form, base, r) -> Form:
 
 def apply_mask_matrix(matrix: list, src_masks: list, dst_masks: list, form: Form) -> Form:
     """Apply a Fraction matrix (dst x src over coframe masks) coefficientwise."""
-    n = form.n
-    nv = 2 * n + 1
-    src = [form.coeffs.get(m, Poly.zero(nv)) for m in src_masks]
-    extra = set(form.coeffs) - set(src_masks)
-    if extra:
+    if set(form.coeffs) - set(src_masks):
         raise ValueError("form has components outside the source basis")
+    nv = 2 * form.n + 1
+    src = [form.coeffs.get(m) for m in src_masks]
     coeffs = {}
-    for i, dm in enumerate(dst_masks):
-        acc = Poly.zero(nv)
-        for j, p in enumerate(src):
-            c = matrix[i][j]
-            if c != 0 and p.terms:
-                acc = acc + p.scale(c)
-        if acc.terms:
-            coeffs[dm] = acc
-    return Form(n, form.frame, coeffs)
+    for dm, row in zip(dst_masks, matrix):
+        terms: dict = {}
+        for c, p in zip(row, src):
+            if c and p is not None:
+                add_terms(terms, ((e, v * c) for e, v in p.terms.items()))
+        if terms:
+            coeffs[dm] = Poly.wrap(nv, terms)
+    return Form(form.n, form.frame, coeffs)

@@ -16,6 +16,7 @@ Example:
 
 from __future__ import annotations
 
+import operator
 import random
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -27,6 +28,21 @@ def _as_fraction(c) -> Fraction:
     if isinstance(c, int):
         return Fraction(c)
     raise TypeError(f"expected int or Fraction coefficient, got {type(c).__name__}")
+
+
+def add_terms(terms: dict, pairs) -> dict:
+    """Sum (exponent, coefficient) pairs into ``terms`` in place; cancelled entries go."""
+    for exp, c in pairs:
+        s = terms.get(exp)
+        if s is None:
+            terms[exp] = c
+        else:
+            s += c
+            if s:
+                terms[exp] = s
+            else:
+                del terms[exp]
+    return terms
 
 
 class Poly:
@@ -44,6 +60,13 @@ class Poly:
                     raise ValueError(f"bad exponent tuple {exp} for {nvars} variables")
                 clean[tuple(exp)] = c
         self.terms = clean
+
+    @classmethod
+    def wrap(cls, nvars: int, terms: dict) -> "Poly":
+        """A Poly owning ``terms`` as is: valid exponents, no zero coefficient."""
+        out = cls.__new__(cls)
+        out.nvars, out.terms = nvars, terms
+        return out
 
     # -- constructors ------------------------------------------------------
 
@@ -76,24 +99,12 @@ class Poly:
         if isinstance(other, (int, Fraction)):
             other = Poly.const(self.nvars, other)
         self._check_ring(other)
-        terms = dict(self.terms)
-        for exp, c in other.terms.items():
-            s = terms.get(exp, Fraction(0)) + c
-            if s == 0:
-                terms.pop(exp, None)
-            else:
-                terms[exp] = s
-        out = Poly.__new__(Poly)
-        out.nvars, out.terms = self.nvars, terms
-        return out
+        return Poly.wrap(self.nvars, add_terms(dict(self.terms), other.terms.items()))
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = Poly.__new__(Poly)
-        out.nvars = self.nvars
-        out.terms = {e: -c for e, c in self.terms.items()}
-        return out
+        return Poly.wrap(self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -108,23 +119,13 @@ class Poly:
             c = _as_fraction(other)
             if c == 0:
                 return Poly.zero(self.nvars)
-            out = Poly.__new__(Poly)
-            out.nvars = self.nvars
-            out.terms = {e: c * v for e, v in self.terms.items()}
-            return out
+            return Poly.wrap(self.nvars, {e: c * v for e, v in self.terms.items()})
         self._check_ring(other)
-        terms: dict = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = terms.get(e, Fraction(0)) + c1 * c2
-                if s == 0:
-                    terms.pop(e, None)
-                else:
-                    terms[e] = s
-        out = Poly.__new__(Poly)
-        out.nvars, out.terms = self.nvars, terms
-        return out
+        return Poly.wrap(self.nvars, add_terms({}, (
+            (tuple(map(operator.add, e1, e2)), c1 * c2)
+            for e1, c1 in self.terms.items()
+            for e2, c2 in other.terms.items()
+        )))
 
     __rmul__ = __mul__
 
@@ -167,15 +168,11 @@ class Poly:
 
     def partial(self, i: int) -> "Poly":
         """Partial derivative with respect to variable ``i``."""
-        terms = {}
-        for exp, c in self.terms.items():
-            if exp[i] == 0:
-                continue
-            e = list(exp)
-            k = e[i]
-            e[i] = k - 1
-            terms[tuple(e)] = terms.get(tuple(e), Fraction(0)) + c * k
-        return Poly(self.nvars, terms)
+        # distinct monomials stay distinct, so nothing merges or cancels
+        return Poly.wrap(self.nvars, {
+            exp[:i] + (exp[i] - 1,) + exp[i + 1:]: c * exp[i]
+            for exp, c in self.terms.items() if exp[i]
+        })
 
     def degree(self) -> int | None:
         """Total degree, or None for the zero polynomial."""

@@ -10,7 +10,9 @@ On forms these give the two projectors
     P_E  = 1 - d0^{-1} d - d d0^{-1}        (d the full differential)
     P_E0 = 1 - d0^{-1} d0 - d0 d0^{-1}
 
-and the intrinsic differential d_c = P_E0 ∘ d ∘ P_E ∘ P_E0.
+and the intrinsic differential d_c = P_E0 ∘ d ∘ P_E ∘ P_E0. Since d0^{-1}
+vanishes on E0, ``rumin_d`` computes it as P_E0(d omega - d d0^{-1} d omega)
+with omega = P_E0 form.
 
 Because d_c is left-invariant and homogeneous, it is a matrix of constant
 coefficient operators in the enveloping algebra once forms are written in the
@@ -95,17 +97,23 @@ class OperatorMatrix:
         """self ∘ inner (apply ``inner`` first)."""
         if self.cols != inner.rows:
             raise ValueError("shape mismatch in composition")
+        # the nonzero j of each row of self and of each column of inner
+        rows = [[(j, a) for j, a in enumerate(row) if a] for row in self.entries]
+        columns = [
+            {j: inner.entries[j][k] for j in range(inner.rows) if inner.entries[j][k]}
+            for k in range(inner.cols)
+        ]
         entries = []
-        for i in range(self.rows):
-            row = []
-            for k in range(inner.cols):
+        for row in rows:
+            out = []
+            for column in columns:
                 acc = EnvOp.zero(self.n)
-                for j in range(self.cols):
-                    a, b = self.entries[i][j], inner.entries[j][k]
-                    if a and b:
+                for j, a in row:
+                    b = column.get(j)
+                    if b is not None:
                         acc = acc + a * b
-                row.append(acc)
-            entries.append(row)
+                out.append(acc)
+            entries.append(out)
         return OperatorMatrix(
             self.n, inner.src_degree, self.dst_degree, entries,
             (self.rows, inner.cols),
@@ -262,9 +270,15 @@ class RuminContext:
         return form - self.d0_inverse(exterior_d(form)) - exterior_d(self.d0_inverse(form))
 
     def rumin_d(self, form: Form) -> Form:
+        """d_c = P_E0 d P_E on omega = P_E0 form, as P_E0(d omega - d d0^{-1} d omega).
+
+        d0^{-1} vanishes on E0, so P_E omega = omega - d0^{-1} d omega, and
+        d omega serves both terms.
+        """
         if form.frame != "left":
             raise ValueError("d_c acts on forms in the left-invariant frame")
-        return self.project_core(exterior_d(self.project_rumin(self.project_core(form))))
+        d_omega = exterior_d(self.project_core(form))
+        return self.project_core(d_omega - exterior_d(self.d0_inverse(d_omega)))
 
     # -- E0 coordinates ------------------------------------------------------
 

@@ -1,4 +1,4 @@
-"""Acceptance suite: the eleven headline checks, one visible line each.
+"""Acceptance suite: the twelve headline checks, one visible line each.
 
 Each test prints `CRITERION k: PASS/FAIL - summary` through the capture
 escape hatch so the lines show up even in captured runs, then asserts.
@@ -18,6 +18,7 @@ from rumincalc.forms import Form
 from rumincalc.homotopy_exact import (
     AveragingWeight,
     euclidean_homotopy_residual,
+    rumin_homotopy_residual,
     rumin_primitive_residual,
     scaling_probe,
 )
@@ -298,4 +299,42 @@ def test_criterion_11_dimension_tables(capsys):
         capsys, 11, ok,
         "core dimensions match the brute-force rank oracle with duality and "
         "alternating sum 0 for n = 1, 2, 3",
+    )
+
+
+def test_criterion_12_chain_homotopy(capsys):
+    # omega = d_c K omega + K d_c omega on sections that are not closed;
+    # in degree 0 the psi-average stands in for d_c K f
+    rng = random.Random(12)
+    point = AveragingWeight.point_mass()
+    bump = AveragingWeight.bump(Fraction(1, 3))
+    t0 = time.perf_counter()
+    tested = 0
+    ok = True
+    for n, weights in ((1, (point, bump)), (2, (point, bump)), (3, (bump,))):
+        ctx = ctx_for(n)
+        nv = 2 * n + 1
+        dims = ctx.core_dims()
+        top = 2 * n + 1
+        for h in range(top + 1):
+            for weight in weights:
+                for _ in range(2):
+                    for _ in range(20):
+                        omega = ctx.form_from_core(
+                            h, [random_poly(rng, nv, 2, terms=2) for _ in range(dims[h])]
+                        )
+                        if omega and (h == top or ctx.rumin_d(omega)):
+                            break
+                    else:
+                        ok = False
+                        continue
+                    if rumin_homotopy_residual(ctx, weight, omega):
+                        ok = False
+                    tested += 1
+    elapsed = time.perf_counter() - t0
+    ok = ok and tested == 56 and elapsed < 60
+    announce(
+        capsys, 12, ok,
+        f"omega = d_c K omega + K d_c omega exactly on {tested} sections, every "
+        f"degree, n = 1, 2 (both weights) and n = 3 (bump) ({elapsed:.1f}s)",
     )

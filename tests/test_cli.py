@@ -141,6 +141,18 @@ def test_json_and_csv_outputs(tmp_path, capsys):
     assert "dimension" in table[0]
 
 
+def test_unwritable_report_path_is_one_error_line(tmp_path, capsys):
+    missing = tmp_path / "missing"
+    for flag in ("--json", "--csv"):
+        code = cli.main(["basis", "--n", "1", flag, str(missing / "rows")])
+        captured = capsys.readouterr()
+        assert code == 1, flag
+        # the rows already printed stay on stdout
+        assert [json.loads(line)["report"] for line in captured.out.splitlines()][-1] == "basis-summary"
+        assert len(captured.err.strip().splitlines()) == 1, flag
+        assert "missing" in captured.err and "Traceback" not in captured.err
+
+
 def test_invalid_arguments(capsys, ctx1):
     assert cli.main(["basis", "--n", "5"]) == 1
     assert cli.main(["basis", "--n", "1", "--lambda", "1.0"]) == 1
@@ -154,6 +166,11 @@ def test_invalid_arguments(capsys, ctx1):
         ["homotopy", "--n", "1", "--q", "0"],
         ["verify", "--n", "1", "--poly-degree", "-1"],
         ["numeric", "--n", "1", "--h", "1"],
+        ["homotopy", "--n", "1", "--grid", "8", "--p", "nan"],
+        ["homotopy", "--n", "1", "--grid", "8", "--lambda", "nan"],
+        ["homotopy", "--n", "1", "--grid", "8", "--q", "inf"],
+        ["numeric", "--n", "1", "--p", "nan"],
+        ["verify", "--n", "1", "--q=-inf"],
     ):
         assert cli.main(argv) == 1, argv
         assert len(capsys.readouterr().err.strip().splitlines()) == 1, argv

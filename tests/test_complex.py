@@ -3,9 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_core_form, random_poly
+from conftest import random_core_form, random_form, random_poly, shared_context
 from rumincalc.envelope import EnvOp, commutator_with_multiplication
-from rumincalc.forms import Form, to_coordinate_frame
+from rumincalc.forms import Form, exterior_d, to_coordinate_frame
 from rumincalc.polynomials import Poly
 from rumincalc.rumin_complex import (
     OperatorMatrix,
@@ -90,6 +90,22 @@ def test_dc_matrix_matches_the_form_pipeline(ctx1, ctx2):
                     assert ctx.form_from_core(h + 1, mat.apply(coeffs)) == image
                     nonzero += bool(image)
             assert nonzero
+
+
+def test_rumin_d_equals_the_full_projector_composition(ctx1, ctx2):
+    # rumin_d reuses d omega for P_E; the composition through project_rumin
+    # (P_E with both d0^{-1} terms) is its oracle
+    rng = random.Random(9)
+    for ctx in (ctx1, ctx2, shared_context(3)):
+        for h in range(2 * ctx.n + 2):
+            for omega in (
+                random_core_form(rng, ctx, h, 3),
+                random_form(rng, ctx.n, h, 3, frame="left"),
+            ):
+                composed = ctx.project_core(
+                    exterior_d(ctx.project_rumin(ctx.project_core(omega)))
+                )
+                assert ctx.rumin_d(omega) == composed
 
 
 def test_entries_are_homogeneous_t_free_and_horizontal(ctx1, ctx2):

@@ -2,6 +2,8 @@ import json
 import random
 from fractions import Fraction
 
+import pytest
+
 from conftest import random_poly
 from rumincalc.envelope import (
     EnvOp,
@@ -10,6 +12,7 @@ from rumincalc.envelope import (
     derive,
     env_from_json,
     env_to_json,
+    frame_derivatives,
     horizontal_span_coefficients,
     horizontal_word_products,
     leibniz_commutator_from_words,
@@ -207,3 +210,25 @@ def test_polydiffop_order_and_t_flag():
     assert not c.differentiates_along_t()
     d = PolyDiffOp(n, {(0, 0, 1): Poly.const(3, 1)})
     assert d.differentiates_along_t()
+
+
+def test_frame_derivatives_match_derive_and_partials():
+    rng = random.Random(12)
+    for n in (1, 2, 3):
+        nv = 2 * n + 1
+        for trial in range(8):
+            f = random_poly(rng, nv, 4, terms=6)
+            if trial % 2:
+                f = Poly(nv, {e: c for e, c in f.terms.items() if not e[-1]})
+            left = frame_derivatives(n, f, "left")
+            coord = frame_derivatives(n, f, "coord")
+            assert len(left) == len(coord) == nv
+            for i in range(nv):
+                assert left[i] == derive(n, i, f)
+                assert coord[i] == f.partial(i)
+    # X_1 (t + x y / 2) = y/2 - y/2: the partial and the d/dt shift cancel
+    x, y, t = (Poly.var(3, i) for i in range(3))
+    f = t + x * y * Fraction(1, 2)
+    assert frame_derivatives(1, f, "left") == [Poly.zero(3), x, Poly.const(3, 1)]
+    with pytest.raises(ValueError, match="unknown frame"):
+        frame_derivatives(1, f, "right")

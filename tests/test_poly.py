@@ -91,3 +91,15 @@ def test_evaluate_float_matches_exact():
     exact = p.evaluate_exact([Fraction(1, 3), Fraction(-2, 5)])
     approx = p.evaluate_float([1 / 3, -0.4])
     assert approx == pytest.approx(float(exact))
+
+
+def test_add_and_mul_drop_cancelled_terms():
+    x, y = Poly.var(2, 0), Poly.var(2, 1)
+    assert (x + y + 3) + (y * Fraction(-1)) == x + 3
+    assert ((x + y) + (-x - y)).terms == {}
+    assert ((x + y) * (x - y)).terms == {(2, 0): 1, (0, 2): -1}
+    # x^2 cancels after two of its three contributions, then comes back
+    u = Poly.var(1, 0)
+    product = (1 + u + u * u) * (1 - u + u * u)
+    assert product.terms == {(0,): 1, (2,): 1, (4,): 1}
+    assert all(isinstance(c, Fraction) and c for c in product.terms.values())
