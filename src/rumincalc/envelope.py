@@ -19,10 +19,9 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from itertools import chain, product
-from math import comb, perm
+from math import comb, perm, prod
 from typing import Mapping
 
-from . import linalg
 from .polynomials import Poly, add_terms
 
 _HALF = Fraction(1, 2)
@@ -238,28 +237,31 @@ class EnvOp:
             return degs.pop()
         return None
 
-    def coords(self, basis: list) -> list:
-        return [self.terms.get(exp, Fraction(0)) for exp in basis]
 
-
-def env_to_json(a: EnvOp) -> str:
-    rows = [
+def env_to_rows(a: EnvOp) -> list:
+    """The terms of ``a`` as JSON-ready rows, sorted by multi-index."""
+    return [
         {"multi_index": list(exp), "numerator": c.numerator, "denominator": c.denominator}
         for exp, c in sorted(a.terms.items())
     ]
-    return json.dumps(rows)
+
+
+def env_from_rows(n: int, rows: list) -> EnvOp:
+    """The operator on H^n with the given term rows (the inverse of ``env_to_rows``)."""
+    return EnvOp(n, {
+        tuple(r["multi_index"]): Fraction(r["numerator"], r["denominator"]) for r in rows
+    })
+
+
+def env_to_json(a: EnvOp) -> str:
+    return json.dumps(env_to_rows(a))
 
 
 def env_from_json(s: str) -> EnvOp:
     rows = json.loads(s)
     if not rows:
         raise ValueError("cannot infer the group from an empty term list")
-    width = len(rows[0]["multi_index"])
-    n = (width - 1) // 2
-    terms = {
-        tuple(r["multi_index"]): Fraction(r["numerator"], r["denominator"]) for r in rows
-    }
-    return EnvOp(n, terms)
+    return env_from_rows((len(rows[0]["multi_index"]) - 1) // 2, rows)
 
 
 def word_op(n: int, word) -> EnvOp:
@@ -270,12 +272,6 @@ def word_op(n: int, word) -> EnvOp:
     return acc
 
 
-def horizontal_word_products(n: int, length: int) -> list:
-    """All PBW-normalized products of exactly ``length`` horizontal generators,
-    in the lexicographic order of their words."""
-    return [word_op(n, w) for w in product(range(2 * n), repeat=length)]
-
-
 def horizontal_span_coefficients(a: EnvOp, max_length: int) -> list | None:
     """Write ``a`` as a combination of horizontal words of length <= max_length.
 
@@ -283,17 +279,24 @@ def horizontal_span_coefficients(a: EnvOp, max_length: int) -> list | None:
     indices, or None if no such representation exists. The representation is
     what "a differential operator in the horizontal derivatives" means; its
     PBW normal form may still show T through commutators.
+
+    T is central and equals X_1 Y_1 - Y_1 X_1, so X^a Y^b T^c is the word
+    X^a Y^b followed by c factors (X_1 Y_1 - Y_1 X_1), a combination of words
+    of length d(a, b, c). Words of length <= L thus span exactly the
+    monomials of homogeneity <= L.
     """
-    lengths = range(max_length + 1)
-    words = [w for k in lengths for w in product(range(2 * a.n), repeat=k)]
-    normalized = [op for k in lengths for op in horizontal_word_products(a.n, k)]
-    basis = sorted({exp for op in normalized for exp in op.terms} | set(a.terms))
-    mat = [[op.terms.get(exp, Fraction(0)) for op in normalized] for exp in basis]
-    rhs = [a.terms.get(exp, Fraction(0)) for exp in basis]
-    sol = linalg.solve(mat, rhs)
-    if sol is None:
+    n = a.n
+    if any(a.homogeneity(exp) > max_length for exp in a.terms):
         return None
-    return [(w, c) for w, c in zip(words, sol) if c != 0]
+    t_words = (((0, n), 1), ((n, 0), -1))
+    words: dict = {}
+    for exp, c in a.terms.items():
+        head = tuple(g for g in range(2 * n) for _ in range(exp[g]))
+        add_terms(words, (
+            (head + sum((w for w, _ in factors), ()), c * prod(s for _, s in factors))
+            for factors in product(t_words, repeat=exp[-1])
+        ))
+    return list(words.items())
 
 
 class PolyDiffOp:
@@ -310,20 +313,8 @@ class PolyDiffOp:
         self.n = n
         self.terms = {tuple(e): p for e, p in (terms or {}).items() if p}
 
-    @classmethod
-    def zero(cls, n: int) -> "PolyDiffOp":
-        return cls(n)
-
     def __add__(self, other: "PolyDiffOp") -> "PolyDiffOp":
-        terms = dict(self.terms)
-        for e, p in other.terms.items():
-            q = terms.get(e)
-            s = p if q is None else q + p
-            if s:
-                terms[e] = s
-            else:
-                terms.pop(e, None)
-        return PolyDiffOp(self.n, terms)
+        return PolyDiffOp(self.n, add_terms(dict(self.terms), other.terms.items()))
 
     def __neg__(self) -> "PolyDiffOp":
         return PolyDiffOp(self.n, {e: -p for e, p in self.terms.items()})
@@ -362,28 +353,15 @@ def commutator_with_multiplication(a: EnvOp, zeta: Poly) -> PolyDiffOp:
     term cancels against zeta a(u).
     """
     n = a.n
-    out = PolyDiffOp.zero(n)
+    terms: dict = {}
     for I, c in a.terms.items():
-        ranges = [range(e + 1) for e in I]
-        splits = [()]
-        for r in ranges:
-            splits = [s + (k,) for s in splits for k in r]
-        terms: dict = {}
-        for K in splits:
-            if all(k == 0 for k in K):
-                continue
-            weight = Fraction(1)
-            for ig, kg in zip(I, K):
-                weight *= comb(ig, kg)
-            deriv = EnvOp(n, {K: 1}).act(zeta)
-            if not deriv:
-                continue
-            rest = tuple(ig - kg for ig, kg in zip(I, K))
-            prev = terms.get(rest)
-            add = (c * weight) * deriv
-            terms[rest] = add if prev is None else prev + add
-        out = out + PolyDiffOp(n, terms)
-    return out
+        add_terms(terms, (
+            (tuple(i - k for i, k in zip(I, K)),
+             c * prod(map(comb, I, K)) * EnvOp(n, {K: 1}).act(zeta))
+            for K in product(*(range(e + 1) for e in I))
+            if any(K)
+        ))
+    return PolyDiffOp(n, terms)
 
 
 def leibniz_commutator_from_words(n: int, words: list, zeta: Poly) -> PolyDiffOp:
@@ -392,21 +370,18 @@ def leibniz_commutator_from_words(n: int, words: list, zeta: Poly) -> PolyDiffOp
     Every derivative of zeta that appears is a composition of horizontal
     fields only; T is never applied to zeta here.
     """
-    out = PolyDiffOp.zero(n)
+    terms: dict = {}
     for word, c in words:
-        k = len(word)
-        for split in range(1, 1 << k):
-            applied = [g for pos, g in enumerate(word) if split & (1 << pos)]
-            rest = [g for pos, g in enumerate(word) if not split & (1 << pos)]
-            deriv = Poly(zeta.nvars, zeta.terms)
-            for g in reversed(applied):
-                deriv = derive(n, g, deriv)
+        for split in product((False, True), repeat=len(word)):
+            if not any(split):
+                continue
+            deriv = zeta
+            for g, applied in zip(reversed(word), reversed(split)):
+                if applied:
+                    deriv = derive(n, g, deriv)
             if not deriv:
                 continue
-            rest_op = word_op(n, rest)
             scaled = c * deriv
-            contrib = PolyDiffOp(
-                n, {exp: scaled * cc for exp, cc in rest_op.terms.items()}
-            )
-            out = out + contrib
-    return out
+            rest = word_op(n, [g for g, applied in zip(word, split) if not applied])
+            add_terms(terms, ((exp, scaled * cc) for exp, cc in rest.terms.items()))
+    return PolyDiffOp(n, terms)

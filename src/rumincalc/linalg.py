@@ -1,4 +1,4 @@
-"""Small exact linear algebra over Fraction: rref, rank, solve, nullspace.
+"""Small exact linear algebra over Fraction: rref, rank, nullspace.
 
 Matrices are lists of lists of Fraction. Everything returns fresh lists; inputs
 are never mutated. Sizes here are tiny (dimensions of exterior algebras up to
@@ -60,23 +60,6 @@ def nullspace(m):
             v[pc] = -red[r][fc]
         basis.append(v)
     return basis
-
-
-def solve(m, b):
-    """Solve m x = b exactly. Returns x or None if inconsistent.
-
-    If the system is underdetermined the free variables are set to 0.
-    """
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    aug = [m[i][:] + [b[i]] for i in range(rows)]
-    red, pivots = rref(aug)
-    if cols in pivots:
-        return None
-    x = [Fraction(0)] * cols
-    for r, pc in enumerate(pivots):
-        x[pc] = red[r][cols]
-    return x
 
 
 def matmul(a, b):

@@ -33,7 +33,14 @@ import operator
 from fractions import Fraction
 
 from . import linalg
-from .envelope import EnvOp, env_from_json, env_to_json
+from .envelope import (
+    EnvOp,
+    commutator_with_multiplication,
+    env_from_rows,
+    env_to_rows,
+    horizontal_span_coefficients,
+    leibniz_commutator_from_words,
+)
 from .exterior_weights import build_spaces, covector_coords, d0_matrix, d_table, lambda_masks
 from .forms import Form, apply_mask_matrix, exterior_d
 from .polynomials import Poly
@@ -74,7 +81,8 @@ class OperatorMatrix:
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, OperatorMatrix)
-            and (self.n, self.src_degree, self.dst_degree) == (other.n, other.src_degree, other.dst_degree)
+            and (self.n, self.src_degree, self.dst_degree, self.shape)
+            == (other.n, other.src_degree, other.dst_degree, other.shape)
             and self.entries == other.entries
         )
 
@@ -155,7 +163,8 @@ class OperatorMatrix:
                 "n": self.n,
                 "src_degree": self.src_degree,
                 "dst_degree": self.dst_degree,
-                "entries": [[json.loads(env_to_json(e)) for e in row] for row in self.entries],
+                "shape": list(self.shape),
+                "entries": [[env_to_rows(e) for e in row] for row in self.entries],
             },
             sort_keys=True,
         )
@@ -163,10 +172,9 @@ class OperatorMatrix:
     @classmethod
     def from_json(cls, s: str) -> "OperatorMatrix":
         data = json.loads(s)
-        entries = [
-            [env_from_json(json.dumps(e)) for e in row] for row in data["entries"]
-        ]
-        return cls(data["n"], data["src_degree"], data["dst_degree"], entries)
+        n = data["n"]
+        entries = [[env_from_rows(n, e) for e in row] for row in data["entries"]]
+        return cls(n, data["src_degree"], data["dst_degree"], entries, tuple(data["shape"]))
 
 
 class RuminContext:
@@ -467,12 +475,6 @@ def commutator_audit(ctx: RuminContext, h: int, zeta: Poly) -> dict:
     Leibniz expansion. Agreement certifies the coefficients are free of
     T zeta.
     """
-    from .envelope import (
-        commutator_with_multiplication,
-        horizontal_span_coefficients,
-        leibniz_commutator_from_words,
-    )
-
     mat = ctx.rumin_d_matrix(h)
     shift = ctx.weight_shift(h)
     report = {
@@ -513,8 +515,6 @@ def horizontal_representability_report(ctx: RuminContext, h: int) -> dict:
     combination of words in the horizontal generators alone (for the order-2
     entries this absorbs any PBW T into commutators X_j Y_j - Y_j X_j).
     """
-    from .envelope import horizontal_span_coefficients
-
     mat = ctx.rumin_d_matrix(h)
     shift = ctx.weight_shift(h)
     report = {

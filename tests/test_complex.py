@@ -177,15 +177,16 @@ def test_laplacian_commutation_identities(ctx1, ctx2):
 
 def test_commutator_audit_random(ctx1):
     rng = random.Random(1)
-    for h in range(4):
-        for _ in range(5):
-            zeta = random_poly(rng, 3, 3)
-            report = commutator_audit(ctx1, h, zeta)
-            assert report["ok"], report
-            assert report["order_bound"] == ctx1.weight_shift(h) - 1
-            if report["max_order"] is not None:
-                assert report["max_order"] <= report["order_bound"]
-            assert report["t_zeta_free"]
+    for ctx, trials in ((ctx1, 5), (shared_context(3), 2)):
+        for h in range(2 * ctx.n + 2):
+            for _ in range(trials):
+                zeta = random_poly(rng, 2 * ctx.n + 1, 3)
+                report = commutator_audit(ctx, h, zeta)
+                assert report["ok"], report
+                assert report["order_bound"] == ctx.weight_shift(h) - 1
+                if report["max_order"] is not None:
+                    assert report["max_order"] <= report["order_bound"]
+                assert report["t_zeta_free"]
 
 
 def test_commutator_matches_form_level_leibniz(ctx1):
@@ -236,12 +237,22 @@ def test_projectors(ctx1):
         assert ctx1.project_core(core) == core
 
 
-def test_operator_matrix_json_roundtrip(ctx1):
-    m = ctx1.rumin_d_matrix(1)
-    blob = m.to_json()
-    back = OperatorMatrix.from_json(blob)
-    assert back == m
+def test_operator_matrix_json_roundtrip(ctx1, ctx2):
+    for ctx in (ctx1, ctx2):
+        dims = ctx.core_dims()
+        for h in range(2 * ctx.n + 2):
+            d = ctx.rumin_d_matrix(h)
+            delta = ctx.rumin_delta_matrix(h)
+            for m, shape in ((d, (dims[h + 1] if h + 1 < len(dims) else 0, dims[h])),
+                             (delta, (dims[h], d.rows))):
+                back = OperatorMatrix.from_json(m.to_json())
+                assert back == m
+                assert back.shape == m.shape == shape
+                assert back.to_json() == m.to_json()
+    back = OperatorMatrix.from_json(ctx1.rumin_d_matrix(1).to_json())
     assert back.src_degree == 1 and back.dst_degree == 2
+    # the shape takes part in equality
+    assert OperatorMatrix.zero(1, 3, 4, 0, 1) != OperatorMatrix.zero(1, 3, 4, 0, 0)
 
 
 def test_pseudoinverse_homotopy_identity(ctx1):

@@ -1,10 +1,11 @@
 import json
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
-from conftest import random_poly
+from conftest import random_poly, shared_context
 from rumincalc.envelope import (
     EnvOp,
     PolyDiffOp,
@@ -14,8 +15,8 @@ from rumincalc.envelope import (
     env_to_json,
     frame_derivatives,
     horizontal_span_coefficients,
-    horizontal_word_products,
     leibniz_commutator_from_words,
+    word_op,
 )
 from rumincalc.polynomials import Poly, symmetric_box_integral
 
@@ -155,7 +156,7 @@ def test_env_json_roundtrip():
 
 
 def test_horizontal_word_products():
-    words = horizontal_word_products(1, 2)
+    words = [word_op(1, w) for w in product(range(2), repeat=2)]
     assert len(words) == 4  # XX, XY, YX, YY
     for op in words:
         assert op.order() == 2
@@ -163,19 +164,51 @@ def test_horizontal_word_products():
     assert words[2] == X(1, 0) * Y(1, 0) - EnvOp.one(1) * T(1)
 
 
-def test_horizontal_span_coefficients():
-    n = 1
-    # T = XY - YX is representable with words of length 2, but not length 1
-    rep = horizontal_span_coefficients(T(n), 2)
+def _assert_horizontal_words(a):
+    """The words of ``a`` rebuild it, and one length fewer admits none."""
+    length = max(a.homogeneity(exp) for exp in a.terms)
+    rep = horizontal_span_coefficients(a, length)
     assert rep is not None
-    rebuilt = EnvOp.zero(n)
+    assert all(c and len(w) <= length and max(w, default=0) < 2 * a.n for w, c in rep)
+    rebuilt = EnvOp.zero(a.n)
     for word, c in rep:
-        term = EnvOp.one(n).scale(c)
-        for g in word:
-            term = term * EnvOp.generator(n, g)
-        rebuilt = rebuilt + term
-    assert rebuilt == T(n)
-    assert horizontal_span_coefficients(T(n), 1) is None
+        rebuilt = rebuilt + word_op(a.n, word).scale(c)
+    assert rebuilt == a
+    assert horizontal_span_coefficients(a, length - 1) is None
+
+
+def test_horizontal_span_coefficients():
+    # every nonzero d_c entry, n = 1..3
+    count = 0
+    for n in (1, 2, 3):
+        ctx = shared_context(n)
+        for h in range(2 * n + 1):
+            for row in ctx.rumin_d_matrix(h).entries:
+                for e in row:
+                    if e:
+                        _assert_horizontal_words(e)
+                        count += 1
+    assert count > 300
+    # seeded operators with T exponents 0..3 and mixed horizontal indices
+    rng = random.Random(8)
+    for n in (1, 2, 3):
+        width = 2 * n + 1
+        for c in range(4):
+            for _ in range(4):
+                terms = {}
+                for _ in range(3):
+                    exp = [0] * width
+                    for _ in range(rng.randrange(4)):
+                        exp[rng.randrange(2 * n)] += 1
+                    exp[-1] = c
+                    terms[tuple(exp)] = Fraction(rng.randrange(-3, 4) or 1, rng.randrange(1, 4))
+                a = EnvOp(n, terms)
+                _assert_horizontal_words(a)
+                # mixed T exponents in one operator
+                _assert_horizontal_words(a + T(n).scale(2) * X(n, n - 1) + EnvOp.one(n))
+    # T = X_1 Y_1 - Y_1 X_1 needs words of length 2, and the zero operator none
+    assert horizontal_span_coefficients(T(1), 2) == [((0, 1), 1), ((1, 0), -1)]
+    assert horizontal_span_coefficients(EnvOp.zero(2), 0) == []
 
 
 def test_commutator_routes_agree():
@@ -191,14 +224,21 @@ def test_commutator_routes_agree():
         "XY": X(n, 0) * Y(n, 0),
         "XX-T": X(n, 0) * X(n, 0) - T(n),
     }
+    # T-expanded words from the rewrite, at n = 2
+    ops2 = {"TT": T(2) * T(2), "X1T": X(2, 0) * T(2), "X2Y2T": X(2, 1) * Y(2, 1) * T(2)}
+    for key, op in ops2.items():
+        ops[key] = op
+        word_reps[key] = horizontal_span_coefficients(op, op.homogeneous_degree())
     for key in ops:
+        n = ops[key].n
+        nv = 2 * n + 1
         for _ in range(10):
-            zeta = random_poly(rng, 3, 3)
+            zeta = random_poly(rng, nv, 3)
             direct = commutator_with_multiplication(ops[key], zeta)
             horizontal = leibniz_commutator_from_words(n, word_reps[key], zeta)
             assert direct == horizontal
             # and both act the same on test functions
-            u = random_poly(rng, 3, 2)
+            u = random_poly(rng, nv, 2)
             assert direct.apply(u) == ops[key].act(zeta * u) - zeta * ops[key].act(u)
 
 
