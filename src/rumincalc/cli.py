@@ -36,7 +36,6 @@ from .forms import random_form
 from .group_geometry import homogeneous_dimension
 from .polynomials import random_poly
 from .rumin_complex import (
-    OperatorMatrix,
     RuminContext,
     commutator_audit,
     horizontal_representability_report,
@@ -116,11 +115,6 @@ class Reporter:
         return 0
 
 
-def _negate_matrix(mat: OperatorMatrix) -> OperatorMatrix:
-    entries = [[e.scale(Fraction(-1)) for e in row] for row in mat.entries]
-    return OperatorMatrix(mat.n, mat.src_degree, mat.dst_degree, entries, shape=mat.shape)
-
-
 def _degrees(cfg: RunConfig, top: int, lowest: int = 0) -> list:
     if cfg.h is not None:
         return [cfg.h]
@@ -191,11 +185,9 @@ def cmd_verify(cfg: RunConfig) -> int:
             "nonzero_entries": audit["nonzero_entries"],
         })
 
-    d0 = ctx.rumin_d_matrix(0)
-    delta0 = ctx.rumin_delta_matrix(0)
+    lap0 = ctx.rumin_delta_matrix(0).compose(ctx.rumin_d_matrix(0)).entries[0][0]
     if cfg.inject_delta_sign_fault:
-        delta0 = _negate_matrix(delta0)
-    lap0 = delta0.compose(d0).entries[0][0]
+        lap0 = -lap0
     expected = EnvOp.zero(cfg.n)
     for j in range(2 * cfg.n):
         w = EnvOp.generator(cfg.n, j)
@@ -331,7 +323,7 @@ def cmd_homotopy(cfg: RunConfig) -> int:
             continue
         probe = scaling_probe(
             ctx, omega, cfg.p, cfg.q,
-            lam=Fraction(cfg.lam).limit_denominator(100),
+            lam=Fraction(cfg.lam),
             resolution=cfg.grid,
         )
         ok = probe["relative_error"] <= 0.02

@@ -110,6 +110,17 @@ def _collect(n: int, pairs) -> "EnvOp":
     return out
 
 
+def sum_of_products(n: int, pairs) -> "EnvOp":
+    """Sum of a b over the (a, b) pairs, renormalized and collected once."""
+    return _collect(n, (
+        (exp, ci * cj * k)
+        for a, b in pairs
+        for I, ci in a.terms.items()
+        for J, cj in b.terms.items()
+        for exp, k in _mono_product(I, J, n)
+    ))
+
+
 class EnvOp:
     __slots__ = ("n", "terms")
 
@@ -166,12 +177,7 @@ class EnvOp:
         """Operator composition self after other, renormalized."""
         if self.n != other.n:
             raise ValueError("operators on different groups")
-        return _collect(self.n, (
-            (exp, ci * cj * k)
-            for I, ci in self.terms.items()
-            for J, cj in other.terms.items()
-            for exp, k in _mono_product(I, J, self.n)
-        ))
+        return sum_of_products(self.n, [(self, other)])
 
     def __eq__(self, other) -> bool:
         return isinstance(other, EnvOp) and self.n == other.n and self.terms == other.terms

@@ -328,18 +328,22 @@ def pullback_translation_dilation(form: Form, base, r) -> Form:
 # -- linear maps given by exact matrices in a graded basis --------------------
 
 
+def matrix_times_polys(matrix: list, polys: list, nvars: int) -> list:
+    """A Fraction matrix times a column of Polys, ``None`` counting as zero."""
+    out = []
+    for row in matrix:
+        terms: dict = {}
+        for c, p in zip(row, polys):
+            if c and p is not None:
+                add_terms(terms, ((e, v * c) for e, v in p.terms.items()))
+        out.append(Poly.wrap(nvars, terms))
+    return out
+
+
 def apply_mask_matrix(matrix: list, src_masks: list, dst_masks: list, form: Form) -> Form:
     """Apply a Fraction matrix (dst x src over coframe masks) coefficientwise."""
     if set(form.coeffs) - set(src_masks):
         raise ValueError("form has components outside the source basis")
-    nv = 2 * form.n + 1
     src = [form.coeffs.get(m) for m in src_masks]
-    coeffs = {}
-    for dm, row in zip(dst_masks, matrix):
-        terms: dict = {}
-        for c, p in zip(row, src):
-            if c and p is not None:
-                add_terms(terms, ((e, v * c) for e, v in p.terms.items()))
-        if terms:
-            coeffs[dm] = Poly.wrap(nv, terms)
-    return Form(form.n, form.frame, coeffs)
+    image = matrix_times_polys(matrix, src, 2 * form.n + 1)
+    return Form(form.n, form.frame, dict(zip(dst_masks, image)))

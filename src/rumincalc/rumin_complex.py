@@ -3,16 +3,20 @@
 ``RuminContext`` caches, per degree h, the splitting subspaces from
 ``exterior_weights``, the algebraic differential d0 and its partial inverse
 (zero on the complement V, the inverse of d0 restricted to W on its image),
-and the induced projector onto the core E0 = V ∩ ker d0.
+and the E0 coordinates of the core E0 = V ∩ ker d0: B_h, the E0 basis as
+columns, and C_h = N_h^{-1} B_h^T, with N_h the diagonal of its squared norms.
 
 On forms these give the two projectors
 
     P_E  = 1 - d0^{-1} d - d d0^{-1}        (d the full differential)
-    P_E0 = 1 - d0^{-1} d0 - d0 d0^{-1}
+    P_E0 = 1 - d0^{-1} d0 - d0 d0^{-1} = B_h C_h
 
-and the intrinsic differential d_c = P_E0 ∘ d ∘ P_E ∘ P_E0. Since d0^{-1}
-vanishes on E0, ``rumin_d`` computes it as P_E0(d omega - d d0^{-1} d omega)
-with omega = P_E0 form.
+and the intrinsic differential d_c = P_E0 ∘ d ∘ P_E ∘ P_E0. Both complements
+are orthogonal (W ⟂ ker d0, V ⟂ im d0), so d0^{-1} is the Moore-Penrose
+pseudo-inverse of d0, P_E0 is the orthogonal projector onto E0, and the
+orthogonal basis B_h makes it B_h C_h. Since d0^{-1} vanishes on E0,
+``rumin_d`` computes d_c as P_E0(d omega - d d0^{-1} d omega) with
+omega = P_E0 form.
 
 Because d_c is left-invariant and homogeneous, it is a matrix of constant
 coefficient operators in the enveloping algebra once forms are written in the
@@ -20,10 +24,11 @@ E0 bases. ``rumin_d_matrix`` composes that matrix directly: d on Lambda^h is a
 matrix D_h of frame fields plus the constant d0, and on E0 (where d0^{-1}
 vanishes) the formula above becomes
 
-    d_c = B_{h+1}^T N^{-1} . P_E0 . D_h . (1 - d0^{-1} D_h) . B_h
+    d_c = C_{h+1} . D_h . (1 - d0^{-1} D_h) . B_h
 
-with B_h the E0 basis as columns and N the diagonal of its squared norms.
-``rumin_d`` on forms stays an independent route to the same operator.
+The projector P_E0 drops out because C_{h+1} P_E0 = C_{h+1} B_{h+1} C_{h+1}
+= C_{h+1}. ``rumin_d`` on forms stays an independent route to the same
+operator.
 """
 
 from __future__ import annotations
@@ -40,10 +45,11 @@ from .envelope import (
     env_to_rows,
     horizontal_span_coefficients,
     leibniz_commutator_from_words,
+    sum_of_products,
 )
 from .exterior_weights import build_spaces, covector_coords, d0_matrix, d_table, lambda_masks
-from .forms import Form, apply_mask_matrix, exterior_d
-from .polynomials import Poly
+from .forms import Form, apply_mask_matrix, exterior_d, matrix_times_polys
+from .polynomials import Poly, add_terms
 
 
 class OperatorMatrix:
@@ -111,17 +117,11 @@ class OperatorMatrix:
             {j: inner.entries[j][k] for j in range(inner.rows) if inner.entries[j][k]}
             for k in range(inner.cols)
         ]
-        entries = []
-        for row in rows:
-            out = []
-            for column in columns:
-                acc = EnvOp.zero(self.n)
-                for j, a in row:
-                    b = column.get(j)
-                    if b is not None:
-                        acc = acc + a * b
-                out.append(acc)
-            entries.append(out)
+        entries = [
+            [sum_of_products(self.n, ((a, column[j]) for j, a in row if j in column))
+             for column in columns]
+            for row in rows
+        ]
         return OperatorMatrix(
             self.n, inner.src_degree, self.dst_degree, entries,
             (self.rows, inner.cols),
@@ -130,15 +130,13 @@ class OperatorMatrix:
     def apply(self, polys: list) -> list:
         if len(polys) != self.cols:
             raise ValueError("coefficient count mismatch")
-        nv = 2 * self.n + 1
         out = []
-        for i in range(self.rows):
-            acc = Poly.zero(nv)
-            for j, g in enumerate(polys):
-                e = self.entries[i][j]
+        for row in self.entries:
+            terms: dict = {}
+            for e, g in zip(row, polys):
                 if e and g.terms:
-                    acc = acc + e.act(g)
-            out.append(acc)
+                    add_terms(terms, e.act(g).terms.items())
+            out.append(Poly.wrap(2 * self.n + 1, terms))
         return out
 
     def adjoint(self, gram_src: list, gram_dst: list) -> "OperatorMatrix":
@@ -177,6 +175,11 @@ class OperatorMatrix:
         return cls(n, data["src_degree"], data["dst_degree"], entries, tuple(data["shape"]))
 
 
+def _require_left_frame(form: Form) -> None:
+    if form.frame != "left":
+        raise ValueError("E0 and d0 act on forms in the left-invariant frame")
+
+
 class RuminContext:
     """Exact cached data for (E0, d_c) on H^n."""
 
@@ -189,7 +192,17 @@ class RuminContext:
         self.spaces = [build_spaces(n, h) for h in range(self.top + 1)]
         self.d0 = [d0_matrix(n, h) for h in range(self.top)]
         self.d0_pinv = [None] + [self._pseudo_inverse(h) for h in range(self.top)]
-        self._p_e0 = [self._core_projector(h) for h in range(self.top + 1)]
+        # B_h (the E0 basis as columns) and C_h = N_h^{-1} B_h^T: the one E0
+        # coordinate system, read by every map into and out of E0
+        self._embed, self._coords = [], []
+        for h in range(self.top + 1):
+            core = self.core(h)
+            rows = [covector_coords(b, self.masks[h]) for b in core.basis]
+            self._embed.append([list(col) for col in zip(*rows)])
+            self._coords.append(
+                [[c / n2 for c in row] for row, n2 in zip(rows, core.norms2)]
+            )
+        self._p_e0 = [linalg.matmul(b, c) for b, c in zip(self._embed, self._coords)]
         self._d_matrices: dict = {}
 
     # -- exact matrix data -------------------------------------------------
@@ -237,24 +250,10 @@ class RuminContext:
                     out[r] = [o + w[r] * c for o, c in zip(out[r], row[src_dim:])]
         return out
 
-    def _core_projector(self, h: int) -> list:
-        dim = len(self.masks[h])
-        proj = [[Fraction(1) if i == j else Fraction(0) for j in range(dim)] for i in range(dim)]
-        if h < self.top:
-            down_then_d0 = linalg.matmul(self.d0_pinv[h + 1], self.d0[h])
-            proj = [
-                [proj[i][j] - down_then_d0[i][j] for j in range(dim)] for i in range(dim)
-            ]
-        if h > 0:
-            d0_then_down = linalg.matmul(self.d0[h - 1], self.d0_pinv[h])
-            proj = [
-                [proj[i][j] - d0_then_down[i][j] for j in range(dim)] for i in range(dim)
-            ]
-        return proj
-
     # -- form-level operators -----------------------------------------------
 
     def d0_inverse(self, form: Form) -> Form:
+        _require_left_frame(form)
         degs = form.degrees()
         if not degs:
             return Form.zero(self.n)
@@ -267,11 +266,13 @@ class RuminContext:
 
     def project_core(self, form: Form) -> Form:
         """Orthogonal projection onto E0, degree by degree."""
-        out = Form.zero(self.n)
+        _require_left_frame(form)
+        coeffs = {}
         for k in sorted(form.degrees()):
-            part = Form(self.n, "left", {m: p for m, p in form.coeffs.items() if m.bit_count() == k})
-            out = out + apply_mask_matrix(self._p_e0[k], self.masks[k], self.masks[k], part)
-        return out
+            masks = self.masks[k]
+            src = [form.coeffs.get(m) for m in masks]
+            coeffs.update(zip(masks, matrix_times_polys(self._p_e0[k], src, 2 * self.n + 1)))
+        return Form(self.n, "left", coeffs)
 
     def project_rumin(self, form: Form) -> Form:
         """P_E = 1 - d0^{-1} d - d d0^{-1} with the full differential d."""
@@ -283,8 +284,6 @@ class RuminContext:
         d0^{-1} vanishes on E0, so P_E omega = omega - d0^{-1} d omega, and
         d omega serves both terms.
         """
-        if form.frame != "left":
-            raise ValueError("d_c acts on forms in the left-invariant frame")
         d_omega = exterior_d(self.project_core(form))
         return self.project_core(d_omega - exterior_d(self.d0_inverse(d_omega)))
 
@@ -292,34 +291,18 @@ class RuminContext:
 
     def core_coefficients(self, form: Form, h: int) -> list:
         """Coefficients of a form in the E0^h basis; exact, with residual check."""
-        core = self.core(h)
-        nv = 2 * self.n + 1
-        coords = [
-            [Fraction(b.terms.get(m, Fraction(0))) for m in self.masks[h]] for b in core.basis
-        ]
-        polys = []
-        for b_coords, n2 in zip(coords, core.norms2):
-            acc = Poly.zero(nv)
-            for m, c in zip(self.masks[h], b_coords):
-                if c != 0:
-                    p = form.coeffs.get(m)
-                    if p is not None:
-                        acc = acc + p.scale(c)
-            polys.append(acc.scale(Fraction(1, 1) / n2))
+        src = [form.coeffs.get(m) for m in self.masks[h]]
+        polys = matrix_times_polys(self._coords[h], src, 2 * self.n + 1)
         rebuilt = self.form_from_core(h, polys)
         if rebuilt != form:
             raise ValueError("form is not a section of E0")
         return polys
 
     def form_from_core(self, h: int, polys: list) -> Form:
-        core = self.core(h)
-        if len(polys) != core.dim:
+        if len(polys) != self.core(h).dim:
             raise ValueError("coefficient count mismatch")
-        out = Form.zero(self.n)
-        for g, b in zip(polys, core.basis):
-            if g.terms:
-                out = out + Form.from_covector(b).mul_poly(g)
-        return out
+        image = matrix_times_polys(self._embed[h], polys, 2 * self.n + 1)
+        return Form(self.n, "left", dict(zip(self.masks[h], image)))
 
     # -- the d_c matrix ------------------------------------------------------
 
@@ -344,31 +327,21 @@ class RuminContext:
         return d
 
     def rumin_d_matrix(self, h: int) -> OperatorMatrix:
-        """The matrix of d_c: E0^h -> E0^{h+1}, composed from d and the projectors."""
+        """The matrix of d_c: E0^h -> E0^{h+1}, composed from d, d0^{-1}, B_h and C_{h+1}."""
         if h in self._d_matrices:
             return self._d_matrices[h]
         if not 0 <= h <= self.top:
             raise ValueError("degree out of range")
-        src = self.core(h)
         if h == self.top:
-            mat = OperatorMatrix.zero(self.n, h, h + 1, 0, src.dim)
+            mat = OperatorMatrix.zero(self.n, h, h + 1, 0, self.core(h).dim)
         else:
-            dst = self.core(h + 1)
-            columns = [covector_coords(b, self.masks[h]) for b in src.basis]
-            embed = self._constant([list(row) for row in zip(*columns)], h, h)
-            coords = self._constant(
-                [
-                    [c / n2 for c in covector_coords(b, self.masks[h + 1])]
-                    for b, n2 in zip(dst.basis, dst.norms2)
-                ],
-                h + 1, h + 1,
-            )
+            embed = self._constant(self._embed[h], h, h)
+            coords = self._constant(self._coords[h + 1], h + 1, h + 1)
             d = self._d_operator(h)
             d0_inv = self._constant(self.d0_pinv[h + 1], h + 1, h)
-            p_e0 = self._constant(self._p_e0[h + 1], h + 1, h + 1)
             # P_E on E0, where d0^{-1} vanishes, is 1 - d0^{-1} d
             rumin = embed - d0_inv.compose(d.compose(embed))
-            mat = coords.compose(p_e0).compose(d.compose(rumin))
+            mat = coords.compose(d.compose(rumin))
         self._d_matrices[h] = mat
         return mat
 

@@ -1,7 +1,9 @@
 import csv
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -99,6 +101,17 @@ def test_homotopy_exponent_flags(capsys):
     assert len(scaling) == 1
     assert scaling[0]["p"] == 2.0 and scaling[0]["q"] == 4.0
     assert scaling[0]["within_2pct"]
+
+
+def test_homotopy_lambda_is_taken_exactly(capsys):
+    # rounding 1.004 to a denominator of at most 100 gave lambda = 1, and the
+    # Poincare quotient then raised
+    code, rows = run_cli(
+        capsys, ["homotopy", "--n", "1", "--h", "1", "--lambda", "1.004", "--grid", "8"]
+    )
+    assert code == 0
+    scaling = [r for r in rows if r["check"] == "Poincare quotient scaling exponent"]
+    assert len(scaling) == 1 and scaling[0]["fitted_exponent"] is not None
 
 
 def test_numeric_subcommand(capsys):
@@ -242,10 +255,14 @@ def test_strict_mode_escalates_soft_misses(capsys, monkeypatch):
 
 
 def test_module_entry_point_runs():
+    # the child imports the package this test imported, installed or not
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-m", "rumincalc.cli", "basis", "--n", "1"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert proc.stdout.strip()

@@ -5,7 +5,8 @@ import pytest
 
 from conftest import random_core_form, random_form, random_poly, shared_context
 from rumincalc.envelope import EnvOp, commutator_with_multiplication
-from rumincalc.forms import Form, exterior_d, to_coordinate_frame
+from rumincalc.forms import Form, exterior_d, to_coordinate_frame, to_left_frame
+from rumincalc.linalg import matmul
 from rumincalc.polynomials import Poly
 from rumincalc.rumin_complex import (
     OperatorMatrix,
@@ -76,7 +77,7 @@ def test_dc_matrix_matches_the_form_pipeline(ctx1, ctx2):
     # rumin_d on forms is an independent route to d_c; compare them on
     # sections of higher degree than any test monomial the matrix was read off
     rng = random.Random(6)
-    for ctx in (ctx1, ctx2):
+    for ctx in (ctx1, ctx2, shared_context(3)):
         for h in range(2 * ctx.n + 1):
             mat = ctx.rumin_d_matrix(h)
             nonzero = 0
@@ -219,9 +220,36 @@ def test_core_coefficients_roundtrip_and_rejection(ctx1):
 
 
 def test_rumin_d_requires_left_frame(ctx1):
-    omega = to_coordinate_frame(Form.monomial(1, 1, Poly.var(3, 0)))
-    with pytest.raises(ValueError, match="left-invariant frame"):
-        ctx1.rumin_d(omega)
+    dt = Form.monomial(1, 1 << 2, Poly.const(3, 1), frame="coord")
+    for omega in (to_coordinate_frame(Form.monomial(1, 1, Poly.var(3, 0))), dt):
+        for entry in (ctx1.rumin_d, ctx1.project_core, ctx1.d0_inverse, ctx1.project_rumin):
+            with pytest.raises(ValueError, match="left-invariant frame"):
+                entry(omega)
+    # dt = theta + (x dy - y dx)/2 in the left frame, and theta is not in E0
+    x, y = Poly.var(3, 0), Poly.var(3, 1)
+    expected = Form(1, "left", {0b01: y.scale(Fraction(-1, 2)), 0b10: x.scale(Fraction(1, 2))})
+    assert ctx1.project_core(to_left_frame(dt)) == expected
+
+
+def test_core_projector_is_the_d0_projector_and_coordinates_invert_the_basis():
+    # the E0 coordinates B_h, C_h give P_E0 = B_h C_h; its defining formula
+    # 1 - d0^{-1} d0 - d0 d0^{-1} is the oracle
+    def eye(k):
+        return [[Fraction(int(i == j)) for j in range(k)] for i in range(k)]
+
+    def minus(a, b):
+        return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+    for n in (1, 2, 3):
+        ctx = shared_context(n)
+        for h in range(ctx.top + 1):
+            proj = eye(len(ctx.masks[h]))
+            if h < ctx.top:
+                proj = minus(proj, matmul(ctx.d0_pinv[h + 1], ctx.d0[h]))
+            if h > 0:
+                proj = minus(proj, matmul(ctx.d0[h - 1], ctx.d0_pinv[h]))
+            assert ctx._p_e0[h] == proj
+            assert matmul(ctx._coords[h], ctx._embed[h]) == eye(ctx.core(h).dim)
 
 
 def test_projectors(ctx1):
