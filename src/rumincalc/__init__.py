@@ -5,118 +5,4 @@ weighted exterior algebra, the core complex and its homotopies) work over
 exact rationals; the grid layer carries the floating-point scaling probes.
 """
 
-from .envelope import EnvOp, PolyDiffOp, derive
-from .exterior_weights import (
-    Covector,
-    Subspace,
-    build_spaces,
-    case_formula_spaces,
-    core_dimension_oracle,
-    dtheta,
-    inner,
-    wedge,
-)
-from .forms import Form, exterior_d, to_coordinate_frame, to_left_frame, wedge_forms
-from .grid import (
-    Grid,
-    derivative_convergence,
-    discrete_horizontal_derivative,
-    discrete_t_derivative,
-    sobolev_norm,
-)
-from .group_geometry import (
-    Ball,
-    Point,
-    dilate,
-    distance,
-    from_coords,
-    gauge,
-    homogeneous_dimension,
-    identity,
-    inverse,
-    multiply,
-)
-from .homotopy_exact import (
-    AveragingWeight,
-    ConvexDomain,
-    averaged_homotopy,
-    cartan_homotopy,
-    poincare_quotient,
-    rumin_homotopy_K,
-    scaling_probe,
-)
-from .kernels import (
-    HomogeneousKernel,
-    decay_slope_probe,
-    fundamental_gauge_scan,
-    gauge_ball_volume,
-    group_convolve,
-    kernel_split,
-    lp_lq_probe,
-    scalar_sobolev_check,
-)
-from .polynomials import Poly
-from .rumin_complex import (
-    OperatorMatrix,
-    RuminContext,
-    commutator_audit,
-    horizontal_representability_report,
-    laplacian_commutation_report,
-)
-
-__all__ = [
-    "AveragingWeight",
-    "Ball",
-    "ConvexDomain",
-    "Covector",
-    "EnvOp",
-    "Form",
-    "Grid",
-    "HomogeneousKernel",
-    "OperatorMatrix",
-    "Point",
-    "Poly",
-    "PolyDiffOp",
-    "RuminContext",
-    "Subspace",
-    "averaged_homotopy",
-    "build_spaces",
-    "cartan_homotopy",
-    "case_formula_spaces",
-    "commutator_audit",
-    "core_dimension_oracle",
-    "decay_slope_probe",
-    "derivative_convergence",
-    "derive",
-    "dilate",
-    "discrete_horizontal_derivative",
-    "discrete_t_derivative",
-    "distance",
-    "dtheta",
-    "exterior_d",
-    "from_coords",
-    "fundamental_gauge_scan",
-    "gauge",
-    "gauge_ball_volume",
-    "group_convolve",
-    "homogeneous_dimension",
-    "horizontal_representability_report",
-    "identity",
-    "inner",
-    "inverse",
-    "kernel_split",
-    "laplacian_commutation_report",
-    "lp_lq_probe",
-    "multiply",
-    "poincare_quotient",
-    "rumin_homotopy_K",
-    "scalar_sobolev_check",
-    "scaling_probe",
-    "sobolev_norm",
-    "to_coordinate_frame",
-    "to_left_frame",
-    "wedge",
-    "wedge_forms",
-]
-
 __version__ = "0.1.0"

@@ -29,6 +29,7 @@ from typing import Mapping
 
 from .envelope import frame_derivatives
 from .exterior_weights import Covector, d_table, lambda_masks, mask_weight, wedge_terms
+from .group_geometry import dilate, from_coords, multiply
 from .polynomials import Poly, add_terms, random_poly
 
 FRAMES = ("left", "coord")
@@ -289,19 +290,8 @@ def to_left_frame(form: Form) -> Form:
 def translation_dilation_images(n: int, base, r) -> list:
     """Coordinate polynomials of q -> base * delta_r(q) as Polys in q."""
     nv = 2 * n + 1
-    r = Fraction(r)
-    half = Fraction(1, 2)
-    images = []
-    for i in range(n):
-        images.append(Poly.var(nv, i).scale(r) + Poly.const(nv, base.x[i]))
-    for i in range(n):
-        images.append(Poly.var(nv, n + i).scale(r) + Poly.const(nv, base.y[i]))
-    t_img = Poly.var(nv, 2 * n).scale(r * r) + Poly.const(nv, base.t)
-    for j in range(n):
-        t_img = t_img + Poly.var(nv, n + j).scale(half * r * Fraction(base.x[j]))
-        t_img = t_img - Poly.var(nv, j).scale(half * r * Fraction(base.y[j]))
-    images.append(t_img)
-    return images
+    q = from_coords([Poly.var(nv, i) for i in range(nv)])
+    return list(multiply(base, dilate(Fraction(r), q)).coords())
 
 
 def pullback_translation_dilation(form: Form, base, r) -> Form:

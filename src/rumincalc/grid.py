@@ -14,11 +14,10 @@ interpolation along the t-axis, slice by slice.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
-from .group_geometry import Point
+from .group_geometry import Point, from_coords, gauge4, inverse, multiply
 
 
 @dataclass
@@ -114,18 +113,9 @@ def gauge_mask(grid: Grid, center: Point, radius: float, t_weight: float = 1.0) 
 
     The gauge is rho^4 = |z|^4 + t_weight * t^2 evaluated on center^{-1} . p.
     """
-    n = grid.n
-    meshes = grid.meshes()
-    cx = [float(v) for v in center.x]
-    cy = [float(v) for v in center.y]
-    ct = float(center.t)
-    xs = [meshes[i] - cx[i] for i in range(n)]
-    ys = [meshes[n + i] - cy[i] for i in range(n)]
-    twist = sum(cx[j] * meshes[n + j] - cy[j] * meshes[j] for j in range(n))
-    t = meshes[2 * n] - ct - 0.5 * twist
-    sq = sum(u * u for u in xs) + sum(v * v for v in ys)
-    gauge4 = sq * sq + t_weight * t * t
-    return gauge4 < float(radius) ** 4
+    c = from_coords([float(v) for v in center.coords()])
+    z = multiply(inverse(c), from_coords(grid.meshes()))
+    return gauge4(z, t_weight) < float(radius) ** 4
 
 
 def euclidean_mask(grid: Grid, center: Point, radius: float) -> np.ndarray:
@@ -164,8 +154,9 @@ def _interp_t(values: np.ndarray, offsets: np.ndarray, t_axis: int) -> tuple:
 def _flow_shift(grid: Grid, i: int, direction: int) -> tuple:
     """Samples of u(p . (direction * h e_i)) with h one lattice step.
 
-    For i < n the step moves x_i and shifts t by -(h/2) y_i; for i >= n it
-    moves y_{i-n} and shifts t by +(h/2) x_{i-n}. Returns (values, invalid).
+    For i < n the step moves x_i and shifts t by -(h/2) y_i; for n <= i < 2n
+    it moves y_{i-n} and shifts t by +(h/2) x_{i-n}; for i = 2n (the field T)
+    it is the plain t-shift. Returns (values, invalid).
     """
     n = grid.n
     t_axis = 2 * n
@@ -176,6 +167,8 @@ def _flow_shift(grid: Grid, i: int, direction: int) -> tuple:
     edge = [slice(None)] * v.ndim
     edge[i] = slice(-1, None) if direction > 0 else slice(0, 1)
     invalid_axis[tuple(edge)] = True
+    if i == t_axis:
+        return shifted, invalid_axis
 
     if i < n:
         coord = grid.axis(n + i)  # y_i
@@ -193,17 +186,13 @@ def _flow_shift(grid: Grid, i: int, direction: int) -> tuple:
     return shifted, invalid_axis | out
 
 
-def discrete_horizontal_derivative(grid: Grid, i: int) -> tuple:
-    """Central difference along the flow of W_i (1-based horizontal index).
+def _flow_difference(grid: Grid, a: int, axis_label) -> tuple:
+    """Central difference along the flow of the a-th frame field (0-based).
 
     Returns (Grid, report); report['boundary_fraction'] is the share of cells
     whose centered stencil left the grid, where a one-sided difference (or
     zero at a doubly-clipped corner) is substituted and flagged.
     """
-    n = grid.n
-    if not 1 <= i <= 2 * n:
-        raise ValueError("horizontal index out of range")
-    a = i - 1
     h = grid.steps()[a]
     fwd, bad_f = _flow_shift(grid, a, +1)
     bwd, bad_b = _flow_shift(grid, a, -1)
@@ -214,34 +203,22 @@ def discrete_horizontal_derivative(grid: Grid, i: int) -> tuple:
     out = np.where(bad_f & bad_b, 0.0, out)
     report = {
         "boundary_fraction": float((bad_f | bad_b).mean()),
-        "axis": i,
+        "axis": axis_label,
         "step": h,
     }
     return grid.copy_with(out), report
 
 
+def discrete_horizontal_derivative(grid: Grid, i: int) -> tuple:
+    """Central difference along the flow of W_i (1-based horizontal index)."""
+    if not 1 <= i <= 2 * grid.n:
+        raise ValueError("horizontal index out of range")
+    return _flow_difference(grid, i - 1, i)
+
+
 def discrete_t_derivative(grid: Grid) -> tuple:
-    """Central difference along the vertical axis (the field T)."""
-    t_axis = 2 * grid.n
-    h = grid.steps()[t_axis]
-    v = grid.values
-    fwd = np.roll(v, -1, axis=t_axis)
-    bwd = np.roll(v, 1, axis=t_axis)
-    centered = (fwd - bwd) / (2.0 * h)
-    bad = np.zeros(grid.shape, dtype=bool)
-    first = [slice(None)] * v.ndim
-    first[t_axis] = slice(0, 1)
-    last = [slice(None)] * v.ndim
-    last[t_axis] = slice(-1, None)
-    bad[tuple(first)] = True
-    bad[tuple(last)] = True
-    one_f = (fwd - v) / h
-    one_b = (v - bwd) / h
-    out = np.where(bad, 0.0, centered)
-    out[tuple(first)] = one_f[tuple(first)]
-    out[tuple(last)] = one_b[tuple(last)]
-    report = {"boundary_fraction": float(bad.mean()), "axis": "t", "step": h}
-    return grid.copy_with(out), report
+    """Central difference along the flow of the field T, the plain t-shift."""
+    return _flow_difference(grid, 2 * grid.n, "t")
 
 
 def second_order_multi_indices(n: int) -> list:

@@ -8,9 +8,16 @@ the identity is 0 and the inverse is -p. Anisotropic dilations scale the
 horizontal layer linearly and the center quadratically. The gauge is
 rho(p) = (|(x, y)|^4 + t^2)^(1/4) and d(p, q) = rho(p^{-1} * q).
 
-Scalars are duck-typed: exact (int / Fraction) and float points go through the
-same code paths. The gauge itself needs a fourth root, so ``gauge`` returns a
-float; ``gauge4`` stays exact on exact input.
+This module is the one definition of the group law, the dilations and the
+gauge. Coordinates are duck-typed, so the same functions serve every layer:
+Fraction points for the exact checks, ``Poly`` points (coordinates as
+polynomials) for the maps that forms are pulled back along, and float or
+numpy-array points for the grids and the kernels. Int coordinates become
+Fractions, so exact points stay exact. The group law halves its twist with
+``/ 2`` rather than a Fraction factor: a Fraction times an ndarray is an
+object array, while ``/ 2`` keeps each scalar type, and halving is exact in
+binary floating point. The gauge itself needs a fourth root, so ``gauge``
+returns a float; ``gauge4`` stays exact on exact input.
 """
 
 from __future__ import annotations
@@ -22,6 +29,10 @@ from fractions import Fraction
 from .polynomials import Poly
 
 
+def _exact(v):
+    return Fraction(v) if isinstance(v, int) else v
+
+
 @dataclass(frozen=True)
 class Point:
     x: tuple
@@ -31,8 +42,9 @@ class Point:
     def __post_init__(self):
         if len(self.x) != len(self.y):
             raise ValueError("x and y must have equal length")
-        object.__setattr__(self, "x", tuple(self.x))
-        object.__setattr__(self, "y", tuple(self.y))
+        object.__setattr__(self, "x", tuple(map(_exact, self.x)))
+        object.__setattr__(self, "y", tuple(map(_exact, self.y)))
+        object.__setattr__(self, "t", _exact(self.t))
 
     @property
     def n(self) -> int:
@@ -43,8 +55,7 @@ class Point:
 
 
 def identity(n: int) -> Point:
-    zero = Fraction(0)
-    return Point((zero,) * n, (zero,) * n, zero)
+    return Point((0,) * n, (0,) * n, 0)
 
 
 def from_coords(coords) -> Point:
@@ -57,12 +68,11 @@ def from_coords(coords) -> Point:
 def multiply(p: Point, q: Point) -> Point:
     if p.n != q.n:
         raise ValueError("points on different groups")
-    half = Fraction(1, 2)
     twist = sum(p.x[j] * q.y[j] - p.y[j] * q.x[j] for j in range(p.n))
     return Point(
         tuple(a + b for a, b in zip(p.x, q.x)),
         tuple(a + b for a, b in zip(p.y, q.y)),
-        p.t + q.t + half * twist,
+        p.t + q.t + twist / 2,
     )
 
 
@@ -82,10 +92,15 @@ def homogeneous_dimension(n: int) -> int:
     return 2 * n + 2
 
 
-def gauge4(p: Point):
-    """Fourth power of the gauge; exact on exact input."""
-    h2 = sum(a * a for a in p.x) + sum(a * a for a in p.y)
-    return h2 * h2 + p.t * p.t
+def horizontal_norm2(p: Point):
+    """|z|^2, the 2n horizontal squares summed in one pass over p.x + p.y."""
+    return sum(a * a for a in p.x + p.y)
+
+
+def gauge4(p: Point, t_weight=1):
+    """rho^4 = |z|^4 + t_weight t^2; exact on exact input."""
+    h2 = horizontal_norm2(p)
+    return h2 * h2 + t_weight * p.t * p.t
 
 
 def gauge(p: Point) -> float:
@@ -127,14 +142,8 @@ def group_law_polys(n: int) -> list:
     Used for symbolic checks such as the left-translation Jacobian.
     """
     nv = 2 * (2 * n + 1)
-    g = [Poly.var(nv, i) for i in range(2 * n + 1)]
-    p = [Poly.var(nv, 2 * n + 1 + i) for i in range(2 * n + 1)]
-    out = [g[i] + p[i] for i in range(2 * n)]
-    twist = Poly.zero(nv)
-    for j in range(n):
-        twist = twist + g[j] * p[n + j] - g[n + j] * p[j]
-    out.append(g[2 * n] + p[2 * n] + Fraction(1, 2) * twist)
-    return out
+    v = [Poly.var(nv, i) for i in range(nv)]
+    return list(multiply(from_coords(v[: nv // 2]), from_coords(v[nv // 2 :])).coords())
 
 
 def gauge_vs_euclidean(n: int, radius: float, samples: int, rng) -> dict:
@@ -190,8 +199,6 @@ def point_from_json(s: str) -> Point:
         if isinstance(v, str):
             num, den = v.split("/")
             return Fraction(int(num), int(den))
-        if isinstance(v, int):
-            return Fraction(v)
         return v
 
     return from_coords([dec(v) for v in raw])

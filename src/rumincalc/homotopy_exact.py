@@ -257,11 +257,14 @@ def rumin_homotopy_residual(ctx: RuminContext, weight: AveragingWeight, omega: F
 # -- Poincare quotient and its scaling -----------------------------------------
 
 
-def admissible_gap(n: int, h: int) -> Fraction:
-    """The largest 1/p - 1/q a degree-h Poincare inequality allows: 1/Q, or
-    2/Q in degree n + 1, whose primitive inverts the order-2 d_c out of n."""
-    Q = homogeneous_dimension(n)
-    return Fraction(2 if h == n + 1 else 1, Q)
+def admissible(n: int, h: int, p: float, q: float) -> bool:
+    """Whether 1/p - 1/q is within the gap a degree-h Poincare inequality
+    allows: 1/Q, or 2/Q in degree n + 1, whose primitive inverts the order-2
+    d_c out of n. Exact rationals, each exponent rounded to a denominator of
+    at most 10^6."""
+    gap = Fraction(2 if h == n + 1 else 1, homogeneous_dimension(n))
+    inverse_p, inverse_q = (1 / Fraction(v).limit_denominator(10**6) for v in (p, q))
+    return inverse_p - inverse_q <= gap
 
 
 def poincare_quotient(
@@ -291,11 +294,8 @@ def poincare_quotient(
         raise ValueError("input form is not d_c-closed")
     n = ctx.n
     h = omega.degree() if omega else 0
-    gap = admissible_gap(n, h)
-    admissible = Fraction(1) / Fraction(p).limit_denominator(10**6) - Fraction(1) / Fraction(
-        q
-    ).limit_denominator(10**6) <= gap
-    if not admissible:
+    within_gap = admissible(n, h, p, q)
+    if not within_gap:
         warnings.warn("exponent pair exceeds the admissible gap; reporting anyway")
     report = {
         "n": n,
@@ -304,7 +304,7 @@ def poincare_quotient(
         "q": q,
         "radius": float(ball.radius),
         "lam": float(ball_prime.radius) / float(ball.radius),
-        "admissible": bool(admissible),
+        "admissible": within_gap,
         "resolution": resolution,
         "weight": weight.kind,
     }

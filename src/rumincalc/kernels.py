@@ -18,7 +18,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import Grid, discrete_horizontal_derivative, euclidean_mask
-from .group_geometry import homogeneous_dimension, identity
+from .group_geometry import (
+    Point,
+    dilate,
+    from_coords,
+    gauge4,
+    homogeneous_dimension,
+    horizontal_norm2,
+    identity,
+    inverse,
+    multiply,
+)
 
 
 def gauge_ball_volume(n: int, t_weight: float = 1.0) -> float:
@@ -33,12 +43,9 @@ def gauge_ball_volume(n: int, t_weight: float = 1.0) -> float:
     return 2.0 / math.sqrt(t_weight) * area * radial
 
 
-def _gauge4(coords, t_weight: float) -> np.ndarray:
-    sq = np.zeros_like(np.asarray(coords[0], dtype=float))
-    for c in coords[:-1]:
-        sq = sq + np.asarray(c, dtype=float) ** 2
-    t = np.asarray(coords[-1], dtype=float)
-    return sq * sq + t_weight * t * t
+def _float_point(coords) -> Point:
+    """A point of float arrays; rho^{negative} stays numpy's inf at the origin."""
+    return from_coords([np.asarray(c, dtype=float) for c in coords])
 
 
 @dataclass(frozen=True)
@@ -54,10 +61,10 @@ class HomogeneousKernel:
         return homogeneous_dimension(self.n)
 
     def gauge(self, coords) -> np.ndarray:
-        return _gauge4(coords, self.t_weight) ** 0.25
+        return gauge4(_float_point(coords), self.t_weight) ** 0.25
 
     def evaluate(self, coords) -> np.ndarray:
-        rho4 = _gauge4(coords, self.t_weight)
+        rho4 = gauge4(_float_point(coords), self.t_weight)
         with np.errstate(divide="ignore"):
             return rho4 ** ((self.mu - self.Q) / 4.0)
 
@@ -102,18 +109,15 @@ class KernelFlowDerivative:
     def evaluate(self, coords) -> np.ndarray:
         n, a = self.base.n, self.base.t_weight
         Q = self.base.Q
-        rho4 = _gauge4(coords, a)
-        sq = np.zeros_like(rho4)
-        for c in coords[:-1]:
-            sq = sq + np.asarray(c, dtype=float) ** 2
-        t = np.asarray(coords[-1], dtype=float)
+        p = _float_point(coords)
+        z, t = p.x + p.y, p.t
+        sq = horizontal_norm2(p)
+        rho4 = gauge4(p, a)
         j = self.i - 1
         if j < n:  # X_{j+1} = d/dx_j - (y_j/2) d/dt
-            w_rho4 = 4.0 * np.asarray(coords[j], float) * sq \
-                - np.asarray(coords[n + j], float) * a * t
+            w_rho4 = 4.0 * z[j] * sq - z[n + j] * a * t
         else:  # Y_{j-n+1} = d/dy_{j-n} + (x_{j-n}/2) d/dt
-            w_rho4 = 4.0 * np.asarray(coords[j], float) * sq \
-                + np.asarray(coords[j - n], float) * a * t
+            w_rho4 = 4.0 * z[j] * sq + z[j - n] * a * t
         with np.errstate(divide="ignore", invalid="ignore"):
             out = (self.base.mu - Q) / 4.0 * rho4 ** ((self.base.mu - Q) / 4.0 - 1.0) * w_rho4
         return out
@@ -210,6 +214,7 @@ def group_convolve(f: Grid, kernel, output_points: np.ndarray | None = None,
         xs = [pts[:, i].copy() for i in range(nv)]
         out_shape = None
 
+    outputs = from_coords([x[None, :] for x in xs])
     m_out = xs[0].size
     acc = np.zeros(m_out)
     eps = (vol / gauge_ball_volume(n, kernel.t_weight)) ** (1.0 / (2 * n + 2))
@@ -220,17 +225,11 @@ def group_convolve(f: Grid, kernel, output_points: np.ndarray | None = None,
     for start in range(0, fv.size, cells_per_chunk):
         stop = min(start + cells_per_chunk, fv.size)
         # z = y^{-1} x for the block of source cells against all outputs
-        z = []
-        for i in range(nv - 1):
-            z.append(xs[i][None, :] - ys[i][start:stop, None])
-        t = xs[nv - 1][None, :] - ys[nv - 1][start:stop, None]
-        for j in range(n):
-            t = t - 0.5 * (ys[j][start:stop, None] * xs[n + j][None, :]
-                           - ys[n + j][start:stop, None] * xs[j][None, :])
-        z.append(t)
-        vals = kernel.evaluate(z)
+        block = from_coords([y[start:stop, None] for y in ys])
+        z = multiply(inverse(block), outputs)
+        vals = kernel.evaluate(z.coords())
         if policy is not None:
-            rho4 = _gauge4(z, kernel.t_weight)
+            rho4 = gauge4(z, kernel.t_weight)
             near = rho4 < eps**4
             if np.any(near):
                 singular_touched += int(near.sum())
@@ -284,10 +283,7 @@ def decay_slope_probe(n: int, mu: float, resolution: int = 64,
         p0[0] = 1.0
     else:
         p0 = np.asarray(direction, dtype=float)
-    pts = np.zeros((len(s_values), nv))
-    for r, s in enumerate(s_values):
-        pts[r, :-1] = s * p0[:-1]
-        pts[r, -1] = s * s * p0[-1]
+    pts = np.array([dilate(s, from_coords(p0)).coords() for s in s_values])
     vals, report = group_convolve(f, kernel, output_points=pts)
     logs = np.log(np.abs(vals))
     slope = float(np.polyfit(np.log(np.asarray(s_values)), logs, 1)[0])
@@ -444,19 +440,15 @@ def _flow_sampled_laplacian(kernel, g: Grid) -> np.ndarray:
     interpolation along the twisted t-offsets never enters.
     """
     n = g.n
-    xs = g.meshes()
+    p = from_coords(g.meshes())
     h = g.steps()[0]
-    u0 = kernel.evaluate(xs)
+    u0 = kernel.evaluate(p.coords())
     lap = np.zeros(g.shape)
     for j in range(2 * n):
         for sgn in (1.0, -1.0):
-            pts = list(xs)
-            pts[j] = xs[j] + sgn * h
-            if j < n:  # flow of X_{j+1} drifts t by -s y_j / 2
-                pts[2 * n] = xs[2 * n] - sgn * h * xs[n + j] / 2.0
-            else:      # flow of Y_{j-n+1} drifts t by +s x_{j-n} / 2
-                pts[2 * n] = xs[2 * n] + sgn * h * xs[j - n] / 2.0
-            lap -= kernel.evaluate(pts)
+            step = [0.0] * (2 * n + 1)
+            step[j] = sgn * h
+            lap -= kernel.evaluate(multiply(p, from_coords(step)).coords())
         lap += 2.0 * u0
     return lap / h**2
 

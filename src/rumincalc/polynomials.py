@@ -129,6 +129,9 @@ class Poly:
 
     __rmul__ = __mul__
 
+    def __truediv__(self, c):
+        return self * (1 / _as_fraction(c))
+
     def __pow__(self, k: int):
         if k < 0:
             raise ValueError("negative power")

@@ -101,6 +101,9 @@ def test_homotopy_exponent_flags(capsys):
     assert len(scaling) == 1
     assert scaling[0]["p"] == 2.0 and scaling[0]["q"] == 4.0
     assert scaling[0]["within_2pct"]
+    # 1/2 - 1/4 lies exactly on the gap 1/Q
+    (gap_row,) = [r for r in rows if r["check"] == "exponent admissibility"]
+    assert gap_row["admissible"] is True
 
 
 def test_homotopy_lambda_is_taken_exactly(capsys):
@@ -112,6 +115,22 @@ def test_homotopy_lambda_is_taken_exactly(capsys):
     assert code == 0
     scaling = [r for r in rows if r["check"] == "Poincare quotient scaling exponent"]
     assert len(scaling) == 1 and scaling[0]["fitted_exponent"] is not None
+
+
+@pytest.mark.parametrize("lam, reason", [
+    ("3.7", "ValueError: Poincare quotient is 0 at resolution 8"),
+    ("1e300", "OverflowError"),
+])
+def test_homotopy_probe_errors_are_soft_misses(capsys, lam, reason):
+    argv = ["homotopy", "--n", "1", "--h", "1", "--lambda", lam, "--grid", "8"]
+    for extra, exit_code in (([], 0), (["--strict"], 2)):
+        code, rows = run_cli(capsys, argv + extra)
+        assert code == exit_code
+        (row,) = [r for r in rows if r["check"] == "Poincare quotient scaling exponent"]
+        assert row["within_2pct"] is False
+        assert row["reason"].startswith(reason)
+        # the rows after the probe still run
+        assert rows[-1]["check"] == "omega = d_c K omega + K d_c omega on E0 sections"
 
 
 def test_numeric_subcommand(capsys):
@@ -254,15 +273,26 @@ def test_strict_mode_escalates_soft_misses(capsys, monkeypatch):
     assert code_strict == 2
 
 
-def test_module_entry_point_runs():
+def _run_child(args):
     # the child imports the package this test imported, installed or not
     src = str(Path(cli.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    proc = subprocess.run(
-        [sys.executable, "-m", "rumincalc.cli", "basis", "--n", "1"],
+    return subprocess.run(
+        [sys.executable, *args],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path},
     )
+
+
+def test_module_entry_point_runs():
+    proc = _run_child(["-m", "rumincalc.cli", "basis", "--n", "1"])
     assert proc.returncode == 0
     assert proc.stdout.strip()
+
+
+def test_cli_import_leaves_numpy_out():
+    # only the numeric and homotopy subcommands need numpy, and import it lazily
+    proc = _run_child(["-c", "import sys, rumincalc.cli; print('numpy' in sys.modules)"])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -19,7 +19,14 @@ from rumincalc.grid import (
     sobolev_norm,
 )
 from rumincalc.forms import Form
-from rumincalc.group_geometry import from_coords, homogeneous_dimension, identity
+from rumincalc.group_geometry import (
+    from_coords,
+    gauge4,
+    homogeneous_dimension,
+    identity,
+    inverse,
+    multiply,
+)
 from rumincalc.polynomials import Poly, symmetric_box_integral
 
 
@@ -173,6 +180,22 @@ def test_gauge_and_euclidean_masks():
     assert not np.array_equal(shifted, inner)
     eu = euclidean_mask(g, identity(1), 0.5)
     assert 0 < eu.sum() < g.values.size
+
+
+@pytest.mark.parametrize("n, resolution", [(1, 16), (2, 8)])
+def test_gauge_mask_matches_the_exact_gauge_cell_for_cell(n, resolution):
+    # dyadic grids, centres, radii and weights keep the float arithmetic
+    # exact, so the float mask must agree with Fractions in every cell
+    g = Grid.empty(n, 1.0, resolution)
+    rng = random.Random(n)
+    cells = [from_coords([Fraction(v) for v in c]) for c in zip(*(m.reshape(-1) for m in g.meshes()))]
+    for t_weight in (1, 4):
+        center = from_coords([Fraction(rng.randrange(-4, 5), 8) for _ in range(2 * n + 1)])
+        radius = Fraction(rng.randrange(4, 9), 8)
+        to_center = inverse(center)
+        want = [gauge4(multiply(to_center, cell), t_weight) < radius**4 for cell in cells]
+        assert gauge_mask(g, center, radius, float(t_weight)).reshape(-1).tolist() == want
+        assert 0 < sum(want) < len(want)
 
 
 def test_mask_volume_approximates_ball_volume():

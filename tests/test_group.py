@@ -2,6 +2,7 @@ import json
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from conftest import random_point_coords
@@ -31,6 +32,19 @@ def test_group_law_example():
     q = from_coords([4, 5, 6])
     # t picks up (x y' - y x') / 2 = (1*5 - 2*4) / 2 = -3/2
     assert multiply(p, q).coords() == (5, 7, Fraction(15, 2))
+    # int coordinates become Fractions, so exact points stay exact
+    assert isinstance(multiply(p, q).t, Fraction)
+    assert isinstance(multiply(p, inverse(p)).t, Fraction)
+
+
+def test_group_law_keeps_float_arrays_float():
+    # the twist is halved with / 2: a Fraction factor would make object arrays
+    p = from_coords([np.full(4, 1.5), np.arange(4.0), np.zeros(4)])
+    q = from_coords([np.ones(4), np.full(4, -2.0), np.ones(4)])
+    pq = multiply(p, q)
+    assert all(c.dtype == np.float64 for c in pq.coords())
+    assert pq.t.tolist() == [1 + (1.5 * -2.0 - y) / 2 for y in range(4)]
+    assert gauge4(dilate(2.0, pq)).tolist() == (16 * gauge4(pq)).tolist()
 
 
 def test_identity_and_inverse():

@@ -10,6 +10,7 @@ from rumincalc.group_geometry import Ball, from_coords, identity
 from rumincalc.homotopy_exact import (
     AveragingWeight,
     ConvexDomain,
+    admissible,
     averaged_homotopy,
     cartan_homotopy,
     euclidean_homotopy_residual,
@@ -265,6 +266,16 @@ def test_poincare_quotient_conventions(ctx1):
         )
     with pytest.raises(ValueError, match="strictly larger"):
         poincare_quotient(ctx1, zero, outer, inner, 2.0, 2.0)
+
+
+def test_admissible_is_exact_on_the_gap():
+    # gap 1/Q = 1/4 for n = 1, h = 1 and 2/Q = 1/2 across the middle, h = 2
+    assert admissible(1, 1, 2.0, 4.0)
+    assert not admissible(1, 1, 2.0, 4.001)
+    assert admissible(1, 2, 1.0, 2.0)
+    assert not admissible(1, 2, 1.0, 2.001)
+    # 1/3 - 1/6 is exactly the gap 1/Q at n = 2, without a float tolerance
+    assert admissible(2, 1, 3.0, 6.0)
 
 
 def test_poincare_quotient_warns_beyond_gap(ctx1):

@@ -66,6 +66,10 @@ def test_scale_and_compose():
     y = Poly.var(2, 1)
     p = x * y + x
     assert p.scale(Fraction(1, 2)) == Fraction(1, 2) * p
+    assert p / 2 == p.scale(Fraction(1, 2))
+    assert p / Fraction(2, 3) == p.scale(Fraction(3, 2))
+    with pytest.raises(ZeroDivisionError):
+        p / 0
     # substitute into a larger ring
     u = Poly.var(3, 0)
     v = Poly.var(3, 1)
