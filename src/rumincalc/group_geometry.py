@@ -22,7 +22,6 @@ returns a float; ``gauge4`` stays exact on exact input.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -111,10 +110,6 @@ def distance(p: Point, q: Point) -> float:
     return gauge(multiply(inverse(p), q))
 
 
-def euclidean_norm(p: Point) -> float:
-    return float(sum(a * a for a in p.coords())) ** 0.5
-
-
 @dataclass(frozen=True)
 class Ball:
     """Gauge ball B(center, radius) = {q : rho(center^{-1} q) < radius}."""
@@ -144,61 +139,3 @@ def group_law_polys(n: int) -> list:
     nv = 2 * (2 * n + 1)
     v = [Poly.var(nv, i) for i in range(nv)]
     return list(multiply(from_coords(v[: nv // 2]), from_coords(v[nv // 2 :])).coords())
-
-
-def gauge_vs_euclidean(n: int, radius: float, samples: int, rng) -> dict:
-    """Sample the near-identity comparison between gauge and Euclidean norm.
-
-    Checks rho(p) <= |p|^(1/2) on samples with |p| <= radius (the bound needs
-    the horizontal part below 1, automatic for radius <= 1) and estimates the
-    smallest c0 with |p| <= c0^2 rho(p). Returns a report dict.
-    """
-    violations = 0
-    c0_sq = 0.0
-    max_ratio = 0.0
-    for _ in range(samples):
-        coords = [rng.uniform(-1.0, 1.0) for _ in range(2 * n + 1)]
-        p = from_coords(coords)
-        nrm = euclidean_norm(p)
-        if nrm == 0.0 or nrm > radius:
-            continue
-        rho = gauge(p)
-        if rho > nrm ** 0.5 * (1 + 1e-12):
-            violations += 1
-        max_ratio = max(max_ratio, rho / nrm ** 0.5)
-        c0_sq = max(c0_sq, nrm / rho)
-    return {
-        "n": n,
-        "radius": radius,
-        "samples": samples,
-        "upper_bound_violations": violations,
-        "max_gauge_to_sqrt_euclidean": max_ratio,
-        "c0_estimate": c0_sq ** 0.5,
-    }
-
-
-def point_to_json(p: Point) -> str:
-    """Serialize as a JSON array [x..., y..., t].
-
-    Exact non-integer rationals are emitted as "num/den" strings so the
-    round trip stays exact; ints and floats are emitted as JSON numbers.
-    """
-
-    def enc(v):
-        if isinstance(v, Fraction):
-            return int(v) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
-        return v
-
-    return json.dumps([enc(v) for v in p.coords()])
-
-
-def point_from_json(s: str) -> Point:
-    raw = json.loads(s)
-
-    def dec(v):
-        if isinstance(v, str):
-            num, den = v.split("/")
-            return Fraction(int(num), int(den))
-        return v
-
-    return from_coords([dec(v) for v in raw])

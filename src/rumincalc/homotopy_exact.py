@@ -23,6 +23,7 @@ primitive is exact, only the L^p/L^q ball norms are quadrature.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -345,6 +346,10 @@ def scaling_probe(
     on balls scaled by r; the grids are dilation-adapted so the quadrature
     errors cancel in the exponent fit. Expected slope:
     Q/q - Q/p + 1, or + 2 when h = n + 1.
+
+    Raises OverflowError, before any grid is built, when an outer radius
+    R = r * lam has an R^4 beyond the float range, and ValueError when no
+    grid cell lies in an inner ball B(e, r), where the quotient would be 0.
     """
     if weight is None:
         weight = AveragingWeight.point_mass()
@@ -352,9 +357,21 @@ def scaling_probe(
     h = omega.degree()
     Q = homogeneous_dimension(n)
     e = identity(n)
+    r_max = max(Fraction(r) for r in radii)
+    if (r_max * Fraction(lam)) ** 4 > sys.float_info.max:
+        raise OverflowError(
+            f"lambda = {float(lam):g}: the outer radius R = {r_max} * lambda has R^4 "
+            "beyond the float range"
+        )
     rows = []
     for r in radii:
         r = Fraction(r)
+        outer = gridmod.Grid.empty(n, float(r * lam), resolution)
+        if not gridmod.gauge_mask(outer, e, float(r)).any():
+            raise ValueError(
+                f"Poincare quotient is 0 at resolution {resolution}: 0 grid cells lie in "
+                f"the inner ball B(e, {r})"
+            )
         omega_r = pullback_translation_dilation(omega, e, Fraction(1) / r)
         rows.append(
             poincare_quotient(

@@ -5,7 +5,11 @@ quadrature sum of f * k(p) = sum_q f(q) k(q^{-1} p) |cell|. The singular cell
 (0 < mu < Q) is replaced by its exact average over a gauge ball of the same
 volume, which keeps the whole discrete computation covariant under dilations
 on anisotropy-adapted grids; for mu <= 0 the cell is excluded (principal
-value) and flagged. Everything downstream - decay slopes, L^p - L^q ratio
+value) and flagged. The sum is evaluated on (cells x horizontal columns)
+arrays, since q^{-1} p has one horizontal part for a whole t column of
+outputs p, and the singular cells are searched for only in the columns with
+|z|^4 < eps^4, which is exact because rho^4 >= |z|^4 for a positive t
+weight. Everything downstream - decay slopes, L^p - L^q ratio
 probes, the local/tail splitting, and the scalar Sobolev-quotient check - is
 an invariance test, never a constant computation.
 """
@@ -55,6 +59,11 @@ class HomogeneousKernel:
     n: int
     mu: float
     t_weight: float = 1.0
+
+    def __post_init__(self):
+        # group_convolve's singular-cell prefilter needs rho^4 >= |z|^4
+        if not self.t_weight > 0:
+            raise ValueError("t_weight must be positive")
 
     @property
     def Q(self) -> int:
@@ -167,7 +176,7 @@ class CutoffKernel:
         out = np.zeros_like(rho)
         live = psi > 0 if self.part == "local" else psi < 1
         if np.any(live):
-            vals = self.base.evaluate([np.asarray(c, float)[live] for c in coords])
+            vals = self.base.evaluate([c[live] for c in np.broadcast_arrays(*coords)])
             out[live] = (psi[live] if self.part == "local" else 1.0 - psi[live]) * vals
         return out
 
@@ -193,6 +202,17 @@ def group_convolve(f: Grid, kernel, output_points: np.ndarray | None = None,
     supplied output points. The report carries the singular-cell policy that
     was applied ("average", "pv", or "none") and how many evaluations it
     touched.
+
+    Left-multiplying by a central element (0, t) only adds t, so z = q^{-1} p
+    has the same horizontal part and twist for every output p of one
+    horizontal column. The sources are shaped (cells, 1, 1), the outputs'
+    horizontal coordinates (1, columns, 1) and their t (1, 1, T) on the
+    grid, or (1, m, 1) at output points, so broadcasting runs the group law,
+    the twist and |z|^2 on (cells x columns) arrays; only t_z, the t term of
+    the gauge, the kernel's power and the mat-vec see all outputs. Since
+    rho^4 = |z|^4 + a t^2 >= |z|^4 in floating point for a > 0, only the
+    (cell, column) pairs with |z|^4 < eps^4 can hold a singular evaluation,
+    and only their t columns are checked against the full gauge.
     """
     n = f.n
     nv = 2 * n + 1
@@ -203,7 +223,9 @@ def group_convolve(f: Grid, kernel, output_points: np.ndarray | None = None,
     ys = [m[support] for m in meshes]
 
     if output_points is None:
-        xs = [m.reshape(-1) for m in meshes]
+        axes = [f.axis(i) for i in range(nv)]
+        columns = [c.reshape(1, -1, 1) for c in np.meshgrid(*axes[:-1], indexing="ij")]
+        outputs = from_coords(columns + [axes[-1].reshape(1, 1, -1)])
         out_shape = f.shape
     else:
         pts = np.asarray(output_points, dtype=float)
@@ -211,11 +233,10 @@ def group_convolve(f: Grid, kernel, output_points: np.ndarray | None = None,
             pts = pts[None, :]
         if pts.shape[1] != nv:
             raise ValueError("output points need 2n+1 coordinates")
-        xs = [pts[:, i].copy() for i in range(nv)]
+        outputs = from_coords([pts[:, i].reshape(1, -1, 1) for i in range(nv)])
         out_shape = None
 
-    outputs = from_coords([x[None, :] for x in xs])
-    m_out = xs[0].size
+    m_out = np.broadcast(*outputs.coords()).size
     acc = np.zeros(m_out)
     eps = (vol / gauge_ball_volume(n, kernel.t_weight)) ** (1.0 / (2 * n + 2))
     policy = kernel.cell_estimate(eps)
@@ -225,16 +246,21 @@ def group_convolve(f: Grid, kernel, output_points: np.ndarray | None = None,
     for start in range(0, fv.size, cells_per_chunk):
         stop = min(start + cells_per_chunk, fv.size)
         # z = y^{-1} x for the block of source cells against all outputs
-        block = from_coords([y[start:stop, None] for y in ys])
+        block = from_coords([y[start:stop, None, None] for y in ys])
         z = multiply(inverse(block), outputs)
         vals = kernel.evaluate(z.coords())
         if policy is not None:
-            rho4 = gauge4(z, kernel.t_weight)
-            near = rho4 < eps**4
-            if np.any(near):
+            h2 = horizontal_norm2(z)
+            # rho^4 >= |z|^4, so a singular cell lies in a t column kept here
+            cells, cols, _ = np.nonzero(h2 * h2 < eps**4)
+            if cells.size:
+                near = gauge4(from_coords([c[cells, cols] for c in z.coords()]),
+                              kernel.t_weight) < eps**4
                 singular_touched += int(near.sum())
-                vals = np.where(near, 0.0 if policy == "pv" else policy, vals)
-        acc += fv[start:stop] @ vals
+                t_columns = vals[cells, cols]
+                t_columns[near] = 0.0 if policy == "pv" else policy
+                vals[cells, cols] = t_columns
+        acc += fv[start:stop] @ vals.reshape(stop - start, m_out)
 
     report = {
         "cells": int(fv.size),

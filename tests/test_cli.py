@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -212,6 +213,10 @@ def test_invalid_arguments(capsys, ctx1):
     omega = ctx1.rumin_d(Form.from_function(1, Poly.var(3, 0) ** 2))
     with pytest.raises(ValueError, match="resolution 3"):
         scaling_probe(ctx1, omega, 2.0, 2.0, resolution=3)
+    with pytest.raises(ValueError, match="resolution 8: 0 grid cells lie in the inner ball"):
+        scaling_probe(ctx1, omega, 2.0, 2.0, lam=Fraction(37, 10), resolution=8)
+    with pytest.raises(OverflowError, match="lambda = 1e\\+100"):
+        scaling_probe(ctx1, omega, 2.0, 2.0, lam=Fraction(10) ** 100, resolution=8)
 
 
 def _rejects_degree(capsys, argv):
@@ -289,6 +294,15 @@ def test_module_entry_point_runs():
     proc = _run_child(["-m", "rumincalc.cli", "basis", "--n", "1"])
     assert proc.returncode == 0
     assert proc.stdout.strip()
+
+
+def test_overflowing_lambda_leaves_stderr_empty():
+    # the probe rejects lambda before it builds a grid that would overflow
+    argv = ["homotopy", "--n", "1", "--h", "1", "--lambda", "1e300", "--grid", "8"]
+    proc = _run_child(["-m", "rumincalc.cli", *argv])
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert "OverflowError: lambda = 1e+300" in proc.stdout
 
 
 def test_cli_import_leaves_numpy_out():

@@ -1,4 +1,3 @@
-import json
 import random
 from fractions import Fraction
 
@@ -14,14 +13,11 @@ from rumincalc.group_geometry import (
     from_coords,
     gauge,
     gauge4,
-    gauge_vs_euclidean,
     group_law_polys,
     homogeneous_dimension,
     identity,
     inverse,
     multiply,
-    point_from_json,
-    point_to_json,
 )
 from rumincalc.linalg import poly_det
 from rumincalc.polynomials import Poly
@@ -119,10 +115,19 @@ def test_left_translation_jacobian_is_one():
 
 
 def test_gauge_vs_euclidean_bounds():
+    # near the identity rho(p) <= |p|^(1/2): with |p| <= 1 the horizontal
+    # part has |z|^4 <= |z|^2, so rho^4 = |z|^4 + t^2 <= |p|^2, exactly
     rng = random.Random(5)
-    report = gauge_vs_euclidean(1, 1.0, 2000, rng)
-    assert report["upper_bound_violations"] == 0
-    assert report["c0_estimate"] >= 1.0
+    checked = 0
+    for n in (1, 2):
+        for _ in range(500):
+            coords = [Fraction(rng.randrange(-8, 9), 8) for _ in range(2 * n + 1)]
+            norm2 = sum(c * c for c in coords)
+            if norm2 > 1:
+                continue
+            assert gauge4(from_coords(coords)) <= norm2
+            checked += 1
+    assert checked >= 100
 
 
 def test_ball_and_inradius():
@@ -144,13 +149,3 @@ def test_ball_and_inradius():
             scale = r_in / Fraction(int(float(norm2) ** 0.5 * 1000) + 1, 1000)
             p = from_coords([v * scale for v in raw])
             assert gauge4(p) <= radius**4
-
-
-def test_point_json_roundtrip():
-    rng = random.Random(7)
-    for n in (1, 2):
-        for _ in range(10):
-            p = from_coords(random_point_coords(rng, 2 * n + 1))
-            blob = point_to_json(p)
-            json.loads(blob)  # is valid JSON
-            assert point_from_json(blob) == p

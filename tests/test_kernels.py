@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 from rumincalc.grid import Grid, euclidean_mask, gauge_mask
-from rumincalc.group_geometry import from_coords, homogeneous_dimension, identity, inverse, multiply
+from rumincalc.group_geometry import (
+    from_coords,
+    gauge4,
+    homogeneous_dimension,
+    identity,
+    inverse,
+    multiply,
+)
 from rumincalc.kernels import (
     CutoffKernel,
     HomogeneousKernel,
@@ -101,6 +108,13 @@ def test_kernel_split_reconstructs_exactly():
         assert np.allclose(parts, whole.values, rtol=0, atol=1e-12)
 
 
+def test_t_weight_must_be_positive():
+    # group_convolve finds singular cells through rho^4 >= |z|^4
+    for a in (0.0, -1.0, float("nan")):
+        with pytest.raises(ValueError, match="t_weight"):
+            HomogeneousKernel(1, 2.0, a)
+
+
 def test_cutoff_kernel_validation():
     k = HomogeneousKernel(1, 2.0)
     with pytest.raises(ValueError):
@@ -112,6 +126,86 @@ def test_cutoff_kernel_validation():
 def test_tail_smoothing_probe_bounded():
     report = tail_smoothing_probe(1, 2.0)
     assert report["bounded"], report
+
+
+def _full_array_convolve(f, kernel, output_points=None, chunk=1 << 22):
+    """group_convolve with every step on full (cells x outputs) arrays.
+
+    The reference the (cells x columns) evaluation must equal bit for bit:
+    the group law and the gauge run on every (cell, output) pair, and the
+    singular cells are masked by a second full gauge.
+    """
+    nv = 2 * f.n + 1
+    meshes = f.meshes()
+    support = f.values != 0.0
+    fv = f.values[support] * f.cell_volume
+    ys = [m[support] for m in meshes]
+    if output_points is None:
+        xs = [m.reshape(-1) for m in meshes]
+    else:
+        pts = np.atleast_2d(np.asarray(output_points, dtype=float))
+        xs = [pts[:, i].copy() for i in range(nv)]
+    outputs = from_coords([x[None, :] for x in xs])
+    m_out = xs[0].size
+    acc = np.zeros(m_out)
+    eps = (f.cell_volume / gauge_ball_volume(f.n, kernel.t_weight)) ** (1.0 / (nv + 1))
+    policy = kernel.cell_estimate(eps)
+    touched = 0
+    cells_per_chunk = max(1, chunk // max(m_out, 1))
+    for start in range(0, fv.size, cells_per_chunk):
+        stop = min(start + cells_per_chunk, fv.size)
+        block = from_coords([y[start:stop, None] for y in ys])
+        z = multiply(inverse(block), outputs)
+        vals = kernel.evaluate(z.coords())
+        if policy is not None:
+            near = gauge4(z, kernel.t_weight) < eps**4
+            if np.any(near):
+                touched += int(near.sum())
+                vals = np.where(near, 0.0 if policy == "pv" else policy, vals)
+        acc += fv[start:stop] @ vals
+    report = {
+        "cells": int(fv.size),
+        "outputs": int(m_out),
+        "singular_policy": "pv" if policy == "pv" else ("none" if policy is None else "average"),
+        "singular_evaluations": touched,
+        "equivalent_cell_gauge": eps,
+    }
+    return (acc if output_points is not None else acc.reshape(f.shape)), report
+
+
+@pytest.mark.parametrize("n, res", [(1, 12), (2, 6)])
+def test_group_convolve_equals_the_full_array_loop(n, res):
+    f = bump_grid(n, 1.0, res, 0.5)
+    step = 2.0 / res
+    Q = homogeneous_dimension(n)
+    # the first point is a lattice cell with t != 0, so it meets a singular cell
+    pts = np.array([
+        [0.5 * step] * (2 * n) + [-0.5 * step],
+        [0.3] * (2 * n) + [-0.2],
+        [-0.1] + [0.0] * (2 * n - 1) + [0.45],
+    ])
+    base = HomogeneousKernel(n, 2.0)
+    kernels = [
+        base,  # average
+        HomogeneousKernel(n, -0.5),  # pv
+        HomogeneousKernel(n, float(Q)),  # none
+        HomogeneousKernel(n, 1.0, 16.0),
+        base.horizontal_derivative(1),
+        base.horizontal_derivative(2 * n),
+        *kernel_split(base, 0.5),
+    ]
+    policies = set()
+    for kernel in kernels:
+        for kwargs in ({}, {"output_points": pts}, {"chunk": 5000}):
+            got, report = group_convolve(f, kernel, **kwargs)
+            want, want_report = _full_array_convolve(f, kernel, **kwargs)
+            got = got if "output_points" in kwargs else got.values
+            assert np.array_equal(got, want), (kernel, kwargs)
+            assert report == want_report, (kernel, kwargs)
+            policies.add(report["singular_policy"])
+            if "output_points" in kwargs and report["singular_policy"] != "none":
+                assert report["singular_evaluations"] > 0
+    assert policies == {"average", "pv", "none"}
 
 
 def test_convolution_is_an_approximate_identity_at_high_mu():
