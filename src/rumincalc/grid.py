@@ -221,66 +221,6 @@ def discrete_t_derivative(grid: Grid) -> tuple:
     return _flow_difference(grid, 2 * grid.n, "t")
 
 
-def second_order_multi_indices(n: int) -> list:
-    """PBW multi-indices I with homogeneous degree d(I) = 2.
-
-    Ordered pairs (a, b) with a <= b over the 2n horizontal generators, plus
-    the single T (which weighs 2 by itself).
-    """
-    out = []
-    for a in range(1, 2 * n + 1):
-        for b in range(a, 2 * n + 1):
-            out.append(("WW", a, b))
-    out.append(("T",))
-    return out
-
-
-def sobolev_norm(grid: Grid, m: int, p: float, mask: np.ndarray | None = None) -> dict:
-    """Homogeneous-order-m Sobolev norm: u together with all W^I u, d(I) = m.
-
-    Returns a report with the combined norm, per-index norms, and the worst
-    boundary fraction of the discrete stencils. m is capped at 2.
-    """
-    if m < 0 or m > 2:
-        raise ValueError("m must be 0, 1, or 2")
-    n = grid.n
-    pieces = {"u": grid}
-    boundary = 0.0
-    if m == 1:
-        for i in range(1, 2 * n + 1):
-            g, rep = discrete_horizontal_derivative(grid, i)
-            pieces[f"W{i}"] = g
-            boundary = max(boundary, rep["boundary_fraction"])
-    elif m == 2:
-        firsts = {}
-        for b in range(1, 2 * n + 1):
-            firsts[b], rep = discrete_horizontal_derivative(grid, b)
-            boundary = max(boundary, rep["boundary_fraction"])
-        for idx in second_order_multi_indices(n):
-            if idx[0] == "WW":
-                a, b = idx[1], idx[2]
-                g, rep = discrete_horizontal_derivative(firsts[b], a)
-                pieces[f"W{a}W{b}"] = g
-                boundary = max(boundary, rep["boundary_fraction"])
-            else:
-                g, rep = discrete_t_derivative(grid)
-                pieces["T"] = g
-                boundary = max(boundary, rep["boundary_fraction"])
-    total = 0.0
-    per_index = {}
-    for name, g in pieces.items():
-        nrm = g.lp_norm(p, mask)
-        per_index[name] = nrm
-        total += nrm ** p
-    return {
-        "norm": total ** (1.0 / p),
-        "per_index": per_index,
-        "order": m,
-        "p": p,
-        "boundary_fraction": boundary,
-    }
-
-
 def derivative_convergence(n: int, i: int = 1, resolutions=(16, 24, 32),
                            poly=None) -> dict:
     """Observed convergence order of the discrete flow derivative.

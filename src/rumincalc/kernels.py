@@ -5,11 +5,14 @@ quadrature sum of f * k(p) = sum_q f(q) k(q^{-1} p) |cell|. The singular cell
 (0 < mu < Q) is replaced by its exact average over a gauge ball of the same
 volume, which keeps the whole discrete computation covariant under dilations
 on anisotropy-adapted grids; for mu <= 0 the cell is excluded (principal
-value) and flagged. The sum is evaluated on (cells x horizontal columns)
-arrays, since q^{-1} p has one horizontal part for a whole t column of
-outputs p, and the singular cells are searched for only in the columns with
-|z|^4 < eps^4, which is exact because rho^4 >= |z|^4 for a positive t
-weight. Everything downstream - decay slopes, L^p - L^q ratio
+value) and flagged. The t axis is the centre of the group, so q^{-1} p
+depends on the t coordinates of q and p only through their difference. The
+sum runs over live horizontal source columns against every output column
+and t offset; on the grid's uniform t axis a pair of columns has 2T - 1
+offsets for its T^2 (source, output) cell pairs, so the quadrature is a
+Toeplitz product along t. Singular cells are searched for only in the
+column pairs with |z|^4 < eps^4, which is exact because rho^4 >= |z|^4 for
+a positive t weight. Everything downstream - decay slopes, L^p - L^q ratio
 probes, the local/tail splitting, and the scalar Sobolev-quotient check - is
 an invariance test, never a constant computation.
 """
@@ -201,77 +204,107 @@ def group_convolve(f: Grid, kernel, output_points: np.ndarray | None = None,
     Returns (Grid, report) on f's own lattice, or (values, report) at the
     supplied output points. The report carries the singular-cell policy that
     was applied ("average", "pv", or "none") and how many evaluations it
-    touched.
+    touched, counted once per (source cell, output) pair of the quadrature.
 
-    Left-multiplying by a central element (0, t) only adds t, so z = q^{-1} p
-    has the same horizontal part and twist for every output p of one
-    horizontal column. The sources are shaped (cells, 1, 1), the outputs'
-    horizontal coordinates (1, columns, 1) and their t (1, 1, T) on the
-    grid, or (1, m, 1) at output points, so broadcasting runs the group law,
-    the twist and |z|^2 on (cells x columns) arrays; only t_z, the t term of
-    the gauge, the kernel's power and the mat-vec see all outputs. Since
-    rho^4 = |z|^4 + a t^2 >= |z|^4 in floating point for a > 0, only the
-    (cell, column) pairs with |z|^4 < eps^4 can hold a singular evaluation,
-    and only their t columns are checked against the full gauge.
+    Left-multiplying by a central element (0, t) only adds t, so for a source
+    cell q = (w, t_s) and an output p = (x, t) the value k(q^{-1} p) is
+    k((w, 0)^{-1} (x, t - t_s)). The sources are therefore the live horizontal
+    columns of f (those holding a nonzero value), shaped (h, 1, 1) at t = 0,
+    and the outputs are horizontal columns (1, C, 1) with a t-offset axis, so
+    broadcasting runs the group law, the gauge and the kernel on one
+    (h, C, D) slab:
+
+    - on the grid, the t axis is uniform and t_o - t_s = d dt depends only on
+      the lattice offset d = o - s, so the D = 2T - 1 offsets d dt carry every
+      kernel value; one matrix product with F[h, s] and 2T - 1 shifted
+      slice-adds along t sum the Toeplitz structure into acc[C, T];
+    - at output points, the offset axis is -t_s for the T source t values
+      and each output keeps its own t, so the slab holds every (source cell,
+      output) value and is contracted against F[h, s] directly.
+
+    Since rho^4 = |z|^4 + a t^2 >= |z|^4 in floating point for a > 0, only
+    the (column, column) pairs with |z|^4 < eps^4 can hold a singular
+    evaluation, and only their offset rows are checked against the full
+    gauge. A replaced slab entry counts once for every live source cell it
+    stands for.
     """
     n = f.n
     nv = 2 * n + 1
-    vol = f.cell_volume
-    meshes = f.meshes()
-    support = f.values != 0.0
-    fv = f.values[support] * vol
-    ys = [m[support] for m in meshes]
+    T = f.shape[-1]
+    axes = [f.axis(i) for i in range(nv)]
+    by_column = f.values.reshape(-1, T)
+    live = np.any(by_column != 0.0, axis=1)
+    F = by_column[live] * f.cell_volume  # (h, T): the live columns' quadrature weights
+    support = by_column[live] != 0.0
+    horizontal = [c.reshape(-1) for c in np.meshgrid(*axes[:-1], indexing="ij")]
+    sources = [c[live] for c in horizontal]
 
+    ds = np.arange(1 - T, T)
     if output_points is None:
-        axes = [f.axis(i) for i in range(nv)]
-        columns = [c.reshape(1, -1, 1) for c in np.meshgrid(*axes[:-1], indexing="ij")]
-        outputs = from_coords(columns + [axes[-1].reshape(1, 1, -1)])
-        out_shape = f.shape
+        outputs = from_coords([c.reshape(1, -1, 1) for c in horizontal]
+                              + [(ds * f.steps()[-1]).reshape(1, 1, -1)])
+        # live source cells (h, s) that the slab entry at offset d stands for:
+        # those with 0 <= s + d < T
+        cum = np.pad(np.cumsum(support, axis=1), ((0, 0), (1, 0)))
+        stands_for = cum[:, np.minimum(T, T - ds)] - cum[:, np.maximum(0, -ds)]
     else:
         pts = np.asarray(output_points, dtype=float)
         if pts.ndim == 1:
             pts = pts[None, :]
         if pts.shape[1] != nv:
             raise ValueError("output points need 2n+1 coordinates")
-        outputs = from_coords([pts[:, i].reshape(1, -1, 1) for i in range(nv)])
-        out_shape = None
+        outputs = from_coords([pts[:, i].reshape(1, -1, 1) for i in range(nv - 1)]
+                              + [pts[:, -1].reshape(1, -1, 1) + (-axes[-1]).reshape(1, 1, -1)])
+        stands_for = support.astype(int)
 
-    m_out = np.broadcast(*outputs.coords()).size
-    acc = np.zeros(m_out)
-    eps = (vol / gauge_ball_volume(n, kernel.t_weight)) ** (1.0 / (2 * n + 2))
+    columns, depth = np.broadcast(*outputs.coords()).shape[1:]
+    # on the grid acc[(c, d), s] = sum_h k[h, c, d] F[h, s], folded along t below
+    acc = np.zeros((columns * depth, T) if output_points is None else columns)
+    eps = (f.cell_volume / gauge_ball_volume(n, kernel.t_weight)) ** (1.0 / (2 * n + 2))
     policy = kernel.cell_estimate(eps)
     singular_touched = 0
 
-    cells_per_chunk = max(1, chunk // max(m_out, 1))
-    for start in range(0, fv.size, cells_per_chunk):
-        stop = min(start + cells_per_chunk, fv.size)
-        # z = y^{-1} x for the block of source cells against all outputs
-        block = from_coords([y[start:stop, None, None] for y in ys])
+    per_chunk = max(1, chunk // max(1, columns * depth))
+    for start in range(0, F.shape[0], per_chunk):
+        stop = min(start + per_chunk, F.shape[0])
+        # z = w^{-1} x for the block of source columns against every output
+        block = from_coords([c[start:stop, None, None] for c in sources] + [0.0])
         z = multiply(inverse(block), outputs)
         vals = kernel.evaluate(z.coords())
         if policy is not None:
             h2 = horizontal_norm2(z)
-            # rho^4 >= |z|^4, so a singular cell lies in a t column kept here
+            # rho^4 >= |z|^4, so a singular entry lies in an offset row kept here
             cells, cols, _ = np.nonzero(h2 * h2 < eps**4)
             if cells.size:
                 near = gauge4(from_coords([c[cells, cols] for c in z.coords()]),
                               kernel.t_weight) < eps**4
-                singular_touched += int(near.sum())
-                t_columns = vals[cells, cols]
-                t_columns[near] = 0.0 if policy == "pv" else policy
-                vals[cells, cols] = t_columns
-        acc += fv[start:stop] @ vals.reshape(stop - start, m_out)
+                singular_touched += int(stands_for[start + cells][near].sum())
+                offset_rows = vals[cells, cols]
+                offset_rows[near] = 0.0 if policy == "pv" else policy
+                vals[cells, cols] = offset_rows
+        if output_points is None:
+            acc += vals.reshape(stop - start, -1).T @ F[start:stop]
+        else:
+            acc += np.tensordot(vals, F[start:stop], axes=([0, 2], [0, 1]))
 
     report = {
-        "cells": int(fv.size),
-        "outputs": int(m_out),
+        "cells": int(support.sum()),
+        "outputs": int(columns * T if output_points is None else columns),
         "singular_policy": "pv" if policy == "pv" else ("none" if policy is None else "average"),
         "singular_evaluations": singular_touched,
         "equivalent_cell_gauge": eps,
     }
-    if out_shape is None:
+    if output_points is not None:
         return acc, report
-    return f.copy_with(acc.reshape(out_shape)), report
+    # the output at t index s + d collects acc[(c, d), s]
+    acc = acc.reshape(columns, depth, T)
+    out = np.zeros((columns, T))
+    for j, d in enumerate(ds):
+        if d >= 0:
+            out[:, d:] += acc[:, j, : T - d]
+        else:
+            out[:, : T + d] += acc[:, j, -d:]
+    return f.copy_with(out.reshape(f.shape)), report
 
 
 # -- probes --------------------------------------------------------------------

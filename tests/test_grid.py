@@ -15,8 +15,6 @@ from rumincalc.grid import (
     form_lp_norm,
     gauge_mask,
     gauss_legendre_box_integral,
-    second_order_multi_indices,
-    sobolev_norm,
 )
 from rumincalc.forms import Form
 from rumincalc.group_geometry import (
@@ -132,27 +130,6 @@ def test_from_poly_is_bitwise_the_per_term_sum_on_full_meshes():
     x_only = Grid.from_poly(2, 0.7, 9, Poly.var(5, 0) ** 3)
     assert x_only.values.shape == g.shape[:4] + (9,)
     assert np.array_equal(x_only.values, x_only.meshes()[0] ** 3)
-
-
-def test_second_order_multi_indices():
-    idx = second_order_multi_indices(1)
-    assert ("T",) in idx
-    assert ("WW", 1, 1) in idx and ("WW", 1, 2) in idx and ("WW", 2, 2) in idx
-    assert len(idx) == 4
-    assert len(second_order_multi_indices(2)) == 11
-
-
-def test_sobolev_norm_orders_and_validation():
-    g = Grid.from_function(1, 1.0, 16, lambda x, y, t: x * y + t)
-    r0 = sobolev_norm(g, 0, 2.0)
-    assert r0["norm"] == pytest.approx(g.lp_norm(2.0))
-    r1 = sobolev_norm(g, 1, 2.0)
-    assert set(r1["per_index"]) == {"u", "W1", "W2"}
-    assert r1["norm"] >= r0["norm"]
-    r2 = sobolev_norm(g, 2, 2.0)
-    assert "T" in r2["per_index"] and "W1W2" in r2["per_index"]
-    with pytest.raises(ValueError):
-        sobolev_norm(g, 3, 2.0)
 
 
 def test_lp_norm_scales_with_dilation():

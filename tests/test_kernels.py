@@ -1,4 +1,5 @@
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -131,9 +132,9 @@ def test_tail_smoothing_probe_bounded():
 def _full_array_convolve(f, kernel, output_points=None, chunk=1 << 22):
     """group_convolve with every step on full (cells x outputs) arrays.
 
-    The reference the (cells x columns) evaluation must equal bit for bit:
-    the group law and the gauge run on every (cell, output) pair, and the
-    singular cells are masked by a second full gauge.
+    The reference the Toeplitz evaluation must match: the group law and the
+    gauge run on every (cell, output) pair with t_o - t_s taken pair by pair,
+    and the singular cells are masked by a second full gauge.
     """
     nv = 2 * f.n + 1
     meshes = f.meshes()
@@ -173,17 +174,24 @@ def _full_array_convolve(f, kernel, output_points=None, chunk=1 << 22):
     return (acc if output_points is not None else acc.reshape(f.shape)), report
 
 
+def _off_centre_source(n, res, seed):
+    """Seeded values on an off-centre box, with holes inside its t columns.
+
+    Neither even nor centred, so a reversed or misplaced t shift shows.
+    """
+    rng = np.random.default_rng(seed)
+    f = Grid.empty(n, 1.0, res)
+    box = tuple([slice(1, res // 2 + 1)] * (2 * n) + [slice(res // 2, res - 1)])
+    vals = rng.uniform(-1.0, 1.0, f.values[box].shape)
+    vals[rng.random(vals.shape) < 0.2] = 0.0
+    f.values[box] = vals
+    return f
+
+
 @pytest.mark.parametrize("n, res", [(1, 12), (2, 6)])
 def test_group_convolve_equals_the_full_array_loop(n, res):
-    f = bump_grid(n, 1.0, res, 0.5)
     step = 2.0 / res
     Q = homogeneous_dimension(n)
-    # the first point is a lattice cell with t != 0, so it meets a singular cell
-    pts = np.array([
-        [0.5 * step] * (2 * n) + [-0.5 * step],
-        [0.3] * (2 * n) + [-0.2],
-        [-0.1] + [0.0] * (2 * n - 1) + [0.45],
-    ])
     base = HomogeneousKernel(n, 2.0)
     kernels = [
         base,  # average
@@ -194,18 +202,79 @@ def test_group_convolve_equals_the_full_array_loop(n, res):
         base.horizontal_derivative(2 * n),
         *kernel_split(base, 0.5),
     ]
+    # the even bump, and seeded values that would show a reversed t shift
+    sources = [bump_grid(n, 1.0, res, 0.5), _off_centre_source(n, res, seed=20 + n)]
+    # each source's first point is a lattice cell with t != 0 in its support,
+    # so it meets a singular cell
+    first_points = [[0.5 * step] * (2 * n) + [-0.5 * step],
+                    [-1.0 + 1.5 * step] * (2 * n) + [0.5 * step]]
     policies = set()
-    for kernel in kernels:
-        for kwargs in ({}, {"output_points": pts}, {"chunk": 5000}):
-            got, report = group_convolve(f, kernel, **kwargs)
-            want, want_report = _full_array_convolve(f, kernel, **kwargs)
-            got = got if "output_points" in kwargs else got.values
-            assert np.array_equal(got, want), (kernel, kwargs)
-            assert report == want_report, (kernel, kwargs)
-            policies.add(report["singular_policy"])
-            if "output_points" in kwargs and report["singular_policy"] != "none":
-                assert report["singular_evaluations"] > 0
+    for f, first in zip(sources, first_points):
+        pts = np.array([
+            first,
+            [0.3] * (2 * n) + [-0.2],
+            [-0.1] + [0.0] * (2 * n - 1) + [0.45],
+        ])
+        for kernel in kernels:
+            for kwargs in ({}, {"output_points": pts}, {"chunk": 5000}):
+                got, report = group_convolve(f, kernel, **kwargs)
+                want, want_report = _full_array_convolve(f, kernel, **kwargs)
+                got = got if "output_points" in kwargs else got.values
+                # the matrix product sums in another order, and d dt differs
+                # from t_o - t_s in the last ulp: equal to rounding only
+                scale = np.abs(want).max()
+                assert np.abs(got - want).max() <= 1e-13 * scale, (kernel, kwargs)
+                assert report == want_report, (kernel, kwargs)
+                policies.add(report["singular_policy"])
+                if "output_points" in kwargs and report["singular_policy"] != "none":
+                    assert report["singular_evaluations"] > 0
     assert policies == {"average", "pv", "none"}
+
+
+@dataclass
+class _CountingKernel:
+    """Delegates to a kernel and counts the points it is evaluated at."""
+
+    base: object
+    points: int = 0
+
+    @property
+    def t_weight(self):
+        return self.base.t_weight
+
+    def cell_estimate(self, eps):
+        return self.base.cell_estimate(eps)
+
+    def evaluate(self, coords):
+        self.points += np.broadcast(*coords).size
+        return self.base.evaluate(coords)
+
+
+@pytest.mark.parametrize("n, res", [(1, 12), (2, 6)])
+def test_grid_convolution_evaluates_one_value_per_t_offset(n, res):
+    # on the grid, k(q^{-1} p) depends on the t indices of q and p only
+    # through their difference: 2T - 1 values per pair of columns, where the
+    # (cells x outputs) quadrature has T^2 on full t columns
+    f = _off_centre_source(n, res, seed=20 + n)
+    T = f.shape[-1]
+    live = np.any(f.values != 0.0, axis=-1)
+    f.values[live] = np.random.default_rng(n).uniform(0.5, 1.0, (int(live.sum()), T))
+    columns = live.size
+    for chunk in (1 << 22, 5000):
+        kernel = _CountingKernel(HomogeneousKernel(n, 2.0))
+        _, report = group_convolve(f, kernel, chunk=chunk)
+        assert report["singular_evaluations"] > 0
+        assert kernel.points == int(live.sum()) * columns * (2 * T - 1)
+        assert report["cells"] * report["outputs"] == int(live.sum()) * columns * T * T
+
+
+def test_group_convolve_of_nothing_is_empty():
+    k = HomogeneousKernel(1, 2.0)
+    zero = Grid.empty(1, 1.0, 8)
+    out, report = group_convolve(zero, k)
+    assert not out.values.any() and report["cells"] == 0
+    vals, report = group_convolve(bump_grid(1, 1.0, 8, 0.5), k, output_points=np.zeros((0, 3)))
+    assert vals.shape == (0,) and report["outputs"] == 0
 
 
 def test_convolution_is_an_approximate_identity_at_high_mu():

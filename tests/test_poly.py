@@ -1,9 +1,10 @@
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rumincalc.polynomials import Poly, symmetric_box_integral
+from rumincalc.polynomials import Poly, random_poly, symmetric_box_integral
 
 NVARS = 3
 
@@ -107,3 +108,14 @@ def test_add_and_mul_drop_cancelled_terms():
     product = (1 + u + u * u) * (1 - u + u * u)
     assert product.terms == {(0,): 1, (2,): 1, (4,): 1}
     assert all(isinstance(c, Fraction) and c for c in product.terms.values())
+
+
+def test_power_equals_repeated_product():
+    p = random_poly(random.Random(2), 3, 2, terms=4)
+    assert len(p.terms) == 4
+    product = Poly.const(3, 1)
+    for k in range(10):
+        assert p**k == product, k
+        product = product * p
+    with pytest.raises(ValueError):
+        p ** -1
