@@ -1,0 +1,54 @@
+"""The exact operators, frozen as sha256 digests of their JSON.
+
+``frozen_outputs.json`` holds the digest of ``to_json()`` of every d_c matrix
+for n = 1..4 and of every intrinsic Laplacian for n = 1..3. A change to how
+the exact core is built must leave each of them byte-identical. A deliberate
+change of the JSON format re-freezes the file with
+
+    PYTHONPATH=src python tests/test_frozen_outputs.py
+
+and says so in CHANGES.md.
+"""
+
+import hashlib
+import json
+import pathlib
+import time
+
+from conftest import shared_context
+
+FROZEN = pathlib.Path(__file__).with_name("frozen_outputs.json")
+DC_NS = (1, 2, 3, 4)
+LAPLACIAN_NS = (1, 2, 3)
+
+
+def _digest(matrix) -> str:
+    return hashlib.sha256(matrix.to_json().encode()).hexdigest()
+
+
+def current_digests() -> dict:
+    out = {"d_c": {}, "laplacian": {}}
+    for n in DC_NS:
+        ctx = shared_context(n)
+        out["d_c"][str(n)] = [_digest(ctx.rumin_d_matrix(h)) for h in range(ctx.top + 1)]
+    for n in LAPLACIAN_NS:
+        ctx = shared_context(n)
+        out["laplacian"][str(n)] = [_digest(ctx.rumin_laplacian(h)) for h in range(ctx.top + 1)]
+    return out
+
+
+def test_exact_operators_match_frozen_digests():
+    start = time.perf_counter()
+    got = current_digests()
+    elapsed = time.perf_counter() - start
+    want = json.loads(FROZEN.read_text())
+    for kind in ("d_c", "laplacian"):
+        for n, digests in want[kind].items():
+            for h, (g, w) in enumerate(zip(got[kind][n], digests)):
+                assert g == w, f"{kind} n = {n}, h = {h} changed"
+    assert got == want
+    assert elapsed < 30.0, elapsed
+
+
+if __name__ == "__main__":
+    FROZEN.write_text(json.dumps(current_digests(), indent=1, sort_keys=True) + "\n")
