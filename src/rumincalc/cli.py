@@ -46,6 +46,18 @@ from .rumin_complex import (
 MAX_DRAWS = 20
 # the smallest grid on which every grid probe runs
 MIN_GRID = 8
+# the most cells a numeric run may put in one grid: 32^5, 256 MiB per float array
+MAX_GRID_CELLS = 2 ** 25
+
+
+def _convergence_resolutions(grid: int) -> tuple:
+    """The grids of numeric's derivative convergence runs."""
+    return (grid, grid * 3 // 2, grid * 2)
+
+
+def _probe_resolution(grid: int) -> int:
+    """The grid of numeric's kernel decay probe and gauge scan."""
+    return max(grid, 32)
 
 
 class Reporter:
@@ -359,7 +371,7 @@ def cmd_numeric(cfg: argparse.Namespace) -> int:
     n = cfg.n
     Q = homogeneous_dimension(n)
 
-    resolutions = (cfg.grid, cfg.grid * 3 // 2, cfg.grid * 2)
+    resolutions = _convergence_resolutions(cfg.grid)
     for i in range(1, 2 * n + 1):
         conv = derivative_convergence(n, i, resolutions=resolutions)
         ok = conv["observed_order"] >= 1.8
@@ -374,7 +386,7 @@ def cmd_numeric(cfg: argparse.Namespace) -> int:
         })
 
     for mu in (1.0, 2.0):
-        probe = decay_slope_probe(n, mu, resolution=max(cfg.grid, 32))
+        probe = decay_slope_probe(n, mu, resolution=_probe_resolution(cfg.grid))
         ok = probe["relative_error"] <= 0.05
         rep.soft(ok)
         rep.emit({
@@ -437,7 +449,7 @@ def cmd_numeric(cfg: argparse.Namespace) -> int:
     })
 
     if n == 1:
-        scan = fundamental_gauge_scan(n, resolution=max(cfg.grid, 32))
+        scan = fundamental_gauge_scan(n, resolution=_probe_resolution(cfg.grid))
         ok = scan["best_t_weight"] == 16.0
         rep.soft(ok)
         rep.emit({
@@ -508,6 +520,12 @@ def _argument_error(args) -> str | None:
             return f"--h must lie in {low}..{high} for {args.command} at n = {args.n}"
     if args.grid < MIN_GRID:
         return f"--grid must be at least {MIN_GRID}"
+    if args.command == "numeric":
+        largest = max(*_convergence_resolutions(args.grid), _probe_resolution(args.grid))
+        cells = largest ** (2 * args.n + 1)
+        if cells > MAX_GRID_CELLS:
+            return (f"numeric at n = {args.n}, --grid {args.grid} needs a grid of {cells} cells;"
+                    f" the limit is {MAX_GRID_CELLS} (32^5)")
     if args.p < 1.0 or args.q < 1.0:
         return "--p and --q must be at least 1"
     if args.poly_degree < 0:

@@ -14,6 +14,19 @@ Lefschetz operator is wedging with the horizontal 2-covector d theta.
 monomial it holds the image under d0 and the frame-field steps
 f omega_I -> (W_i f) omega_i ^ omega_I. Forms, the weight split and the
 operator matrices of ``rumin_complex`` all read it.
+
+The splitting V, W, E0 is built block by block, and the blocks are exact.
+d0 vanishes on horizontal monomials and sends theta ^ beta to -L beta, and
+L = sum_j omega_j ^ omega_{j+n} only turns an index j carrying neither
+omega_j nor omega_{j+n} into one carrying both. So d0 keeps a monomial's
+*singleton pattern*: which indices carry exactly one of the pair, and which
+one. Monomials with and without theta share a pattern. Lambda^h splits into
+orthogonal blocks by pattern, of at most 3, 6 and 10 monomials at n = 3, 4
+and 5, and d0, V, W and E0 split with it. The nullspaces and Gram-Schmidt
+run inside each block; rref never mixes blocks and Gram-Schmidt across them
+subtracts nothing. Sorting the vectors on the global index of their free
+column (their last nonzero entry) gives the basis and squared norms, equal
+and in the same order, that the same steps give on all of Lambda^h at once.
 """
 
 from __future__ import annotations
@@ -126,27 +139,6 @@ class Covector:
 
     def weights(self) -> set:
         return {mask_weight(self.n, m) for m in self.terms}
-
-    def pure_weight_part(self, w: int) -> "Covector":
-        n = self.n
-        return Covector(n, {m: c for m, c in self.terms.items() if mask_weight(n, m) == w})
-
-    def horizontal_part(self) -> "Covector":
-        theta_bit = 1 << (2 * self.n)
-        return Covector(self.n, {m: c for m, c in self.terms.items() if not m & theta_bit})
-
-    def theta_complement(self) -> "Covector":
-        """beta with the theta-part of self equal to theta ^ beta."""
-        theta_bit = 1 << (2 * self.n)
-        terms = {}
-        for mask, c in self.terms.items():
-            if not mask & theta_bit:
-                continue
-            rest = mask & ~theta_bit
-            # omega_rest ^ theta = (-1)^(deg rest) theta ^ omega_rest
-            sign = -1 if rest.bit_count() % 2 else 1
-            terms[rest] = sign * c
-        return Covector(self.n, terms)
 
 
 def mask_weight(n: int, mask: int) -> int:
@@ -282,7 +274,8 @@ def lambda_masks(n: int, h: int, horizontal_only: bool = False) -> list:
 
 
 def covector_coords(c: Covector, masks: list) -> list:
-    return [c.terms.get(m, Fraction(0)) for m in masks]
+    zero = Fraction(0)
+    return [c.terms.get(m, zero) for m in masks]
 
 
 def covector_from_coords(n: int, masks: list, coords: list) -> Covector:
@@ -335,43 +328,84 @@ def _kernel(matrix: list, src_dim: int) -> list:
     return linalg.nullspace(matrix)
 
 
+def _d0_between(n: int, src: list, dst: list) -> list:
+    """Matrix of d0 from the span of the masks ``src`` into that of ``dst``."""
+    table, zero = d_table(n), Fraction(0)
+    cols = [dict(table[m].d0) for m in src]
+    return [[col.get(dm, zero) for col in cols] for dm in dst]
+
+
 def d0_matrix(n: int, h: int) -> list:
     """Matrix of the algebraic differential Lambda^h -> Lambda^{h+1}."""
-    table = d_table(n)
-    cols = [dict(table[m].d0) for m in lambda_masks(n, h)]
-    return [[col.get(dm, Fraction(0)) for col in cols] for dm in lambda_masks(n, h + 1)]
+    return _d0_between(n, lambda_masks(n, h), lambda_masks(n, h + 1))
+
+
+def singleton_pattern(n: int, mask: int) -> int:
+    """The coframe indices j < n at which a mask carries exactly one of
+    omega_j and omega_{j+n}, kept as that one bit; theta is dropped."""
+    both = mask & (mask >> n) & ((1 << n) - 1)
+    return mask & ~(both | both << n | 1 << 2 * n)
+
+
+def singleton_blocks(n: int, masks: list) -> dict:
+    """Indices into ``masks`` grouped by singleton pattern, ascending in each group."""
+    blocks: dict = {}
+    for i, mask in enumerate(masks):
+        blocks.setdefault(singleton_pattern(n, mask), []).append(i)
+    return blocks
+
+
+def _merge_blocks(n: int, degree: int, masks: list, blocks: list, block_vectors: list) -> Subspace:
+    """One Subspace of Lambda^degree from nullspace vectors found block by block.
+
+    Gram-Schmidt runs inside each block, on the short vectors. Each vector's
+    last nonzero entry is the free column it was built from: earlier vectors
+    of its block vanish there, so Gram-Schmidt keeps it. Sorting on the
+    global index of that column puts the vectors in the order a nullspace of
+    all of Lambda^degree lists them.
+    """
+    keyed = []
+    for idx, vectors in zip(blocks, block_vectors):
+        ortho, norms2 = linalg.gram_schmidt(vectors)
+        for v, n2 in zip(ortho, norms2):
+            last = max(i for i, x in enumerate(v) if x)
+            terms = {masks[i]: x for i, x in zip(idx, v) if x}
+            keyed.append((idx[last], Covector(n, terms), n2))
+    keyed.sort(key=lambda item: item[0])
+    return Subspace(n, degree, [c for _, c, _ in keyed], [n2 for _, _, n2 in keyed])
 
 
 def build_spaces(n: int, h: int):
     """The complement spaces V, W and the core E0 = V ∩ ker(d0) in degree h.
 
     Both complements are chosen orthogonal: W ⟂ ker(d0) within Lambda^h and
-    V ⟂ im(d0). The explicit Lefschetz-kernel/image descriptions of the same
-    spaces are built independently in ``case_formula_spaces`` and compared in
-    tests rather than assumed.
+    V ⟂ im(d0). They are found block by block, one block per singleton
+    pattern (see the module docstring). The explicit Lefschetz-kernel/image
+    descriptions of the same spaces are built independently in
+    ``case_formula_spaces`` and compared in tests rather than assumed.
     """
     if not 0 <= h <= 2 * n + 1:
         raise ValueError(f"degree {h} out of range")
-    masks = lambda_masks(n, h)
-    dim = len(masks)
-    d_here = d0_matrix(n, h)  # empty at top degree, where d0 ends the complex
-    ker = _kernel(d_here, dim)
-    if h > 0:
-        below = d0_matrix(n, h - 1)
-        image_raw = [[below[r][c] for r in range(dim)] for c in range(len(below[0]))]
-        red, pivots = linalg.rref(image_raw)
-        image = [red[i] for i in range(len(pivots))]
-    else:
-        image = []
-
-    w_vectors = _kernel(ker, dim)
-    v_vectors = _kernel(image, dim)
-    e0_constraints = list(image) + [row for row in d_here]
-    e0_vectors = _kernel(e0_constraints, dim)
-    V = _subspace_from_vectors(n, h, masks, v_vectors)
-    W = _subspace_from_vectors(n, h, masks, w_vectors)
-    E0 = _subspace_from_vectors(n, h, masks, e0_vectors)
-    return V, W, E0
+    masks, below, above = (lambda_masks(n, k) for k in (h, h - 1, h + 1))
+    below_blocks, above_blocks = singleton_blocks(n, below), singleton_blocks(n, above)
+    blocks = singleton_blocks(n, masks)
+    v_vectors, w_vectors, e0_vectors = [], [], []
+    for pattern, idx in blocks.items():
+        block = [masks[i] for i in idx]
+        # d0 maps the block into the block of the same pattern one degree up;
+        # there is none at the top degree, where d0 ends the complex
+        d_here = _d0_between(n, block, [above[i] for i in above_blocks.get(pattern, [])])
+        # the images of the block of this pattern one degree down, as rows
+        image = [list(col) for col in zip(*_d0_between(
+            n, [below[i] for i in below_blocks.get(pattern, [])], block))]
+        # W is orthogonal to ker d0, V to im d0, and E0 = V ∩ ker d0
+        w_vectors.append(_kernel(_kernel(d_here, len(idx)), len(idx)))
+        v_vectors.append(_kernel(image, len(idx)))
+        e0_vectors.append(_kernel(image + d_here, len(idx)))
+    return tuple(
+        _merge_blocks(n, h, masks, list(blocks.values()), vectors)
+        for vectors in (v_vectors, w_vectors, e0_vectors)
+    )
 
 
 def _lefschetz_power_matrix(n: int, k: int, power: int) -> list:

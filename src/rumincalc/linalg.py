@@ -1,8 +1,9 @@
 """Small exact linear algebra over Fraction: rref, rank, nullspace.
 
 Matrices are lists of lists of Fraction. Everything returns fresh lists; inputs
-are never mutated. Sizes here are tiny (dimensions of exterior algebras up to
-2^7), so plain Gaussian elimination with exact pivots is fine.
+are never mutated. Sizes here are tiny: the exact core works on blocks of at
+most 3, 6 and 10 coframe monomials at n = 3, 4 and 5, so plain Gaussian
+elimination with exact pivots is fine.
 """
 
 from __future__ import annotations

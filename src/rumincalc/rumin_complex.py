@@ -2,8 +2,9 @@
 
 ``RuminContext`` caches, per degree h, the splitting subspaces from
 ``exterior_weights``, the algebraic differential d0 and its partial inverse
-(zero on the complement V, the inverse of d0 restricted to W on its image),
-and the E0 coordinates of the core E0 = V ∩ ker d0: B_h, the E0 basis as
+(zero on the complement V, the inverse of d0 restricted to W on its image,
+solved on each singleton-pattern block of ``exterior_weights``), and the E0
+coordinates of the core E0 = V ∩ ker d0: B_h, the E0 basis as
 columns, and C_h = N_h^{-1} B_h^T, with N_h the diagonal of its squared norms.
 
 On forms these give the two projectors
@@ -47,7 +48,15 @@ from .envelope import (
     leibniz_commutator_from_words,
     sum_of_products,
 )
-from .exterior_weights import build_spaces, covector_coords, d0_matrix, d_table, lambda_masks
+from .exterior_weights import (
+    build_spaces,
+    covector_coords,
+    d0_matrix,
+    d_table,
+    lambda_masks,
+    singleton_blocks,
+    singleton_pattern,
+)
 from .forms import Form, apply_mask_matrix, exterior_d, matrix_times_polys
 from .polynomials import Poly, add_terms
 
@@ -200,7 +209,7 @@ class RuminContext:
             rows = [covector_coords(b, self.masks[h]) for b in core.basis]
             self._embed.append([list(col) for col in zip(*rows)])
             self._coords.append(
-                [[c / n2 for c in row] for row, n2 in zip(rows, core.norms2)]
+                [[c / n2 if c else c for c in row] for row, n2 in zip(rows, core.norms2)]
             )
         self._p_e0 = [linalg.matmul(b, c) for b, c in zip(self._embed, self._coords)]
         self._d_matrices: dict = {}
@@ -218,36 +227,47 @@ class RuminContext:
         return [self.core(h).dim for h in range(self.top + 1)]
 
     def _pseudo_inverse(self, h: int) -> list:
-        """Matrix of d0^{-1}: Lambda^{h+1} -> Lambda^h.
+        """Matrix of d0^{-1}: Lambda^{h+1} -> Lambda^h, solved block by block.
 
         Zero on V^{h+1}, and the inverse of d0 restricted to W^h on the image
-        of d0. Built by solving in the basis (d0 W-basis, V-basis), which is a
-        basis of Lambda^{h+1} because V is a complement of the image.
+        of d0. d0, W and V keep the singleton pattern, so each block of
+        Lambda^{h+1} is solved on its own in the basis (d0 of the W-basis
+        vectors of that pattern, V-basis vectors of that pattern), a basis of
+        the block because V is a complement of the image.
         """
-        src_dim = len(self.masks[h + 1])
-        dst_dim = len(self.masks[h])
-        W = self.spaces[h][1]
-        V_up = self.spaces[h + 1][0]
-        w_vecs = [covector_coords(c, self.masks[h]) for c in W.basis]
-        images = [linalg.matvec(self.d0[h], w) for w in w_vecs]
-        v_vecs = [covector_coords(c, self.masks[h + 1]) for c in V_up.basis]
-        columns = images + v_vecs
-        if len(columns) != src_dim:
-            raise AssertionError("image of d0 and V do not complement each other")
-        aug = [
-            [columns[j][i] for j in range(src_dim)]
-            + [Fraction(1) if k == i else Fraction(0) for k in range(src_dim)]
-            for i in range(src_dim)
-        ]
-        red, pivots = linalg.rref(aug)
-        if pivots != list(range(src_dim)):
-            raise AssertionError("d0 image basis is degenerate")
-        # row i of the right block: i-th basis coordinate of every unit vector
-        out = [[Fraction(0)] * src_dim for _ in range(dst_dim)]
-        for w, row in zip(w_vecs, red):
-            for r in range(dst_dim):
-                if w[r] != 0:
-                    out[r] = [o + w[r] * c for o, c in zip(out[r], row[src_dim:])]
+        n, d0 = self.n, self.d0[h]
+        src_masks, dst_masks = self.masks[h + 1], self.masks[h]
+        out = [[Fraction(0)] * len(src_masks) for _ in dst_masks]
+        dst_blocks = singleton_blocks(n, dst_masks)
+        w_by, v_by = {}, {}
+        for by, space in ((w_by, self.spaces[h][1]), (v_by, self.spaces[h + 1][0])):
+            for b in space.basis:
+                by.setdefault(singleton_pattern(n, next(iter(b.terms))), []).append(b)
+        for pattern, cols in singleton_blocks(n, src_masks).items():
+            rows = dst_blocks.get(pattern, [])
+            size = len(cols)
+            dst_block = [dst_masks[r] for r in rows]
+            w_vecs = [covector_coords(b, dst_block) for b in w_by.get(pattern, [])]
+            d0_block = [[d0[c][r] for r in rows] for c in cols]
+            columns = [linalg.matvec(d0_block, w) for w in w_vecs]
+            src_block = [src_masks[c] for c in cols]
+            columns += [covector_coords(b, src_block) for b in v_by.get(pattern, [])]
+            if len(columns) != size:
+                raise AssertionError("image of d0 and V do not complement each other")
+            aug = [
+                [columns[j][i] for j in range(size)]
+                + [Fraction(1) if k == i else Fraction(0) for k in range(size)]
+                for i in range(size)
+            ]
+            red, pivots = linalg.rref(aug)
+            if pivots != list(range(size)):
+                raise AssertionError("d0 image basis is degenerate")
+            # row i of the right block: i-th basis coordinate of every unit vector
+            for w, row in zip(w_vecs, red):
+                for r, wr in zip(rows, w):
+                    if wr != 0:
+                        for c, x in zip(cols, row[size:]):
+                            out[r][c] += wr * x
         return out
 
     # -- form-level operators -----------------------------------------------
@@ -373,9 +393,6 @@ class RuminContext:
             upper = upper.compose(upper) if h == self.n + 1 else upper
             lap = upper if lap is None else lap + upper
         return lap
-
-    def laplacian_order(self, h: int) -> int:
-        return 4 if h in (self.n, self.n + 1) else 2
 
 
 def laplacian_commutation_report(ctx: RuminContext) -> dict:

@@ -204,9 +204,15 @@ def test_invalid_arguments(capsys, ctx1):
         ["homotopy", "--n", "1", "--grid", "8", "--q", "inf"],
         ["numeric", "--n", "1", "--p", "nan"],
         ["verify", "--n", "1", "--q=-inf"],
+        ["numeric", "--n", "2"],
+        ["numeric", "--n", "3", "--grid", "8"],
     ):
         assert cli.main(argv) == 1, argv
         assert len(capsys.readouterr().err.strip().splitlines()) == 1, argv
+    # the grid volume is checked before any grid is built: 40^5 cells at n = 2
+    assert cli.main(["numeric", "--n", "2", "--grid", "20"]) == 1
+    err = capsys.readouterr().err
+    assert f"{40 ** 5} cells" in err and f"{2 ** 25}" in err
     # usage errors must not exit 2, which means a strict numeric miss
     assert cli.main(["verify", "--bogus"]) == 1
     capsys.readouterr()

