@@ -46,7 +46,8 @@ from .rumin_complex import (
 MAX_DRAWS = 20
 # the smallest grid on which every grid probe runs
 MIN_GRID = 8
-# the most cells a numeric run may put in one grid: 32^5, 256 MiB per float array
+# the most cells a numeric or homotopy run may put in one grid: 32^5, 256 MiB per
+# float array
 MAX_GRID_CELLS = 2 ** 25
 
 
@@ -520,12 +521,14 @@ def _argument_error(args) -> str | None:
             return f"--h must lie in {low}..{high} for {args.command} at n = {args.n}"
     if args.grid < MIN_GRID:
         return f"--grid must be at least {MIN_GRID}"
-    if args.command == "numeric":
-        largest = max(*_convergence_resolutions(args.grid), _probe_resolution(args.grid))
+    if args.command in ("numeric", "homotopy"):
+        largest = args.grid
+        if args.command == "numeric":
+            largest = max(*_convergence_resolutions(args.grid), _probe_resolution(args.grid))
         cells = largest ** (2 * args.n + 1)
         if cells > MAX_GRID_CELLS:
-            return (f"numeric at n = {args.n}, --grid {args.grid} needs a grid of {cells} cells;"
-                    f" the limit is {MAX_GRID_CELLS} (32^5)")
+            return (f"{args.command} at n = {args.n}, --grid {args.grid} needs a grid of"
+                    f" {cells} cells; the limit is {MAX_GRID_CELLS} (32^5)")
     if args.p < 1.0 or args.q < 1.0:
         return "--p and --q must be at least 1"
     if args.poly_degree < 0:

@@ -16,7 +16,6 @@ exponent twice, matching the anisotropic dilations.
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 from itertools import chain, product
 from math import comb, perm, prod
@@ -259,17 +258,6 @@ def env_from_rows(n: int, rows: list) -> EnvOp:
     })
 
 
-def env_to_json(a: EnvOp) -> str:
-    return json.dumps(env_to_rows(a))
-
-
-def env_from_json(s: str) -> EnvOp:
-    rows = json.loads(s)
-    if not rows:
-        raise ValueError("cannot infer the group from an empty term list")
-    return env_from_rows((len(rows[0]["multi_index"]) - 1) // 2, rows)
-
-
 def word_op(n: int, word) -> EnvOp:
     """The PBW-normalized product W_{word[0]} W_{word[1]} ... of generators."""
     acc = EnvOp.one(n)
@@ -346,9 +334,6 @@ class PolyDiffOp:
         if not self.terms:
             return None
         return max(sum(e) for e in self.terms)
-
-    def differentiates_along_t(self) -> bool:
-        return any(e[-1] > 0 for e in self.terms)
 
 
 def commutator_with_multiplication(a: EnvOp, zeta: Poly) -> PolyDiffOp:

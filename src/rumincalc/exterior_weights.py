@@ -335,11 +335,6 @@ def _d0_between(n: int, src: list, dst: list) -> list:
     return [[col.get(dm, zero) for col in cols] for dm in dst]
 
 
-def d0_matrix(n: int, h: int) -> list:
-    """Matrix of the algebraic differential Lambda^h -> Lambda^{h+1}."""
-    return _d0_between(n, lambda_masks(n, h), lambda_masks(n, h + 1))
-
-
 def singleton_pattern(n: int, mask: int) -> int:
     """The coframe indices j < n at which a mask carries exactly one of
     omega_j and omega_{j+n}, kept as that one bit; theta is dropped."""
@@ -501,9 +496,3 @@ def core_dimension_oracle(n: int, h: int) -> int:
     r = linalg.rank(l_once) if l_once and l_once[0] else 0
     return len(hmasks) - r
 
-
-def subspaces_equal(a: Subspace, b: Subspace) -> bool:
-    masks = lambda_masks(a.n, a.degree)
-    va = [covector_coords(c, masks) for c in a.basis]
-    vb = [covector_coords(c, masks) for c in b.basis]
-    return linalg.same_span(va, vb)

@@ -6,8 +6,7 @@ supported:
 
 * ``"left"``  - the left-invariant coframe omega_1..omega_2n, theta; the
   exterior differential uses the frame fields X_i, Y_i, T on coefficients and
-  the structure equations on the coframe, and splits by weight into
-  d = d0 + d1 + d2.
+  the structure equations on the coframe.
 * ``"coord"`` - the coordinate coframe dx_i, dy_i, dt, where every basis
   covector is closed and d only differentiates coefficients. This is the
   frame the cone homotopy integrates in.
@@ -188,57 +187,33 @@ def random_form(rng: random.Random, n: int, k: int, degree: int, frame: str = "l
 # -- exterior differential --------------------------------------------------
 
 
-def _d_coefficients(form: Form, by_weight: bool) -> tuple:
-    """Coefficients of d(form) as (weight shift 0, 1, 2) mask -> Poly dicts.
-
-    Shift 0 is d0 (left frame only), 1 a horizontal field, 2 the field T.
-    Without ``by_weight`` a one-entry tuple holds all of d. The frame fields of
-    each coefficient come from one ``frame_derivatives`` pass, and every
-    target coefficient is summed in place as a term dict.
-    """
-    n, left = form.n, form.frame == "left"
-    table = d_table(n)
-    parts = ({}, {}, {}) if by_weight else ({},) * 3
-
-    for mask, p in form.coeffs.items():
-        d0, steps = table[mask]
-        if left:
-            for target, c in d0:
-                add_terms(parts[0].setdefault(target, {}), ((e, v * c) for e, v in p.terms.items()))
-        derivatives = frame_derivatives(n, p, form.frame)
-        for i, target, sign in steps:
-            terms = derivatives[i].terms
-            if terms:
-                add_terms(
-                    parts[1 if i < 2 * n else 2].setdefault(target, {}),
-                    terms.items() if sign > 0 else ((e, -v) for e, v in terms.items()),
-                )
-    nv = 2 * n + 1
-    return tuple(
-        {m: Poly.wrap(nv, terms) for m, terms in part.items() if terms}
-        for part in (parts if by_weight else parts[:1])
-    )
-
-
 def exterior_d(form: Form) -> Form:
     """d in the form's own frame.
 
     Left frame: df = sum_i (W_i f) omega_i + (Tf) theta on coefficients plus
     the structure-equation d on each coframe monomial. Coordinate frame: the
-    coframe is closed, only coefficients differentiate.
+    coframe is closed, only coefficients differentiate. The frame fields of
+    each coefficient come from one ``frame_derivatives`` pass, and every
+    target coefficient is summed in place as a term dict.
     """
-    return Form(form.n, form.frame, _d_coefficients(form, by_weight=False)[0])
-
-
-def split_d(form: Form):
-    """(d0, d1, d2): the weight 0, +1, +2 pieces of d in the left frame.
-
-    d0 is algebraic (structure equations only), d1 differentiates along the
-    horizontal frame, d2 along T with a theta.
-    """
-    if form.frame != "left":
-        raise ValueError("weight splitting needs the left-invariant frame")
-    return tuple(Form(form.n, "left", part) for part in _d_coefficients(form, by_weight=True))
+    n, left = form.n, form.frame == "left"
+    table = d_table(n)
+    out: dict = {}
+    for mask, p in form.coeffs.items():
+        d0, steps = table[mask]
+        if left:
+            for target, c in d0:
+                add_terms(out.setdefault(target, {}), ((e, v * c) for e, v in p.terms.items()))
+        derivatives = frame_derivatives(n, p, form.frame)
+        for i, target, sign in steps:
+            terms = derivatives[i].terms
+            if terms:
+                add_terms(
+                    out.setdefault(target, {}),
+                    terms.items() if sign > 0 else ((e, -v) for e, v in terms.items()),
+                )
+    nv = 2 * n + 1
+    return Form(n, form.frame, {m: Poly.wrap(nv, terms) for m, terms in out.items() if terms})
 
 
 # -- frame conversion --------------------------------------------------------

@@ -264,28 +264,6 @@ def derivative_convergence(n: int, i: int = 1, resolutions=(16, 24, 32),
     }
 
 
-def gauss_legendre_box_integral(poly, bounds, nodes: int = 8) -> float:
-    """Gauss-Legendre quadrature of a Poly over a box, exact for low degree.
-
-    bounds is a list of (lo, hi) per variable. With ``nodes`` points per axis
-    the rule is exact for polynomial degree <= 2*nodes - 1 up to rounding.
-    """
-    x, w = np.polynomial.legendre.leggauss(nodes)
-    axes = []
-    weights = []
-    for lo, hi in bounds:
-        lo, hi = float(lo), float(hi)
-        axes.append(0.5 * (hi - lo) * x + 0.5 * (hi + lo))
-        weights.append(0.5 * (hi - lo) * w)
-    mesh = np.meshgrid(*axes, indexing="ij")
-    wmesh = np.meshgrid(*weights, indexing="ij")
-    vals = poly.evaluate_float(list(mesh))
-    total = np.asarray(vals, dtype=float)
-    for wm in wmesh:
-        total = total * wm
-    return float(total.sum())
-
-
 def form_lp_norm(form, p: float, horizontal_half_width: float, resolution: int,
                  mask_fn=None) -> float:
     """L^p norm of a left-frame form's pointwise length over a masked grid.

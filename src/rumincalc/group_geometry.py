@@ -25,8 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .polynomials import Poly
-
 
 def _exact(v):
     return Fraction(v) if isinstance(v, int) else v
@@ -120,22 +118,3 @@ class Ball:
     def contains(self, q: Point) -> bool:
         return distance(self.center, q) < self.radius
 
-
-def euclidean_inradius(radius: float) -> float:
-    """Euclidean inradius of the gauge ball B(e, radius).
-
-    The gauge of a Euclidean s-ball peaks at max(s, sqrt(s)) (horizontal
-    versus central direction), so the inradius is min(radius, radius^2).
-    """
-    return min(radius, radius * radius)
-
-
-def group_law_polys(n: int) -> list:
-    """Coordinates of g * p as polynomials in (g, p).
-
-    Variables are ordered g_x, g_y, g_t, p_x, p_y, p_t (2 * (2n+1) in total).
-    Used for symbolic checks such as the left-translation Jacobian.
-    """
-    nv = 2 * (2 * n + 1)
-    v = [Poly.var(nv, i) for i in range(nv)]
-    return list(multiply(from_coords(v[: nv // 2]), from_coords(v[nv // 2 :])).coords())

@@ -37,7 +37,7 @@ from .forms import (
     to_coordinate_frame,
     to_left_frame,
 )
-from .group_geometry import Ball, Point, euclidean_inradius, homogeneous_dimension, identity
+from .group_geometry import Ball, homogeneous_dimension, identity
 from .polynomials import Poly
 from .rumin_complex import RuminContext
 
@@ -88,29 +88,6 @@ class AveragingWeight:
         for j in range(total):
             den *= base + j
         return self.radius ** (2 * total) * num / den
-
-
-@dataclass(frozen=True)
-class ConvexDomain:
-    """A gauge or Euclidean ball used as the averaging domain."""
-
-    kind: str  # "koranyi_ball" | "euclidean_ball"
-    center: Point
-    radius: Fraction
-
-    def __post_init__(self):
-        if self.kind not in ("koranyi_ball", "euclidean_ball"):
-            raise ValueError(f"unknown domain kind {self.kind!r}")
-        if self.radius <= 0:
-            raise ValueError("radius must be positive")
-
-    def euclidean_inradius(self) -> Fraction:
-        if self.kind == "euclidean_ball":
-            return self.radius
-        return euclidean_inradius(self.radius)
-
-    def default_weight(self, exponent: int = 3) -> AveragingWeight:
-        return AveragingWeight.bump(self.euclidean_inradius() / 2, exponent)
 
 
 # -- Euclidean cone homotopy ---------------------------------------------------

@@ -106,37 +106,3 @@ def gram_schmidt(vectors):
             ortho.append(w)
             norms2.append(n2)
     return ortho, norms2
-
-
-def same_span(a, b):
-    """Do two lists of vectors span the same subspace?"""
-    ra = rank(a) if a else 0
-    rb = rank(b) if b else 0
-    if ra != rb:
-        return False
-    return rank(a + b) == ra if (a or b) else True
-
-
-def poly_det(m):
-    """Determinant by cofactor expansion for small matrices of ring elements.
-
-    Entries only need +, *, - and a zero test via bool(); used for symbolic
-    Jacobians of the group law (7x7 at most, mostly zeros).
-    """
-    size = len(m)
-    if size == 0:
-        raise ValueError("empty matrix")
-    if size == 1:
-        return m[0][0]
-    total = None
-    for j, entry in enumerate(m[0]):
-        if not entry:
-            continue
-        minor = [row[:j] + row[j + 1 :] for row in m[1:]]
-        term = entry * poly_det(minor)
-        if j % 2 == 1:
-            term = -term
-        total = term if total is None else total + term
-    if total is None:
-        return m[0][0] - m[0][0]  # a zero of the right type
-    return total

@@ -184,14 +184,6 @@ class Poly:
             return None
         return max(sum(e) for e in self.terms)
 
-    def weighted_degrees(self, weights: Sequence[int]) -> set:
-        """Set of weighted degrees present (dot of exponent with weights)."""
-        return {sum(a * w for a, w in zip(e, weights)) for e in self.terms}
-
-    def weighted_degree(self, weights: Sequence[int]) -> int | None:
-        degs = self.weighted_degrees(weights)
-        return max(degs) if degs else None
-
     def coefficient(self, exp: Sequence[int]) -> Fraction:
         return self.terms.get(tuple(exp), Fraction(0))
 
@@ -264,18 +256,3 @@ def random_poly(rng: random.Random, nvars: int, degree: int, terms: int = 4) -> 
         out[key] = out.get(key, Fraction(0)) + random_fraction(rng)
     return Poly(nvars, {k: v for k, v in out.items() if v})
 
-
-def symmetric_box_integral(p: Poly) -> Fraction:
-    """Exact integral of ``p`` over the box [-1, 1]^nvars.
-
-    Odd monomials vanish; an even power k contributes 2/(k+1) per axis.
-    """
-    total = Fraction(0)
-    for exp, c in p.terms.items():
-        if any(e % 2 for e in exp):
-            continue
-        v = c
-        for e in exp:
-            v = v * Fraction(2, e + 1)
-        total += v
-    return total

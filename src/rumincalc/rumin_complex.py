@@ -1,10 +1,10 @@
 """The intrinsic complex (E0, d_c) on H^n, built exactly.
 
 ``RuminContext`` caches, per degree h, the splitting subspaces from
-``exterior_weights``, the algebraic differential d0 and its partial inverse
-(zero on the complement V, the inverse of d0 restricted to W on its image,
-solved on each singleton-pattern block of ``exterior_weights``), and the E0
-coordinates of the core E0 = V ∩ ker d0: B_h, the E0 basis as
+``exterior_weights``, the partial inverse d0^{-1} of the algebraic
+differential (zero on the complement V, the inverse of d0 restricted to W on
+its image, solved on each singleton-pattern block of ``exterior_weights``),
+and the E0 coordinates of the core E0 = V ∩ ker d0: B_h, the E0 basis as
 columns, and C_h = N_h^{-1} B_h^T, with N_h the diagonal of its squared norms.
 
 On forms these give the two projectors
@@ -21,15 +21,16 @@ omega = P_E0 form.
 
 Because d_c is left-invariant and homogeneous, it is a matrix of constant
 coefficient operators in the enveloping algebra once forms are written in the
-E0 bases. ``rumin_d_matrix`` composes that matrix directly: d on Lambda^h is a
-matrix D_h of frame fields plus the constant d0, and on E0 (where d0^{-1}
-vanishes) the formula above becomes
+E0 bases. ``rumin_d_matrix`` composes that matrix directly. d on Lambda^h is
+d0 plus D1_h, the matrix of frame fields W_i, and d0 drops out at both ends:
+E0 ⊂ ker d0 gives d0 B_h = 0, and E0 ⟂ im d0 gives C_{h+1} d0 = 0. With
+d0^{-1} vanishing on E0 the formula above becomes
 
-    d_c = C_{h+1} . D_h . (1 - d0^{-1} D_h) . B_h
+    d_c = C_{h+1} . D1_h . (B_h - d0^{-1} D1_h B_h)
 
-The projector P_E0 drops out because C_{h+1} P_E0 = C_{h+1} B_{h+1} C_{h+1}
-= C_{h+1}. ``rumin_d`` on forms stays an independent route to the same
-operator.
+The projector P_E0 drops out too, because C_{h+1} P_E0 = C_{h+1} B_{h+1}
+C_{h+1} = C_{h+1}. ``rumin_d`` on forms stays an independent route to the
+same operator.
 """
 
 from __future__ import annotations
@@ -50,8 +51,8 @@ from .envelope import (
 )
 from .exterior_weights import (
     build_spaces,
+    _d0_between,
     covector_coords,
-    d0_matrix,
     d_table,
     lambda_masks,
     singleton_blocks,
@@ -199,7 +200,6 @@ class RuminContext:
         self.top = 2 * n + 1
         self.masks = [lambda_masks(n, h) for h in range(self.top + 1)]
         self.spaces = [build_spaces(n, h) for h in range(self.top + 1)]
-        self.d0 = [d0_matrix(n, h) for h in range(self.top)]
         self.d0_pinv = [None] + [self._pseudo_inverse(h) for h in range(self.top)]
         # B_h (the E0 basis as columns) and C_h = N_h^{-1} B_h^T: the one E0
         # coordinate system, read by every map into and out of E0
@@ -235,7 +235,7 @@ class RuminContext:
         vectors of that pattern, V-basis vectors of that pattern), a basis of
         the block because V is a complement of the image.
         """
-        n, d0 = self.n, self.d0[h]
+        n = self.n
         src_masks, dst_masks = self.masks[h + 1], self.masks[h]
         out = [[Fraction(0)] * len(src_masks) for _ in dst_masks]
         dst_blocks = singleton_blocks(n, dst_masks)
@@ -248,9 +248,9 @@ class RuminContext:
             size = len(cols)
             dst_block = [dst_masks[r] for r in rows]
             w_vecs = [covector_coords(b, dst_block) for b in w_by.get(pattern, [])]
-            d0_block = [[d0[c][r] for r in rows] for c in cols]
-            columns = [linalg.matvec(d0_block, w) for w in w_vecs]
             src_block = [src_masks[c] for c in cols]
+            d0_block = _d0_between(n, dst_block, src_block)
+            columns = [linalg.matvec(d0_block, w) for w in w_vecs]
             columns += [covector_coords(b, src_block) for b in v_by.get(pattern, [])]
             if len(columns) != size:
                 raise AssertionError("image of d0 and V do not complement each other")
@@ -333,21 +333,26 @@ class RuminContext:
         return OperatorMatrix(self.n, src_degree, dst_degree, entries)
 
     def _d_operator(self, h: int) -> OperatorMatrix:
-        """d: Lambda^h -> Lambda^{h+1} in the left frame, on coefficients.
+        """D1_h: the frame-field part of d from Lambda^h to Lambda^{h+1}.
 
-        d(f omega_I) = sum_i (W_i f) omega_i ^ omega_I + f d0(omega_I), with
-        the frame-field steps and d0 both read off ``d_table``.
+        d(f omega_I) = sum_i (W_i f) omega_i ^ omega_I + f d0(omega_I); D1_h
+        holds the first sum, read off the steps of ``d_table``.
         """
-        row_of = {m: r for r, m in enumerate(self.masks[h + 1])}
-        d = self._constant(self.d0[h], h, h + 1)
+        masks, targets = self.masks[h], self.masks[h + 1]
+        row_of = {m: r for r, m in enumerate(targets)}
+        d = OperatorMatrix.zero(self.n, h, h + 1, len(targets), len(masks))
         table = d_table(self.n)
-        for col, mask in enumerate(self.masks[h]):
+        for col, mask in enumerate(masks):
             for i, target, sign in table[mask].steps:
                 d.entries[row_of[target]][col] += EnvOp.generator(self.n, i).scale(sign)
         return d
 
     def rumin_d_matrix(self, h: int) -> OperatorMatrix:
-        """The matrix of d_c: E0^h -> E0^{h+1}, composed from d, d0^{-1}, B_h and C_{h+1}."""
+        """The matrix of d_c: E0^h -> E0^{h+1}, as C_{h+1} D1_h (B_h - d0^{-1} D1_h B_h).
+
+        d0 B_h = 0 and C_{h+1} d0 = 0 (E0 lies in ker d0 and is orthogonal
+        to im d0), so of d = d0 + D1_h only the frame-field part D1_h enters.
+        """
         if h in self._d_matrices:
             return self._d_matrices[h]
         if not 0 <= h <= self.top:
@@ -357,11 +362,11 @@ class RuminContext:
         else:
             embed = self._constant(self._embed[h], h, h)
             coords = self._constant(self._coords[h + 1], h + 1, h + 1)
-            d = self._d_operator(h)
+            d1 = self._d_operator(h)
             d0_inv = self._constant(self.d0_pinv[h + 1], h + 1, h)
-            # P_E on E0, where d0^{-1} vanishes, is 1 - d0^{-1} d
-            rumin = embed - d0_inv.compose(d.compose(embed))
-            mat = coords.compose(d.compose(rumin))
+            # P_E on E0, where d0^{-1} vanishes and d = D1_h, is 1 - d0^{-1} D1_h
+            rumin = embed - d0_inv.compose(d1.compose(embed))
+            mat = coords.compose(d1.compose(rumin))
         self._d_matrices[h] = mat
         return mat
 

@@ -1,4 +1,6 @@
-"""Shared generators, cached contexts and dense oracles for the test suite."""
+"""Shared generators, cached contexts and oracles for the test suite: the dense
+builds of the exact core, d0 as a matrix, the weight split of d and exact box
+integrals."""
 
 import random
 from fractions import Fraction
@@ -7,17 +9,20 @@ from functools import lru_cache
 import pytest
 
 from rumincalc import linalg
+from rumincalc.envelope import derive
 from rumincalc.exterior_weights import (
+    Covector,
+    _d0_between,
     _kernel,
     _subspace_from_vectors,
+    algebraic_d,
     covector_coords,
-    d0_matrix,
     lambda_masks,
 )
 
 # the test modules import random_form and random_poly from here
-from rumincalc.forms import Form, random_form  # noqa: F401
-from rumincalc.polynomials import random_fraction, random_poly
+from rumincalc.forms import Form, random_form, wedge_forms  # noqa: F401
+from rumincalc.polynomials import Poly, random_fraction, random_poly
 from rumincalc.rumin_complex import RuminContext
 
 _CONTEXTS = {}
@@ -48,6 +53,51 @@ def random_core_form(rng: random.Random, ctx: RuminContext, h: int, degree: int)
     return ctx.form_from_core(
         h, [random_poly(rng, 2 * ctx.n + 1, degree, terms=2) for _ in range(dims[h])]
     )
+
+
+def symmetric_box_integral(p: Poly) -> Fraction:
+    """Exact integral of ``p`` over the box [-1, 1]^nvars.
+
+    Odd monomials vanish; an even power k contributes 2/(k+1) per axis.
+    """
+    total = Fraction(0)
+    for exp, c in p.terms.items():
+        if any(e % 2 for e in exp):
+            continue
+        v = c
+        for e in exp:
+            v = v * Fraction(2, e + 1)
+        total += v
+    return total
+
+
+def d_field_by_field(form: Form) -> list:
+    """[d0, d1, d2] of form: the weight 0, +1, +2 pieces of d, one frame field
+    at a time.
+
+    d(f omega_I) = sum_i (W_i f) omega_i ^ omega_I + f d omega_I, with W_i
+    from ``derive`` (left frame) or the partials (coordinate frame), where
+    the coframe is closed. d0 is the structure-equation term, d1 the
+    horizontal fields, d2 the field T with a theta.
+    """
+    n, frame = form.n, form.frame
+    nv = 2 * n + 1
+    parts = [Form.zero(n, frame) for _ in range(3)]
+    for mask, f in form.coeffs.items():
+        coframe = Form.monomial(n, mask, Poly.const(nv, 1), frame)
+        if frame == "left":
+            d_coframe = Form.from_covector(algebraic_d(Covector(n, {mask: Fraction(1)})))
+            parts[0] = parts[0] + d_coframe.mul_poly(f)
+        for i in range(nv):
+            wf = derive(n, i, f) if frame == "left" else f.partial(i)
+            term = wedge_forms(Form.monomial(n, 1 << i, wf, frame), coframe)
+            parts[1 if i < 2 * n else 2] = parts[1 if i < 2 * n else 2] + term
+    return parts
+
+
+def d0_matrix(n: int, h: int) -> list:
+    """Matrix of the algebraic differential Lambda^h -> Lambda^{h+1}."""
+    return _d0_between(n, lambda_masks(n, h), lambda_masks(n, h + 1))
 
 
 @lru_cache(maxsize=None)

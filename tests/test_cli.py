@@ -206,6 +206,9 @@ def test_invalid_arguments(capsys, ctx1):
         ["verify", "--n", "1", "--q=-inf"],
         ["numeric", "--n", "2"],
         ["numeric", "--n", "3", "--grid", "8"],
+        ["homotopy", "--n", "1", "--grid", "330"],
+        ["homotopy", "--n", "1", "--grid", "500"],
+        ["homotopy", "--n", "2", "--grid", "40"],
     ):
         assert cli.main(argv) == 1, argv
         assert len(capsys.readouterr().err.strip().splitlines()) == 1, argv
@@ -213,6 +216,10 @@ def test_invalid_arguments(capsys, ctx1):
     assert cli.main(["numeric", "--n", "2", "--grid", "20"]) == 1
     err = capsys.readouterr().err
     assert f"{40 ** 5} cells" in err and f"{2 ** 25}" in err
+    # homotopy's Poincare probe builds grids of --grid^(2n+1) cells: 330^3 here
+    assert cli.main(["homotopy", "--n", "1", "--grid", "330"]) == 1
+    err = capsys.readouterr().err
+    assert f"{330 ** 3} cells" in err and f"{2 ** 25}" in err
     # usage errors must not exit 2, which means a strict numeric miss
     assert cli.main(["verify", "--bogus"]) == 1
     capsys.readouterr()

@@ -5,6 +5,8 @@ from fractions import Fraction
 import pytest
 
 from conftest import (
+    d0_matrix,
+    d_field_by_field,
     dense_pseudo_inverse,
     dense_spaces,
     random_core_form,
@@ -254,11 +256,23 @@ def test_core_projector_is_the_d0_projector_and_coordinates_invert_the_basis():
         for h in range(ctx.top + 1):
             proj = eye(len(ctx.masks[h]))
             if h < ctx.top:
-                proj = minus(proj, matmul(ctx.d0_pinv[h + 1], ctx.d0[h]))
+                proj = minus(proj, matmul(ctx.d0_pinv[h + 1], d0_matrix(n, h)))
             if h > 0:
-                proj = minus(proj, matmul(ctx.d0[h - 1], ctx.d0_pinv[h]))
+                proj = minus(proj, matmul(d0_matrix(n, h - 1), ctx.d0_pinv[h]))
             assert ctx._p_e0[h] == proj
             assert matmul(ctx._coords[h], ctx._embed[h]) == eye(ctx.core(h).dim)
+
+
+def test_d0_drops_out_of_the_core_coordinates():
+    # d_c = C_{h+1} D1_h (B_h - d0^{-1} D1_h B_h) leaves d0 out because
+    # E0 lies in ker d0 (d0 B_h = 0) and is orthogonal to im d0 (C_{h+1} d0 = 0)
+    for n in (1, 2, 3, 4):
+        ctx = shared_context(n)
+        for h in range(ctx.top):
+            d0 = d0_matrix(n, h)
+            embed, coords = ctx._embed[h], ctx._coords[h + 1]
+            assert matmul(d0, embed) == [[0] * len(embed[0]) for _ in d0], (n, h)
+            assert matmul(coords, d0) == [[0] * len(d0[0]) for _ in coords], (n, h)
 
 
 def _assert_core_maps_equal_to_dense(n):
@@ -318,13 +332,11 @@ def test_operator_matrix_json_roundtrip(ctx1, ctx2):
 def test_pseudoinverse_homotopy_identity(ctx1):
     # d0 d0^{-1} restricted to the image acts as the identity on d0 of anything
     rng = random.Random(5)
-    from rumincalc.forms import split_d
-
     for _ in range(5):
         masks = [m for m in range(8) if bin(m).count("1") == 1]
         omega = Form(1, "left", {m: random_poly(rng, 3, 2) for m in masks})
-        image = split_d(omega)[0]
+        image = d_field_by_field(omega)[0]
         if not image:
             continue
-        recovered = split_d(ctx1.d0_inverse(image))[0]
+        recovered = d_field_by_field(ctx1.d0_inverse(image))[0]
         assert recovered == image

@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import dense_spaces
+from conftest import d0_matrix, dense_spaces
+from rumincalc import linalg
 from rumincalc.exterior_weights import (
     Covector,
     _merge_sign,
@@ -13,7 +14,6 @@ from rumincalc.exterior_weights import (
     case_formula_spaces,
     core_dimension_oracle,
     covector_coords,
-    d0_matrix,
     d_table,
     dtheta,
     inner,
@@ -22,7 +22,6 @@ from rumincalc.exterior_weights import (
     mask_weight,
     singleton_blocks,
     singleton_pattern,
-    subspaces_equal,
     wedge,
 )
 
@@ -150,6 +149,16 @@ def test_core_dimensions_match_oracle_and_frozen_values():
         assert sum((-1) ** h * d for h, d in enumerate(got)) == 0
 
 
+def subspaces_equal(a, b) -> bool:
+    """Do two subspaces of the same Lambda^h have the same span?"""
+    masks = lambda_masks(a.n, a.degree)
+    va = [covector_coords(c, masks) for c in a.basis]
+    vb = [covector_coords(c, masks) for c in b.basis]
+    rank_a = linalg.rank(va) if va else 0
+    rank_b = linalg.rank(vb) if vb else 0
+    return rank_a == rank_b and (not va + vb or linalg.rank(va + vb) == rank_a)
+
+
 def test_build_spaces_agrees_with_case_formulas():
     for n in (1, 2):
         for h in range(2 * n + 2):
@@ -166,8 +175,6 @@ def test_complement_dimension_identities():
             masks = lambda_masks(n, h)
             v, wsp, e0 = build_spaces(n, h)
             d_here = d0_matrix(n, h)
-            from rumincalc import linalg
-
             rank_here = linalg.rank(d_here) if d_here and d_here[0] else 0
             d_below = d0_matrix(n, h - 1) if h > 0 else []
             rank_below = linalg.rank(d_below) if d_below and d_below[0] else 0

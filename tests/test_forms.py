@@ -3,15 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_form, random_poly
-from rumincalc.envelope import derive
-from rumincalc.exterior_weights import Covector, algebraic_d, mask_weight
+from conftest import d_field_by_field, random_form, random_poly
+from rumincalc.exterior_weights import mask_weight
 from rumincalc.forms import (
     Form,
     apply_mask_matrix,
     exterior_d,
     pullback_translation_dilation,
-    split_d,
     to_coordinate_frame,
     to_left_frame,
     translation_dilation_images,
@@ -50,6 +48,7 @@ def test_d_squares_to_zero_in_both_frames():
 
 
 def test_split_d_reassembles_and_shifts_weight():
+    # d splits by weight shift into d0 + d1 + d2, as the field-by-field oracle builds it
     rng = random.Random(1)
     for n in (1, 2):
         for _ in range(10):
@@ -58,33 +57,11 @@ def test_split_d_reassembles_and_shifts_weight():
             mask = rng.choice(masks)
             omega = Form.monomial(n, mask, random_poly(rng, 2 * n + 1, 3))
             w = mask_weight(n, mask)
-            d0, d1, d2 = split_d(omega)
+            d0, d1, d2 = d_field_by_field(omega)
             assert d0 + d1 + d2 == exterior_d(omega)
             for shift, piece in enumerate((d0, d1, d2)):
                 for m in piece.coeffs:
                     assert mask_weight(n, m) == w + shift
-
-
-def _d_field_by_field(form):
-    """(d0, d1, d2) of form, one frame field at a time.
-
-    d(f omega_I) = sum_i (W_i f) omega_i ^ omega_I + f d omega_I, with W_i
-    from ``derive`` (left frame) or the partials (coordinate frame), where
-    the coframe is closed.
-    """
-    n, frame = form.n, form.frame
-    nv = 2 * n + 1
-    parts = [Form.zero(n, frame) for _ in range(3)]
-    for mask, f in form.coeffs.items():
-        coframe = Form.monomial(n, mask, Poly.const(nv, 1), frame)
-        if frame == "left":
-            d_coframe = Form.from_covector(algebraic_d(Covector(n, {mask: Fraction(1)})))
-            parts[0] = parts[0] + d_coframe.mul_poly(f)
-        for i in range(nv):
-            wf = derive(n, i, f) if frame == "left" else f.partial(i)
-            term = wedge_forms(Form.monomial(n, 1 << i, wf, frame), coframe)
-            parts[1 if i < 2 * n else 2] = parts[1 if i < 2 * n else 2] + term
-    return parts
 
 
 def test_exterior_d_matches_the_field_by_field_composition():
@@ -93,10 +70,8 @@ def test_exterior_d_matches_the_field_by_field_composition():
         for k in range(2 * n + 2):
             for frame in ("left", "coord"):
                 omega = random_form(rng, n, k, 3, frame=frame)
-                d0, d1, d2 = _d_field_by_field(omega)
+                d0, d1, d2 = d_field_by_field(omega)
                 assert exterior_d(omega) == d0 + d1 + d2
-                if frame == "left":
-                    assert split_d(omega) == (d0, d1, d2)
 
 
 def test_frame_conversion_roundtrips_and_commutes_with_d():
@@ -201,5 +176,3 @@ def test_pullback_requires_left_frame():
     omega = Form.monomial(n, 1, Poly.var(3, 0), frame="coord")
     with pytest.raises(ValueError):
         pullback_translation_dilation(omega, from_coords([0, 0, 0]), 2)
-    with pytest.raises(ValueError):
-        split_d(omega)

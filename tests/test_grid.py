@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import random_poly
+from conftest import random_poly, symmetric_box_integral
 from rumincalc.grid import (
     Grid,
     derivative_convergence,
@@ -14,7 +14,6 @@ from rumincalc.grid import (
     euclidean_mask,
     form_lp_norm,
     gauge_mask,
-    gauss_legendre_box_integral,
 )
 from rumincalc.forms import Form
 from rumincalc.group_geometry import (
@@ -25,7 +24,7 @@ from rumincalc.group_geometry import (
     inverse,
     multiply,
 )
-from rumincalc.polynomials import Poly, symmetric_box_integral
+from rumincalc.polynomials import Poly
 
 
 def _interior(a):
@@ -76,21 +75,6 @@ def test_derivative_convergence_is_second_order():
         assert rep["observed_order"] >= 1.8
     rep = derivative_convergence(2, i=3, resolutions=(12, 16, 20))
     assert rep["observed_order"] >= 1.8
-
-
-def test_gauss_legendre_matches_exact_box_integral():
-    rng = random.Random(0)
-    for _ in range(10):
-        p = random_poly(rng, 3, 4)
-        exact = symmetric_box_integral(p)
-        approx = gauss_legendre_box_integral(p, [(-1.0, 1.0)] * 3)
-        assert abs(approx - float(exact)) < 1e-10
-
-
-def test_gauss_legendre_general_bounds():
-    p = Poly.var(2, 0) * Poly.var(2, 1)
-    got = gauss_legendre_box_integral(p, [(0.0, 1.0), (0.0, 2.0)])
-    assert abs(got - 1.0) < 1e-12
 
 
 def test_grid_quadrature_converges_to_exact():

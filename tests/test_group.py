@@ -9,17 +9,14 @@ from rumincalc.group_geometry import (
     Ball,
     dilate,
     distance,
-    euclidean_inradius,
     from_coords,
     gauge,
     gauge4,
-    group_law_polys,
     homogeneous_dimension,
     identity,
     inverse,
     multiply,
 )
-from rumincalc.linalg import poly_det
 from rumincalc.polynomials import Poly
 
 
@@ -105,7 +102,29 @@ def test_homogeneous_dimension():
     assert [homogeneous_dimension(n) for n in (1, 2, 3)] == [4, 6, 8]
 
 
+def group_law_polys(n: int) -> list:
+    """Coordinates of g * p as polynomials in (g, p), ordered g_x, g_y, g_t,
+    p_x, p_y, p_t (2 * (2n+1) variables)."""
+    nv = 2 * (2 * n + 1)
+    v = [Poly.var(nv, i) for i in range(nv)]
+    return list(multiply(from_coords(v[: nv // 2]), from_coords(v[nv // 2 :])).coords())
+
+
+def poly_det(m: list) -> Poly:
+    """Determinant of a square matrix of Polys by cofactor expansion along the
+    first row; the Jacobians here are at most 5 x 5 and mostly zero."""
+    if len(m) == 1:
+        return m[0][0]
+    total = m[0][0] - m[0][0]
+    for j, entry in enumerate(m[0]):
+        if entry:
+            term = entry * poly_det([row[:j] + row[j + 1 :] for row in m[1:]])
+            total = total - term if j % 2 else total + term
+    return total
+
+
 def test_left_translation_jacobian_is_one():
+    # the group law has Jacobian 1, so grid cells are Haar cells
     for n in (1, 2):
         nv = 2 * n + 1
         law = group_law_polys(n)
@@ -134,12 +153,11 @@ def test_ball_and_inradius():
     ball = Ball(identity(1), Fraction(1, 2))
     assert ball.contains(from_coords([Fraction(1, 4), 0, 0]))
     assert not ball.contains(from_coords([1, 0, 0]))
-    assert euclidean_inradius(Fraction(1, 2)) == Fraction(1, 4)
-    assert euclidean_inradius(Fraction(3)) == Fraction(3)
-    # points on the euclidean inradius sphere stay inside the gauge ball
+    # the gauge of a Euclidean s-ball peaks at max(s, sqrt(s)), so points
+    # within the Euclidean inradius min(R, R^2) stay inside the gauge ball
     rng = random.Random(6)
     for radius in (Fraction(1, 2), Fraction(2), Fraction(5, 4)):
-        r_in = euclidean_inradius(radius)
+        r_in = min(radius, radius * radius)
         for _ in range(50):
             raw = [Fraction(rng.randrange(-5, 6), 7) for _ in range(3)]
             norm2 = sum(v * v for v in raw)

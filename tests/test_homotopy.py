@@ -9,7 +9,6 @@ from rumincalc.forms import Form, exterior_d, to_coordinate_frame, to_left_frame
 from rumincalc.group_geometry import Ball, from_coords, identity
 from rumincalc.homotopy_exact import (
     AveragingWeight,
-    ConvexDomain,
     admissible,
     averaged_homotopy,
     cartan_homotopy,
@@ -191,20 +190,6 @@ def test_homotopy_error_contracts():
         averaged_homotopy(POINT, mixed, 2)
     with pytest.raises(ValueError, match="2n\\+1 coordinates"):
         cartan_homotopy([0, 0], Form.monomial(n, 1, Poly.const(3, 1), frame="coord"))
-
-
-def test_convex_domain_default_weight():
-    ball = ConvexDomain("koranyi_ball", identity(1), Fraction(2))
-    assert ball.euclidean_inradius() == 2  # min(R, R^2) with R = 2
-    small = ConvexDomain("koranyi_ball", identity(1), Fraction(1, 2))
-    assert small.euclidean_inradius() == Fraction(1, 4)
-    w = small.default_weight()
-    assert w.kind == "polynomial_bump"
-    assert w.radius == Fraction(1, 8)
-    with pytest.raises(ValueError):
-        ConvexDomain("koranyi_ball", identity(1), Fraction(0))
-    with pytest.raises(ValueError):
-        ConvexDomain("cube", identity(1), Fraction(1))
 
 
 def test_rumin_primitive_residual_vanishes(ctx1, ctx2):

@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rumincalc.polynomials import Poly, random_poly, symmetric_box_integral
+from conftest import symmetric_box_integral
+from rumincalc.polynomials import Poly, random_poly
 
 NVARS = 3
 
@@ -48,18 +49,6 @@ def test_basic_arithmetic_examples():
     assert p.partial(0) == (x + y) * Poly.const(3, 2)
     assert (x * t).degree() == 2
     assert p.coefficient((1, 1, 0)) == 2
-
-
-def test_weighted_degree_counts_t_twice():
-    x = Poly.var(3, 0)
-    t = Poly.var(3, 2)
-    weights = (1, 1, 2)
-    assert (x * t).weighted_degree(weights) == 3
-    assert (x**2 + t).weighted_degree(weights) == 2
-    mixed = x + t
-    assert mixed.weighted_degrees(weights) == {1, 2}
-    assert mixed.weighted_degree(weights) == 2
-    assert Poly.zero(3).weighted_degree(weights) is None
 
 
 def test_scale_and_compose():
