@@ -483,7 +483,7 @@ def build_parser() -> argparse.ArgumentParser:
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--n", type=int, default=1, help="group index (1..3)")
         cmd.add_argument("--h", type=int, default=None,
-                         help="restrict to one degree (basis, verify, homotopy)")
+                         help="restrict to one degree (verify, homotopy)")
         cmd.add_argument("--p", type=float, default=2.0, help="source exponent (>= 1)")
         cmd.add_argument("--q", type=float, default=2.0, help="target exponent (>= 1)")
         cmd.add_argument("--lambda", dest="lam", type=float, default=2.0,
@@ -513,10 +513,10 @@ def _argument_error(args) -> str | None:
     if args.lam <= 1.0:
         return "--lambda must exceed 1"
     if args.h is not None:
-        if args.command == "numeric":
-            return "--h does not apply to numeric"
+        if args.command in ("basis", "numeric"):
+            return f"--h does not apply to {args.command}"
         top = 2 * args.n + 1
-        low, high = {"basis": (0, top), "verify": (0, top - 1), "homotopy": (1, top)}[args.command]
+        low, high = {"verify": (0, top - 1), "homotopy": (1, top)}[args.command]
         if not low <= args.h <= high:
             return f"--h must lie in {low}..{high} for {args.command} at n = {args.n}"
     if args.grid < MIN_GRID:

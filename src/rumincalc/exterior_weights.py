@@ -15,18 +15,22 @@ monomial it holds the image under d0 and the frame-field steps
 f omega_I -> (W_i f) omega_i ^ omega_I. Forms, the weight split and the
 operator matrices of ``rumin_complex`` all read it.
 
-The splitting V, W, E0 is built block by block, and the blocks are exact.
+The core E0 and d0^{-1} are built block by block, and the blocks are exact.
 d0 vanishes on horizontal monomials and sends theta ^ beta to -L beta, and
 L = sum_j omega_j ^ omega_{j+n} only turns an index j carrying neither
 omega_j nor omega_{j+n} into one carrying both. So d0 keeps a monomial's
 *singleton pattern*: which indices carry exactly one of the pair, and which
 one. Monomials with and without theta share a pattern. Lambda^h splits into
 orthogonal blocks by pattern, of at most 3, 6 and 10 monomials at n = 3, 4
-and 5, and d0, V, W and E0 split with it. The nullspaces and Gram-Schmidt
-run inside each block; rref never mixes blocks and Gram-Schmidt across them
-subtracts nothing. Sorting the vectors on the global index of their free
-column (their last nonzero entry) gives the basis and squared norms, equal
-and in the same order, that the same steps give on all of Lambda^h at once.
+and 5, and d0, E0 and the orthogonal complements V = (im d0)^⟂ and
+W = (ker d0)^⟂ split with it. With both complements orthogonal, d0^{-1}
+(zero on V, the inverse of d0 restricted to W) is the Moore-Penrose inverse
+of d0, which needs d0 alone, one block at a time; V and W are never built.
+The nullspaces and Gram-Schmidt of E0 run inside each block; rref never
+mixes blocks and Gram-Schmidt across them subtracts nothing. Sorting the
+vectors on the global index of their free column (their last nonzero entry)
+gives the basis and squared norms, equal and in the same order, that the
+same steps give on all of Lambda^h at once.
 """
 
 from __future__ import annotations
@@ -264,7 +268,7 @@ def lefschetz(a: Covector) -> Covector:
     return wedge(dtheta(a.n), a)
 
 
-# -- graded bases and the splitting subspaces --------------------------------
+# -- graded bases, the core E0 and d0^{-1} ----------------------------------
 
 
 def lambda_masks(n: int, h: int, horizontal_only: bool = False) -> list:
@@ -298,17 +302,6 @@ class Subspace:
     @property
     def dim(self) -> int:
         return len(self.basis)
-
-    def project(self, c: Covector) -> Covector:
-        out = Covector.zero(self.n)
-        for b, n2 in zip(self.basis, self.norms2):
-            coeff = inner(c, b) / n2
-            if coeff != 0:
-                out = out + b.scale(coeff)
-        return out
-
-    def contains(self, c: Covector) -> bool:
-        return self.project(c) == c
 
 
 def _subspace_from_vectors(n: int, degree: int, masks: list, vectors: list) -> Subspace:
@@ -370,21 +363,21 @@ def _merge_blocks(n: int, degree: int, masks: list, blocks: list, block_vectors:
     return Subspace(n, degree, [c for _, c, _ in keyed], [n2 for _, _, n2 in keyed])
 
 
-def build_spaces(n: int, h: int):
-    """The complement spaces V, W and the core E0 = V ∩ ker(d0) in degree h.
+def build_spaces(n: int, h: int) -> Subspace:
+    """The core E0 = ker(d0) ∩ (im d0)^⟂ in degree h.
 
-    Both complements are chosen orthogonal: W ⟂ ker(d0) within Lambda^h and
-    V ⟂ im(d0). They are found block by block, one block per singleton
-    pattern (see the module docstring). The explicit Lefschetz-kernel/image
-    descriptions of the same spaces are built independently in
-    ``case_formula_spaces`` and compared in tests rather than assumed.
+    It is found block by block, one block per singleton pattern (see the
+    module docstring), as the nullspace of d0 out of the block stacked on
+    the images of d0 into it. The explicit Lefschetz-kernel description of
+    the same space is built independently in ``case_formula_spaces`` and
+    compared in tests rather than assumed.
     """
     if not 0 <= h <= 2 * n + 1:
         raise ValueError(f"degree {h} out of range")
     masks, below, above = (lambda_masks(n, k) for k in (h, h - 1, h + 1))
     below_blocks, above_blocks = singleton_blocks(n, below), singleton_blocks(n, above)
     blocks = singleton_blocks(n, masks)
-    v_vectors, w_vectors, e0_vectors = [], [], []
+    e0_vectors = []
     for pattern, idx in blocks.items():
         block = [masks[i] for i in idx]
         # d0 maps the block into the block of the same pattern one degree up;
@@ -393,14 +386,30 @@ def build_spaces(n: int, h: int):
         # the images of the block of this pattern one degree down, as rows
         image = [list(col) for col in zip(*_d0_between(
             n, [below[i] for i in below_blocks.get(pattern, [])], block))]
-        # W is orthogonal to ker d0, V to im d0, and E0 = V ∩ ker d0
-        w_vectors.append(_kernel(_kernel(d_here, len(idx)), len(idx)))
-        v_vectors.append(_kernel(image, len(idx)))
         e0_vectors.append(_kernel(image + d_here, len(idx)))
-    return tuple(
-        _merge_blocks(n, h, masks, list(blocks.values()), vectors)
-        for vectors in (v_vectors, w_vectors, e0_vectors)
-    )
+    return _merge_blocks(n, h, masks, list(blocks.values()), e0_vectors)
+
+
+def d0_pseudo_inverse(n: int, h: int) -> list:
+    """Matrix of d0^{-1}: Lambda^{h+1} -> Lambda^h, block by block.
+
+    d0^{-1} is zero on the complement V of im(d0) and inverts d0 restricted
+    to the complement W of ker(d0). Both complements are orthogonal, so
+    d0^{-1} is the Moore-Penrose inverse of d0. d0 keeps the singleton
+    pattern, so each block of d0 is inverted on its own.
+    """
+    lower, upper = lambda_masks(n, h), lambda_masks(n, h + 1)
+    out = [[Fraction(0)] * len(upper) for _ in lower]
+    upper_blocks = singleton_blocks(n, upper)
+    for pattern, rows in singleton_blocks(n, lower).items():
+        cols = upper_blocks.get(pattern)
+        if not cols:
+            continue
+        d0 = _d0_between(n, [lower[r] for r in rows], [upper[c] for c in cols])
+        for r, values in zip(rows, linalg.pseudo_inverse(d0)):
+            for c, x in zip(cols, values):
+                out[r][c] = x
+    return out
 
 
 def _lefschetz_power_matrix(n: int, k: int, power: int) -> list:
@@ -425,61 +434,25 @@ def _embed_horizontal(n: int, h: int, vec_masks: list, vec: list, with_theta: bo
     return covector_coords(c, masks)
 
 
-def case_formula_spaces(n: int, h: int):
-    """V, W, E0 from the explicit Lefschetz kernel/image case formulas.
+def case_formula_spaces(n: int, h: int) -> Subspace:
+    """E0 from the explicit Lefschetz kernel case formulas.
 
-    Low degrees constrain the horizontal part by a Lefschetz power; high
-    degrees force it to vanish. This is the independent route used to check
-    ``build_spaces`` and to supply brute-force dimensions.
+    Low degrees keep the horizontal covectors that a Lefschetz power kills;
+    high degrees are theta wedged with the horizontal kernel of L. This is
+    the independent route used to check ``build_spaces``.
     """
     masks = lambda_masks(n, h)
-    hmasks = lambda_masks(n, h, horizontal_only=True)
-    hmasks_lower = lambda_masks(n, h - 1, horizontal_only=True) if h > 0 else []
-
-    theta_block = []
-    for i, _ in enumerate(hmasks_lower):
-        vec = [Fraction(1) if j == i else Fraction(0) for j in range(len(hmasks_lower))]
-        theta_block.append(_embed_horizontal(n, h, hmasks_lower, vec, with_theta=True))
-
     if h <= n:
+        hmasks = lambda_masks(n, h, horizontal_only=True)
         lp = _lefschetz_power_matrix(n, h, n - h + 1)
         prim = _kernel(lp, len(hmasks))
-        v_vectors = [
-            _embed_horizontal(n, h, hmasks, v, with_theta=False) for v in prim
-        ] + theta_block
         e0_vectors = [_embed_horizontal(n, h, hmasks, v, with_theta=False) for v in prim]
     else:
-        v_vectors = list(theta_block)
+        hmasks_lower = lambda_masks(n, h - 1, horizontal_only=True)
         l_once = _lefschetz_power_matrix(n, h - 1, 1)
         ker = _kernel(l_once, len(hmasks_lower))
         e0_vectors = [_embed_horizontal(n, h, hmasks_lower, v, with_theta=True) for v in ker]
-
-    s = max(h - n, 0)
-    src_deg = h - 1 - 2 * s
-    if h == 0 or src_deg < 0:
-        w_vectors = []
-    else:
-        src = lambda_masks(n, src_deg, horizontal_only=True)
-        w_vectors = []
-        for m in src:
-            c = Covector.basis(n, m)
-            for _ in range(s):
-                c = lefschetz(c)
-            if not c:
-                continue
-            coords = _embed_horizontal(
-                n, h, lambda_masks(n, h - 1, horizontal_only=True),
-                covector_coords(c, lambda_masks(n, h - 1, horizontal_only=True)),
-                with_theta=True,
-            )
-            w_vectors.append(coords)
-        red, pivots = linalg.rref(w_vectors) if w_vectors else ([], [])
-        w_vectors = [red[i] for i in range(len(pivots))]
-
-    V = _subspace_from_vectors(n, h, masks, v_vectors)
-    W = _subspace_from_vectors(n, h, masks, w_vectors)
-    E0 = _subspace_from_vectors(n, h, masks, e0_vectors)
-    return V, W, E0
+    return _subspace_from_vectors(n, h, masks, e0_vectors)
 
 
 def core_dimension_oracle(n: int, h: int) -> int:

@@ -55,10 +55,6 @@ class Grid:
     def meshes(self) -> list:
         return np.meshgrid(*[self.axis(i) for i in range(2 * self.n + 1)], indexing="ij")
 
-    @property
-    def flat(self) -> np.ndarray:
-        return self.values.reshape(-1)
-
     def copy_with(self, values: np.ndarray) -> "Grid":
         return Grid(self.n, self.half_widths, self.shape, values)
 

@@ -55,7 +55,6 @@ class AveragingWeight:
     kind: str  # "point_mass_at_origin" | "polynomial_bump"
     exponent: int = 3
     radius: Fraction = Fraction(1, 2)
-    mass: Fraction = Fraction(1)
 
     def __post_init__(self):
         if self.kind not in ("point_mass_at_origin", "polynomial_bump"):
@@ -169,8 +168,6 @@ def cartan_homotopy(y, omega: Form, k: int | None = None) -> Form:
 
 def averaged_homotopy(weight: AveragingWeight, omega: Form, k: int | None = None) -> Form:
     """K_Euc omega: the cone homotopy averaged over y against the weight."""
-    if weight.mass != 1:
-        raise ValueError("averaging weight must have total mass 1")
     _cone_degree("averaged_homotopy", omega, k)
     nv = 2 * omega.n + 1
     return _cone_homotopy(omega, lambda beta: weight.moment(beta, nv))

@@ -1,4 +1,5 @@
-"""Small exact linear algebra over Fraction: rref, rank, nullspace.
+"""Small exact linear algebra over Fraction: rref, rank, nullspace and the
+Moore-Penrose inverse.
 
 Matrices are lists of lists of Fraction. Everything returns fresh lists; inputs
 are never mutated. Sizes here are tiny: the exact core works on blocks of at
@@ -80,8 +81,23 @@ def matmul(a, b):
     return out
 
 
-def matvec(a, v):
-    return [sum((row[j] * v[j] for j in range(len(v)) if v[j] != 0), Fraction(0)) for row in a]
+def pseudo_inverse(a):
+    """The Moore-Penrose inverse of a nonempty matrix, exactly.
+
+    rref gives the full-rank factorization A = F G: F holds the pivot
+    columns of A and G the nonzero rows of rref(A). Then
+    A+ = G^T (F^T A G^T)^{-1} F^T, and one more rref of [F^T A G^T | F^T]
+    gives the last two factors at once.
+    """
+    rows, cols = len(a), len(a[0])
+    red, pivots = rref(a)
+    if not pivots:
+        return [[Fraction(0)] * rows for _ in range(cols)]
+    g_t = [list(col) for col in zip(*red[:len(pivots)])]
+    f_t = [[row[p] for row in a] for p in pivots]
+    middle = matmul(matmul(f_t, a), g_t)
+    solved, _ = rref([m + f for m, f in zip(middle, f_t)])
+    return matmul(g_t, [row[len(pivots):] for row in solved])
 
 
 def dot(u, v):

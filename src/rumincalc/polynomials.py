@@ -85,10 +85,6 @@ class Poly:
         exp = tuple(1 if j == i else 0 for j in range(nvars))
         return cls(nvars, {exp: Fraction(1)})
 
-    @classmethod
-    def monomial(cls, nvars: int, exp: Sequence[int], c=1) -> "Poly":
-        return cls(nvars, {tuple(exp): _as_fraction(c)})
-
     # -- ring operations ---------------------------------------------------
 
     def _check_ring(self, other: "Poly") -> None:

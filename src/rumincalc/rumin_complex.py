@@ -1,11 +1,11 @@
 """The intrinsic complex (E0, d_c) on H^n, built exactly.
 
-``RuminContext`` caches, per degree h, the splitting subspaces from
-``exterior_weights``, the partial inverse d0^{-1} of the algebraic
-differential (zero on the complement V, the inverse of d0 restricted to W on
-its image, solved on each singleton-pattern block of ``exterior_weights``),
-and the E0 coordinates of the core E0 = V ∩ ker d0: B_h, the E0 basis as
-columns, and C_h = N_h^{-1} B_h^T, with N_h the diagonal of its squared norms.
+``RuminContext`` caches, per degree h, the core E0 = V ∩ ker d0 and the
+partial inverse d0^{-1} of the algebraic differential (zero on the complement
+V of im d0, the inverse of d0 restricted to the complement W of ker d0 on its
+image), both from ``exterior_weights``, and the E0 coordinates: B_h, the E0
+basis as columns, and C_h = N_h^{-1} B_h^T, with N_h the diagonal of its
+squared norms. V and W themselves are never built.
 
 On forms these give the two projectors
 
@@ -14,7 +14,7 @@ On forms these give the two projectors
 
 and the intrinsic differential d_c = P_E0 ∘ d ∘ P_E ∘ P_E0. Both complements
 are orthogonal (W ⟂ ker d0, V ⟂ im d0), so d0^{-1} is the Moore-Penrose
-pseudo-inverse of d0, P_E0 is the orthogonal projector onto E0, and the
+inverse of d0, P_E0 is the orthogonal projector onto E0, and the
 orthogonal basis B_h makes it B_h C_h. Since d0^{-1} vanishes on E0,
 ``rumin_d`` computes d_c as P_E0(d omega - d d0^{-1} d omega) with
 omega = P_E0 form.
@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import json
 import operator
-from fractions import Fraction
 
 from . import linalg
 from .envelope import (
@@ -51,12 +50,10 @@ from .envelope import (
 )
 from .exterior_weights import (
     build_spaces,
-    _d0_between,
     covector_coords,
+    d0_pseudo_inverse,
     d_table,
     lambda_masks,
-    singleton_blocks,
-    singleton_pattern,
 )
 from .forms import Form, apply_mask_matrix, exterior_d, matrix_times_polys
 from .polynomials import Poly, add_terms
@@ -199,8 +196,8 @@ class RuminContext:
         self.n = n
         self.top = 2 * n + 1
         self.masks = [lambda_masks(n, h) for h in range(self.top + 1)]
-        self.spaces = [build_spaces(n, h) for h in range(self.top + 1)]
-        self.d0_pinv = [None] + [self._pseudo_inverse(h) for h in range(self.top)]
+        self.cores = [build_spaces(n, h) for h in range(self.top + 1)]
+        self.d0_pinv = [None] + [d0_pseudo_inverse(n, h) for h in range(self.top)]
         # B_h (the E0 basis as columns) and C_h = N_h^{-1} B_h^T: the one E0
         # coordinate system, read by every map into and out of E0
         self._embed, self._coords = [], []
@@ -217,58 +214,14 @@ class RuminContext:
     # -- exact matrix data -------------------------------------------------
 
     def core(self, h: int):
-        return self.spaces[h][2]
+        return self.cores[h]
 
     def gram(self, h: int) -> list:
         """Squared norms of the E0^h basis; empty past the top degree."""
-        return self.spaces[h][2].norms2 if h <= self.top else []
+        return self.cores[h].norms2 if h <= self.top else []
 
     def core_dims(self) -> list:
         return [self.core(h).dim for h in range(self.top + 1)]
-
-    def _pseudo_inverse(self, h: int) -> list:
-        """Matrix of d0^{-1}: Lambda^{h+1} -> Lambda^h, solved block by block.
-
-        Zero on V^{h+1}, and the inverse of d0 restricted to W^h on the image
-        of d0. d0, W and V keep the singleton pattern, so each block of
-        Lambda^{h+1} is solved on its own in the basis (d0 of the W-basis
-        vectors of that pattern, V-basis vectors of that pattern), a basis of
-        the block because V is a complement of the image.
-        """
-        n = self.n
-        src_masks, dst_masks = self.masks[h + 1], self.masks[h]
-        out = [[Fraction(0)] * len(src_masks) for _ in dst_masks]
-        dst_blocks = singleton_blocks(n, dst_masks)
-        w_by, v_by = {}, {}
-        for by, space in ((w_by, self.spaces[h][1]), (v_by, self.spaces[h + 1][0])):
-            for b in space.basis:
-                by.setdefault(singleton_pattern(n, next(iter(b.terms))), []).append(b)
-        for pattern, cols in singleton_blocks(n, src_masks).items():
-            rows = dst_blocks.get(pattern, [])
-            size = len(cols)
-            dst_block = [dst_masks[r] for r in rows]
-            w_vecs = [covector_coords(b, dst_block) for b in w_by.get(pattern, [])]
-            src_block = [src_masks[c] for c in cols]
-            d0_block = _d0_between(n, dst_block, src_block)
-            columns = [linalg.matvec(d0_block, w) for w in w_vecs]
-            columns += [covector_coords(b, src_block) for b in v_by.get(pattern, [])]
-            if len(columns) != size:
-                raise AssertionError("image of d0 and V do not complement each other")
-            aug = [
-                [columns[j][i] for j in range(size)]
-                + [Fraction(1) if k == i else Fraction(0) for k in range(size)]
-                for i in range(size)
-            ]
-            red, pivots = linalg.rref(aug)
-            if pivots != list(range(size)):
-                raise AssertionError("d0 image basis is degenerate")
-            # row i of the right block: i-th basis coordinate of every unit vector
-            for w, row in zip(w_vecs, red):
-                for r, wr in zip(rows, w):
-                    if wr != 0:
-                        for c, x in zip(cols, row[size:]):
-                            out[r][c] += wr * x
-        return out
 
     # -- form-level operators -----------------------------------------------
 

@@ -103,7 +103,9 @@ def d0_matrix(n: int, h: int) -> list:
 @lru_cache(maxsize=None)
 def dense_spaces(n: int) -> tuple:
     """(V, W, E0) of every degree, from nullspaces and Gram-Schmidt over all
-    of Lambda^h at once: the oracle for the block-by-block ``build_spaces``."""
+    of Lambda^h at once: V = (im d0)^⟂, W = (ker d0)^⟂ and E0 = V ∩ ker d0.
+    E0 is the oracle for the block-by-block ``build_spaces``; V and W serve
+    ``dense_pseudo_inverse``."""
     out = []
     for h in range(2 * n + 2):
         masks = lambda_masks(n, h)
@@ -128,13 +130,15 @@ def dense_spaces(n: int) -> tuple:
 
 
 def dense_pseudo_inverse(n: int, h: int) -> list:
-    """d0^{-1}: Lambda^{h+1} -> Lambda^h from the dense spaces, by one solve
-    in the basis (d0 W-basis, V-basis) of all of Lambda^{h+1}."""
+    """d0^{-1}: Lambda^{h+1} -> Lambda^h by its definition, zero on V^{h+1}
+    and the inverse of d0 restricted to W^h on im d0: one solve in the basis
+    (d0 W-basis, V-basis) of all of Lambda^{h+1}. The oracle for the
+    block-by-block Moore-Penrose ``d0_pseudo_inverse``."""
     spaces = dense_spaces(n)
     src, dst = lambda_masks(n, h + 1), lambda_masks(n, h)
     d0 = d0_matrix(n, h)
     w_vecs = [covector_coords(c, dst) for c in spaces[h][1].basis]
-    columns = [linalg.matvec(d0, w) for w in w_vecs]
+    columns = [[linalg.dot(row, w) for row in d0] for w in w_vecs]
     columns += [covector_coords(c, src) for c in spaces[h + 1][0].basis]
     assert len(columns) == len(src)
     aug = [

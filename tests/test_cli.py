@@ -40,13 +40,14 @@ def test_basis_lists_the_covector_basis(capsys):
     assert any("w1" in b for b in degree_one[0]["basis"])
 
 
-def test_basis_respects_degree_flag(capsys):
-    code, rows = run_cli(capsys, ["basis", "--n", "2", "--h", "3"])
-    assert code == 0
-    # the dimension table always covers the whole complex; --h does not
-    # truncate it, the summary still closes over all degrees
-    summary = [r for r in rows if r["report"] == "basis-summary"]
-    assert summary[0]["dimensions"] == [1, 4, 5, 5, 4, 1]
+def test_basis_rejects_degree_flag(capsys):
+    # the dimension table always covers the whole complex, so a degree in
+    # range is refused as firmly as one out of range
+    code = cli.main(["basis", "--n", "2", "--h", "3"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert not captured.out
+    assert captured.err == "error: --h does not apply to basis\n"
 
 
 def test_verify_subcommand(capsys):

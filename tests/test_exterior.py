@@ -140,7 +140,7 @@ def test_core_dimensions_match_oracle_and_frozen_values():
     for n, dims in CORE_DIMS.items():
         got = []
         for h in range(2 * n + 2):
-            _, _, e0 = build_spaces(n, h)
+            e0 = build_spaces(n, h)
             assert e0.dim == core_dimension_oracle(n, h)
             got.append(e0.dim)
         assert tuple(got) == dims
@@ -162,18 +162,14 @@ def subspaces_equal(a, b) -> bool:
 def test_build_spaces_agrees_with_case_formulas():
     for n in (1, 2):
         for h in range(2 * n + 2):
-            va, wa, ea = build_spaces(n, h)
-            vb, wb, eb = case_formula_spaces(n, h)
-            assert subspaces_equal(va, vb)
-            assert subspaces_equal(wa, wb)
-            assert subspaces_equal(ea, eb)
+            assert subspaces_equal(build_spaces(n, h), case_formula_spaces(n, h))
 
 
 def test_complement_dimension_identities():
     for n in (1, 2):
-        for h in range(2 * n + 2):
+        for h, (v, wsp, _) in enumerate(dense_spaces(n)):
             masks = lambda_masks(n, h)
-            v, wsp, e0 = build_spaces(n, h)
+            e0 = build_spaces(n, h)
             d_here = d0_matrix(n, h)
             rank_here = linalg.rank(d_here) if d_here and d_here[0] else 0
             d_below = d0_matrix(n, h - 1) if h > 0 else []
@@ -185,27 +181,20 @@ def test_complement_dimension_identities():
 
 
 def test_core_elements_are_closed_and_orthogonal_to_image():
-    rng = random.Random(2)
     for n in (1, 2):
         for h in range(2 * n + 2):
-            _, _, e0 = build_spaces(n, h)
+            e0 = build_spaces(n, h)
             for e in e0.basis:
                 assert not algebraic_d(e)
                 if h > 0:
                     for m in lambda_masks(n, h - 1):
                         assert inner(e, algebraic_d(Covector.basis(n, m))) == 0
-            # projection is idempotent and lands inside
-            masks = lambda_masks(n, h)
-            c = Covector(n, {m: Fraction(rng.randrange(-3, 4)) for m in masks})
-            p = e0.project(c)
-            assert e0.contains(p)
-            assert e0.project(p) == p
 
 
 def test_core_structure_by_degree():
     for n in (1, 2):
         for h in range(2 * n + 2):
-            _, _, e0 = build_spaces(n, h)
+            e0 = build_spaces(n, h)
             for e in e0.basis:
                 if h <= n:
                     # horizontal primitive covectors of pure weight h
@@ -245,12 +234,12 @@ def test_d0_keeps_the_singleton_pattern():
 
 
 def _assert_equal_to_dense(n):
-    for h, dense in enumerate(dense_spaces(n)):
-        for got, want in zip(build_spaces(n, h), dense):
-            assert got.basis == want.basis, (n, h)
-            assert got.norms2 == want.norms2, (n, h)
-            # the same term order as well, which the dict equality above ignores
-            assert [list(c.terms) for c in got.basis] == [list(c.terms) for c in want.basis]
+    for h, (_, _, want) in enumerate(dense_spaces(n)):
+        got = build_spaces(n, h)
+        assert got.basis == want.basis, (n, h)
+        assert got.norms2 == want.norms2, (n, h)
+        # the same term order as well, which the dict equality above ignores
+        assert [list(c.terms) for c in got.basis] == [list(c.terms) for c in want.basis]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -269,7 +258,7 @@ def test_core_dimensions_and_closure_at_n5():
     start = time.perf_counter()
     dims = []
     for h in range(12):
-        _, _, e0 = build_spaces(5, h)
+        e0 = build_spaces(5, h)
         assert e0.dim == core_dimension_oracle(5, h)
         assert not any(algebraic_d(e) for e in e0.basis)
         dims.append(e0.dim)

@@ -167,12 +167,6 @@ def test_weight_constructors_validate():
         AveragingWeight.bump(Fraction(0))
     with pytest.raises(ValueError):
         AveragingWeight.bump(Fraction(1), exponent=-1)
-    scaled = AveragingWeight(
-        kind="polynomial_bump", exponent=3, radius=Fraction(1, 2), mass=Fraction(2)
-    )
-    omega = Form.monomial(1, 1, Poly.const(3, 1), frame="coord")
-    with pytest.raises(ValueError, match="total mass 1"):
-        averaged_homotopy(scaled, omega)
 
 
 def test_homotopy_error_contracts():

@@ -1,4 +1,5 @@
-"""Every top-level function and class in ``src/rumincalc`` has a caller.
+"""Every top-level function and class in ``src/rumincalc`` has a caller, and
+no module of the package reaches into another for a private name.
 
 A name counts as used when some statement of ``src/`` or ``benchmarks/``
 other than its own definition names it: as a variable, an attribute, or a
@@ -61,3 +62,20 @@ def test_kept_names_exist_and_have_no_caller():
     # a kept name that gains a caller, or is deleted, leaves this list
     defined, used = _definitions_and_references()
     assert sorted(n for n in KEPT if n in defined and n not in used) == sorted(KEPT)
+
+
+def test_no_private_name_is_imported_across_modules():
+    # an underscore name is private to its module; another module that needs
+    # it should get a public function instead
+    crossings = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            within_package = isinstance(node, ast.ImportFrom) and (
+                node.level > 0 or (node.module or "").split(".")[0] == "rumincalc"
+            )
+            if within_package:
+                crossings += [
+                    f"{path.name}: {node.module}.{alias.name}"
+                    for alias in node.names if alias.name.startswith("_")
+                ]
+    assert crossings == []
