@@ -126,7 +126,7 @@ def cmd_basis(cfg: argparse.Namespace) -> int:
     dims = ctx.core_dims()
     oracle = [core_dimension_oracle(cfg.n, h) for h in range(len(dims))]
     for h, (got, want) in enumerate(zip(dims, oracle)):
-        basis = [str(v) for v in ctx.core(h).basis]
+        basis = [str(v) for v in ctx.cores[h].basis]
         row = {
             "report": "basis",
             "n": cfg.n,

@@ -227,11 +227,6 @@ class EnvOp:
             pairs.extend((e, signed * k) for e, k in _mono_product(yts, xs, n))
         return _collect(n, pairs)
 
-    def order(self) -> int | None:
-        if not self.terms:
-            return None
-        return max(sum(exp) for exp in self.terms)
-
     def homogeneity(self, exp: tuple) -> int:
         return sum(exp[:-1]) + 2 * exp[-1]
 
@@ -241,21 +236,6 @@ class EnvOp:
         if len(degs) == 1:
             return degs.pop()
         return None
-
-
-def env_to_rows(a: EnvOp) -> list:
-    """The terms of ``a`` as JSON-ready rows, sorted by multi-index."""
-    return [
-        {"multi_index": list(exp), "numerator": c.numerator, "denominator": c.denominator}
-        for exp, c in sorted(a.terms.items())
-    ]
-
-
-def env_from_rows(n: int, rows: list) -> EnvOp:
-    """The operator on H^n with the given term rows (the inverse of ``env_to_rows``)."""
-    return EnvOp(n, {
-        tuple(r["multi_index"]): Fraction(r["numerator"], r["denominator"]) for r in rows
-    })
 
 
 def word_op(n: int, word) -> EnvOp:
@@ -323,12 +303,6 @@ class PolyDiffOp:
 
     def __bool__(self) -> bool:
         return bool(self.terms)
-
-    def apply(self, f: Poly) -> Poly:
-        total = Poly.zero(2 * self.n + 1)
-        for exp, coeff in self.terms.items():
-            total = total + coeff * EnvOp(self.n, {exp: 1}).act(f)
-        return total
 
     def order(self) -> int | None:
         if not self.terms:

@@ -75,10 +75,6 @@ class Covector:
         self.terms = clean
 
     @classmethod
-    def zero(cls, n: int) -> "Covector":
-        return cls(n)
-
-    @classmethod
     def basis(cls, n: int, mask: int) -> "Covector":
         return cls(n, {mask: Fraction(1)})
 
@@ -107,15 +103,6 @@ class Covector:
     def __sub__(self, other: "Covector") -> "Covector":
         return self + (-other)
 
-    def scale(self, c) -> "Covector":
-        c = Fraction(c)
-        if c == 0:
-            return Covector.zero(self.n)
-        out = Covector.__new__(Covector)
-        out.n = self.n
-        out.terms = {m: c * v for m, v in self.terms.items()}
-        return out
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Covector) and self.n == other.n and self.terms == other.terms
 
@@ -134,15 +121,9 @@ class Covector:
             bits.append(f"({c})" + "^".join(factors))
         return " + ".join(bits)
 
-    def degrees(self) -> set:
-        return {mask.bit_count() for mask in self.terms}
-
     def is_horizontal(self) -> bool:
         theta_bit = 1 << (2 * self.n)
         return all(not mask & theta_bit for mask in self.terms)
-
-    def weights(self) -> set:
-        return {mask_weight(self.n, m) for m in self.terms}
 
 
 def mask_weight(n: int, mask: int) -> int:
@@ -173,14 +154,6 @@ def wedge(a: Covector, b: Covector) -> Covector:
     if a.n != b.n:
         raise ValueError("covectors on different groups")
     return Covector(a.n, wedge_terms(a.terms, b.terms))
-
-
-def inner(a: Covector, b: Covector) -> Fraction:
-    """Inner product making the monomial covectors orthonormal."""
-    if a.n != b.n:
-        raise ValueError("covectors on different groups")
-    small, big = (a.terms, b.terms) if len(a.terms) <= len(b.terms) else (b.terms, a.terms)
-    return sum((c * big[m] for m, c in small.items() if m in big), Fraction(0))
 
 
 def structure_d_one_form(n: int, i: int) -> Covector:
@@ -282,10 +255,6 @@ def covector_coords(c: Covector, masks: list) -> list:
     return [c.terms.get(m, zero) for m in masks]
 
 
-def covector_from_coords(n: int, masks: list, coords: list) -> Covector:
-    return Covector(n, {m: v for m, v in zip(masks, coords) if v != 0})
-
-
 @dataclass
 class Subspace:
     """A subspace of some Lambda^h, with a pairwise-orthogonal rational basis.
@@ -302,12 +271,6 @@ class Subspace:
     @property
     def dim(self) -> int:
         return len(self.basis)
-
-
-def _subspace_from_vectors(n: int, degree: int, masks: list, vectors: list) -> Subspace:
-    ortho, norms2 = linalg.gram_schmidt(vectors)
-    basis = [covector_from_coords(n, masks, v) for v in ortho]
-    return Subspace(n, degree, basis, norms2)
 
 
 def _eye(dim: int) -> list:
@@ -368,9 +331,9 @@ def build_spaces(n: int, h: int) -> Subspace:
 
     It is found block by block, one block per singleton pattern (see the
     module docstring), as the nullspace of d0 out of the block stacked on
-    the images of d0 into it. The explicit Lefschetz-kernel description of
-    the same space is built independently in ``case_formula_spaces`` and
-    compared in tests rather than assumed.
+    the images of d0 into it. The tests build the explicit Lefschetz-kernel
+    description of the same space on their own and compare the two rather
+    than assume it.
     """
     if not 0 <= h <= 2 * n + 1:
         raise ValueError(f"degree {h} out of range")
@@ -425,36 +388,6 @@ def _lefschetz_power_matrix(n: int, k: int, power: int) -> list:
     return [[col.terms.get(dm, Fraction(0)) for col in cols] for dm in dst]
 
 
-def _embed_horizontal(n: int, h: int, vec_masks: list, vec: list, with_theta: bool) -> list:
-    """Coordinates in Lambda^h of a horizontal covector, optionally theta-wedged."""
-    masks = lambda_masks(n, h)
-    c = covector_from_coords(n, vec_masks, vec)
-    if with_theta:
-        c = wedge(Covector.one_form(n, 2 * n), c)
-    return covector_coords(c, masks)
-
-
-def case_formula_spaces(n: int, h: int) -> Subspace:
-    """E0 from the explicit Lefschetz kernel case formulas.
-
-    Low degrees keep the horizontal covectors that a Lefschetz power kills;
-    high degrees are theta wedged with the horizontal kernel of L. This is
-    the independent route used to check ``build_spaces``.
-    """
-    masks = lambda_masks(n, h)
-    if h <= n:
-        hmasks = lambda_masks(n, h, horizontal_only=True)
-        lp = _lefschetz_power_matrix(n, h, n - h + 1)
-        prim = _kernel(lp, len(hmasks))
-        e0_vectors = [_embed_horizontal(n, h, hmasks, v, with_theta=False) for v in prim]
-    else:
-        hmasks_lower = lambda_masks(n, h - 1, horizontal_only=True)
-        l_once = _lefschetz_power_matrix(n, h - 1, 1)
-        ker = _kernel(l_once, len(hmasks_lower))
-        e0_vectors = [_embed_horizontal(n, h, hmasks_lower, v, with_theta=True) for v in ker]
-    return _subspace_from_vectors(n, h, masks, e0_vectors)
-
-
 def core_dimension_oracle(n: int, h: int) -> int:
     """dim E0^h by brute-force Lefschetz ranks, independent of build_spaces."""
     if not 0 <= h <= 2 * n + 1:
@@ -468,4 +401,3 @@ def core_dimension_oracle(n: int, h: int) -> int:
     l_once = _lefschetz_power_matrix(n, h - 1, 1)
     r = linalg.rank(l_once) if l_once and l_once[0] else 0
     return len(hmasks) - r
-

@@ -27,7 +27,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from .envelope import frame_derivatives
-from .exterior_weights import Covector, d_table, lambda_masks, mask_weight, wedge_terms
+from .exterior_weights import d_table, lambda_masks, mask_weight, wedge_terms
 from .group_geometry import dilate, from_coords, multiply
 from .polynomials import Poly, add_terms, random_poly
 
@@ -69,11 +69,6 @@ class Form:
     def monomial(cls, n: int, mask: int, p: Poly, frame: str = "left") -> "Form":
         return cls(n, frame, {mask: p})
 
-    @classmethod
-    def from_covector(cls, c: Covector, frame: str = "left") -> "Form":
-        nv = 2 * c.n + 1
-        return cls(c.n, frame, {m: Poly.const(nv, v) for m, v in c.terms.items()})
-
     # -- arithmetic -----------------------------------------------------
 
     def _check(self, other: "Form"):
@@ -104,15 +99,6 @@ class Form:
 
     def __sub__(self, other: "Form") -> "Form":
         return self + (-other)
-
-    def scale(self, c) -> "Form":
-        c = Fraction(c)
-        if c == 0:
-            return Form.zero(self.n, self.frame)
-        out = Form.__new__(Form)
-        out.n, out.frame = self.n, self.frame
-        out.coeffs = {m: p.scale(c) for m, p in self.coeffs.items()}
-        return out
 
     def mul_poly(self, p: Poly) -> "Form":
         return Form(self.n, self.frame, {m: q * p for m, q in self.coeffs.items()})
@@ -155,14 +141,6 @@ class Form:
         if len(degs) > 1:
             raise ValueError("form is not of pure degree")
         return degs.pop() if degs else 0
-
-    def coefficient(self, mask: int) -> Poly:
-        return self.coeffs.get(mask, Poly.zero(2 * self.n + 1))
-
-    def evaluate(self, coords) -> Covector:
-        """Exact evaluation at a point given as a sequence of 2n+1 Fractions."""
-        terms = {m: p.evaluate_exact(coords) for m, p in self.coeffs.items()}
-        return Covector(self.n, terms)
 
     def norm2_poly(self) -> Poly:
         """Pointwise squared norm as a Poly; frame monomials are orthonormal."""

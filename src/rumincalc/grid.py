@@ -71,13 +71,6 @@ class Grid:
         return cls(n, hw, shape, np.zeros(shape))
 
     @classmethod
-    def from_function(cls, n: int, horizontal_half_width: float, resolution: int, fn,
-                      t_half_width: float | None = None, t_resolution: int | None = None) -> "Grid":
-        g = cls.empty(n, horizontal_half_width, resolution, t_half_width, t_resolution)
-        g._fill(fn(*g.meshes()))
-        return g
-
-    @classmethod
     def from_poly(cls, n: int, horizontal_half_width: float, resolution: int, poly,
                   t_half_width: float | None = None, t_resolution: int | None = None) -> "Grid":
         g = cls.empty(n, horizontal_half_width, resolution, t_half_width, t_resolution)
@@ -92,10 +85,6 @@ class Grid:
         self.values = vals
 
     # -- quadrature ----------------------------------------------------------
-
-    def integrate(self, mask: np.ndarray | None = None) -> float:
-        vals = self.values if mask is None else self.values * mask
-        return float(vals.sum()) * self.cell_volume
 
     def lp_norm(self, p: float, mask: np.ndarray | None = None) -> float:
         vals = np.abs(self.values) ** p
@@ -112,14 +101,6 @@ def gauge_mask(grid: Grid, center: Point, radius: float, t_weight: float = 1.0) 
     c = from_coords([float(v) for v in center.coords()])
     z = multiply(inverse(c), from_coords(grid.meshes()))
     return gauge4(z, t_weight) < float(radius) ** 4
-
-
-def euclidean_mask(grid: Grid, center: Point, radius: float) -> np.ndarray:
-    n = grid.n
-    meshes = grid.meshes()
-    c = [float(v) for v in list(center.x) + list(center.y) + [center.t]]
-    d2 = sum((meshes[i] - c[i]) ** 2 for i in range(2 * n + 1))
-    return d2 < float(radius) ** 2
 
 
 def _interp_t(values: np.ndarray, offsets: np.ndarray, t_axis: int) -> tuple:

@@ -16,8 +16,9 @@ numpy-array points for the grids and the kernels. Int coordinates become
 Fractions, so exact points stay exact. The group law halves its twist with
 ``/ 2`` rather than a Fraction factor: a Fraction times an ndarray is an
 object array, while ``/ 2`` keeps each scalar type, and halving is exact in
-binary floating point. The gauge itself needs a fourth root, so ``gauge``
-returns a float; ``gauge4`` stays exact on exact input.
+binary floating point. The gauge itself needs a fourth root, so the
+functions here work with its fourth power ``gauge4``, which stays exact on
+exact input.
 """
 
 from __future__ import annotations
@@ -100,21 +101,9 @@ def gauge4(p: Point, t_weight=1):
     return h2 * h2 + t_weight * p.t * p.t
 
 
-def gauge(p: Point) -> float:
-    return float(gauge4(p)) ** 0.25
-
-
-def distance(p: Point, q: Point) -> float:
-    return gauge(multiply(inverse(p), q))
-
-
 @dataclass(frozen=True)
 class Ball:
     """Gauge ball B(center, radius) = {q : rho(center^{-1} q) < radius}."""
 
     center: Point
     radius: float
-
-    def contains(self, q: Point) -> bool:
-        return distance(self.center, q) < self.radius
-

@@ -29,6 +29,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
+
 from . import grid as gridmod
 from .forms import (
     Form,
@@ -153,19 +155,6 @@ def _cone_degree(name: str, omega: Form, k: int | None) -> None:
         raise ValueError(f"form has degree {degree}, not {k}")
 
 
-def cartan_homotopy(y, omega: Form, k: int | None = None) -> Form:
-    """The cone homotopy centered at the concrete point y, exactly.
-
-    omega must be a coordinate-frame polynomial form of pure degree k >= 1;
-    y is a sequence of 2n+1 rationals.
-    """
-    _cone_degree("cartan_homotopy", omega, k)
-    y = [Fraction(v) for v in y]
-    if len(y) != 2 * omega.n + 1:
-        raise ValueError("y needs 2n+1 coordinates")
-    return _cone_homotopy(omega, lambda beta: math.prod(v**b for v, b in zip(y, beta)))
-
-
 def averaged_homotopy(weight: AveragingWeight, omega: Form, k: int | None = None) -> Form:
     """K_Euc omega: the cone homotopy averaged over y against the weight."""
     _cone_degree("averaged_homotopy", omega, k)
@@ -240,6 +229,29 @@ def admissible(n: int, h: int, p: float, q: float) -> bool:
     gap = Fraction(2 if h == n + 1 else 1, homogeneous_dimension(n))
     inverse_p, inverse_q = (1 / Fraction(v).limit_denominator(10**6) for v in (p, q))
     return inverse_p - inverse_q <= gap
+
+
+def _smallest_even_resolution(n: int, lam) -> int:
+    """The smallest even resolution N that puts cells in the inner ball
+    B(e, r) of a grid spanning B(e, r lam), whatever r.
+
+    The grid covers [-R, R]^2n x [-R^2, R^2] with R = r lam, so on an even
+    grid the cells nearest the origin sit at R/N on every horizontal axis
+    and at R^2/N along t. Their gauge is below r exactly when
+    lam^4 (4 n^2 + N^2) < N^4, a condition that holds from some N on.
+    """
+    lam4 = Fraction(lam) ** 4
+
+    def fits(half: int) -> bool:
+        return lam4 * (4 * n * n + 4 * half * half) < 16 * half**4
+
+    low, high = 0, 1
+    while not fits(high):
+        low, high = high, 2 * high
+    while high - low > 1:
+        mid = (low + high) // 2
+        low, high = (low, mid) if fits(mid) else (mid, high)
+    return 2 * high
 
 
 def poincare_quotient(
@@ -322,8 +334,11 @@ def scaling_probe(
     Q/q - Q/p + 1, or + 2 when h = n + 1.
 
     Raises OverflowError, before any grid is built, when an outer radius
-    R = r * lam has an R^4 beyond the float range, and ValueError when no
-    grid cell lies in an inner ball B(e, r), where the quotient would be 0.
+    R = r * lam has an R^4 beyond the float range. Raises ValueError when no
+    grid cell lies in an inner ball B(e, r), where the quotient would be 0,
+    and when a quotient is 0 or not finite, so that no slope can be fitted. A
+    message about a grid too coarse for lam names the smallest even
+    resolution that puts cells in the inner ball.
     """
     if weight is None:
         weight = AveragingWeight.point_mass()
@@ -337,28 +352,48 @@ def scaling_probe(
             f"lambda = {float(lam):g}: the outer radius R = {r_max} * lambda has R^4 "
             "beyond the float range"
         )
-    rows = []
+    rows, inner_cells = [], []
     for r in radii:
         r = Fraction(r)
         outer = gridmod.Grid.empty(n, float(r * lam), resolution)
-        if not gridmod.gauge_mask(outer, e, float(r)).any():
+        inner_cells.append(int(gridmod.gauge_mask(outer, e, float(r)).sum()))
+        if not inner_cells[-1]:
             raise ValueError(
                 f"Poincare quotient is 0 at resolution {resolution}: 0 grid cells lie in "
-                f"the inner ball B(e, {r})"
+                f"the inner ball B(e, {r}); the smallest even resolution with cells there "
+                f"is {_smallest_even_resolution(n, lam)}"
             )
         omega_r = pullback_translation_dilation(omega, e, Fraction(1) / r)
-        rows.append(
-            poincare_quotient(
-                ctx, omega_r,
-                Ball(e, r), Ball(e, r * lam),
-                p, q, weight=weight, resolution=resolution,
+        # a norm beyond the float range is reported below, not warned about
+        with np.errstate(over="ignore", invalid="ignore"):
+            rows.append(
+                poincare_quotient(
+                    ctx, omega_r,
+                    Ball(e, r), Ball(e, r * lam),
+                    p, q, weight=weight, resolution=resolution,
+                )
             )
-        )
     expected = Q / q - Q / p + (2 if h == n + 1 else 1)
     r1, r2 = float(radii[0]), float(radii[-1])
     ratio1, ratio2 = rows[0]["ratio"], rows[-1]["ratio"]
+    if not (math.isfinite(ratio1) and math.isfinite(ratio2)):
+        raise ValueError(
+            f"Poincare quotient is not finite at p = {p:g}, q = {q:g}: a ball norm "
+            "leaves the float range"
+        )
     if not ratio1 or not ratio2:
-        raise ValueError(f"Poincare quotient is 0 at resolution {resolution}; no slope to fit")
+        message = f"Poincare quotient is 0 at resolution {resolution}; no slope to fit"
+        if resolution % 2:
+            # an odd grid has a cell at the centre, where the primitive of
+            # closed data may vanish, and lines the nearest cells up with it
+            cells = inner_cells[0] if not ratio1 else inner_cells[-1]
+            held = "only the centre cell" if cells == 1 else f"the centre cell and {cells - 1} more"
+            message += (
+                f": the inner ball holds {held}, and the primitive vanishes there; the next "
+                f"even resolution with cells there is "
+                f"{max(_smallest_even_resolution(n, lam), resolution + 1)}"
+            )
+        raise ValueError(message)
     slope = math.log(ratio2 / ratio1) / math.log(r2 / r1)
     return {
         "n": n,

@@ -13,8 +13,8 @@ offsets for its T^2 (source, output) cell pairs, so the quadrature is a
 Toeplitz product along t. Singular cells are searched for only in the
 column pairs with |z|^4 < eps^4, which is exact because rho^4 >= |z|^4 for
 a positive t weight. Everything downstream - decay slopes, L^p - L^q ratio
-probes, the local/tail splitting, and the scalar Sobolev-quotient check - is
-an invariance test, never a constant computation.
+probes and the scalar Sobolev-quotient check - is an invariance test, never
+a constant computation.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Grid, discrete_horizontal_derivative, euclidean_mask
+from .grid import Grid, discrete_horizontal_derivative
 from .group_geometry import (
     Point,
     dilate,
@@ -32,7 +32,6 @@ from .group_geometry import (
     gauge4,
     homogeneous_dimension,
     horizontal_norm2,
-    identity,
     inverse,
     multiply,
 )
@@ -92,106 +91,6 @@ class HomogeneousKernel:
         if self.mu < self.Q:
             return (self.Q / self.mu) * eps ** (self.mu - self.Q)
         return None
-
-    def horizontal_derivative(self, i: int) -> "KernelFlowDerivative":
-        if not 1 <= i <= 2 * self.n:
-            raise ValueError("i indexes a horizontal frame field, 1..2n")
-        return KernelFlowDerivative(self, i)
-
-
-@dataclass(frozen=True)
-class KernelFlowDerivative:
-    """W_i k in closed form; homogeneous of degree (mu - 1) - Q."""
-
-    base: HomogeneousKernel
-    i: int
-
-    @property
-    def n(self) -> int:
-        return self.base.n
-
-    @property
-    def t_weight(self) -> float:
-        return self.base.t_weight
-
-    @property
-    def mu(self) -> float:
-        return self.base.mu - 1
-
-    def evaluate(self, coords) -> np.ndarray:
-        n, a = self.base.n, self.base.t_weight
-        Q = self.base.Q
-        p = _float_point(coords)
-        z, t = p.x + p.y, p.t
-        sq = horizontal_norm2(p)
-        rho4 = gauge4(p, a)
-        j = self.i - 1
-        if j < n:  # X_{j+1} = d/dx_j - (y_j/2) d/dt
-            w_rho4 = 4.0 * z[j] * sq - z[n + j] * a * t
-        else:  # Y_{j-n+1} = d/dy_{j-n} + (x_{j-n}/2) d/dt
-            w_rho4 = 4.0 * z[j] * sq + z[j - n] * a * t
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = (self.base.mu - Q) / 4.0 * rho4 ** ((self.base.mu - Q) / 4.0 - 1.0) * w_rho4
-        return out
-
-    def cell_estimate(self, eps: float):
-        # locally integrable for mu > 1; the cell average is not a clean
-        # closed form, so drop the one cell (contribution vanishes under
-        # refinement) rather than pretend to a formula
-        return "pv" if self.base.mu - 1 <= 0 else 0.0
-
-
-def _smoothstep(rho: np.ndarray, R: float) -> np.ndarray:
-    """C^1 radial cutoff: 1 for rho <= R/2, 0 for rho >= R."""
-    s = np.clip((rho - R / 2.0) / (R / 2.0), 0.0, 1.0)
-    return 1.0 - s * s * (3.0 - 2.0 * s)
-
-
-@dataclass(frozen=True)
-class CutoffKernel:
-    """psi_R * k (part="local") or (1 - psi_R) * k (part="tail")."""
-
-    base: HomogeneousKernel
-    R: float
-    part: str
-
-    def __post_init__(self):
-        if self.part not in ("local", "tail"):
-            raise ValueError("part must be 'local' or 'tail'")
-        if self.R <= 0:
-            raise ValueError("cutoff radius must be positive")
-
-    @property
-    def n(self) -> int:
-        return self.base.n
-
-    @property
-    def t_weight(self) -> float:
-        return self.base.t_weight
-
-    @property
-    def mu(self) -> float:
-        return self.base.mu
-
-    def evaluate(self, coords) -> np.ndarray:
-        rho = self.base.gauge(coords)
-        psi = _smoothstep(rho, self.R)
-        out = np.zeros_like(rho)
-        live = psi > 0 if self.part == "local" else psi < 1
-        if np.any(live):
-            vals = self.base.evaluate([c[live] for c in np.broadcast_arrays(*coords)])
-            out[live] = (psi[live] if self.part == "local" else 1.0 - psi[live]) * vals
-        return out
-
-    def cell_estimate(self, eps: float):
-        if self.part == "tail":
-            return 0.0  # identically zero near the origin
-        return self.base.cell_estimate(eps)
-
-
-def kernel_split(k: HomogeneousKernel, R: float) -> tuple:
-    """k = local + tail with local = psi_R k compactly supported and tail bounded."""
-    return CutoffKernel(k, R, "local"), CutoffKernel(k, R, "tail")
 
 
 # -- group convolution ---------------------------------------------------------
@@ -414,32 +313,6 @@ def lp_lq_probe(n: int, alpha: float, p: float, q: float | None = None,
         "expected_drift_exponent": drift,
         "rows": rows,
         "max_relative_spread": spread,
-    }
-
-
-def tail_smoothing_probe(n: int, mu: float, R: float = 0.5,
-                         resolutions=(12, 18, 24), support: float = 0.4) -> dict:
-    """Convolve a bump with the tail part and watch second differences stay bounded."""
-    kernel = HomogeneousKernel(n, mu)
-    _, tail = kernel_split(kernel, R)
-    rows = []
-    for res in resolutions:
-        f = bump_grid(n, 1.0, res, support)
-        conv, _ = group_convolve(f, tail)
-        d1, _ = discrete_horizontal_derivative(conv, 1)
-        d2, _ = discrete_horizontal_derivative(d1, 1)
-        interior = euclidean_mask(conv, identity(n), 0.5)
-        rows.append({
-            "resolution": res,
-            "max_second_difference": float(np.abs(d2.values[interior]).max()),
-        })
-    seconds = [r["max_second_difference"] for r in rows]
-    return {
-        "n": n,
-        "mu": mu,
-        "R": R,
-        "rows": rows,
-        "bounded": seconds[-1] <= 2.0 * seconds[0] + 1e-9,
     }
 
 

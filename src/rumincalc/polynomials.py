@@ -19,7 +19,7 @@ from __future__ import annotations
 import operator
 import random
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 
 def _as_fraction(c) -> Fraction:
@@ -174,15 +174,6 @@ class Poly:
             for exp, c in self.terms.items() if exp[i]
         })
 
-    def degree(self) -> int | None:
-        """Total degree, or None for the zero polynomial."""
-        if not self.terms:
-            return None
-        return max(sum(e) for e in self.terms)
-
-    def coefficient(self, exp: Sequence[int]) -> Fraction:
-        return self.terms.get(tuple(exp), Fraction(0))
-
     def compose(self, images: Sequence["Poly"]) -> "Poly":
         """Substitute images[i] for variable i. Images share one target ring."""
         if len(images) != self.nvars:
@@ -204,16 +195,6 @@ class Poly:
                 if e:
                     term = term * power(i, e)
             total = total + term
-        return total
-
-    def evaluate_exact(self, values: Sequence) -> Fraction:
-        total = Fraction(0)
-        for exp, c in self.terms.items():
-            v = c
-            for i, e in enumerate(exp):
-                for _ in range(e):
-                    v = v * values[i]
-            total += v
         return total
 
     def evaluate_float(self, values: Sequence):
@@ -251,4 +232,3 @@ def random_poly(rng: random.Random, nvars: int, degree: int, terms: int = 4) -> 
         key = tuple(exp)
         out[key] = out.get(key, Fraction(0)) + random_fraction(rng)
     return Poly(nvars, {k: v for k, v in out.items() if v})
-

@@ -35,15 +35,12 @@ same operator.
 
 from __future__ import annotations
 
-import json
 import operator
 
 from . import linalg
 from .envelope import (
     EnvOp,
     commutator_with_multiplication,
-    env_from_rows,
-    env_to_rows,
     horizontal_span_coefficients,
     leibniz_commutator_from_words,
     sum_of_products,
@@ -162,26 +159,6 @@ class OperatorMatrix:
             self.n, self.dst_degree, self.src_degree, entries, (self.cols, self.rows)
         )
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "n": self.n,
-                "src_degree": self.src_degree,
-                "dst_degree": self.dst_degree,
-                "shape": list(self.shape),
-                "entries": [[env_to_rows(e) for e in row] for row in self.entries],
-            },
-            sort_keys=True,
-        )
-
-    @classmethod
-    def from_json(cls, s: str) -> "OperatorMatrix":
-        data = json.loads(s)
-        n = data["n"]
-        entries = [[env_from_rows(n, e) for e in row] for row in data["entries"]]
-        return cls(n, data["src_degree"], data["dst_degree"], entries, tuple(data["shape"]))
-
-
 def _require_left_frame(form: Form) -> None:
     if form.frame != "left":
         raise ValueError("E0 and d0 act on forms in the left-invariant frame")
@@ -202,7 +179,7 @@ class RuminContext:
         # coordinate system, read by every map into and out of E0
         self._embed, self._coords = [], []
         for h in range(self.top + 1):
-            core = self.core(h)
+            core = self.cores[h]
             rows = [covector_coords(b, self.masks[h]) for b in core.basis]
             self._embed.append([list(col) for col in zip(*rows)])
             self._coords.append(
@@ -213,15 +190,12 @@ class RuminContext:
 
     # -- exact matrix data -------------------------------------------------
 
-    def core(self, h: int):
-        return self.cores[h]
-
     def gram(self, h: int) -> list:
         """Squared norms of the E0^h basis; empty past the top degree."""
         return self.cores[h].norms2 if h <= self.top else []
 
     def core_dims(self) -> list:
-        return [self.core(h).dim for h in range(self.top + 1)]
+        return [self.cores[h].dim for h in range(self.top + 1)]
 
     # -- form-level operators -----------------------------------------------
 
@@ -260,19 +234,8 @@ class RuminContext:
         d_omega = exterior_d(self.project_core(form))
         return self.project_core(d_omega - exterior_d(self.d0_inverse(d_omega)))
 
-    # -- E0 coordinates ------------------------------------------------------
-
-    def core_coefficients(self, form: Form, h: int) -> list:
-        """Coefficients of a form in the E0^h basis; exact, with residual check."""
-        src = [form.coeffs.get(m) for m in self.masks[h]]
-        polys = matrix_times_polys(self._coords[h], src, 2 * self.n + 1)
-        rebuilt = self.form_from_core(h, polys)
-        if rebuilt != form:
-            raise ValueError("form is not a section of E0")
-        return polys
-
     def form_from_core(self, h: int, polys: list) -> Form:
-        if len(polys) != self.core(h).dim:
+        if len(polys) != self.cores[h].dim:
             raise ValueError("coefficient count mismatch")
         image = matrix_times_polys(self._embed[h], polys, 2 * self.n + 1)
         return Form(self.n, "left", dict(zip(self.masks[h], image)))
@@ -311,7 +274,7 @@ class RuminContext:
         if not 0 <= h <= self.top:
             raise ValueError("degree out of range")
         if h == self.top:
-            mat = OperatorMatrix.zero(self.n, h, h + 1, 0, self.core(h).dim)
+            mat = OperatorMatrix.zero(self.n, h, h + 1, 0, self.cores[h].dim)
         else:
             embed = self._constant(self._embed[h], h, h)
             coords = self._constant(self._coords[h + 1], h + 1, h + 1)

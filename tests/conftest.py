@@ -1,6 +1,7 @@
 """Shared generators, cached contexts and oracles for the test suite: the dense
-builds of the exact core, d0 as a matrix, the weight split of d and exact box
-integrals."""
+builds of the exact core, d0 as a matrix, the weight split of d, exact values
+and box integrals of polynomials, Euclidean masks on grids, and the order and
+the action of operators."""
 
 import random
 from fractions import Fraction
@@ -9,12 +10,12 @@ from functools import lru_cache
 import pytest
 
 from rumincalc import linalg
-from rumincalc.envelope import derive
+from rumincalc.envelope import EnvOp, derive
 from rumincalc.exterior_weights import (
     Covector,
+    Subspace,
     _d0_between,
     _kernel,
-    _subspace_from_vectors,
     algebraic_d,
     covector_coords,
     lambda_masks,
@@ -55,6 +56,42 @@ def random_core_form(rng: random.Random, ctx: RuminContext, h: int, degree: int)
     )
 
 
+def covector_from_coords(n: int, masks: list, coords: list) -> Covector:
+    """The covector with the given coordinates on the coframe monomials ``masks``."""
+    return Covector(n, {m: v for m, v in zip(masks, coords) if v != 0})
+
+
+def subspace_from_vectors(n: int, degree: int, masks: list, vectors: list) -> Subspace:
+    """The span of coordinate vectors over ``masks``, by Gram-Schmidt over Q."""
+    ortho, norms2 = linalg.gram_schmidt(vectors)
+    return Subspace(n, degree, [covector_from_coords(n, masks, v) for v in ortho], norms2)
+
+
+def euclidean_mask(grid, center, radius: float):
+    """Boolean mask of the grid cells in the Euclidean ball around ``center``."""
+    meshes = grid.meshes()
+    d2 = sum((m - float(c)) ** 2 for m, c in zip(meshes, center.coords()))
+    return d2 < float(radius) ** 2
+
+
+def apply_poly_diff_op(op, f: Poly) -> Poly:
+    """sum_I c_I (W^I f) for the ``PolyDiffOp`` op = sum_I c_I W^I."""
+    total = Poly.zero(2 * op.n + 1)
+    for exp, coeff in op.terms.items():
+        total = total + coeff * EnvOp(op.n, {exp: 1}).act(f)
+    return total
+
+
+def operator_order(a) -> int | None:
+    """Order of an ``EnvOp``: its longest PBW monomial, None for zero."""
+    return max((sum(exp) for exp in a.terms), default=None)
+
+
+def exact_value(p: Poly, point) -> Fraction:
+    """p at a rational point: p composed with constant images."""
+    return p.compose([Poly.const(0, v) for v in point]).terms.get((), Fraction(0))
+
+
 def symmetric_box_integral(p: Poly) -> Fraction:
     """Exact integral of ``p`` over the box [-1, 1]^nvars.
 
@@ -86,7 +123,8 @@ def d_field_by_field(form: Form) -> list:
     for mask, f in form.coeffs.items():
         coframe = Form.monomial(n, mask, Poly.const(nv, 1), frame)
         if frame == "left":
-            d_coframe = Form.from_covector(algebraic_d(Covector(n, {mask: Fraction(1)})))
+            d0 = algebraic_d(Covector(n, {mask: Fraction(1)}))
+            d_coframe = Form(n, frame, {m: Poly.const(nv, v) for m, v in d0.terms.items()})
             parts[0] = parts[0] + d_coframe.mul_poly(f)
         for i in range(nv):
             wf = derive(n, i, f) if frame == "left" else f.partial(i)
@@ -123,7 +161,7 @@ def dense_spaces(n: int) -> tuple:
         v_vectors = _kernel(image, dim)
         e0_vectors = _kernel(list(image) + d_here, dim)
         out.append(tuple(
-            _subspace_from_vectors(n, h, masks, vectors)
+            subspace_from_vectors(n, h, masks, vectors)
             for vectors in (v_vectors, w_vectors, e0_vectors)
         ))
     return tuple(out)

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -119,14 +120,21 @@ def test_homotopy_lambda_is_taken_exactly(capsys):
     assert len(scaling) == 1 and scaling[0]["fitted_exponent"] is not None
 
 
-@pytest.mark.parametrize("lam, reason", [
-    ("3.7", "ValueError: Poincare quotient is 0 at resolution 8"),
-    ("1e300", "OverflowError"),
-])
-def test_homotopy_probe_errors_are_soft_misses(capsys, lam, reason):
-    argv = ["homotopy", "--n", "1", "--h", "1", "--lambda", lam, "--grid", "8"]
+@pytest.mark.parametrize("flags, reason", [
+    (["--lambda", "3.7"], "ValueError: Poincare quotient is 0 at resolution 8"),
+    (["--lambda", "1e300"], "OverflowError"),
+    # the L^p norm of the data overflows: no NaN may reach the JSON rows
+    (["--p", "1e300"], "ValueError: Poincare quotient is not finite at p = 1e+300, q = 2:"),
+    (["--q", "1e300"], "ValueError: Poincare quotient is not finite at p = 2, q = 1e+300:"),
+], ids=["3.7-ValueError: Poincare quotient is 0 at resolution 8", "1e300-OverflowError",
+        "p-1e300", "q-1e300"])
+def test_homotopy_probe_errors_are_soft_misses(capsys, flags, reason):
+    argv = ["homotopy", "--n", "1", "--h", "1", *flags, "--grid", "8"]
     for extra, exit_code in (([], 0), (["--strict"], 2)):
-        code, rows = run_cli(capsys, argv + extra)
+        with warnings.catch_warnings():
+            # numpy's overflow warnings would reach stderr
+            warnings.simplefilter("error", RuntimeWarning)
+            code, rows = run_cli(capsys, argv + extra)
         assert code == exit_code
         (row,) = [r for r in rows if r["check"] == "Poincare quotient scaling exponent"]
         assert row["within_2pct"] is False
@@ -224,11 +232,30 @@ def test_invalid_arguments(capsys, ctx1):
     # usage errors must not exit 2, which means a strict numeric miss
     assert cli.main(["verify", "--bogus"]) == 1
     capsys.readouterr()
-    omega = ctx1.rumin_d(Form.from_function(1, Poly.var(3, 0) ** 2))
-    with pytest.raises(ValueError, match="resolution 3"):
-        scaling_probe(ctx1, omega, 2.0, 2.0, resolution=3)
-    with pytest.raises(ValueError, match="resolution 8: 0 grid cells lie in the inner ball"):
-        scaling_probe(ctx1, omega, 2.0, 2.0, lam=Fraction(37, 10), resolution=8)
+    x, y = Poly.var(3, 0), Poly.var(3, 1)
+    omega = ctx1.rumin_d(Form.from_function(1, x**2))
+    # a message about a grid too coarse for lambda names a resolution that
+    # fits, and that resolution gives a slope
+    for lam, resolution, reason, fits in (
+        (Fraction(2), 3, "resolution 3; no slope to fit: the inner ball holds only the "
+         "centre cell, and the primitive vanishes there; the next even resolution with "
+         "cells there is 6", 6),
+        (Fraction(5), 9, "resolution 9; no slope to fit: the inner ball holds only the "
+         "centre cell, and the primitive vanishes there; the next even resolution with "
+         "cells there is 26", 26),
+        (Fraction(37, 10), 8, "resolution 8: 0 grid cells lie in the inner ball "
+         "B(e, 1); the smallest even resolution with cells there is 14", 14),
+    ):
+        with pytest.raises(ValueError) as caught:
+            scaling_probe(ctx1, omega, 2.0, 2.0, lam=lam, resolution=resolution)
+        assert str(caught.value).endswith(reason)
+        probe = scaling_probe(ctx1, omega, 2.0, 2.0, lam=lam, resolution=fits)
+        assert probe["relative_error"] < 1e-12
+    # x y vanishes on the axes through the centre cell, where an odd grid
+    # puts the four other cells of the inner ball
+    with pytest.raises(ValueError, match="holds the centre cell and 4 more, .* is 14$"):
+        scaling_probe(ctx1, ctx1.rumin_d(Form.from_function(1, x * y)), 2.0, 2.0,
+                      lam=Fraction(37, 10), resolution=9)
     with pytest.raises(OverflowError, match="lambda = 1e\\+100"):
         scaling_probe(ctx1, omega, 2.0, 2.0, lam=Fraction(10) ** 100, resolution=8)
 

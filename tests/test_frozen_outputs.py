@@ -1,6 +1,6 @@
 """The exact operators, frozen as sha256 digests of their JSON.
 
-``frozen_outputs.json`` holds the digest of ``to_json()`` of every d_c matrix
+``frozen_outputs.json`` holds the digest of ``to_json`` of every d_c matrix
 for n = 1..4 and of every intrinsic Laplacian for n = 1..3. A change to how
 the exact core is built must leave each of them byte-identical. A deliberate
 change of the JSON format re-freezes the file with
@@ -22,8 +22,31 @@ DC_NS = (1, 2, 3, 4)
 LAPLACIAN_NS = (1, 2, 3)
 
 
+def env_to_rows(a) -> list:
+    """The terms of an ``EnvOp`` as JSON-ready rows, sorted by multi-index."""
+    return [
+        {"multi_index": list(exp), "numerator": c.numerator, "denominator": c.denominator}
+        for exp, c in sorted(a.terms.items())
+    ]
+
+
+def to_json(matrix) -> str:
+    """An ``OperatorMatrix`` as canonical JSON: degrees, shape and the term
+    rows of every entry, with sorted keys."""
+    return json.dumps(
+        {
+            "n": matrix.n,
+            "src_degree": matrix.src_degree,
+            "dst_degree": matrix.dst_degree,
+            "shape": list(matrix.shape),
+            "entries": [[env_to_rows(e) for e in row] for row in matrix.entries],
+        },
+        sort_keys=True,
+    )
+
+
 def _digest(matrix) -> str:
-    return hashlib.sha256(matrix.to_json().encode()).hexdigest()
+    return hashlib.sha256(to_json(matrix).encode()).hexdigest()
 
 
 def current_digests() -> dict:

@@ -1,3 +1,4 @@
+import math
 import random
 import warnings
 from fractions import Fraction
@@ -9,9 +10,10 @@ from rumincalc.forms import Form, exterior_d, to_coordinate_frame, to_left_frame
 from rumincalc.group_geometry import Ball, from_coords, identity
 from rumincalc.homotopy_exact import (
     AveragingWeight,
+    _cone_degree,
+    _cone_homotopy,
     admissible,
     averaged_homotopy,
-    cartan_homotopy,
     euclidean_homotopy_residual,
     poincare_quotient,
     rumin_homotopy_K,
@@ -24,6 +26,20 @@ from rumincalc.polynomials import Poly
 
 POINT = AveragingWeight.point_mass()
 BUMP = AveragingWeight.bump(Fraction(1, 2))
+
+
+def cartan_homotopy(y, omega: Form, k: int | None = None) -> Form:
+    """The cone homotopy centered at the concrete point y, exactly: the closed
+    form with y^beta for the moments.
+
+    omega must be a coordinate-frame polynomial form of pure degree k >= 1;
+    y is a sequence of 2n+1 rationals.
+    """
+    _cone_degree("cartan_homotopy", omega, k)
+    y = [Fraction(v) for v in y]
+    if len(y) != 2 * omega.n + 1:
+        raise ValueError("y needs 2n+1 coordinates")
+    return _cone_homotopy(omega, lambda beta: math.prod(v**b for v, b in zip(y, beta)))
 
 
 def _doubled_ring_cone(omega: Form) -> dict:
@@ -191,7 +207,7 @@ def test_rumin_primitive_residual_vanishes(ctx1, ctx2):
     for ctx in (ctx1, ctx2):
         top = 2 * ctx.n + 1
         for h in range(top):
-            if ctx.core(h).dim == 0 or ctx.core(h + 1).dim == 0:
+            if ctx.cores[h].dim == 0 or ctx.cores[h + 1].dim == 0:
                 continue
             for w in (POINT, BUMP):
                 phi = random_core_form(rng, ctx, h, 2)
