@@ -9,6 +9,10 @@ W^I = X_1^{i_1} ... X_n^{i_n} Y_1^{j_1} ... Y_n^{j_n} T^{k}, stored as a dict
 from exponent tuples (length 2n+1) to Fraction. Products are renormalized into
 this basis in closed form: T is central, so the only rewrite is
 Y_j^b X_j^a = sum_k (-1)^k k! C(a,k) C(b,k) X_j^(a-k) Y_j^(b-k) T^k.
+Every product, of two operators or of two operator matrices, goes through
+``sum_of_products``: the factors are put over a common denominator, the
+coefficients are multiplied and summed as ints, and each collected term
+becomes one Fraction.
 
 The homogeneity degree d(I) counts horizontal exponents once and the T
 exponent twice, matching the anisotropic dilations.
@@ -18,7 +22,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain, product
-from math import comb, perm, prod
+from math import comb, lcm, perm, prod
+from operator import add
 from typing import Mapping
 
 from .polynomials import Poly, add_terms
@@ -85,7 +90,7 @@ def _mono_product(I: tuple, J: tuple, n: int) -> list:
     exponents and nothing needs merging.
     """
     t = 2 * n
-    out = [(tuple(i + j for i, j in zip(I, J)), 1)]
+    out = [(tuple(map(add, I, J)), 1)]
     for j in range(n):
         a, b = J[j], I[n + j]
         if not (a and b):
@@ -109,15 +114,40 @@ def _collect(n: int, pairs) -> "EnvOp":
     return out
 
 
-def sum_of_products(n: int, pairs) -> "EnvOp":
-    """Sum of a b over the (a, b) pairs, renormalized and collected once."""
-    return _collect(n, (
-        (exp, ci * cj * k)
-        for a, b in pairs
-        for I, ci in a.terms.items()
-        for J, cj in b.terms.items()
-        for exp, k in _mono_product(I, J, n)
-    ))
+def integer_terms(ops) -> tuple:
+    """The ops over one common denominator: (d, [[(exponent, int)] per op]).
+
+    d is the lcm of every coefficient denominator, and each int is the
+    coefficient times d.
+    """
+    ops = list(ops)
+    d = lcm(*(c.denominator for a in ops for c in a.terms.values()))
+    return d, [[(e, c.numerator * (d // c.denominator)) for e, c in a.terms.items()] for a in ops]
+
+
+def sum_of_products(n: int, pairs, denominator: int, memo: dict) -> "EnvOp":
+    """(sum of a b over the pairs) / denominator, renormalized and collected once.
+
+    Each a and b is a list of (exponent, int) as ``integer_terms`` gives
+    them, so products and sums run on ints, and each collected term becomes
+    one Fraction. ``memo`` keeps W^I W^J by (I, J) for the caller's
+    products.
+    """
+    acc: dict = {}
+    get = acc.get
+    for a, b in pairs:
+        for I, ci in a:
+            for J, cj in b:
+                terms = memo.get((I, J))
+                if terms is None:
+                    terms = memo[I, J] = _mono_product(I, J, n)
+                c = ci * cj
+                for exp, k in terms:
+                    acc[exp] = get(exp, 0) + c * k
+    out = EnvOp.__new__(EnvOp)
+    out.n = n
+    out.terms = {e: Fraction(c, denominator) for e, c in acc.items() if c}
+    return out
 
 
 class EnvOp:
@@ -176,7 +206,8 @@ class EnvOp:
         """Operator composition self after other, renormalized."""
         if self.n != other.n:
             raise ValueError("operators on different groups")
-        return sum_of_products(self.n, [(self, other)])
+        d, (a, b) = integer_terms([self, other])
+        return sum_of_products(self.n, [(a, b)], d * d, {})
 
     def __eq__(self, other) -> bool:
         return isinstance(other, EnvOp) and self.n == other.n and self.terms == other.terms

@@ -273,17 +273,6 @@ class Subspace:
         return len(self.basis)
 
 
-def _eye(dim: int) -> list:
-    return [[Fraction(1) if j == i else Fraction(0) for j in range(dim)] for i in range(dim)]
-
-
-def _kernel(matrix: list, src_dim: int) -> list:
-    """Nullspace, treating a matrix with no rows as the zero map."""
-    if not matrix or not matrix[0]:
-        return _eye(src_dim)
-    return linalg.nullspace(matrix)
-
-
 def _d0_between(n: int, src: list, dst: list) -> list:
     """Matrix of d0 from the span of the masks ``src`` into that of ``dst``."""
     table, zero = d_table(n), Fraction(0)
@@ -349,7 +338,7 @@ def build_spaces(n: int, h: int) -> Subspace:
         # the images of the block of this pattern one degree down, as rows
         image = [list(col) for col in zip(*_d0_between(
             n, [below[i] for i in below_blocks.get(pattern, [])], block))]
-        e0_vectors.append(_kernel(image + d_here, len(idx)))
+        e0_vectors.append(linalg.nullspace(image + d_here))
     return _merge_blocks(n, h, masks, list(blocks.values()), e0_vectors)
 
 

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 import sys
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -268,7 +267,8 @@ def poincare_quotient(
 
     The primitive K omega is exact; the two ball norms are midpoint
     quadrature over a dilation-adapted grid. Exponents beyond the admissible
-    gap (1/p - 1/q larger than 1/Q, or 2/Q across the middle) only warn.
+    gap (1/p - 1/q larger than 1/Q, or 2/Q across the middle) are still
+    measured, and the report says ``"admissible": false``.
     """
     if weight is None:
         weight = AveragingWeight.point_mass()
@@ -282,8 +282,6 @@ def poincare_quotient(
     n = ctx.n
     h = omega.degree() if omega else 0
     within_gap = admissible(n, h, p, q)
-    if not within_gap:
-        warnings.warn("exponent pair exceeds the admissible gap; reporting anyway")
     report = {
         "n": n,
         "h": h,

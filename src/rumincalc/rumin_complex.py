@@ -42,6 +42,7 @@ from .envelope import (
     EnvOp,
     commutator_with_multiplication,
     horizontal_span_coefficients,
+    integer_terms,
     leibniz_commutator_from_words,
     sum_of_products,
 )
@@ -102,7 +103,11 @@ class OperatorMatrix:
     def _combine(self, other: "OperatorMatrix", op) -> "OperatorMatrix":
         if self.shape != other.shape:
             raise ValueError("shape mismatch")
-        entries = [list(map(op, a, b)) for a, b in zip(self.entries, other.entries)]
+        # a zero entry of other leaves the entry of self as it is
+        entries = [
+            [op(a, b) if b.terms else a for a, b in zip(ra, rb)]
+            for ra, rb in zip(self.entries, other.entries)
+        ]
         return OperatorMatrix(self.n, self.src_degree, self.dst_degree, entries, self.shape)
 
     def __add__(self, other: "OperatorMatrix") -> "OperatorMatrix":
@@ -112,22 +117,39 @@ class OperatorMatrix:
         return self._combine(other, operator.sub)
 
     def compose(self, inner: "OperatorMatrix") -> "OperatorMatrix":
-        """self ∘ inner (apply ``inner`` first)."""
+        """self ∘ inner (apply ``inner`` first).
+
+        Each nonzero row of self and each nonzero column of inner is put
+        over its own common denominator, so the products and sums of an
+        entry run on ints. Only the (row, column) pairs that share a nonzero
+        index are multiplied; every other entry is one shared zero.
+        """
         if self.cols != inner.rows:
             raise ValueError("shape mismatch in composition")
-        # the nonzero j of each row of self and of each column of inner
-        rows = [[(j, a) for j, a in enumerate(row) if a] for row in self.entries]
-        columns = [
-            {j: inner.entries[j][k] for j in range(inner.rows) if inner.entries[j][k]}
-            for k in range(inner.cols)
-        ]
-        entries = [
-            [sum_of_products(self.n, ((a, column[j]) for j, a in row if j in column))
-             for column in columns]
-            for row in rows
-        ]
+        n, zero, memo = self.n, EnvOp.zero(self.n), {}
+        # the nonzero entries of each column of inner, as integer terms over
+        # the column's denominator, filed under their row j
+        denominators, by_row = [], [[] for _ in range(inner.rows)]
+        for k in range(inner.cols):
+            nonzero = [(j, row[k]) for j, row in enumerate(inner.entries) if row[k].terms]
+            d, terms = integer_terms(b for _, b in nonzero)
+            denominators.append(d)
+            for (j, _), t in zip(nonzero, terms):
+                by_row[j].append((k, t))
+        entries = []
+        for row in self.entries:
+            nonzero = [(j, a) for j, a in enumerate(row) if a.terms]
+            d_row, terms = integer_terms(a for _, a in nonzero)
+            pairs: dict = {}
+            for (j, _), a in zip(nonzero, terms):
+                for k, b in by_row[j]:
+                    pairs.setdefault(k, []).append((a, b))
+            out = [zero] * inner.cols
+            for k, products in pairs.items():
+                out[k] = sum_of_products(n, products, d_row * denominators[k], memo)
+            entries.append(out)
         return OperatorMatrix(
-            self.n, inner.src_degree, self.dst_degree, entries,
+            n, inner.src_degree, self.dst_degree, entries,
             (self.rows, inner.cols),
         )
 
@@ -244,8 +266,8 @@ class RuminContext:
 
     def _constant(self, matrix: list, src_degree: int, dst_degree: int) -> OperatorMatrix:
         """A nonempty Fraction matrix as an operator matrix of scalar operators."""
-        one = EnvOp.one(self.n)
-        entries = [[one.scale(c) for c in row] for row in matrix]
+        one, zero = EnvOp.one(self.n), EnvOp.zero(self.n)
+        entries = [[one.scale(c) if c else zero for c in row] for row in matrix]
         return OperatorMatrix(self.n, src_degree, dst_degree, entries)
 
     def _d_operator(self, h: int) -> OperatorMatrix:

@@ -15,7 +15,6 @@ from rumincalc.exterior_weights import (
     Covector,
     Subspace,
     _d0_between,
-    _kernel,
     algebraic_d,
     covector_coords,
     lambda_masks,
@@ -138,6 +137,17 @@ def d0_matrix(n: int, h: int) -> list:
     return _d0_between(n, lambda_masks(n, h), lambda_masks(n, h + 1))
 
 
+def _eye(dim: int) -> list:
+    return [[Fraction(1) if j == i else Fraction(0) for j in range(dim)] for i in range(dim)]
+
+
+def kernel(matrix: list, src_dim: int) -> list:
+    """Nullspace, treating a matrix with no rows as the zero map."""
+    if not matrix or not matrix[0]:
+        return _eye(src_dim)
+    return linalg.nullspace(matrix)
+
+
 @lru_cache(maxsize=None)
 def dense_spaces(n: int) -> tuple:
     """(V, W, E0) of every degree, from nullspaces and Gram-Schmidt over all
@@ -149,7 +159,7 @@ def dense_spaces(n: int) -> tuple:
         masks = lambda_masks(n, h)
         dim = len(masks)
         d_here = d0_matrix(n, h)  # empty at top degree, where d0 ends the complex
-        ker = _kernel(d_here, dim)
+        ker = kernel(d_here, dim)
         if h > 0:
             below = d0_matrix(n, h - 1)
             image_raw = [[below[r][c] for r in range(dim)] for c in range(len(below[0]))]
@@ -157,9 +167,9 @@ def dense_spaces(n: int) -> tuple:
             image = [red[i] for i in range(len(pivots))]
         else:
             image = []
-        w_vectors = _kernel(ker, dim)
-        v_vectors = _kernel(image, dim)
-        e0_vectors = _kernel(list(image) + d_here, dim)
+        w_vectors = kernel(ker, dim)
+        v_vectors = kernel(image, dim)
+        e0_vectors = kernel(list(image) + d_here, dim)
         out.append(tuple(
             subspace_from_vectors(n, h, masks, vectors)
             for vectors in (v_vectors, w_vectors, e0_vectors)

@@ -346,6 +346,16 @@ def test_overflowing_lambda_leaves_stderr_empty():
     assert "OverflowError: lambda = 1e+300" in proc.stdout
 
 
+def test_exponents_beyond_the_gap_leave_stderr_empty():
+    # the exponent admissibility row carries the verdict; nothing is warned
+    argv = ["homotopy", "--n", "1", "--q", "100", "--h", "1", "--grid", "8"]
+    proc = _run_child(["-m", "rumincalc.cli", *argv])
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    rows = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert [r["admissible"] for r in rows if "admissible" in r] == [False]
+
+
 def test_cli_import_leaves_numpy_out():
     # only the numeric and homotopy subcommands need numpy, and import it lazily
     proc = _run_child(["-c", "import sys, rumincalc.cli; print('numpy' in sys.modules)"])

@@ -94,6 +94,67 @@ def test_dc_squares_to_zero_on_matrices(ctx1, ctx2):
             assert comp.is_zero()
 
 
+_COEFFICIENTS = tuple(Fraction(c) for c in ("1/2", "1/3", "7/12", "-5/6", "3", "-1/4", "9/8"))
+
+
+def _random_operator_matrix(rng, n, rows, cols, support=lambda i, j: True):
+    """Entries of one to three PBW terms with mixed denominators, zero where
+    ``support`` says so and at random elsewhere."""
+    entries = []
+    for i in range(rows):
+        row = []
+        for j in range(cols):
+            if not support(i, j) or rng.random() < 0.25:
+                row.append(EnvOp.zero(n))
+                continue
+            row.append(EnvOp(n, {
+                tuple(rng.choice((0, 0, 1, 2)) for _ in range(2 * n + 1)):
+                    rng.choice(_COEFFICIENTS) * rng.randrange(1, 4)
+                for _ in range(rng.randrange(1, 4))
+            }))
+        entries.append(row)
+    return OperatorMatrix(n, 0, 0, entries, shape=(rows, cols))
+
+
+def test_compose_matches_applying_the_factors_in_turn():
+    # the oracle applies each factor through act, that is through derive,
+    # and never multiplies PBW monomials
+    rng = random.Random(17)
+    for n in (1, 2):
+        nv = 2 * n + 1
+        cases = [
+            # all-zero rows and columns on both sides: row 1 and column 0 of
+            # the outer factor, row 3 and column 2 of the inner one
+            (_random_operator_matrix(rng, n, 3, 4, lambda i, j: i != 1 and j != 0),
+             _random_operator_matrix(rng, n, 4, 3, lambda j, k: j != 3 and k != 2)),
+            # disjoint support: outer rows 0 and 2 read only j < 2, inner
+            # columns 0 and 1 only j >= 2
+            (_random_operator_matrix(rng, n, 3, 4, lambda i, j: i == 1 or j < 2),
+             _random_operator_matrix(rng, n, 4, 3, lambda j, k: k == 2 or j >= 2)),
+            # 0-row, 0-column and 0-inner shapes
+            (_random_operator_matrix(rng, n, 0, 4), _random_operator_matrix(rng, n, 4, 2)),
+            (_random_operator_matrix(rng, n, 2, 4), _random_operator_matrix(rng, n, 4, 0)),
+            (_random_operator_matrix(rng, n, 2, 0), _random_operator_matrix(rng, n, 0, 3)),
+        ]
+        for outer, inner in cases:
+            product = outer.compose(inner)
+            assert product.shape == (outer.rows, inner.cols)
+            assert len(product.entries) == outer.rows
+            assert all(len(row) == inner.cols for row in product.entries)
+            for i, row in enumerate(outer.entries):
+                for k in range(inner.cols):
+                    if not any(a and inner.entries[j][k] for j, a in enumerate(row)):
+                        assert not product.entries[i][k]
+            for _ in range(3):
+                polys = [random_poly(rng, nv, 8, terms=4) for _ in range(inner.cols)]
+                assert product.apply(polys) == outer.apply(inner.apply(polys))
+        # the disjoint case really has zero entries, and the others do not
+        outer, inner = cases[1]
+        product = outer.compose(inner)
+        assert not product.entries[0][0] and not product.entries[2][1]
+        assert not product.is_zero()
+
+
 def test_dc_squares_to_zero_on_random_sections(ctx1):
     rng = random.Random(0)
     for h in range(4):

@@ -4,11 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import covector_from_coords, d0_matrix, dense_spaces, subspace_from_vectors
+from conftest import covector_from_coords, d0_matrix, dense_spaces, kernel, subspace_from_vectors
 from rumincalc import linalg
 from rumincalc.exterior_weights import (
     Covector,
-    _kernel,
     _lefschetz_power_matrix,
     _merge_sign,
     algebraic_d,
@@ -62,11 +61,11 @@ def case_formula_spaces(n: int, h: int):
     """
     if h <= n:
         hmasks = lambda_masks(n, h, horizontal_only=True)
-        prim = _kernel(_lefschetz_power_matrix(n, h, n - h + 1), len(hmasks))
+        prim = kernel(_lefschetz_power_matrix(n, h, n - h + 1), len(hmasks))
         e0_vectors = [_embed_horizontal(n, h, hmasks, v, with_theta=False) for v in prim]
     else:
         hmasks = lambda_masks(n, h - 1, horizontal_only=True)
-        ker = _kernel(_lefschetz_power_matrix(n, h - 1, 1), len(hmasks))
+        ker = kernel(_lefschetz_power_matrix(n, h - 1, 1), len(hmasks))
         e0_vectors = [_embed_horizontal(n, h, hmasks, v, with_theta=True) for v in ker]
     return subspace_from_vectors(n, h, lambda_masks(n, h), e0_vectors)
 
