@@ -382,6 +382,8 @@ def cmd_numeric(cfg: argparse.Namespace) -> int:
             "check": f"derivative convergence along W_{i}",
             "n": n,
             "resolutions": list(resolutions),
+            "errors": conv["errors"],
+            "boundary_fractions": conv["boundary_fractions"],
             "observed_order": conv["observed_order"],
             "order_at_least_1.8": ok,
         })

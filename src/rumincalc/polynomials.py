@@ -197,24 +197,29 @@ class Poly:
             total = total + term
         return total
 
-    def evaluate_float(self, values: Sequence):
-        """Evaluate with float coefficients; values may be numpy arrays.
+    def evaluate_float(self, axes: Sequence):
+        """Values on the tensor grid axes[0] x ... x axes[nvars - 1], in floats.
 
-        Arrays need only broadcast against each other (axis vectors from
-        ``np.ix_`` will do). Each power values[i] ** e is computed once and
-        shared by every term that uses it.
+        Each entry of ``axes`` is a 1-D array of coordinates for its
+        variable, and the result has shape ``(len(axes[0]), ...,
+        len(axes[-1]))`` whichever variables the polynomial uses; the zero
+        polynomial gives zeros of that shape. A scalar entry is one fixed
+        coordinate and adds no dimension, so scalars alone give a 0-d array.
+
+        The coefficient tensor C[e_0, ..., e_{nvars-1}] is contracted with
+        one Vandermonde matrix x ** (0..d) per axis in turn, so only the
+        last contraction reaches the full grid.
         """
-        powers: dict = {}
-        total = 0.0
+        import numpy as np  # only the float layer needs numpy
+
+        degrees = [max((e[i] for e in self.terms), default=0) for i in range(self.nvars)]
+        C = np.zeros([d + 1 for d in degrees])
         for exp, c in self.terms.items():
-            v = float(c)
-            for i, e in enumerate(exp):
-                if e:
-                    if (i, e) not in powers:
-                        powers[i, e] = values[i] ** e
-                    v = v * powers[i, e]
-            total = total + v
-        return total
+            C[exp] = float(c)
+        for x, d in zip(axes, degrees):
+            V = np.asarray(x, dtype=float)[..., None] ** np.arange(d + 1)
+            C = np.tensordot(C, V, axes=([0], [-1]))
+        return C
 
 
 def random_fraction(rng: random.Random) -> Fraction:

@@ -1,12 +1,13 @@
 """Shared generators, cached contexts and oracles for the test suite: the dense
 builds of the exact core, d0 as a matrix, the weight split of d, exact values
-and box integrals of polynomials, Euclidean masks on grids, and the order and
-the action of operators."""
+and box integrals of polynomials, Euclidean masks on grids, the full-grid
+flow shift, and the order and the action of operators."""
 
 import random
 from fractions import Fraction
 from functools import lru_cache
 
+import numpy as np
 import pytest
 
 from rumincalc import linalg
@@ -71,6 +72,53 @@ def euclidean_mask(grid, center, radius: float):
     meshes = grid.meshes()
     d2 = sum((m - float(c)) ** 2 for m, c in zip(meshes, center.coords()))
     return d2 < float(radius) ** 2
+
+
+def _reference_interp_t(values, offsets, t_axis: int) -> tuple:
+    """Linear interpolation along t by ``take_along_axis`` over full-size
+    broadcast indices; ``offsets`` broadcasts against ``values``."""
+    Nt = values.shape[t_axis]
+    idx = np.arange(Nt).reshape([-1 if a == t_axis else 1 for a in range(values.ndim)])
+    pos = idx + offsets
+    lo = np.floor(pos).astype(int)
+    frac = pos - lo
+    out = (pos < 0) | (pos > Nt - 1)
+    lo_c = np.clip(lo, 0, Nt - 1)
+    hi_c = np.clip(lo + 1, 0, Nt - 1)
+    lo_b = np.broadcast_to(lo_c, values.shape)
+    hi_b = np.broadcast_to(hi_c, values.shape)
+    frac_b = np.broadcast_to(frac, values.shape)
+    shifted = (
+        np.take_along_axis(values, lo_b, axis=t_axis) * (1.0 - frac_b)
+        + np.take_along_axis(values, hi_b, axis=t_axis) * frac_b
+    )
+    return shifted, np.broadcast_to(out, values.shape)
+
+
+def reference_flow_shift(grid, i: int, direction: int) -> tuple:
+    """The flow shift of ``grid._flow_shift`` with full-grid masks and a
+    full-size gather: the oracle for the gather on the (coordinate, t) plane."""
+    n = grid.n
+    t_axis = 2 * n
+    h = grid.steps()[i]
+    v = grid.values
+    shifted = np.roll(v, -direction, axis=i)
+    invalid_axis = np.zeros(grid.shape, dtype=bool)
+    edge = [slice(None)] * v.ndim
+    edge[i] = slice(-1, None) if direction > 0 else slice(0, 1)
+    invalid_axis[tuple(edge)] = True
+    if i == t_axis:
+        return shifted, invalid_axis
+    if i < n:
+        coord, sign, coord_axis = grid.axis(n + i), -1.0, n + i
+    else:
+        coord, sign, coord_axis = grid.axis(i - n), +1.0, i - n
+    t_step = grid.steps()[t_axis]
+    offs_shape = [1] * v.ndim
+    offs_shape[coord_axis] = -1
+    offsets = (direction * h / 2.0) * sign * coord.reshape(offs_shape) / t_step
+    shifted, out = _reference_interp_t(shifted, offsets, t_axis)
+    return shifted, invalid_axis | out
 
 
 def apply_poly_diff_op(op, f: Poly) -> Poly:

@@ -154,6 +154,11 @@ def test_numeric_subcommand(capsys):
     assert "off-critical drift (negative control)" in checks
     assert "scalar Sobolev quotient invariance" in checks
     assert "fundamental-solution gauge scan" in checks
+    for row in rows:
+        if row["check"].startswith("derivative convergence"):
+            assert len(row["errors"]) == len(row["resolutions"])
+            assert len(row["boundary_fractions"]) == len(row["resolutions"])
+            assert all(0 <= f < 1 for f in row["boundary_fractions"])
     scan = [r for r in rows if r["check"] == "fundamental-solution gauge scan"]
     assert scan[0]["best_t_weight"] == 16.0
 

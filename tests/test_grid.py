@@ -5,9 +5,16 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import euclidean_mask, random_poly, symmetric_box_integral
+from conftest import (
+    euclidean_mask,
+    exact_value,
+    random_poly,
+    reference_flow_shift,
+    symmetric_box_integral,
+)
 from rumincalc.grid import (
     Grid,
+    _flow_shift,
     derivative_convergence,
     discrete_horizontal_derivative,
     discrete_t_derivative,
@@ -75,6 +82,9 @@ def test_derivative_convergence_is_second_order():
     for i in (1, 2):
         rep = derivative_convergence(1, i=i, resolutions=(12, 18, 24))
         assert rep["observed_order"] >= 1.8
+        # one error and one boundary fraction per resolution
+        assert len(rep["errors"]) == len(rep["boundary_fractions"]) == 3
+        assert all(0 <= f < 1 for f in rep["boundary_fractions"])
     rep = derivative_convergence(2, i=3, resolutions=(12, 16, 20))
     assert rep["observed_order"] >= 1.8
 
@@ -98,24 +108,73 @@ def test_from_poly_matches_from_function():
     assert a.half_widths == (0.5, 0.5, 0.25)  # t window defaults to H^2
 
 
-def test_from_poly_is_bitwise_the_per_term_sum_on_full_meshes():
-    # axis vectors and shared powers must not change a single bit against
-    # the plain term-by-term evaluation on full meshes
+def test_from_poly_is_the_per_term_sum_within_the_rounding_bound():
+    # the axis-by-axis contraction adds in another order than the plain
+    # term-by-term sum on full meshes, so both may round differently, but
+    # each stays within the a-priori bound 2 (deg + nvars) eps S, where S is
+    # the sum of |c| |x^e| over the terms
     rng = random.Random(12)
     p = random_poly(rng, 5, 4, terms=40) + Poly.const(5, Fraction(1, 3))
     g = Grid.from_poly(2, 0.7, 9, p, t_resolution=11)
     meshes = g.meshes()
     expected = 0.0
+    scale = 0.0
     for exp, c in p.terms.items():
         v = float(c)
+        a = abs(v)
         for i, e in enumerate(exp):
             if e:
                 v = v * meshes[i] ** e
+                a = a * np.abs(meshes[i]) ** e
         expected = expected + v
-    assert np.array_equal(g.values, expected)
+        scale = scale + a
+    degree = max(sum(exp) for exp in p.terms)
+    bound = 2 * (degree + p.nvars) * np.finfo(float).eps * scale
+    assert g.values.shape == g.shape
+    assert np.all(np.abs(g.values - expected) <= bound)
+    # and within the same bound of the exact value at the float coordinates
+    cells = [tuple(rng.randrange(N) for N in g.shape) for _ in range(64)]
+    for cell in cells:
+        point = [Fraction(float(m[cell])) for m in meshes]
+        exact = exact_value(p, point)
+        assert abs(Fraction(float(g.values[cell])) - exact) <= Fraction(float(bound[cell]))
     x_only = Grid.from_poly(2, 0.7, 9, Poly.var(5, 0) ** 3)
     assert x_only.values.shape == g.shape[:4] + (9,)
     assert np.array_equal(x_only.values, x_only.meshes()[0] ** 3)
+    const = Grid.from_poly(2, 0.7, 9, Poly.const(5, Fraction(1, 3)), t_resolution=11)
+    assert const.values.shape == g.shape
+    assert np.all(const.values == 1 / 3)
+    zero = Grid.from_poly(2, 0.7, 9, Poly.zero(5), t_resolution=11)
+    assert zero.values.shape == g.shape
+    assert not np.any(zero.values)
+
+
+@pytest.mark.parametrize("n, resolution, t_resolution, t_half_width", [
+    (1, 9, None, None),
+    (1, 8, 13, 0.3),
+    (2, 6, 7, None),
+    (2, 5, 4, 0.2),
+    (3, 4, 5, None),
+    (3, 3, 6, 0.15),
+])
+def test_flow_shift_equals_the_full_grid_gather(n, resolution, t_resolution, t_half_width):
+    # the (coordinate, t) plane gather and the broadcast masks give the same
+    # bits as take_along_axis over full-size indices and full-grid masks
+    g = Grid.empty(n, 1.0, resolution, t_half_width, t_resolution)
+    g.values = np.random.default_rng(resolution + 10 * n).standard_normal(g.shape)
+    for i in range(2 * n + 1):
+        bad = {}
+        for direction in (+1, -1):
+            got, invalid = _flow_shift(g, i, direction)
+            want, want_invalid = reference_flow_shift(g, i, direction)
+            assert np.array_equal(got, want), (i, direction)
+            assert np.array_equal(np.broadcast_to(invalid, g.shape), want_invalid)
+            bad[direction] = want_invalid
+        if i < 2 * n:
+            _, rep = discrete_horizontal_derivative(g, i + 1)
+        else:
+            _, rep = discrete_t_derivative(g)
+        assert rep["boundary_fraction"] == float((bad[+1] | bad[-1]).mean())
 
 
 def test_lp_norm_scales_with_dilation():

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -83,8 +84,17 @@ def test_evaluate_float_matches_exact():
     y = Poly.var(2, 1)
     p = x**3 - y * x + Poly.const(2, Fraction(1, 4))
     exact = exact_value(p, [Fraction(1, 3), Fraction(-2, 5)])
+    # scalar coordinates add no axis: the value comes back as a 0-d array
     approx = p.evaluate_float([1 / 3, -0.4])
+    assert approx.shape == ()
     assert approx == pytest.approx(float(exact))
+    # 1-D axes give the values on their tensor grid, axis i along dimension i
+    xs, ys = [Fraction(1, 3), Fraction(-1, 2)], [Fraction(-2, 5), Fraction(0), Fraction(3, 2)]
+    grid = p.evaluate_float([np.array([float(x) for x in xs]), np.array([float(y) for y in ys])])
+    assert grid.shape == (2, 3)
+    for a, x in enumerate(xs):
+        for b, y in enumerate(ys):
+            assert grid[a, b] == pytest.approx(float(exact_value(p, [x, y])))
 
 
 def test_add_and_mul_drop_cancelled_terms():
