@@ -362,6 +362,7 @@ def cmd_numeric(cfg: argparse.Namespace) -> int:
     from .grid import derivative_convergence
     from .kernels import (
         bump_grid,
+        critical_exponent,
         decay_slope_probe,
         fundamental_gauge_scan,
         lp_lq_probe,
@@ -405,35 +406,51 @@ def cmd_numeric(cfg: argparse.Namespace) -> int:
 
     alpha = 1.0
     p = cfg.p if 1.0 < cfg.p < Q / alpha else 2.0
-    critical = lp_lq_probe(n, alpha, p, resolution=cfg.grid)
-    ok = critical["max_relative_spread"] <= 0.05
-    rep.soft(ok)
-    rep.emit({
+    q_critical = critical_exponent(n, alpha, p)
+    critical_row = {
         "report": "numeric",
         "check": "critical L^p-L^q invariance",
         "n": n,
         "alpha": alpha,
         "p": p,
-        "q": critical["q"],
-        "ratios": [r["ratio"] for r in critical["rows"]],
-        "max_relative_spread": critical["max_relative_spread"],
-        "within_5pct": ok,
-    })
-    off = lp_lq_probe(n, alpha, p, q=critical["q"] * 0.75, resolution=cfg.grid)
-    ratios = [r["ratio"] for r in off["rows"]]
-    monotone = all(a < b for a, b in zip(ratios, ratios[1:])) or all(
-        a > b for a, b in zip(ratios, ratios[1:])
-    )
-    rep.soft(monotone)
-    rep.emit({
+        "q": q_critical,
+    }
+    off_row = {
         "report": "numeric",
         "check": "off-critical drift (negative control)",
         "n": n,
-        "q": off["q"],
-        "ratios": ratios,
-        "expected_drift_exponent": off["expected_drift_exponent"],
-        "monotone": monotone,
-    })
+        "q": 0.75 * q_critical,
+    }
+    try:
+        # one convolution per dilate serves both rows
+        critical, off = lp_lq_probe(n, alpha, p, qs=(None, off_row["q"]), resolution=cfg.grid)
+    except ValueError as exc:
+        # an L^q norm beyond the float range: no NaN or Infinity may reach the rows
+        reason = f"{type(exc).__name__}: {exc}"
+        rep.soft(False)
+        rep.emit({**critical_row, "within_5pct": False, "reason": reason})
+        rep.soft(False)
+        rep.emit({**off_row, "monotone": False, "reason": reason})
+    else:
+        ok = critical["max_relative_spread"] <= 0.05
+        rep.soft(ok)
+        rep.emit({
+            **critical_row,
+            "ratios": [r["ratio"] for r in critical["rows"]],
+            "max_relative_spread": critical["max_relative_spread"],
+            "within_5pct": ok,
+        })
+        ratios = [r["ratio"] for r in off["rows"]]
+        monotone = all(a < b for a, b in zip(ratios, ratios[1:])) or all(
+            a > b for a, b in zip(ratios, ratios[1:])
+        )
+        rep.soft(monotone)
+        rep.emit({
+            **off_row,
+            "ratios": ratios,
+            "expected_drift_exponent": off["expected_drift_exponent"],
+            "monotone": monotone,
+        })
 
     p_sob = cfg.p if 1.0 < cfg.p < Q else 2.0
     u = bump_grid(n, 1.0, cfg.grid, 0.5)

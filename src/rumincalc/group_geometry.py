@@ -95,10 +95,35 @@ def horizontal_norm2(p: Point):
     return sum(a * a for a in p.x + p.y)
 
 
+def _spans(a, b) -> bool:
+    """Whether ``a`` is a float ndarray of the full shape of ``a + b``, so
+    that ``a += b`` writes into ``a`` with the value of ``a + b``."""
+    shape = getattr(a, "shape", ())
+    if not shape or a.dtype != float:
+        return False
+    other = getattr(b, "shape", ())
+    return len(other) <= len(shape) and all(
+        m in (1, k) for k, m in zip(reversed(shape), reversed(other))
+    )
+
+
 def gauge4(p: Point, t_weight=1):
-    """rho^4 = |z|^4 + t_weight t^2; exact on exact input."""
+    """rho^4 = |z|^4 + t_weight t^2; exact on exact input.
+
+    A t_weight of 1 costs no multiply, since (1 t) t = t t. Both terms are
+    fresh values, so on float arrays the sum is written into whichever of
+    them already has its full shape; no caller array is written to.
+    """
     h2 = horizontal_norm2(p)
-    return h2 * h2 + t_weight * p.t * p.t
+    h4 = h2 * h2
+    t2 = p.t * p.t if t_weight == 1 else t_weight * p.t * p.t
+    if _spans(h4, t2):
+        h4 += t2
+        return h4
+    if _spans(t2, h4):
+        t2 += h4  # a + b == b + a in floating point
+        return t2
+    return h4 + t2
 
 
 @dataclass(frozen=True)

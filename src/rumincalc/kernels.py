@@ -75,9 +75,11 @@ class HomogeneousKernel:
         return gauge4(_float_point(coords), self.t_weight) ** 0.25
 
     def evaluate(self, coords) -> np.ndarray:
+        # gauge4 returns a fresh value, so the power may overwrite it
         rho4 = gauge4(_float_point(coords), self.t_weight)
         with np.errstate(divide="ignore"):
-            return rho4 ** ((self.mu - self.Q) / 4.0)
+            rho4 **= (self.mu - self.Q) / 4.0
+        return rho4
 
     def cell_estimate(self, eps: float):
         """Replacement value for points with gauge below eps.
@@ -269,51 +271,69 @@ def _dilated_copy(u: Grid, lam: float) -> Grid:
     return Grid(u.n, scaled, u.shape, u.values.copy())
 
 
-def lp_lq_probe(n: int, alpha: float, p: float, q: float | None = None,
+def critical_exponent(n: int, alpha: float, p: float) -> float:
+    """The q with 1/q = 1/p - alpha/Q, at which ||u * k||_q / ||u||_p is
+    dilation invariant for a kernel of type alpha."""
+    return 1.0 / (1.0 / p - alpha / homogeneous_dimension(n))
+
+
+def lp_lq_probe(n: int, alpha: float, p: float, qs=(None,),
                 lambdas=(1.0, 2.0, 4.0), resolution: int = 20,
-                support: float = 0.5, t_weight: float = 1.0) -> dict:
+                support: float = 0.5, t_weight: float = 1.0) -> list:
     """||u_lam * k||_q / ||u_lam||_p across dilated bumps u_lam = u . delta_lam.
 
     At the critical exponent 1/q = 1/p - alpha/Q the ratio is lambda-free;
-    any other q drifts like lambda^{Q(1/p - 1/q) - alpha}.
+    any other q drifts like lambda^{Q(1/p - 1/q) - alpha}. Returns one
+    report per entry of qs, where None stands for the critical exponent;
+    each dilate is convolved once for all of them. Raises ValueError naming
+    p and q when a ratio is 0 or not finite, that is when an L^q norm
+    leaves the float range.
     """
     Q = homogeneous_dimension(n)
     if not 0 < alpha < Q:
         raise ValueError("need 0 < alpha < Q")
     if not 1 < p < Q / alpha:
         raise ValueError("need 1 < p < Q/alpha")
-    q_critical = 1.0 / (1.0 / p - alpha / Q)
-    if q is None:
-        q = q_critical
+    q_critical = critical_exponent(n, alpha, p)
+    qs = [q_critical if q is None else q for q in qs]
     kernel = HomogeneousKernel(n, alpha, t_weight)
     base = bump_grid(n, 1.0, resolution, support)
-    rows = []
+    rows = [[] for _ in qs]
     for lam in lambdas:
         u = _dilated_copy(base, lam)
         conv, conv_report = group_convolve(u, kernel)
-        num = conv.lp_norm(q)
         den = u.lp_norm(p)
-        rows.append({
-            "lambda": lam,
-            "ratio": num / den,
-            "numerator": num,
-            "denominator": den,
-            "singular_policy": conv_report["singular_policy"],
+        for q, q_rows in zip(qs, rows):
+            with np.errstate(over="ignore"):
+                num = conv.lp_norm(q)
+            ratio = num / den
+            if not 0.0 < ratio < math.inf:
+                raise ValueError(
+                    f"L^p-L^q ratio is {ratio} at p = {p:g}, q = {q:g}, lambda = {lam:g}:"
+                    " the L^q norm leaves the float range"
+                )
+            q_rows.append({
+                "lambda": lam,
+                "ratio": ratio,
+                "numerator": num,
+                "denominator": den,
+                "singular_policy": conv_report["singular_policy"],
+            })
+    reports = []
+    for q, q_rows in zip(qs, rows):
+        ratios = [r["ratio"] for r in q_rows]
+        reports.append({
+            "n": n,
+            "alpha": alpha,
+            "p": p,
+            "q": q,
+            "critical_q": q_critical,
+            "at_critical": abs(q - q_critical) < 1e-12,
+            "expected_drift_exponent": Q * (1.0 / p - 1.0 / q) - alpha,
+            "rows": q_rows,
+            "max_relative_spread": max(ratios) / min(ratios) - 1.0,
         })
-    ratios = [r["ratio"] for r in rows]
-    spread = max(ratios) / min(ratios) - 1.0
-    drift = Q * (1.0 / p - 1.0 / q) - alpha
-    return {
-        "n": n,
-        "alpha": alpha,
-        "p": p,
-        "q": q,
-        "critical_q": q_critical,
-        "at_critical": abs(q - q_critical) < 1e-12,
-        "expected_drift_exponent": drift,
-        "rows": rows,
-        "max_relative_spread": spread,
-    }
+    return reports
 
 
 def scalar_sobolev_check(n: int, p: float, u: Grid, lambdas=(1.0, 2.0)) -> dict:
@@ -364,43 +384,42 @@ def _require_interior_support(u: Grid) -> None:
         raise ValueError("input is not supported in the grid interior")
 
 
-def _flow_sampled_laplacian(kernel, g: Grid) -> np.ndarray:
-    """-sum_i (u(p.(h e_i)) - 2u(p) + u(p.(-h e_i))) / h^2 for closed-form u.
-
-    The shifted points are evaluated exactly through the kernel formula, so
-    the only error is the O(h^2) central-difference truncation; grid
-    interpolation along the twisted t-offsets never enters.
-    """
-    n = g.n
-    p = from_coords(g.meshes())
-    h = g.steps()[0]
-    u0 = kernel.evaluate(p.coords())
-    lap = np.zeros(g.shape)
-    for j in range(2 * n):
-        for sgn in (1.0, -1.0):
-            step = [0.0] * (2 * n + 1)
-            step[j] = sgn * h
-            lap -= kernel.evaluate(multiply(p, from_coords(step)).coords())
-        lap += 2.0 * u0
-    return lap / h**2
-
-
 def fundamental_gauge_scan(n: int = 1, t_weights=(1.0, 4.0, 8.0, 12.0, 16.0, 20.0, 32.0),
                            resolution: int = 48) -> dict:
     """Score candidate gauges rho_a^{2-Q} as fundamental-solution kernels.
 
-    Applies the flow-sampled discrete sub-Laplacian to each candidate and
+    Applies the flow-sampled discrete sub-Laplacian
+    -sum_i (u(p.(h e_i)) - 2u(p) + u(p.(-h e_i))) / h^2 to each candidate and
     measures the residual on an annulus away from the origin, normalized by
     the homogeneity-matched scale rho^{-Q}; the harmonic candidate is the
     one whose residual is pure truncation error and it minimizes the score.
+    The shifted points are evaluated exactly through the kernel formula, so
+    the only error is the O(h^2) central-difference truncation. They do not
+    depend on the weight, so they are built once and only the kernel is
+    evaluated per candidate.
     """
     Q = homogeneous_dimension(n)
+    g = Grid.empty(n, 1.0, resolution, t_half_width=0.4, t_resolution=resolution)
+    meshes = g.meshes()
+    p = from_coords(meshes)
+    h = g.steps()[0]
+    # (p.(h e_j), p.(-h e_j)) for each horizontal direction j
+    flows = [
+        [multiply(p, from_coords([sgn * h if i == j else 0.0 for i in range(2 * n + 1)])).coords()
+         for sgn in (1.0, -1.0)]
+        for j in range(2 * n)
+    ]
     rows = []
     for a in t_weights:
         kernel = HomogeneousKernel(n, 2.0, a)
-        g = Grid.empty(n, 1.0, resolution, t_half_width=0.4, t_resolution=resolution)
-        lap = _flow_sampled_laplacian(kernel, g)
-        rho = kernel.gauge(g.meshes())
+        u0 = kernel.evaluate(p.coords())
+        lap = np.zeros(g.shape)
+        for forward, backward in flows:
+            lap -= kernel.evaluate(forward)
+            lap -= kernel.evaluate(backward)
+            lap += 2.0 * u0
+        lap /= h**2
+        rho = kernel.gauge(meshes)
         annulus = (rho > 0.45) & (rho < 0.75)
         scale = float(np.sqrt(np.mean(rho[annulus] ** (-2.0 * Q))))
         score = float(np.sqrt(np.mean(lap[annulus] ** 2)))

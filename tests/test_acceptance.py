@@ -260,11 +260,11 @@ def test_criterion_09_kernel_decay(capsys):
 
 
 def test_criterion_10_critical_exponent_invariance(capsys):
-    conv = lp_lq_probe(1, 1.0, 2.0, lambdas=(1.0, 2.0, 4.0), resolution=16)
+    conv, off = lp_lq_probe(1, 1.0, 2.0, qs=(None, 3.0), lambdas=(1.0, 2.0, 4.0),
+                            resolution=16)
     sob = scalar_sobolev_check(
         1, 2.0, bump_grid(1, 1.0, 16, 0.5), lambdas=(1.0, 2.0, 4.0)
     )
-    off = lp_lq_probe(1, 1.0, 2.0, q=3.0, lambdas=(1.0, 2.0, 4.0), resolution=16)
     ratios = [r["ratio"] for r in off["rows"]]
     monotone = all(a > b for a, b in zip(ratios, ratios[1:])) or all(
         a < b for a, b in zip(ratios, ratios[1:])

@@ -163,6 +163,43 @@ def test_numeric_subcommand(capsys):
     assert scan[0]["best_t_weight"] == 16.0
 
 
+def _reject_constant(token):
+    raise ValueError(f"{token} is not JSON")
+
+
+def test_every_subcommand_prints_strict_json(capsys):
+    # NaN and Infinity are Python's extensions, not JSON
+    runs = [["basis", "--n", "1"], ["verify", "--n", "1"],
+            ["homotopy", "--n", "1", "--grid", "8"], ["numeric", "--n", "1", "--grid", "8"],
+            # q_critical = 1596: the L^q norms of the L^p-L^q rows overflow
+            ["numeric", "--n", "1", "--grid", "8", "--p", "3.99"]]
+    for argv in runs:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = cli.main(argv)
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 0 and lines, argv
+        for line in lines:
+            json.loads(line, parse_constant=_reject_constant)
+
+
+def test_overflowing_lp_lq_norms_are_soft_misses(capsys):
+    argv = ["numeric", "--n", "1", "--grid", "8", "--p", "3.99"]
+    for extra, exit_code in (([], 0), (["--strict"], 2)):
+        code, rows = run_cli(capsys, argv + extra)
+        assert code == exit_code
+        by_check = {r["check"]: r for r in rows}
+        critical = by_check["critical L^p-L^q invariance"]
+        off = by_check["off-critical drift (negative control)"]
+        assert critical["within_5pct"] is False and off["monotone"] is False
+        for row in (critical, off):
+            assert row["reason"].startswith("ValueError: L^p-L^q ratio is inf at p = 3.99, q = 1596,")
+            assert "ratios" not in row
+        assert critical["q"] == pytest.approx(1596.0) and off["q"] == 0.75 * critical["q"]
+        # the rows after the probe still run
+        assert rows[-1]["check"] == "fundamental-solution gauge scan"
+
+
 def test_output_is_deterministic(capsys):
     argv = ["verify", "--n", "1", "--seed", "7"]
     cli.main(argv)

@@ -1,5 +1,7 @@
 import math
+import warnings
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -155,6 +157,77 @@ def test_kernel_homogeneity_exact():
         2.0 ** (k.mu - k.Q) * k.evaluate(pts), rel=1e-14
     )
     assert k.Q == 4
+
+
+def _float_cases():
+    """(x, y, t) float inputs of every broadcast layout gauge4 meets.
+
+    Seeded values; the array cases put one point at the origin, where the
+    kernel's negative power gives inf.
+    """
+    rng = np.random.default_rng(5)
+    h, C, D = 3, 4, 5
+
+    def values(shape):
+        v = rng.uniform(-1.0, 1.0, shape)
+        v.flat[0] = 0.0
+        return v
+
+    return {
+        # t narrower than the horizontal broadcast: neither term has the sum's shape
+        "t narrower": (values((h, 1, 1)), values((h, C, 1)), values((1, 1, D))),
+        # the slab of group_convolve: t carries the full shape
+        "t full": (values((h, C, 1)), values((h, C, 1)), values((h, C, D))),
+        # |z|^4 carries the full shape and t is narrower
+        "z full": (values((h, C, D)), values((h, C, D)), values((1, 1, D))),
+        "python float t": (values((h, C)), values((h, C)), 0.375),
+        "0-d arrays": (np.array(0.5), np.array(-0.25), np.array(0.75)),
+    }
+
+
+@pytest.mark.parametrize("case", list(_float_cases()))
+@pytest.mark.parametrize("a", [1, 1.0, 16.0])
+def test_gauge4_and_kernel_values_leave_the_inputs_alone(case, a):
+    x, y, t = _float_cases()[case]
+    before = [np.array(c, copy=True) for c in (x, y, t)]
+    hh = x * x + y * y
+    want = hh * hh + a * t * t  # |z|^4 + a t^2
+    got = gauge4(from_coords([x, y, t]), a)
+    assert np.shape(got) == np.broadcast(x, y, t).shape
+    assert np.array_equal(got, want)
+    kernel = HomogeneousKernel(1, 2.0, a)
+    with np.errstate(divide="ignore"):
+        want_k = want ** ((kernel.mu - kernel.Q) / 4.0)
+    got_k = kernel.evaluate([x, y, t])
+    assert np.array_equal(got_k, want_k)
+    assert np.array_equal(np.isinf(got_k), want == 0.0)
+    for c, b in zip((x, y, t), before):
+        assert np.array_equal(c, b)  # no caller array is written to
+        if isinstance(c, np.ndarray):
+            assert not np.shares_memory(c, got) and not np.shares_memory(c, got_k)
+
+
+def test_gauge4_of_exact_points():
+    third, half = Fraction(1, 3), Fraction(-1, 2)
+    for a in (1, Fraction(16), Fraction(3, 2)):
+        p = from_coords([third, half, Fraction(2, 7)])
+        got = gauge4(p, a)
+        assert isinstance(got, Fraction)
+        assert got == (third**2 + half**2) ** 2 + a * Fraction(2, 7) ** 2
+        assert p.coords() == (third, half, Fraction(2, 7))
+        # the kernel reads Fraction coordinates as floats
+        want = float((third**2 + half**2) ** 2 + a * Fraction(4, 49)) ** -0.5
+        assert HomogeneousKernel(1, 2.0, float(a)).evaluate(p.coords()) == pytest.approx(
+            want, rel=1e-15
+        )
+    x, y, t = (Poly.var(3, i) for i in range(3))
+    coords = (x, y, t + Poly.const(3, 1))
+    copies = [Poly(3, dict(c.terms)) for c in coords]
+    for a in (1, 16):
+        got = gauge4(from_coords(list(coords)), a)
+        hh = x * x + y * y
+        assert got == hh * hh + Poly.const(3, a) * coords[2] * coords[2]
+        assert list(coords) == copies
 
 
 def test_cell_estimate_policies():
@@ -445,7 +518,7 @@ def test_decay_slope_along_t_axis():
 
 
 def test_lp_lq_probe_critical_is_dilation_invariant():
-    report = lp_lq_probe(1, 1.0, 2.0, resolution=16)
+    (report,) = lp_lq_probe(1, 1.0, 2.0, resolution=16)
     assert report["at_critical"]
     assert report["critical_q"] == pytest.approx(4.0)
     assert report["max_relative_spread"] < 0.05, report
@@ -453,13 +526,13 @@ def test_lp_lq_probe_critical_is_dilation_invariant():
 
 
 def test_lp_lq_probe_fractional_alpha():
-    report = lp_lq_probe(1, 2.0, 1.5, resolution=14, lambdas=(1.0, 2.0))
+    (report,) = lp_lq_probe(1, 2.0, 1.5, resolution=14, lambdas=(1.0, 2.0))
     assert report["critical_q"] == pytest.approx(6.0)
     assert report["max_relative_spread"] < 0.05, report
 
 
 def test_lp_lq_probe_off_critical_drifts_monotonically():
-    report = lp_lq_probe(1, 1.0, 2.0, q=3.0, resolution=14)
+    (report,) = lp_lq_probe(1, 1.0, 2.0, qs=(3.0,), resolution=14)
     assert not report["at_critical"]
     assert report["expected_drift_exponent"] < 0
     ratios = [r["ratio"] for r in report["rows"]]
@@ -479,6 +552,40 @@ def test_lp_lq_probe_validation():
         lp_lq_probe(1, 1.0, 1.0)
 
 
+def test_lp_lq_probe_convolves_each_dilate_once_for_every_q(monkeypatch):
+    import rumincalc.kernels as kernels_module
+
+    convolved = []
+    original = kernels_module.group_convolve
+
+    def counting(f, kernel, **kwargs):
+        convolved.append(f.half_widths)
+        return original(f, kernel, **kwargs)
+
+    monkeypatch.setattr(kernels_module, "group_convolve", counting)
+    lambdas = (1.0, 2.0, 4.0)
+    both = lp_lq_probe(1, 1.0, 2.0, qs=(None, 3.0), lambdas=lambdas, resolution=14)
+    assert len(convolved) == len(lambdas)
+    assert len(set(convolved)) == len(lambdas)  # one call per dilate
+    singles = [lp_lq_probe(1, 1.0, 2.0, qs=(q,), lambdas=lambdas, resolution=14)
+               for q in (None, 3.0)]
+    assert len(convolved) == 3 * len(lambdas)
+    assert both == [report for (report,) in singles]
+    assert both[0]["at_critical"] and both[0]["q"] == both[0]["critical_q"]
+    assert not both[1]["at_critical"] and both[1]["q"] == 3.0
+
+
+@pytest.mark.parametrize("p, qs, lambdas, ratio, q", [
+    (3.99, (None,), (1.0, 2.0, 4.0), "inf", "1596"),  # |u * k|^q overflows
+    (2.0, (4.0, 1000.0), (64.0,), "0.0", "1000"),  # |u * k|^q underflows
+])
+def test_lp_lq_probe_rejects_a_ratio_beyond_the_float_range(p, qs, lambdas, ratio, q):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match=f"ratio is {ratio} at p = {p:g}, q = {q},"):
+            lp_lq_probe(1, 1.0, p, qs=qs, lambdas=lambdas, resolution=8)
+
+
 def test_scalar_sobolev_check_invariance():
     u = bump_grid(1, 1.0, 16, 0.5)
     report = scalar_sobolev_check(1, 2.0, u, lambdas=(1.0, 2.0, 4.0))
@@ -496,6 +603,45 @@ def test_scalar_sobolev_check_zero_and_validation():
     bad = Grid.from_poly(1, 1.0, 8, Poly.const(3, 1))
     with pytest.raises(ValueError, match="interior"):
         scalar_sobolev_check(1, 2.0, bad)
+
+
+def _flow_sampled_laplacian(kernel, g: Grid) -> np.ndarray:
+    """-sum_i (u(p.(h e_i)) - 2u(p) + u(p.(-h e_i))) / h^2, points built per kernel.
+
+    The gauge scan's Laplacian as it was computed for one weight at a time,
+    kept as the oracle of the scan that builds its flow points once.
+    """
+    n = g.n
+    p = from_coords(g.meshes())
+    h = g.steps()[0]
+    u0 = kernel.evaluate(p.coords())
+    lap = np.zeros(g.shape)
+    for j in range(2 * n):
+        for sgn in (1.0, -1.0):
+            step = [0.0] * (2 * n + 1)
+            step[j] = sgn * h
+            lap -= kernel.evaluate(multiply(p, from_coords(step)).coords())
+        lap += 2.0 * u0
+    return lap / h**2
+
+
+@pytest.mark.parametrize("n, t_weights", [(1, (1.0, 4.0, 8.0, 12.0, 16.0, 20.0, 32.0)),
+                                          (2, (1.0, 16.0))])
+def test_fundamental_gauge_scan_equals_the_per_weight_laplacian(n, t_weights):
+    resolution = 32 if n == 1 else 12
+    report = fundamental_gauge_scan(n, t_weights=t_weights, resolution=resolution)
+    Q = homogeneous_dimension(n)
+    rows = []
+    for a in t_weights:
+        kernel = HomogeneousKernel(n, 2.0, a)
+        g = Grid.empty(n, 1.0, resolution, t_half_width=0.4, t_resolution=resolution)
+        lap = _flow_sampled_laplacian(kernel, g)
+        rho = kernel.gauge(g.meshes())
+        annulus = (rho > 0.45) & (rho < 0.75)
+        scale = float(np.sqrt(np.mean(rho[annulus] ** (-2.0 * Q))))
+        score = float(np.sqrt(np.mean(lap[annulus] ** 2)))
+        rows.append({"t_weight": a, "residual": score / scale})
+    assert report["rows"] == rows
 
 
 def test_fundamental_gauge_scan_prefers_sixteen():
