@@ -453,20 +453,30 @@ def cmd_numeric(cfg: argparse.Namespace) -> int:
         })
 
     p_sob = cfg.p if 1.0 < cfg.p < Q else 2.0
-    u = bump_grid(n, 1.0, cfg.grid, 0.5)
-    sob = scalar_sobolev_check(n, p_sob, u)
-    ok = sob["max_relative_spread"] <= 0.02
-    rep.soft(ok)
-    rep.emit({
+    sob_row = {
         "report": "numeric",
         "check": "scalar Sobolev quotient invariance",
         "n": n,
         "p": p_sob,
-        "q": sob["q"],
-        "ratios": [r["ratio"] for r in sob["rows"]],
-        "max_relative_spread": sob["max_relative_spread"],
-        "within_2pct": ok,
-    })
+        "q": critical_exponent(n, 1.0, p_sob),
+    }
+    u = bump_grid(n, 1.0, cfg.grid, 0.5)
+    try:
+        sob = scalar_sobolev_check(n, p_sob, u)
+    except ValueError as exc:
+        # a norm of 0 or beyond the float range measures nothing
+        rep.soft(False)
+        rep.emit({**sob_row, "within_2pct": False, "reason": f"{type(exc).__name__}: {exc}"})
+    else:
+        ok = sob["max_relative_spread"] <= 0.02
+        rep.soft(ok)
+        rep.emit({
+            **sob_row,
+            "ratios": [r["ratio"] for r in sob["rows"]],
+            "boundary_fractions": [r["boundary_fraction"] for r in sob["rows"]],
+            "max_relative_spread": sob["max_relative_spread"],
+            "within_2pct": ok,
+        })
 
     if n == 1:
         scan = fundamental_gauge_scan(n, resolution=_probe_resolution(cfg.grid))

@@ -97,82 +97,120 @@ def gauge_mask(grid: Grid, center: Point, radius: float, t_weight: float = 1.0) 
     return gauge4(z, t_weight) < float(radius) ** 4
 
 
-def _interp_t(values: np.ndarray, offsets: np.ndarray, coord_axis: int) -> tuple:
+def _interp_t(plane: np.ndarray, offsets: np.ndarray) -> tuple:
     """Shift along the last (t) axis by a fractional cell offset per coordinate.
 
-    ``offsets`` holds one offset per index along ``coord_axis``, so the
-    stencil depends on the (coordinate, t) plane alone: it is built there,
-    and ``values`` is gathered through it with the coordinate axis moved
-    next to t. Linear interpolation between the two neighbouring t-cells,
-    clamped at the ends. Returns (shifted, out_of_range); out_of_range has
-    length 1 off the plane's two axes and flags the points whose stencil
-    left the grid.
+    ``plane`` has the coordinate axis second to last, next to t, and
+    ``offsets`` holds one offset per coordinate, so the stencil depends on the
+    (coordinate, t) plane alone: it is built there, and ``plane`` is gathered
+    through it. Linear interpolation between the two neighbouring t-cells,
+    clamped at the ends. Returns (shifted, out_of_range): shifted in the
+    layout of ``plane``, and out_of_range on the (coordinate, t) plane,
+    flagging the points whose stencil left the grid.
     """
-    Nt = values.shape[-1]
+    Nt = plane.shape[-1]
     pos = np.arange(Nt) + offsets[:, None]
     lo = np.floor(pos).astype(int)
     frac = pos - lo
     out = (pos < 0) | (pos > Nt - 1)
     rows = np.arange(len(offsets))[:, None]
-    lo_c = np.clip(lo, 0, Nt - 1)
-    hi_c = np.clip(lo + 1, 0, Nt - 1)
-    plane = np.moveaxis(values, coord_axis, -2)
-    shifted = plane[..., rows, lo_c] * (1.0 - frac) + plane[..., rows, hi_c] * frac
-    plane_shape = [1] * values.ndim
-    plane_shape[coord_axis], plane_shape[-1] = out.shape
-    return np.moveaxis(shifted, -2, coord_axis), out.reshape(plane_shape)
+    shifted = plane[..., rows, np.clip(lo, 0, Nt - 1)]
+    shifted *= 1.0 - frac
+    upper = plane[..., rows, np.clip(lo + 1, 0, Nt - 1)]
+    upper *= frac
+    shifted += upper
+    return shifted, out
 
 
-def _flow_shift(grid: Grid, i: int, direction: int) -> tuple:
-    """Samples of u(p . (direction * h e_i)) with h one lattice step.
-
-    For i < n the step moves x_i and shifts t by -(h/2) y_i; for n <= i < 2n
-    it moves y_{i-n} and shifts t by +(h/2) x_{i-n}; for i = 2n (the field T)
-    it is the plain t-shift. Returns (values, invalid); invalid broadcasts
-    against values and has length 1 off the axes it depends on.
-    """
-    n = grid.n
-    t_axis = 2 * n
-    h = grid.steps()[i]
-    shifted = np.roll(grid.values, -direction, axis=i)
-    edge_shape = [1] * grid.values.ndim
-    edge_shape[i] = grid.shape[i]
-    invalid_axis = np.zeros(edge_shape, dtype=bool)
-    invalid_axis.flat[-1 if direction > 0 else 0] = True
-    if i == t_axis:
-        return shifted, invalid_axis
-
-    if i < n:
-        coord_axis, sign = n + i, -1.0  # y_i
-    else:
-        coord_axis, sign = i - n, +1.0  # x_{i-n}
-    t_step = grid.steps()[t_axis]
-    offsets = (direction * h / 2.0) * sign * grid.axis(coord_axis) / t_step
-    shifted, out = _interp_t(shifted, offsets, coord_axis)
-    return shifted, invalid_axis | out
+def _clipped_difference(values, fwd, bwd, bad_f, bad_b, h: float) -> np.ndarray:
+    """The flow difference on cells where a stencil may have left the grid:
+    centered where neither side is flagged, one-sided away from a flagged
+    side, and 0 where both are."""
+    centered = (fwd - bwd) / (2.0 * h)
+    one_sided_f = (fwd - values) / h
+    one_sided_b = (values - bwd) / h
+    out = np.where(bad_f & ~bad_b, one_sided_b, np.where(bad_b & ~bad_f, one_sided_f, centered))
+    return np.where(bad_f & bad_b, 0.0, out)
 
 
 def _flow_difference(grid: Grid, a: int, axis_label) -> tuple:
     """Central difference along the flow of the a-th frame field (0-based).
 
+    The flow step p . (+-h e_a) is one lattice cell along axis a and, for a
+    horizontal field, a fractional t-shift that depends on one coordinate
+    only. The two commute, so the t-shifts F+ and F- are interpolated once
+    on the unstepped values, with that coordinate moved next to t, and
+    u(p . (h e_a)) at cell x is F+ at x + 1, u(p . (-h e_a)) is F- at x - 1.
+
     Returns (Grid, report); report['boundary_fraction'] is the share of cells
     whose centered stencil left the grid, where a one-sided difference (or
-    zero at a doubly-clipped corner) is substituted and flagged.
+    zero at a doubly-clipped corner) is substituted and flagged. Those cells
+    lie on the two edge slabs along a and on the (coordinate, t) pairs whose
+    t-stencil was clamped; only they take the one-sided formula.
     """
+    n = grid.n
+    t_axis = 2 * n
     h = grid.steps()[a]
-    fwd, bad_f = _flow_shift(grid, a, +1)
-    bwd, bad_b = _flow_shift(grid, a, -1)
-    centered = (fwd - bwd) / (2.0 * h)
-    one_sided_f = (fwd - grid.values) / h
-    one_sided_b = (grid.values - bwd) / h
-    out = np.where(bad_f & ~bad_b, one_sided_b, np.where(bad_b & ~bad_f, one_sided_f, centered))
-    out = np.where(bad_f & bad_b, 0.0, out)
+    N = grid.shape[a]
+    values = grid.values
+    if a == t_axis:
+        plane, step_axis = values, a
+        (fwd, out_f), (bwd, out_b) = (values, False), (values, False)
+    else:
+        if a < n:
+            coord_axis, sign = n + a, -1.0  # y_a
+        else:
+            coord_axis, sign = a - n, +1.0  # x_{a-n}
+        t_step = grid.steps()[t_axis]
+        coords = grid.axis(coord_axis)
+        plane = np.moveaxis(values, coord_axis, -2)
+        step_axis = a if a < coord_axis else a - 1
+        (fwd, out_f), (bwd, out_b) = (
+            _interp_t(plane, (direction * h / 2.0) * sign * coords / t_step)
+            for direction in (+1, -1)
+        )
+    # C order, as the sums over it expect; written through the layout of plane
+    result = np.empty(grid.shape)
+    out = result if a == t_axis else np.moveaxis(result, coord_axis, -2)
+
+    def along(start, stop):
+        index = [slice(None)] * plane.ndim
+        index[step_axis] = slice(start, stop)
+        return tuple(index)
+
+    edge_shape = [1] * plane.ndim
+    edge_shape[step_axis] = N
+    edge_f, edge_b = np.zeros(edge_shape, dtype=bool), np.zeros(edge_shape, dtype=bool)
+    edge_f.flat[-1] = edge_b.flat[0] = True
+    bad_f, bad_b = edge_f | out_f, edge_b | out_b
+
+    np.subtract(fwd[along(2, None)], bwd[along(None, -2)], out=out[along(1, -1)])
+    out[along(1, -1)] /= 2.0 * h
+    # the edge slabs along a: at N - 1 the forward operand wraps around to
+    # F+ at 0, at 0 the backward one to F- at N - 1
+    for x in sorted({0, N - 1}):
+        fx, bx = (x + 1) % N, (x - 1) % N
+        cells = along(x, x + 1)
+        out[cells] = _clipped_difference(
+            plane[cells], fwd[along(fx, fx + 1)], bwd[along(bx, bx + 1)],
+            bad_f[cells], bad_b[cells], h,
+        )
+    if a != t_axis:
+        # the cells between the edge slabs on the clamped (coordinate, t) pairs
+        rows, cols = np.nonzero(out_f | out_b)
+        inner = along(1, -1)
+        out[inner][..., rows, cols] = _clipped_difference(
+            plane[inner][..., rows, cols],
+            fwd[along(2, None)][..., rows, cols],
+            bwd[along(None, -2)][..., rows, cols],
+            out_f[rows, cols], out_b[rows, cols], h,
+        )
     report = {
         "boundary_fraction": float((bad_f | bad_b).mean()),
         "axis": axis_label,
         "step": h,
     }
-    return grid.copy_with(out), report
+    return grid.copy_with(result), report
 
 
 def discrete_horizontal_derivative(grid: Grid, i: int) -> tuple:
@@ -215,12 +253,12 @@ def derivative_convergence(n: int, i: int = 1, resolutions=(16, 24, 32),
         g = Grid.from_poly(n, 1.0, res, poly)
         target = Grid.from_poly(n, 1.0, res, exact)
         approx, rep = discrete_horizontal_derivative(g, i)
-        interior = np.ones(g.shape, dtype=bool)
-        for axis in range(nv):
-            coords_shape = [1] * nv
-            coords_shape[axis] = -1
-            interior &= np.abs(g.axis(axis)).reshape(coords_shape) < 0.5
-        diff = (approx.values - target.values)[interior]
+        # the region is a box: the cells -0.5 < x < 0.5 of each sorted axis
+        box = tuple(
+            slice(np.searchsorted(x, -0.5, side="right"), np.searchsorted(x, 0.5))
+            for x in (g.axis(axis) for axis in range(nv))
+        )
+        diff = (approx.values[box] - target.values[box]).ravel()
         errs.append(float(np.sqrt(np.mean(diff**2))))
         steps.append(rep["step"])
         boundary.append(rep["boundary_fraction"])

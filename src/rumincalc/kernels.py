@@ -340,13 +340,15 @@ def scalar_sobolev_check(n: int, p: float, u: Grid, lambdas=(1.0, 2.0)) -> dict:
     """||u||_q / ||grad_H u||_p with 1/q = 1/p - 1/Q, across dilates of u.
 
     The ratio is dilation invariant; the dilates ride the adapted lattice so
-    the discrete check inherits the invariance exactly.
+    the discrete check inherits the invariance exactly. Raises ValueError
+    naming p, q and lambda when a ratio is 0 or not finite, as when the L^q
+    norm underflows at a large q.
     """
     Q = homogeneous_dimension(n)
     if not 1 < p < Q:
         raise ValueError("need 1 < p < Q")
     _require_interior_support(u)
-    q = 1.0 / (1.0 / p - 1.0 / Q)
+    q = critical_exponent(n, 1.0, p)
     rows = []
     for lam in lambdas:
         ul = _dilated_copy(u, lam)
@@ -358,10 +360,17 @@ def scalar_sobolev_check(n: int, p: float, u: Grid, lambdas=(1.0, 2.0)) -> dict:
             boundary = max(boundary, rep["boundary_fraction"])
         length = np.sqrt(np.sum([g * g for g in grads], axis=0))
         den = ul.copy_with(length).lp_norm(p)
-        num = ul.lp_norm(q)
+        with np.errstate(over="ignore"):
+            num = ul.lp_norm(q)
+        ratio = 0.0 if den == 0.0 else num / den
+        if not 0.0 < ratio < math.inf:
+            raise ValueError(
+                f"Sobolev ratio is {ratio} at p = {p:g}, q = {q:g}, lambda = {lam:g}:"
+                " a norm is 0 or leaves the float range"
+            )
         rows.append({
             "lambda": lam,
-            "ratio": 0.0 if den == 0.0 else num / den,
+            "ratio": ratio,
             "numerator": num,
             "denominator": den,
             "boundary_fraction": boundary,
@@ -373,7 +382,7 @@ def scalar_sobolev_check(n: int, p: float, u: Grid, lambdas=(1.0, 2.0)) -> dict:
         "p": p,
         "q": q,
         "rows": rows,
-        "max_relative_spread": 0.0 if top == 0.0 else top / bottom - 1.0,
+        "max_relative_spread": top / bottom - 1.0,
     }
 
 

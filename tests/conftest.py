@@ -1,7 +1,7 @@
 """Shared generators, cached contexts and oracles for the test suite: the dense
 builds of the exact core, d0 as a matrix, the weight split of d, exact values
 and box integrals of polynomials, Euclidean masks on grids, the full-grid
-flow shift, and the order and the action of operators."""
+flow shift and flow difference, and the order and the action of operators."""
 
 import random
 from fractions import Fraction
@@ -96,8 +96,10 @@ def _reference_interp_t(values, offsets, t_axis: int) -> tuple:
 
 
 def reference_flow_shift(grid, i: int, direction: int) -> tuple:
-    """The flow shift of ``grid._flow_shift`` with full-grid masks and a
-    full-size gather: the oracle for the gather on the (coordinate, t) plane."""
+    """Samples of u(p . (direction * h e_i)) with h one lattice step, by a
+    one-cell roll along axis i and a full-size gather along t, with full-grid
+    masks of the cells whose stencil left the grid: the oracle for the
+    gather on the (coordinate, t) plane."""
     n = grid.n
     t_axis = 2 * n
     h = grid.steps()[i]
@@ -119,6 +121,22 @@ def reference_flow_shift(grid, i: int, direction: int) -> tuple:
     offsets = (direction * h / 2.0) * sign * coord.reshape(offs_shape) / t_step
     shifted, out = _reference_interp_t(shifted, offsets, t_axis)
     return shifted, invalid_axis | out
+
+
+def reference_flow_difference(grid, a: int) -> tuple:
+    """The flow difference along the a-th frame field (0-based) from two
+    full-grid flow shifts, three full-grid quotients and a per-cell choice
+    among them: the oracle for ``grid._flow_difference``. Returns (values,
+    boundary_fraction)."""
+    h = grid.steps()[a]
+    fwd, bad_f = reference_flow_shift(grid, a, +1)
+    bwd, bad_b = reference_flow_shift(grid, a, -1)
+    centered = (fwd - bwd) / (2.0 * h)
+    one_sided_f = (fwd - grid.values) / h
+    one_sided_b = (grid.values - bwd) / h
+    out = np.where(bad_f & ~bad_b, one_sided_b, np.where(bad_b & ~bad_f, one_sided_f, centered))
+    out = np.where(bad_f & bad_b, 0.0, out)
+    return out, float((bad_f | bad_b).mean())
 
 
 def apply_poly_diff_op(op, f: Poly) -> Poly:

@@ -159,6 +159,9 @@ def test_numeric_subcommand(capsys):
             assert len(row["errors"]) == len(row["resolutions"])
             assert len(row["boundary_fractions"]) == len(row["resolutions"])
             assert all(0 <= f < 1 for f in row["boundary_fractions"])
+    (sob,) = [r for r in rows if r["check"] == "scalar Sobolev quotient invariance"]
+    assert len(sob["boundary_fractions"]) == len(sob["ratios"]) == 2
+    assert all(0 < f < 1 for f in sob["boundary_fractions"])
     scan = [r for r in rows if r["check"] == "fundamental-solution gauge scan"]
     assert scan[0]["best_t_weight"] == 16.0
 
@@ -196,6 +199,11 @@ def test_overflowing_lp_lq_norms_are_soft_misses(capsys):
             assert row["reason"].startswith("ValueError: L^p-L^q ratio is inf at p = 3.99, q = 1596,")
             assert "ratios" not in row
         assert critical["q"] == pytest.approx(1596.0) and off["q"] == 0.75 * critical["q"]
+        # the bump's L^q norm underflows to 0 at q = 1596
+        sob = by_check["scalar Sobolev quotient invariance"]
+        assert sob["within_2pct"] is False and "ratios" not in sob
+        assert sob["reason"].startswith("ValueError: Sobolev ratio is 0.0 at p = 3.99, q = 1596,")
+        assert sob["q"] == critical["q"]
         # the rows after the probe still run
         assert rows[-1]["check"] == "fundamental-solution gauge scan"
 

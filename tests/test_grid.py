@@ -9,12 +9,14 @@ from conftest import (
     euclidean_mask,
     exact_value,
     random_poly,
+    reference_flow_difference,
     reference_flow_shift,
     symmetric_box_integral,
 )
+from rumincalc.envelope import derive
 from rumincalc.grid import (
     Grid,
-    _flow_shift,
+    _interp_t,
     derivative_convergence,
     discrete_horizontal_derivative,
     discrete_t_derivative,
@@ -89,6 +91,33 @@ def test_derivative_convergence_is_second_order():
     assert rep["observed_order"] >= 1.8
 
 
+@pytest.mark.parametrize("n, i, resolutions", [
+    (1, 1, (12, 18, 24)),
+    (1, 2, (7, 10, 13)),
+    (1, 1, (5, 8, 11)),
+    (2, 1, (6, 8)),
+    (2, 4, (5, 7)),
+])
+def test_derivative_convergence_errors_on_the_interior_box(n, i, resolutions):
+    # the errors are those over the boolean mask |coordinate| < 0.5, bit for bit
+    nv = 2 * n + 1
+    poly = random_poly(random.Random(10 * n + i), nv, 4, terms=4)
+    rep = derivative_convergence(n, i=i, resolutions=resolutions, poly=poly)
+    exact = derive(n, i - 1, poly)
+    want = []
+    for res in resolutions:
+        g = Grid.from_poly(n, 1.0, res, poly)
+        approx, _ = discrete_horizontal_derivative(g, i)
+        interior = np.ones(g.shape, dtype=bool)
+        for axis in range(nv):
+            coords_shape = [1] * nv
+            coords_shape[axis] = -1
+            interior &= np.abs(g.axis(axis)).reshape(coords_shape) < 0.5
+        diff = (approx.values - Grid.from_poly(n, 1.0, res, exact).values)[interior]
+        want.append(float(np.sqrt(np.mean(diff**2))))
+    assert rep["errors"] == want
+
+
 def test_grid_quadrature_converges_to_exact():
     p = (Poly.var(3, 0) + Poly.var(3, 1)) ** 2
     exact = float(symmetric_box_integral(p))
@@ -158,23 +187,57 @@ def test_from_poly_is_the_per_term_sum_within_the_rounding_bound():
     (3, 3, 6, 0.15),
 ])
 def test_flow_shift_equals_the_full_grid_gather(n, resolution, t_resolution, t_half_width):
-    # the (coordinate, t) plane gather and the broadcast masks give the same
-    # bits as take_along_axis over full-size indices and full-grid masks
+    # interpolating along t on the (coordinate, t) plane, then stepping one
+    # cell along the flow axis, gives the same bits as the full-size gather
+    # of the stepped values: the commutation the flow difference rests on
     g = Grid.empty(n, 1.0, resolution, t_half_width, t_resolution)
     g.values = np.random.default_rng(resolution + 10 * n).standard_normal(g.shape)
-    for i in range(2 * n + 1):
-        bad = {}
+    t_step = g.steps()[2 * n]
+    for i in range(2 * n):
+        coord_axis, sign = (n + i, -1.0) if i < n else (i - n, +1.0)
+        plane = np.moveaxis(g.values, coord_axis, -2)
         for direction in (+1, -1):
-            got, invalid = _flow_shift(g, i, direction)
+            offsets = (direction * g.steps()[i] / 2.0) * sign * g.axis(coord_axis) / t_step
+            shifted, out = _interp_t(plane, offsets)
+            got = np.roll(np.moveaxis(shifted, -2, coord_axis), -direction, axis=i)
             want, want_invalid = reference_flow_shift(g, i, direction)
             assert np.array_equal(got, want), (i, direction)
-            assert np.array_equal(np.broadcast_to(invalid, g.shape), want_invalid)
-            bad[direction] = want_invalid
-        if i < 2 * n:
-            _, rep = discrete_horizontal_derivative(g, i + 1)
+            edge = np.zeros(g.shape, dtype=bool)
+            edge[(slice(None),) * i + ((-1 if direction > 0 else 0),)] = True
+            invalid = edge | np.moveaxis(np.broadcast_to(out, plane.shape), -2, coord_axis)
+            assert np.array_equal(invalid, want_invalid), (i, direction)
+
+
+@pytest.mark.parametrize("n, resolution, t_resolution, t_half_width", [
+    (1, 9, None, None),
+    (1, 8, 13, 0.3),
+    (1, 10, 6, 0.1),
+    (1, 4, 3, 0.02),
+    (1, 2, 5, None),
+    (2, 6, 7, None),
+    (2, 5, 4, 0.2),
+    (2, 6, 9, 0.25),
+    (3, 4, 5, None),
+    (3, 3, 6, 0.15),
+    (3, 5, 4, 0.15),
+])
+def test_flow_difference_equals_the_full_grid_reference(n, resolution, t_resolution,
+                                                        t_half_width):
+    # the fused difference, with the one-sided formula only on the edge slabs
+    # and the clamped (coordinate, t) pairs, gives the bits and the boundary
+    # fraction of two full-grid shifts and a per-cell choice of quotient; the
+    # narrow t windows shift by 1.6 to 4.4 t cells, and by more than all of
+    # them at t_half_width 0.02
+    g = Grid.empty(n, 1.0, resolution, t_half_width, t_resolution)
+    g.values = np.random.default_rng(resolution + 10 * n).standard_normal(g.shape)
+    for a in range(2 * n + 1):
+        if a < 2 * n:
+            got, rep = discrete_horizontal_derivative(g, a + 1)
         else:
-            _, rep = discrete_t_derivative(g)
-        assert rep["boundary_fraction"] == float((bad[+1] | bad[-1]).mean())
+            got, rep = discrete_t_derivative(g)
+        want, boundary_fraction = reference_flow_difference(g, a)
+        assert np.array_equal(got.values, want), a
+        assert rep["boundary_fraction"] == boundary_fraction, a
 
 
 def test_lp_norm_scales_with_dilation():

@@ -595,9 +595,15 @@ def test_scalar_sobolev_check_invariance():
 
 def test_scalar_sobolev_check_zero_and_validation():
     zero = Grid.empty(1, 1.0, 8)
-    report = scalar_sobolev_check(1, 2.0, zero)
-    assert all(r["ratio"] == 0.0 for r in report["rows"])
-    assert report["max_relative_spread"] == 0.0
+    # both norms vanish: the ratio measures nothing
+    with pytest.raises(ValueError, match="ratio is 0.0 at p = 2, q = 4, lambda = 1:"):
+        scalar_sobolev_check(1, 2.0, zero)
+    # q = 1596: every |u|^q of the bump underflows, so the L^q norm is 0
+    u = bump_grid(1, 1.0, 8, 0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match="ratio is 0.0 at p = 3.99, q = 1596, lambda = 1:"):
+            scalar_sobolev_check(1, 3.99, u)
     with pytest.raises(ValueError, match="1 < p < Q"):
         scalar_sobolev_check(1, 1.0, zero)
     bad = Grid.from_poly(1, 1.0, 8, Poly.const(3, 1))
