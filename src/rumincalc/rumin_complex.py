@@ -35,8 +35,6 @@ same operator.
 
 from __future__ import annotations
 
-import operator
-
 from . import linalg
 from .envelope import (
     EnvOp,
@@ -60,26 +58,24 @@ from .polynomials import Poly, add_terms
 class OperatorMatrix:
     """A matrix of enveloping algebra operators between two E0 bases.
 
-    The shape is carried explicitly so that empty matrices (degrees off the
-    end of the complex) still compose with the right dimensions.
+    ``entries`` holds one dict per target row i, mapping a source index j to
+    the nonzero operator from source j to target i; an absent j is a zero
+    entry, and no entry stores a zero operator, so ``==`` and ``is_zero``
+    read the dicts directly. The shape is carried explicitly so that empty
+    matrices (degrees off the end of the complex) still compose with the
+    right dimensions.
     """
 
-    def __init__(self, n: int, src_degree: int, dst_degree: int, entries: list, shape=None):
+    def __init__(self, n: int, src_degree: int, dst_degree: int, entries: list, shape: tuple):
         self.n = n
         self.src_degree = src_degree
         self.dst_degree = dst_degree
-        self.entries = entries  # entries[i][j]: contribution of source j to target i
-        if shape is None:
-            shape = (len(entries), len(entries[0]) if entries else 0)
+        self.entries = entries
         self.shape = shape
 
     @classmethod
     def zero(cls, n: int, src_degree: int, dst_degree: int, rows: int, cols: int):
-        z = EnvOp.zero(n)
-        return cls(
-            n, src_degree, dst_degree,
-            [[z for _ in range(cols)] for _ in range(rows)], shape=(rows, cols),
-        )
+        return cls(n, src_degree, dst_degree, [{} for _ in range(rows)], (rows, cols))
 
     @property
     def rows(self) -> int:
@@ -98,55 +94,58 @@ class OperatorMatrix:
         )
 
     def is_zero(self) -> bool:
-        return all(not e for row in self.entries for e in row)
+        return not any(self.entries)
 
-    def _combine(self, other: "OperatorMatrix", op) -> "OperatorMatrix":
+    def _combine(self, other: "OperatorMatrix", negate: bool) -> "OperatorMatrix":
         if self.shape != other.shape:
             raise ValueError("shape mismatch")
-        # a zero entry of other leaves the entry of self as it is
         entries = [
-            [op(a, b) if b.terms else a for a, b in zip(ra, rb)]
+            add_terms(dict(ra), ((j, -b) for j, b in rb.items()) if negate else rb.items())
             for ra, rb in zip(self.entries, other.entries)
         ]
         return OperatorMatrix(self.n, self.src_degree, self.dst_degree, entries, self.shape)
 
     def __add__(self, other: "OperatorMatrix") -> "OperatorMatrix":
-        return self._combine(other, operator.add)
+        return self._combine(other, False)
 
     def __sub__(self, other: "OperatorMatrix") -> "OperatorMatrix":
-        return self._combine(other, operator.sub)
+        return self._combine(other, True)
 
     def compose(self, inner: "OperatorMatrix") -> "OperatorMatrix":
         """self ∘ inner (apply ``inner`` first).
 
-        Each nonzero row of self and each nonzero column of inner is put
-        over its own common denominator, so the products and sums of an
-        entry run on ints. Only the (row, column) pairs that share a nonzero
-        index are multiplied; every other entry is one shared zero.
+        Each row of self and each column of inner is put over its own common
+        denominator, so the products and sums of an entry run on ints. Only
+        the (row, column) pairs that share a nonzero index are multiplied,
+        and an entry whose products cancel is left out.
         """
         if self.cols != inner.rows:
             raise ValueError("shape mismatch in composition")
-        n, zero, memo = self.n, EnvOp.zero(self.n), {}
-        # the nonzero entries of each column of inner, as integer terms over
-        # the column's denominator, filed under their row j
+        n, memo = self.n, {}
+        columns = [[] for _ in range(inner.cols)]
+        for j, row in enumerate(inner.entries):
+            for k, b in row.items():
+                columns[k].append((j, b))
+        # each column of inner as integer terms over the column's
+        # denominator, filed under their row j
         denominators, by_row = [], [[] for _ in range(inner.rows)]
-        for k in range(inner.cols):
-            nonzero = [(j, row[k]) for j, row in enumerate(inner.entries) if row[k].terms]
-            d, terms = integer_terms(b for _, b in nonzero)
+        for k, column in enumerate(columns):
+            d, terms = integer_terms(b for _, b in column)
             denominators.append(d)
-            for (j, _), t in zip(nonzero, terms):
+            for (j, _), t in zip(column, terms):
                 by_row[j].append((k, t))
         entries = []
         for row in self.entries:
-            nonzero = [(j, a) for j, a in enumerate(row) if a.terms]
-            d_row, terms = integer_terms(a for _, a in nonzero)
+            d_row, terms = integer_terms(row.values())
             pairs: dict = {}
-            for (j, _), a in zip(nonzero, terms):
+            for j, a in zip(row, terms):
                 for k, b in by_row[j]:
                     pairs.setdefault(k, []).append((a, b))
-            out = [zero] * inner.cols
+            out = {}
             for k, products in pairs.items():
-                out[k] = sum_of_products(n, products, d_row * denominators[k], memo)
+                entry = sum_of_products(n, products, d_row * denominators[k], memo)
+                if entry:
+                    out[k] = entry
             entries.append(out)
         return OperatorMatrix(
             n, inner.src_degree, self.dst_degree, entries,
@@ -159,9 +158,9 @@ class OperatorMatrix:
         out = []
         for row in self.entries:
             terms: dict = {}
-            for e, g in zip(row, polys):
-                if e and g.terms:
-                    add_terms(terms, e.act(g).terms.items())
+            for j, e in row.items():
+                if polys[j].terms:
+                    add_terms(terms, e.act(polys[j]).terms.items())
             out.append(Poly.wrap(2 * self.n + 1, terms))
         return out
 
@@ -170,16 +169,14 @@ class OperatorMatrix:
 
         gram_src / gram_dst are the squared norms of the source/target bases.
         """
-        entries = []
-        for j in range(self.cols):
-            row = []
-            for i in range(self.rows):
-                op = self.entries[i][j].adjoint().scale(gram_dst[i] / gram_src[j])
-                row.append(op)
-            entries.append(row)
+        entries = [{} for _ in range(self.cols)]
+        for i, row in enumerate(self.entries):
+            for j, e in row.items():
+                entries[j][i] = e.adjoint().scale(gram_dst[i] / gram_src[j])
         return OperatorMatrix(
             self.n, self.dst_degree, self.src_degree, entries, (self.cols, self.rows)
         )
+
 
 def _require_left_frame(form: Form) -> None:
     if form.frame != "left":
@@ -266,9 +263,11 @@ class RuminContext:
 
     def _constant(self, matrix: list, src_degree: int, dst_degree: int) -> OperatorMatrix:
         """A nonempty Fraction matrix as an operator matrix of scalar operators."""
-        one, zero = EnvOp.one(self.n), EnvOp.zero(self.n)
-        entries = [[one.scale(c) if c else zero for c in row] for row in matrix]
-        return OperatorMatrix(self.n, src_degree, dst_degree, entries)
+        one = EnvOp.one(self.n)
+        entries = [{j: one.scale(c) for j, c in enumerate(row) if c} for row in matrix]
+        return OperatorMatrix(
+            self.n, src_degree, dst_degree, entries, (len(matrix), len(matrix[0]))
+        )
 
     def _d_operator(self, h: int) -> OperatorMatrix:
         """D1_h: the frame-field part of d from Lambda^h to Lambda^{h+1}.
@@ -278,12 +277,12 @@ class RuminContext:
         """
         masks, targets = self.masks[h], self.masks[h + 1]
         row_of = {m: r for r, m in enumerate(targets)}
-        d = OperatorMatrix.zero(self.n, h, h + 1, len(targets), len(masks))
+        entries = [{} for _ in targets]
         table = d_table(self.n)
         for col, mask in enumerate(masks):
             for i, target, sign in table[mask].steps:
-                d.entries[row_of[target]][col] += EnvOp.generator(self.n, i).scale(sign)
-        return d
+                entries[row_of[target]][col] = EnvOp.generator(self.n, i).scale(sign)
+        return OperatorMatrix(self.n, h, h + 1, entries, (len(targets), len(masks)))
 
     def rumin_d_matrix(self, h: int) -> OperatorMatrix:
         """The matrix of d_c: E0^h -> E0^{h+1}, as C_{h+1} D1_h (B_h - d0^{-1} D1_h B_h).
@@ -417,9 +416,7 @@ def commutator_audit(ctx: RuminContext, h: int, zeta: Poly) -> dict:
         "t_zeta_free": True,
     }
     for row in mat.entries:
-        for e in row:
-            if not e:
-                continue
+        for e in row.values():
             direct = commutator_with_multiplication(e, zeta)
             order = direct.order()
             if order is not None:
@@ -452,18 +449,14 @@ def horizontal_representability_report(ctx: RuminContext, h: int) -> dict:
         "n": ctx.n,
         "degree": h,
         "expected_weight": shift,
-        "entries": 0,
-        "nonzero_entries": 0,
+        "entries": mat.rows * mat.cols,
+        "nonzero_entries": sum(map(len, mat.entries)),
         "homogeneous": True,
         "order_one_t_free": True,
         "horizontally_representable": True,
     }
     for row in mat.entries:
-        for e in row:
-            report["entries"] += 1
-            if not e:
-                continue
-            report["nonzero_entries"] += 1
+        for e in row.values():
             if e.homogeneous_degree() != shift:
                 report["homogeneous"] = False
             if shift == 1 and any(exp[-1] for exp in e.terms):

@@ -257,6 +257,8 @@ def test_invalid_arguments(capsys, ctx1):
         ["homotopy", "--n", "1", "--p", "0.5"],
         ["homotopy", "--n", "1", "--q", "0"],
         ["verify", "--n", "1", "--poly-degree", "-1"],
+        ["verify", "--n", "1", "--poly-degree", "100000000"],
+        ["homotopy", "--n", "3", "--grid", "8", "--poly-degree", str(cli.MAX_POLY_DEGREE + 1)],
         ["numeric", "--n", "1", "--h", "1"],
         ["homotopy", "--n", "1", "--grid", "8", "--p", "nan"],
         ["homotopy", "--n", "1", "--grid", "8", "--lambda", "nan"],
@@ -279,6 +281,13 @@ def test_invalid_arguments(capsys, ctx1):
     assert cli.main(["homotopy", "--n", "1", "--grid", "330"]) == 1
     err = capsys.readouterr().err
     assert f"{330 ** 3} cells" in err and f"{2 ** 25}" in err
+    # the degree of random polynomial data is capped before any is drawn
+    assert cli.main(["homotopy", "--n", "1", "--poly-degree", "200"]) == 1
+    assert f"0..{cli.MAX_POLY_DEGREE}" in capsys.readouterr().err
+    for command in ("verify", "homotopy"):
+        args = cli.build_parser().parse_args(
+            [command, "--poly-degree", str(cli.MAX_POLY_DEGREE)])
+        assert cli._argument_error(args) is None
     # usage errors must not exit 2, which means a strict numeric miss
     assert cli.main(["verify", "--bogus"]) == 1
     capsys.readouterr()

@@ -61,14 +61,14 @@ def _T(n):
 def test_recovered_matrices_n1(ctx1):
     X, Y, T = _X(1, 0), _Y(1, 0), _T(1)
     m0 = ctx1.rumin_d_matrix(0)
-    assert m0.entries == [[X], [Y]]
+    assert m0.entries == [{0: X}, {0: Y}]
     m1 = ctx1.rumin_d_matrix(1)
     assert m1.entries == [
-        [-(T + X * Y), X * X],
-        [-(Y * Y), X * Y - T.scale(2)],
+        {0: -(T + X * Y), 1: X * X},
+        {0: -(Y * Y), 1: X * Y - T.scale(2)},
     ]
     m2 = ctx1.rumin_d_matrix(2)
-    assert m2.entries == [[Y.scale(-1), X]]
+    assert m2.entries == [{0: Y.scale(-1), 1: X}]
     # top degree maps to nothing
     assert ctx1.rumin_d_matrix(3).is_zero()
 
@@ -98,22 +98,21 @@ _COEFFICIENTS = tuple(Fraction(c) for c in ("1/2", "1/3", "7/12", "-5/6", "3", "
 
 
 def _random_operator_matrix(rng, n, rows, cols, support=lambda i, j: True):
-    """Entries of one to three PBW terms with mixed denominators, zero where
+    """Entries of one to three PBW terms with mixed denominators, absent where
     ``support`` says so and at random elsewhere."""
     entries = []
     for i in range(rows):
-        row = []
+        row = {}
         for j in range(cols):
             if not support(i, j) or rng.random() < 0.25:
-                row.append(EnvOp.zero(n))
                 continue
-            row.append(EnvOp(n, {
+            row[j] = EnvOp(n, {
                 tuple(rng.choice((0, 0, 1, 2)) for _ in range(2 * n + 1)):
                     rng.choice(_COEFFICIENTS) * rng.randrange(1, 4)
                 for _ in range(rng.randrange(1, 4))
-            }))
+            })
         entries.append(row)
-    return OperatorMatrix(n, 0, 0, entries, shape=(rows, cols))
+    return OperatorMatrix(n, 0, 0, entries, (rows, cols))
 
 
 def test_compose_matches_applying_the_factors_in_turn():
@@ -140,19 +139,63 @@ def test_compose_matches_applying_the_factors_in_turn():
             product = outer.compose(inner)
             assert product.shape == (outer.rows, inner.cols)
             assert len(product.entries) == outer.rows
-            assert all(len(row) == inner.cols for row in product.entries)
+            assert all(0 <= k < inner.cols for row in product.entries for k in row)
             for i, row in enumerate(outer.entries):
                 for k in range(inner.cols):
-                    if not any(a and inner.entries[j][k] for j, a in enumerate(row)):
-                        assert not product.entries[i][k]
+                    if not any(k in inner.entries[j] for j in row):
+                        assert k not in product.entries[i]
             for _ in range(3):
                 polys = [random_poly(rng, nv, 8, terms=4) for _ in range(inner.cols)]
                 assert product.apply(polys) == outer.apply(inner.apply(polys))
-        # the disjoint case really has zero entries, and the others do not
+        # the disjoint case really has absent entries, and the others do not
         outer, inner = cases[1]
         product = outer.compose(inner)
-        assert not product.entries[0][0] and not product.entries[2][1]
+        assert 0 not in product.entries[0] and 1 not in product.entries[2]
         assert not product.is_zero()
+
+
+def _assert_stores_no_zero(m):
+    """One dict per row, keyed by columns in range, holding only nonzero
+    operators; ``is_zero`` agrees with every row being empty."""
+    assert len(m.entries) == m.rows
+    assert all(isinstance(row, dict) for row in m.entries)
+    assert all(0 <= j < m.cols for row in m.entries for j in row)
+    assert all(e for row in m.entries for e in row.values())
+    assert m.is_zero() == all(not row for row in m.entries)
+
+
+def test_operator_matrices_store_no_zero_entry():
+    for n in (1, 2, 3, 4):
+        ctx = shared_context(n)
+        for h in range(ctx.top + 1):
+            d = ctx.rumin_d_matrix(h)
+            _assert_stores_no_zero(d)
+            _assert_stores_no_zero(ctx.rumin_delta_matrix(h))
+            if h < ctx.top:
+                # d_c^2 = 0 leaves every row of the product empty
+                square = ctx.rumin_d_matrix(h + 1).compose(d)
+                _assert_stores_no_zero(square)
+                assert square.is_zero() and all(row == {} for row in square.entries)
+            if n <= 3:
+                _assert_stores_no_zero(ctx.rumin_laplacian(h))
+    rng = random.Random(23)
+    for n in (1, 2):
+        for rows, cols in ((3, 4), (4, 3), (0, 2), (2, 0)):
+            m = _random_operator_matrix(rng, n, rows, cols)
+            other = _random_operator_matrix(rng, n, rows, cols)
+            difference = m - m
+            _assert_stores_no_zero(difference)
+            assert difference.is_zero() and all(row == {} for row in difference.entries)
+            double = m + m
+            _assert_stores_no_zero(double)
+            assert double.entries == [{j: e.scale(2) for j, e in row.items()} for row in m.entries]
+            # cancellation inside a sum leaves no zero behind
+            for total in (m + other, (m + other) - other, other - (m + other)):
+                _assert_stores_no_zero(total)
+            assert (m + other) - other == m
+    # the shape is never inferred from the entries
+    with pytest.raises(TypeError):
+        OperatorMatrix(1, 0, 0, [{}])
 
 
 def test_dc_squares_to_zero_on_random_sections(ctx1):
@@ -215,7 +258,7 @@ def test_delta_is_the_gram_adjoint(ctx1, ctx2):
     delta0 = ctx1.rumin_delta_matrix(0)
     X, Y = _X(1, 0), _Y(1, 0)
     # X and Y are skew-adjoint, so the adjoint column flips sign
-    assert delta0.entries == [[X.scale(-1), Y.scale(-1)]]
+    assert delta0.entries == [{0: X.scale(-1), 1: Y.scale(-1)}]
     # adjoint twice returns the original
     again = delta0.adjoint(ctx1.gram(1), ctx1.gram(0))
     assert again == d0

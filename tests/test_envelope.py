@@ -179,10 +179,9 @@ def test_horizontal_span_coefficients():
         ctx = shared_context(n)
         for h in range(2 * n + 1):
             for row in ctx.rumin_d_matrix(h).entries:
-                for e in row:
-                    if e:
-                        _assert_horizontal_words(e)
-                        count += 1
+                for e in row.values():
+                    _assert_horizontal_words(e)
+                    count += 1
     assert count > 300
     # seeded operators with T exponents 0..3 and mixed horizontal indices
     rng = random.Random(8)

@@ -18,6 +18,7 @@ import pathlib
 import time
 
 from conftest import shared_context
+from rumincalc.envelope import EnvOp
 from rumincalc.rumin_complex import RuminContext
 
 FROZEN = pathlib.Path(__file__).with_name("frozen_outputs.json")
@@ -36,14 +37,18 @@ def env_to_rows(a) -> list:
 
 def to_json(matrix) -> str:
     """An ``OperatorMatrix`` as canonical JSON: degrees, shape and the term
-    rows of every entry, with sorted keys."""
+    rows of every entry, an absent one as the zero operator, with sorted keys."""
+    zero = EnvOp.zero(matrix.n)
     return json.dumps(
         {
             "n": matrix.n,
             "src_degree": matrix.src_degree,
             "dst_degree": matrix.dst_degree,
             "shape": list(matrix.shape),
-            "entries": [[env_to_rows(e) for e in row] for row in matrix.entries],
+            "entries": [
+                [env_to_rows(row.get(j, zero)) for j in range(matrix.cols)]
+                for row in matrix.entries
+            ],
         },
         sort_keys=True,
     )
