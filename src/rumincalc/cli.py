@@ -184,23 +184,33 @@ def cmd_verify(cfg: argparse.Namespace) -> int:
             "nonzero_entries": audit["nonzero_entries"],
         })
 
-    delta_d = ctx.rumin_delta_matrix(0).compose(ctx.rumin_d_matrix(0))
-    lap0 = delta_d.entries[0].get(0, EnvOp.zero(cfg.n))
+    lap0 = ctx.rumin_delta_d(0).entries[0].get(0, EnvOp.zero(cfg.n))
     if cfg.inject_delta_sign_fault:
         lap0 = -lap0
     expected = EnvOp.zero(cfg.n)
     for j in range(2 * cfg.n):
         w = EnvOp.generator(cfg.n, j)
         expected = expected + w * w
-    ok = lap0.scale(Fraction(-1)) == expected
+    got = lap0.scale(Fraction(-1))
+    ok = got == expected
     rep.hard(ok)
-    rep.emit({
+    row = {
         "report": "verify",
         "check": "-Delta_0 = sum W_j^2",
         "n": cfg.n,
         "status": "exact" if ok else "failed",
         "fault_injected": cfg.inject_delta_sign_fault,
-    })
+    }
+    if not ok:
+        # the first PBW exponent, in sorted order, whose coefficients differ
+        exp = min(e for e in got.terms.keys() | expected.terms.keys()
+                  if got.terms.get(e, 0) != expected.terms.get(e, 0))
+        row["witness"] = {
+            "exponent": list(exp),
+            "got": str(got.terms.get(exp, 0)),
+            "expected": str(expected.terms.get(exp, 0)),
+        }
+    rep.emit(row)
 
     commutation = laplacian_commutation_report(ctx)
     for c in commutation["checks"]:

@@ -12,7 +12,10 @@ Y_j^b X_j^a = sum_k (-1)^k k! C(a,k) C(b,k) X_j^(a-k) Y_j^(b-k) T^k.
 Every product, of two operators or of two operator matrices, goes through
 ``sum_of_products``: the factors are put over a common denominator, the
 coefficients are multiplied and summed as ints, and each collected term
-becomes one Fraction.
+becomes one Fraction. W^I W^J is built once per process.
+
+Operators act on a polynomial through its ``DerivativeTable``, which files
+each W^K f by K, so operators applied to one polynomial derive it once.
 
 The homogeneity degree d(I) counts horizontal exponents once and the T
 exponent twice, matching the anisotropic dilations.
@@ -21,6 +24,7 @@ exponent twice, matching the anisotropic dilations.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from itertools import chain, product
 from math import comb, lcm, perm, prod
 from operator import add
@@ -35,6 +39,8 @@ def derive(n: int, field_index: int, f: Poly) -> Poly:
     """Apply the left-invariant frame field with the given index to f.
 
     f is a polynomial in the 2n+1 group coordinates (x_1..x_n, y_1..y_n, t).
+    X_i f and Y_i f are the partial plus the terms of d/dt f times -y_i/2 or
+    x_i/2, added as exponent shifts in one pass.
     """
     if f.nvars != 2 * n + 1:
         raise ValueError("polynomial not in the group coordinate ring")
@@ -42,12 +48,19 @@ def derive(n: int, field_index: int, f: Poly) -> Poly:
     if field_index == t:
         return f.partial(t)
     if 0 <= field_index < n:
-        y_i = Poly.var(f.nvars, n + field_index)
-        return f.partial(field_index) - Fraction(1, 2) * y_i * f.partial(t)
-    if n <= field_index < 2 * n:
-        x_i = Poly.var(f.nvars, field_index - n)
-        return f.partial(field_index) + Fraction(1, 2) * x_i * f.partial(t)
-    raise ValueError(f"field index {field_index} out of range")
+        # X_i = d/dx_i - (y_i/2) d/dt
+        s, half = n + field_index, -_HALF
+    elif n <= field_index < 2 * n:
+        # Y_i = d/dy_i + (x_i/2) d/dt
+        s, half = field_index - n, _HALF
+    else:
+        raise ValueError(f"field index {field_index} out of range")
+    terms = f.partial(field_index).terms  # a fresh dict, ours to extend
+    add_terms(terms, (
+        (e[:s] + (e[s] + 1,) + e[s + 1:t] + (e[t] - 1,), c * e[t] * half)
+        for e, c in f.terms.items() if e[t]
+    ))
+    return Poly.wrap(f.nvars, terms)
 
 
 def frame_derivatives(n: int, f: Poly, frame: str) -> list:
@@ -82,13 +95,38 @@ def frame_derivatives(n: int, f: Poly, frame: str) -> list:
     return [Poly.wrap(f.nvars, terms) for terms in out]
 
 
-def _mono_product(I: tuple, J: tuple, n: int) -> list:
-    """W^I W^J in PBW order, as [(exponent, integer coefficient)].
+class DerivativeTable(dict):
+    """W^K f for one polynomial f, filed by the PBW exponent K.
+
+    An entry missing from the table is derived from the one below it: the
+    outermost letter of W^K (the first generator with a nonzero exponent) is
+    applied with ``derive`` to W^{K'} f, K' being K less that letter. So T
+    is applied first, then the Y_j, then the X_j, as in ``EnvOp.act``, and
+    operators applied to one f share every derivative they have in common.
+    """
+
+    def __init__(self, n: int, f: Poly):
+        super().__init__({(0,) * (2 * n + 1): f})
+        self.n = n
+
+    def __missing__(self, K: tuple) -> Poly:
+        g = next(i for i, k in enumerate(K) if k)
+        below = self[K[:g] + (K[g] - 1,) + K[g + 1:]]
+        out = self[K] = derive(self.n, g, below) if below else below
+        return out
+
+
+@cache
+def _mono_product(I: tuple, J: tuple) -> tuple:
+    """W^I W^J in PBW order, as ((exponent, integer coefficient), ...).
 
     Only Y_j^b (from I) has to pass X_j^a (from J); each k in the closed form
     moves one X_j Y_j pair into a T, so distinct choices give distinct
-    exponents and nothing needs merging.
+    exponents and nothing needs merging. One table of products serves the
+    whole process, keyed by (I, J) alone, since len(I) = 2n+1; the result is
+    a tuple, so no caller can change it.
     """
+    n = len(I) // 2
     t = 2 * n
     out = [(tuple(map(add, I, J)), 1)]
     for j in range(n):
@@ -104,7 +142,7 @@ def _mono_product(I: tuple, J: tuple, n: int) -> list:
                 e[t] += k
                 expanded.append((tuple(e), (-1) ** k * perm(a, k) * comb(b, k) * c))
         out = expanded
-    return out
+    return tuple(out)
 
 
 def _collect(n: int, pairs) -> "EnvOp":
@@ -125,24 +163,20 @@ def integer_terms(ops) -> tuple:
     return d, [[(e, c.numerator * (d // c.denominator)) for e, c in a.terms.items()] for a in ops]
 
 
-def sum_of_products(n: int, pairs, denominator: int, memo: dict) -> "EnvOp":
+def sum_of_products(n: int, pairs, denominator: int) -> "EnvOp":
     """(sum of a b over the pairs) / denominator, renormalized and collected once.
 
     Each a and b is a list of (exponent, int) as ``integer_terms`` gives
     them, so products and sums run on ints, and each collected term becomes
-    one Fraction. ``memo`` keeps W^I W^J by (I, J) for the caller's
-    products.
+    one Fraction.
     """
     acc: dict = {}
     get = acc.get
     for a, b in pairs:
         for I, ci in a:
             for J, cj in b:
-                terms = memo.get((I, J))
-                if terms is None:
-                    terms = memo[I, J] = _mono_product(I, J, n)
                 c = ci * cj
-                for exp, k in terms:
+                for exp, k in _mono_product(I, J):
                     acc[exp] = get(exp, 0) + c * k
     out = EnvOp.__new__(EnvOp)
     out.n = n
@@ -207,7 +241,7 @@ class EnvOp:
         if self.n != other.n:
             raise ValueError("operators on different groups")
         d, (a, b) = integer_terms([self, other])
-        return sum_of_products(self.n, [(a, b)], d * d, {})
+        return sum_of_products(self.n, [(a, b)], d * d)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, EnvOp) and self.n == other.n and self.terms == other.terms
@@ -230,18 +264,18 @@ class EnvOp:
             bits.append(f"({c}){mono}" if mono else f"({c})")
         return " + ".join(bits)
 
-    def act(self, f: Poly) -> Poly:
-        """Apply the operator to a polynomial on the group."""
-        total = Poly.zero(2 * self.n + 1)
-        for exp, c in self.terms.items():
-            g_poly = f
-            for g in range(2 * self.n, -1, -1):
-                for _ in range(exp[g]):
-                    g_poly = derive(self.n, g, g_poly)
-                if not g_poly:
-                    break
-            total = total + c * g_poly
-        return total
+    def act(self, f: "Poly | DerivativeTable") -> Poly:
+        """Apply the operator to a polynomial on the group.
+
+        f may come as the ``DerivativeTable`` of the polynomial, so that
+        several operators applied to it derive it only once.
+        """
+        if not isinstance(f, DerivativeTable):
+            f = DerivativeTable(self.n, f)
+        terms: dict = {}
+        for K, c in self.terms.items():
+            add_terms(terms, ((e, c * v) for e, v in f[K].terms.items()))
+        return Poly.wrap(2 * self.n + 1, terms)
 
     def adjoint(self) -> "EnvOp":
         """Formal L2 adjoint: the anti-automorphism sending each W to -W.
@@ -255,7 +289,7 @@ class EnvOp:
             xs = exp[:n] + (0,) * (n + 1)
             yts = (0,) * n + exp[n:]
             signed = -c if sum(exp) % 2 else c
-            pairs.extend((e, signed * k) for e, k in _mono_product(yts, xs, n))
+            pairs.extend((e, signed * k) for e, k in _mono_product(yts, xs))
         return _collect(n, pairs)
 
     def homogeneity(self, exp: tuple) -> int:
@@ -341,43 +375,75 @@ class PolyDiffOp:
         return max(sum(e) for e in self.terms)
 
 
-def commutator_with_multiplication(a: EnvOp, zeta: Poly) -> PolyDiffOp:
+def commutator_with_multiplication(a: EnvOp, zeta: "Poly | DerivativeTable") -> PolyDiffOp:
     """[a, zeta] = a(zeta u) - zeta a(u) as an operator in u.
 
     Leibniz over each PBW monomial: W^I (zeta u) expands over split exponents
     K <= I with multinomial weights, giving (W^K zeta) W^{I-K} u; the K = 0
-    term cancels against zeta a(u).
+    term cancels against zeta a(u). The W^K zeta are read from the
+    ``DerivativeTable`` of zeta, which the caller may pass in to share it.
     """
     n = a.n
+    if not isinstance(zeta, DerivativeTable):
+        zeta = DerivativeTable(n, zeta)
     terms: dict = {}
     for I, c in a.terms.items():
         add_terms(terms, (
-            (tuple(i - k for i, k in zip(I, K)),
-             c * prod(map(comb, I, K)) * EnvOp(n, {K: 1}).act(zeta))
+            (tuple(i - k for i, k in zip(I, K)), c * prod(map(comb, I, K)) * zeta[K])
             for K in product(*(range(e + 1) for e in I))
             if any(K)
         ))
     return PolyDiffOp(n, terms)
 
 
-def leibniz_commutator_from_words(n: int, words: list, zeta: Poly) -> PolyDiffOp:
+class WordDerivatives(dict):
+    """The word route's table for one zeta, kept apart from its ``DerivativeTable``.
+
+    Filed by a horizontal word w = (w_0, ..., w_k), an entry is
+    W_{w_0} ... W_{w_k} zeta, derived from the entry of its tail w[1:]; the
+    PBW products ``word_op`` of the leftover words are filed in ``products``
+    and read through ``op``.
+    """
+
+    def __init__(self, n: int, zeta: Poly):
+        super().__init__({(): zeta})
+        self.n = n
+        self.products: dict = {}
+
+    def __missing__(self, word: tuple) -> Poly:
+        tail = self[word[1:]]
+        out = self[word] = derive(self.n, word[0], tail) if tail else tail
+        return out
+
+    def op(self, word: tuple) -> EnvOp:
+        """``word_op`` of the word, built once per table."""
+        out = self.products.get(word)
+        if out is None:
+            out = self.products[word] = word_op(self.n, word)
+        return out
+
+
+def leibniz_commutator_from_words(
+    n: int, words: list, zeta: "Poly | WordDerivatives"
+) -> PolyDiffOp:
     """[sum_w c_w W_w, zeta] from a horizontal-word representation.
 
     Every derivative of zeta that appears is a composition of horizontal
-    fields only; T is never applied to zeta here.
+    fields only; T is never applied to zeta here. The derivatives are filed
+    by sub-word in the ``WordDerivatives`` of zeta, which the caller may pass
+    in to share it.
     """
+    if not isinstance(zeta, WordDerivatives):
+        zeta = WordDerivatives(n, zeta)
     terms: dict = {}
     for word, c in words:
         for split in product((False, True), repeat=len(word)):
             if not any(split):
                 continue
-            deriv = zeta
-            for g, applied in zip(reversed(word), reversed(split)):
-                if applied:
-                    deriv = derive(n, g, deriv)
+            deriv = zeta[tuple(g for g, applied in zip(word, split) if applied)]
             if not deriv:
                 continue
             scaled = c * deriv
-            rest = word_op(n, [g for g, applied in zip(word, split) if not applied])
+            rest = zeta.op(tuple(g for g, applied in zip(word, split) if not applied))
             add_terms(terms, ((exp, scaled * cc) for exp, cc in rest.terms.items()))
     return PolyDiffOp(n, terms)

@@ -5,7 +5,9 @@ partial inverse d0^{-1} of the algebraic differential (zero on the complement
 V of im d0, the inverse of d0 restricted to the complement W of ker d0 on its
 image), both from ``exterior_weights``, and the E0 coordinates: B_h, the E0
 basis as columns, and C_h = N_h^{-1} B_h^T, with N_h the diagonal of its
-squared norms. V and W themselves are never built.
+squared norms. V and W themselves are never built. The operator matrices
+d_c, delta_c, d_c delta_c and delta_c d_c are built once per degree and
+kept.
 
 On forms these give the two projectors
 
@@ -37,7 +39,9 @@ from __future__ import annotations
 
 from . import linalg
 from .envelope import (
+    DerivativeTable,
     EnvOp,
+    WordDerivatives,
     commutator_with_multiplication,
     horizontal_span_coefficients,
     integer_terms,
@@ -121,7 +125,7 @@ class OperatorMatrix:
         """
         if self.cols != inner.rows:
             raise ValueError("shape mismatch in composition")
-        n, memo = self.n, {}
+        n = self.n
         columns = [[] for _ in range(inner.cols)]
         for j, row in enumerate(inner.entries):
             for k, b in row.items():
@@ -143,7 +147,7 @@ class OperatorMatrix:
                     pairs.setdefault(k, []).append((a, b))
             out = {}
             for k, products in pairs.items():
-                entry = sum_of_products(n, products, d_row * denominators[k], memo)
+                entry = sum_of_products(n, products, d_row * denominators[k])
                 if entry:
                     out[k] = entry
             entries.append(out)
@@ -153,14 +157,16 @@ class OperatorMatrix:
         )
 
     def apply(self, polys: list) -> list:
+        """The matrix applied to a column of Polys; each source polynomial
+        keeps one ``DerivativeTable``, shared by the rows."""
         if len(polys) != self.cols:
             raise ValueError("coefficient count mismatch")
+        tables = [DerivativeTable(self.n, p) for p in polys]
         out = []
         for row in self.entries:
             terms: dict = {}
             for j, e in row.items():
-                if polys[j].terms:
-                    add_terms(terms, e.act(polys[j]).terms.items())
+                add_terms(terms, e.act(tables[j]).terms.items())
             out.append(Poly.wrap(2 * self.n + 1, terms))
         return out
 
@@ -205,7 +211,11 @@ class RuminContext:
                 [[c / n2 if c else c for c in row] for row, n2 in zip(rows, core.norms2)]
             )
         self._p_e0 = [linalg.matmul(b, c) for b, c in zip(self._embed, self._coords)]
+        # d_c, delta_c, d_c delta_c and delta_c d_c, each built once per degree
         self._d_matrices: dict = {}
+        self._delta_matrices: dict = {}
+        self._d_delta: dict = {}
+        self._delta_d: dict = {}
 
     # -- exact matrix data -------------------------------------------------
 
@@ -309,8 +319,22 @@ class RuminContext:
 
     def rumin_delta_matrix(self, h: int) -> OperatorMatrix:
         """delta_c: E0^{h+1} -> E0^h, the formal L2 adjoint of d_c."""
-        d = self.rumin_d_matrix(h)
-        return d.adjoint(self.gram(h), self.gram(h + 1))
+        if h not in self._delta_matrices:
+            d = self.rumin_d_matrix(h)
+            self._delta_matrices[h] = d.adjoint(self.gram(h), self.gram(h + 1))
+        return self._delta_matrices[h]
+
+    def rumin_d_delta(self, h: int) -> OperatorMatrix:
+        """d_c delta_c on E0^h, for 1 <= h <= top."""
+        if h not in self._d_delta:
+            self._d_delta[h] = self.rumin_d_matrix(h - 1).compose(self.rumin_delta_matrix(h - 1))
+        return self._d_delta[h]
+
+    def rumin_delta_d(self, h: int) -> OperatorMatrix:
+        """delta_c d_c on E0^h, for 0 <= h <= top."""
+        if h not in self._delta_d:
+            self._delta_d[h] = self.rumin_delta_matrix(h).compose(self.rumin_d_matrix(h))
+        return self._delta_d[h]
 
     def weight_shift(self, h: int) -> int:
         """Order of d_c out of degree h: 2 across the middle, else 1."""
@@ -328,10 +352,10 @@ class RuminContext:
             raise ValueError("degree out of range")
         lap = None
         if h > 0:
-            lower = self.rumin_d_matrix(h - 1).compose(self.rumin_delta_matrix(h - 1))
+            lower = self.rumin_d_delta(h)
             lap = lower.compose(lower) if h == self.n else lower
         if h < self.top:
-            upper = self.rumin_delta_matrix(h).compose(self.rumin_d_matrix(h))
+            upper = self.rumin_delta_d(h)
             upper = upper.compose(upper) if h == self.n + 1 else upper
             lap = upper if lap is None else lap + upper
         return lap
@@ -370,14 +394,15 @@ def laplacian_commutation_report(ctx: RuminContext) -> dict:
             "exact_zero": delta.compose(lap[h]) == lap[h - 1].compose(delta),
         })
 
+    # the crossing factors, grouped (d_c delta_c) d_c and (delta_c d_c) delta_c
     d_lo = ctx.rumin_d_matrix(n - 1)
     delta_lo = ctx.rumin_delta_matrix(n - 1)
-    cross_d_lo = d_lo.compose(delta_lo).compose(d_lo)
-    cross_delta_lo = delta_lo.compose(d_lo).compose(delta_lo)
+    cross_d_lo = ctx.rumin_d_delta(n).compose(d_lo)
+    cross_delta_lo = ctx.rumin_delta_d(n - 1).compose(delta_lo)
     d_hi = ctx.rumin_d_matrix(n + 1)
     delta_hi = ctx.rumin_delta_matrix(n + 1)
-    cross_d_hi = d_hi.compose(delta_hi).compose(d_hi)
-    cross_delta_hi = delta_hi.compose(d_hi).compose(delta_hi)
+    cross_d_hi = ctx.rumin_d_delta(n + 2).compose(d_hi)
+    cross_delta_hi = ctx.rumin_delta_d(n + 1).compose(delta_hi)
     checks += [
         {"identity": f"Delta_{n} d_c = (d_c delta_c d_c) Delta_{n - 1}",
          "exact_zero": lap[n].compose(d_lo) == cross_d_lo.compose(lap[n - 1])},
@@ -403,10 +428,13 @@ def commutator_audit(ctx: RuminContext, h: int, zeta: Poly) -> dict:
     commutator computed through a horizontal-word representation of a, which
     by construction never applies T to zeta, agrees exactly with the direct
     Leibniz expansion. Agreement certifies the coefficients are free of
-    T zeta.
+    T zeta. Each route files the derivatives of zeta in a table of its own,
+    shared by every entry, so the two stay independent computations.
     """
     mat = ctx.rumin_d_matrix(h)
     shift = ctx.weight_shift(h)
+    direct_table = DerivativeTable(ctx.n, zeta)
+    word_table = WordDerivatives(ctx.n, zeta)
     report = {
         "n": ctx.n,
         "degree": h,
@@ -417,7 +445,7 @@ def commutator_audit(ctx: RuminContext, h: int, zeta: Poly) -> dict:
     }
     for row in mat.entries:
         for e in row.values():
-            direct = commutator_with_multiplication(e, zeta)
+            direct = commutator_with_multiplication(e, direct_table)
             order = direct.order()
             if order is not None:
                 if report["max_order"] is None or order > report["max_order"]:
@@ -428,7 +456,7 @@ def commutator_audit(ctx: RuminContext, h: int, zeta: Poly) -> dict:
             if words is None:
                 report["t_zeta_free"] = False
                 continue
-            horizontal = leibniz_commutator_from_words(ctx.n, words, zeta)
+            horizontal = leibniz_commutator_from_words(ctx.n, words, word_table)
             if direct != horizontal:
                 report["t_zeta_free"] = False
     report["ok"] = report["orders_ok"] and report["t_zeta_free"]

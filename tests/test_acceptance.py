@@ -126,6 +126,19 @@ def test_criterion_04_laplacian_commutation(capsys):
     )
 
 
+def test_criterion_04_laplacian_commutation_n3(capsys):
+    t0 = time.perf_counter()
+    report = laplacian_commutation_report(ctx_for(3))
+    elapsed = time.perf_counter() - t0
+    count = len(report["checks"])
+    ok = report["ok"] and count == 14 and elapsed < 60
+    announce(
+        capsys, 4, ok,
+        f"d_c/delta_c commute with the Laplacians exactly for n = 3 ({count} "
+        f"operator identities, order-matched across the middle, {elapsed:.1f}s)",
+    )
+
+
 def test_criterion_05_commutator_structure(capsys):
     rng = random.Random(5)
     ok = True

@@ -76,6 +76,11 @@ def test_verify_fault_injection_fails(capsys):
     bad = [r for r in rows if r["check"] == "-Delta_0 = sum W_j^2"]
     assert bad[0]["status"] == "failed"
     assert bad[0]["fault_injected"] is True
+    # the first PBW exponent in sorted order whose coefficients differ: Y_1^2
+    assert bad[0]["witness"] == {"exponent": [0, 2, 0], "got": "-1", "expected": "1"}
+    code, rows = run_cli(capsys, ["verify", "--n", "1"])
+    good = [r for r in rows if r["check"] == "-Delta_0 = sum W_j^2"]
+    assert code == 0 and good[0]["status"] == "exact" and "witness" not in good[0]
 
 
 def test_homotopy_subcommand(capsys):

@@ -333,6 +333,46 @@ def test_commutator_audit_random(ctx1):
                 assert report["t_zeta_free"]
 
 
+def test_commutator_audit_fails_on_a_planted_t(ctx1):
+    rng = random.Random(7)
+    for h in (0, 2):
+        zeta = random_poly(rng, 3, 3)
+        while not zeta.partial(2):
+            zeta = random_poly(rng, 3, 3)
+        # a context of its own: the fault goes into its cached d_c matrix
+        ctx = RuminContext(1)
+        assert commutator_audit(ctx, h, zeta)["ok"]
+        row = ctx.rumin_d_matrix(h).entries[0]
+        j = next(iter(row))
+        assert operator_order(row[j]) == 1
+        row[j] = row[j] + _T(1)
+        report = commutator_audit(ctx, h, zeta)
+        assert not report["ok"]
+        assert not report["t_zeta_free"]
+        # the unplanted context passes with the same zeta
+        assert commutator_audit(ctx1, h, zeta)["ok"]
+
+
+def test_context_builds_delta_and_the_products_once(ctx1, ctx2):
+    for ctx in (ctx1, ctx2, shared_context(3)):
+        for h in range(ctx.top + 1):
+            d = ctx.rumin_d_matrix(h)
+            delta = ctx.rumin_delta_matrix(h)
+            assert ctx.rumin_delta_matrix(h) is delta
+            fresh = d.adjoint(ctx.gram(h), ctx.gram(h + 1))
+            assert fresh is not delta and fresh == delta
+            delta_d = ctx.rumin_delta_d(h)
+            assert ctx.rumin_delta_d(h) is delta_d
+            assert delta_d == fresh.compose(d)
+            if h > 0:
+                below = ctx.rumin_d_matrix(h - 1)
+                d_delta = ctx.rumin_d_delta(h)
+                assert ctx.rumin_d_delta(h) is d_delta
+                assert d_delta == below.compose(below.adjoint(ctx.gram(h - 1), ctx.gram(h)))
+        with pytest.raises(ValueError, match="degree out of range"):
+            ctx.rumin_d_delta(0)
+
+
 def test_commutator_matches_form_level_leibniz(ctx1):
     rng = random.Random(2)
     h = 1

@@ -12,8 +12,10 @@ from conftest import (
     symmetric_box_integral,
 )
 from rumincalc.envelope import (
+    DerivativeTable,
     EnvOp,
     PolyDiffOp,
+    WordDerivatives,
     commutator_with_multiplication,
     derive,
     frame_derivatives,
@@ -234,6 +236,62 @@ def test_commutator_routes_agree():
             # and both act the same on test functions
             u = random_poly(rng, nv, 2)
             assert apply_poly_diff_op(direct, u) == ops[key].act(zeta * u) - zeta * ops[key].act(u)
+
+
+def test_derivative_table_chains_derive_in_the_order_of_act():
+    rng = random.Random(13)
+    for n in (1, 2, 3):
+        nv = 2 * n + 1
+        for _ in range(2):
+            f = random_poly(rng, nv, 5, terms=6)
+            table = DerivativeTable(n, f)
+            exponents = [K for K in product(range(4), repeat=nv) if sum(K) <= 3]
+            for K in exponents:
+                # T first, then Y_n .. Y_1, then X_n .. X_1, as act applies them
+                chained = f
+                for g in range(nv - 1, -1, -1):
+                    for _ in range(K[g]):
+                        chained = derive(n, g, chained)
+                assert table[K] == chained
+            # each entry is derived from one below it, so none lies outside
+            assert len(table) == len(exponents)
+    # one table shared by several operators acts as a fresh table per call
+    for n in (1, 2):
+        nv = 2 * n + 1
+        ops = [_random_op(rng, n) for _ in range(6)]
+        ops += [e for row in shared_context(n).rumin_d_matrix(n).entries for e in row.values()]
+        for _ in range(3):
+            f = random_poly(rng, nv, 6, terms=6)
+            shared = DerivativeTable(n, f)
+            for op in ops:
+                assert op.act(shared) == op.act(f) == op.act(DerivativeTable(n, f))
+            assert shared[(0,) * nv] is f
+
+
+def test_commutator_routes_read_only_their_own_tables():
+    # a wrong entry planted in one route's table changes that route alone,
+    # so the audit's comparison of the two routes is not one route twice
+    rng = random.Random(14)
+    n = 1
+    a = X(n, 0) * Y(n, 0)
+    words = horizontal_span_coefficients(a, 2)
+    zeta = random_poly(rng, 3, 4, terms=6)
+    while not derive(n, 0, zeta):
+        zeta = random_poly(rng, 3, 4, terms=6)
+    direct = commutator_with_multiplication(a, zeta)
+    assert leibniz_commutator_from_words(n, words, zeta) == direct
+    one = Poly.const(3, 1)
+
+    direct_table = DerivativeTable(n, zeta)
+    direct_table[(1, 0, 0)] = direct_table[(1, 0, 0)] + one
+    word_table = WordDerivatives(n, zeta)
+    assert commutator_with_multiplication(a, direct_table) != direct
+    assert leibniz_commutator_from_words(n, words, word_table) == direct
+
+    word_table = WordDerivatives(n, zeta)
+    word_table[(0,)] = word_table[(0,)] + one
+    assert leibniz_commutator_from_words(n, words, word_table) != direct
+    assert commutator_with_multiplication(a, DerivativeTable(n, zeta)) == direct
 
 
 def test_polydiffop_order_and_t_flag():
