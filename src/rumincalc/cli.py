@@ -50,7 +50,7 @@ MIN_GRID = 8
 # float array
 MAX_GRID_CELLS = 2 ** 25
 # the highest degree of random polynomial data: homotopy at n = 3, --grid 8
-# takes 12-19 s at 8 and 32 s at 10 on a 2-core machine
+# takes about 5 s at 8 on a 2-core machine
 MAX_POLY_DEGREE = 8
 
 
@@ -265,16 +265,30 @@ def cmd_homotopy(cfg: argparse.Namespace) -> int:
     bump = AveragingWeight.bump(Fraction(1, 3))
 
     def zero_row(check: str, residuals: list) -> None:
-        """A hard row: every residual must be exactly zero."""
-        failures = sum(1 for r in residuals if r)
-        rep.hard(failures == 0)
-        rep.emit({
+        """A hard row: every residual must be exactly zero. A failed row
+        names a witness: the first nonzero residual's trial (its index among
+        the row's trials), its first coframe mask, and that coefficient's
+        first exponent, in sorted order, with its coefficient."""
+        failed = [trial for trial, r in enumerate(residuals) if r]
+        rep.hard(not failed)
+        row = {
             "report": "homotopy",
             "check": check,
             "n": n,
             "trials": len(residuals),
-            "status": "exact-zero" if failures == 0 else "failed",
-        })
+            "status": "failed" if failed else "exact-zero",
+        }
+        if failed:
+            coeffs = residuals[failed[0]].coeffs
+            mask = min(coeffs)
+            exp = min(coeffs[mask].terms)
+            row["witness"] = {
+                "trial": failed[0],
+                "mask": mask,
+                "exponent": list(exp),
+                "coefficient": str(coeffs[mask].terms[exp]),
+            }
+        rep.emit(row)
 
     residuals = []
     for k in (1, 2, 3):

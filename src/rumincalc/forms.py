@@ -24,10 +24,11 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import lru_cache
 from typing import Mapping
 
 from .envelope import frame_derivatives
-from .exterior_weights import d_table, lambda_masks, mask_weight, wedge_terms
+from .exterior_weights import d_table, lambda_masks, mask_weight
 from .group_geometry import dilate, from_coords, multiply
 from .polynomials import Poly, add_terms, random_poly
 
@@ -100,9 +101,6 @@ class Form:
     def __sub__(self, other: "Form") -> "Form":
         return self + (-other)
 
-    def mul_poly(self, p: Poly) -> "Form":
-        return Form(self.n, self.frame, {m: q * p for m, q in self.coeffs.items()})
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Form)
@@ -151,11 +149,6 @@ class Form:
         return out
 
 
-def wedge_forms(a: Form, b: Form) -> Form:
-    a._check(b)
-    return Form(a.n, a.frame, wedge_terms(a.coeffs, b.coeffs))
-
-
 def random_form(rng: random.Random, n: int, k: int, degree: int, frame: str = "left") -> Form:
     """A k-form with a two-term random coefficient of degree <= ``degree`` per monomial."""
     nv = 2 * n + 1
@@ -197,36 +190,56 @@ def exterior_d(form: Form) -> Form:
 # -- frame conversion --------------------------------------------------------
 
 
-def _one_form_images(n: int, target: str) -> list:
-    """Images in the ``target`` frame of the 2n+1 basis one-forms of the other."""
-    nv = 2 * n + 1
-    one = Poly.const(nv, 1)
-    # theta = dt - 1/2 sum (x_j dy_j - y_j dx_j), so dt = theta + the same sum
+@lru_cache(maxsize=None)
+def _frame_change(n: int, target: str) -> dict:
+    """Images in the ``target`` frame of the coframe monomials of the other
+    frame that hold its last basis one-form (theta or dt), by mask.
+
+    theta = dt - 1/2 sum_j (x_j dy_j - y_j dx_j), so dt = theta + the same
+    sum. A monomial e_I ^ e_t maps to itself plus, for each e_b with b not in
+    I, +-1/2 x_j or -+1/2 y_j times e_I ^ e_b; each such term is filed as
+    (target mask, variable, coefficient). A monomial without e_t maps to
+    itself with coefficient 1 and has no entry.
+    """
+    t_bit = 1 << (2 * n)
     half = Fraction(-1, 2) if target == "coord" else Fraction(1, 2)
-    images = [Form.monomial(n, 1 << i, one, target) for i in range(2 * n)]
-    coeffs = {1 << (2 * n): one}
+    # the contact one-form's coefficients: +-1/2 x_j on dy_j, -+1/2 y_j on dx_j
+    slope = {}
     for j in range(n):
-        coeffs[1 << (n + j)] = Poly.var(nv, j).scale(half)
-        coeffs[1 << j] = Poly.var(nv, n + j).scale(-half)
-    images.append(Form(n, target, coeffs))
-    return images
+        slope[1 << (n + j)] = (j, half)
+        slope[1 << j] = (n + j, -half)
+    table = {}
+    for mask in range(t_bit, t_bit << 1):
+        rest = mask ^ t_bit
+        # e_I ^ e_b = (-1)^(the indices of I above b) e_{I + b}
+        table[mask] = tuple(
+            (rest | bit, var, -c if (rest >> bit.bit_length()).bit_count() % 2 else c)
+            for bit, (var, c) in slope.items() if not rest & bit
+        )
+    return table
 
 
 def _convert(form: Form, target: str) -> Form:
+    """The form in the ``target`` frame, read off ``_frame_change``: a
+    coefficient whose monomial maps to itself alone passes through as is."""
     if form.frame == target:
         return form
     n = form.n
-    nv = 2 * n + 1
-    images = _one_form_images(n, target)
-    out = Form.zero(n, target)
-    unit = Poly.const(nv, 1)
+    table = _frame_change(n, target)
+    coeffs = dict(form.coeffs)
+    extra: dict = {}
     for mask, p in form.coeffs.items():
-        prod = Form.from_function(n, unit, target)
-        for i in range(nv):
-            if mask >> i & 1:
-                prod = wedge_forms(prod, images[i])
-        out = out + prod.mul_poly(p)
-    return out
+        for dst, var, c in table.get(mask, ()):
+            add_terms(extra.setdefault(dst, {}), (
+                (e[:var] + (e[var] + 1,) + e[var + 1:], v * c) for e, v in p.terms.items()
+            ))
+    nv = 2 * n + 1
+    for dst, terms in extra.items():
+        own = coeffs.get(dst)
+        if own is not None:
+            add_terms(terms, own.terms.items())
+        coeffs[dst] = Poly.wrap(nv, terms)
+    return Form(n, target, coeffs)
 
 
 def to_coordinate_frame(form: Form) -> Form:
@@ -271,22 +284,32 @@ def pullback_translation_dilation(form: Form, base, r) -> Form:
 # -- linear maps given by exact matrices in a graded basis --------------------
 
 
-def matrix_times_polys(matrix: list, polys: list, nvars: int) -> list:
-    """A Fraction matrix times a column of Polys, ``None`` counting as zero."""
+def matrix_times_polys(rows: list, polys: list, nvars: int) -> list:
+    """A Fraction matrix, given as rows {column: entry} of its nonzero
+    entries, times a column of Polys, ``None`` counting as zero. A row whose
+    only entry is 1 gives its source Poly itself."""
     out = []
-    for row in matrix:
+    for row in rows:
+        if len(row) == 1:
+            ((j, c),) = row.items()
+            if c == 1 and polys[j] is not None:
+                out.append(polys[j])
+                continue
         terms: dict = {}
-        for c, p in zip(row, polys):
-            if c and p is not None:
-                add_terms(terms, ((e, v * c) for e, v in p.terms.items()))
+        for j, c in row.items():
+            p = polys[j]
+            if p is not None:
+                add_terms(terms, p.terms.items() if c == 1 else
+                          ((e, v * c) for e, v in p.terms.items()))
         out.append(Poly.wrap(nvars, terms))
     return out
 
 
-def apply_mask_matrix(matrix: list, src_masks: list, dst_masks: list, form: Form) -> Form:
-    """Apply a Fraction matrix (dst x src over coframe masks) coefficientwise."""
+def apply_mask_matrix(rows: list, src_masks: list, dst_masks: list, form: Form) -> Form:
+    """Apply a Fraction matrix (dst x src over coframe masks, as rows of its
+    nonzero entries) coefficientwise."""
     if set(form.coeffs) - set(src_masks):
         raise ValueError("form has components outside the source basis")
     src = [form.coeffs.get(m) for m in src_masks]
-    image = matrix_times_polys(matrix, src, 2 * form.n + 1)
+    image = matrix_times_polys(rows, src, 2 * form.n + 1)
     return Form(form.n, form.frame, dict(zip(dst_masks, image)))

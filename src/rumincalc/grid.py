@@ -15,6 +15,7 @@ plane.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -53,8 +54,11 @@ class Grid:
             v *= s
         return v
 
-    def meshes(self) -> list:
-        return np.meshgrid(*[self.axis(i) for i in range(2 * self.n + 1)], indexing="ij")
+    def meshes(self, sparse: bool = False) -> list:
+        """The coordinate arrays of the lattice; sparse ones keep their own
+        axis only and broadcast against each other."""
+        axes = [self.axis(i) for i in range(2 * self.n + 1)]
+        return np.meshgrid(*axes, indexing="ij", sparse=sparse)
 
     def copy_with(self, values: np.ndarray) -> "Grid":
         return Grid(self.n, self.half_widths, self.shape, values)
@@ -91,9 +95,12 @@ def gauge_mask(grid: Grid, center: Point, radius: float, t_weight: float = 1.0) 
     """Boolean mask of grid cells inside the gauge ball around ``center``.
 
     The gauge is rho^4 = |z|^4 + t_weight * t^2 evaluated on center^{-1} . p.
+    The coordinates are sparse axes that the group law and the gauge
+    broadcast: only the t coordinate, its square and the comparison fill the
+    lattice, |z|^4 stays on the horizontal cells.
     """
     c = from_coords([float(v) for v in center.coords()])
-    z = multiply(inverse(c), from_coords(grid.meshes()))
+    z = multiply(inverse(c), from_coords(grid.meshes(sparse=True)))
     return gauge4(z, t_weight) < float(radius) ** 4
 
 
@@ -225,26 +232,35 @@ def discrete_t_derivative(grid: Grid) -> tuple:
     return _flow_difference(grid, 2 * grid.n, "t")
 
 
+@lru_cache(maxsize=None)
+def _default_quartic(n: int):
+    """(sum_j (j+1) v_j)^4 + v_0^2 t, the test polynomial of
+    ``derivative_convergence``, built once per n."""
+    from .polynomials import Poly
+
+    nv = 2 * n + 1
+    total = Poly.zero(nv)
+    for j in range(nv):
+        total = total + Poly.var(nv, j).scale(j + 1)
+    return total**4 + Poly.var(nv, 0) ** 2 * Poly.var(nv, 2 * n)
+
+
 def derivative_convergence(n: int, i: int = 1, resolutions=(16, 24, 32),
                            poly=None) -> dict:
     """Observed convergence order of the discrete flow derivative.
 
-    Compares against the symbolic derivation on a quartic (or the supplied
-    polynomial), measuring the L2 error over the fixed interior region
+    Compares against the symbolic derivation on ``_default_quartic`` (or the
+    supplied polynomial), measuring the L2 error over the fixed interior region
     |coordinate| < 0.5 so that the region sampled does not change with the
     resolution; fits the log-log slope across the resolutions. Reports each
     resolution's error and the share of its cells where the stencil left
     the grid.
     """
     from .envelope import derive
-    from .polynomials import Poly
 
     nv = 2 * n + 1
     if poly is None:
-        total = Poly.zero(nv)
-        for j in range(nv):
-            total = total + Poly.var(nv, j).scale(j + 1)
-        poly = total**4 + Poly.var(nv, 0) ** 2 * Poly.var(nv, 2 * n)
+        poly = _default_quartic(n)
     exact = derive(n, i - 1, poly)
     errs = []
     steps = []

@@ -26,7 +26,8 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import accumulate, product
+from operator import mul, sub
 
 import numpy as np
 
@@ -79,15 +80,11 @@ class AveragingWeight:
             return Fraction(0)
         gammas = [b // 2 for b in beta]
         total = sum(gammas)
-        num = Fraction(1)
-        for g in gammas:
-            for j in range(g):
-                num *= Fraction(2 * j + 1, 2)
-        den = Fraction(1)
-        base = Fraction(dimension, 2) + self.exponent + 1
-        for j in range(total):
-            den *= base + j
-        return self.radius ** (2 * total) * num / den
+        # prod_i prod_{j < gamma_i} (2j + 1)/2 over prod_{j < total}
+        # (dimension/2 + exponent + 1 + j), on ints: the halves cancel
+        num = math.prod(2 * j + 1 for g in gammas for j in range(g))
+        den = math.prod(dimension + 2 * self.exponent + 2 + 2 * j for j in range(total))
+        return self.radius ** (2 * total) * Fraction(num, den)
 
 
 # -- Euclidean cone homotopy ---------------------------------------------------
@@ -105,6 +102,12 @@ def _cone_homotopy(omega: Form, moment) -> Form:
 
     with +-_j = (-1)^(position of j in I) and B(p, q) = (p-1)!(q-1)!/(p+q-1)!.
     m(beta) = y^beta gives the cone at y, and the moments of psi its average.
+
+    A split a whose moments m(alpha - a) and m(alpha - a + e_j), j in I, all
+    vanish contributes nothing and is skipped. The others are summed as ints
+    over one denominator: the lcm of the coefficients' denominators, times
+    (|alpha| + k)! at its largest, times the lcm of the moments'
+    denominators. Each output term is then one Fraction.
     """
     nv = 2 * omega.n + 1
     moments: dict = {}
@@ -114,31 +117,49 @@ def _cone_homotopy(omega: Form, moment) -> Form:
             moments[beta] = moment(beta)
         return moments[beta]
 
-    out: dict = {}
+    live = []  # (mask, indices, alpha, c, a, rest, shifts) for each split that counts
     for mask, p in omega.coeffs.items():
-        k = mask.bit_count()
         indices = [i for i in range(nv) if mask >> i & 1]
         for alpha, c in p.terms.items():
-            size = sum(alpha)
             for a in product(*(range(e + 1) for e in alpha)):
-                rest = tuple(e - b for e, b in zip(alpha, a))
-                low = sum(a)
-                coeff = c * Fraction(
-                    math.prod(math.comb(e, b) for e, b in zip(alpha, a))
-                    * math.factorial(low + k - 1) * math.factorial(size - low),
-                    math.factorial(size + k),
-                )
-                m_rest = m(rest)
-                for pos, j in enumerate(indices):
-                    signed = -coeff if pos % 2 else coeff
-                    terms = out.setdefault(mask & ~(1 << j), {})
-                    if m_rest:
-                        up = a[:j] + (a[j] + 1,) + a[j + 1:]
-                        terms[up] = terms.get(up, 0) + signed * m_rest
-                    m_shift = m(rest[:j] + (rest[j] + 1,) + rest[j + 1:])
-                    if m_shift:
-                        terms[a] = terms.get(a, 0) - signed * m_shift
-    return Form(omega.n, "coord", {mask: Poly(nv, terms) for mask, terms in out.items()})
+                rest = tuple(map(sub, alpha, a))
+                shifts = [rest[:j] + (rest[j] + 1,) + rest[j + 1:] for j in indices]
+                # a list, not a generator: the sums below read every moment
+                if any([m(beta) for beta in (rest, *shifts)]):
+                    live.append((mask, indices, alpha, c, a, rest, shifts))
+    coeffs = [(mask, alpha, c) for mask, p in omega.coeffs.items() for alpha, c in p.terms.items()]
+    # (|alpha| + k)! at its largest is a multiple of every Beta denominator
+    top = max((sum(alpha) + mask.bit_count() for mask, alpha, _ in coeffs), default=0)
+    factorial = list(accumulate(range(1, top + 1), mul, initial=1))
+    coeff_den = math.lcm(*(c.denominator for _, _, c in coeffs))
+    moment_den = math.lcm(*(v.denominator for v in moments.values() if v))
+    scaled = {beta: v.numerator * (moment_den // v.denominator)
+              for beta, v in moments.items() if v}
+
+    out: dict = {}
+    for mask, indices, alpha, c, a, rest, shifts in live:
+        k, size, low = mask.bit_count(), sum(alpha), sum(a)
+        coeff = (
+            c.numerator * (coeff_den // c.denominator)
+            * math.prod(math.comb(e, b) for e, b in zip(alpha, a))
+            * factorial[low + k - 1] * factorial[size - low]
+            * (factorial[top] // factorial[size + k])
+        )
+        m_rest = scaled.get(rest)
+        for pos, j in enumerate(indices):
+            signed = -coeff if pos % 2 else coeff
+            terms = out.setdefault(mask & ~(1 << j), {})
+            if m_rest:
+                up = a[:j] + (a[j] + 1,) + a[j + 1:]
+                terms[up] = terms.get(up, 0) + signed * m_rest
+            m_shift = scaled.get(shifts[pos])
+            if m_shift:
+                terms[a] = terms.get(a, 0) - signed * m_shift
+    den = coeff_den * factorial[top] * moment_den
+    return Form(omega.n, "coord", {
+        mask: Poly.wrap(nv, {e: Fraction(v, den) for e, v in terms.items() if v})
+        for mask, terms in out.items()
+    })
 
 
 def _cone_degree(name: str, omega: Form, k: int | None) -> None:

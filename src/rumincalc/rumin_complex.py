@@ -5,9 +5,10 @@ partial inverse d0^{-1} of the algebraic differential (zero on the complement
 V of im d0, the inverse of d0 restricted to the complement W of ker d0 on its
 image), both from ``exterior_weights``, and the E0 coordinates: B_h, the E0
 basis as columns, and C_h = N_h^{-1} B_h^T, with N_h the diagonal of its
-squared norms. V and W themselves are never built. The operator matrices
-d_c, delta_c, d_c delta_c and delta_c d_c are built once per degree and
-kept.
+squared norms. V and W themselves are never built. These constant maps,
+and P_E0 below, are kept as rows of their nonzero entries. The operator
+matrices d_c, delta_c, d_c delta_c and delta_c d_c are built once per
+degree and kept.
 
 On forms these give the two projectors
 
@@ -37,7 +38,6 @@ same operator.
 
 from __future__ import annotations
 
-from . import linalg
 from .envelope import (
     DerivativeTable,
     EnvOp,
@@ -199,18 +199,27 @@ class RuminContext:
         self.top = 2 * n + 1
         self.masks = [lambda_masks(n, h) for h in range(self.top + 1)]
         self.cores = [build_spaces(n, h) for h in range(self.top + 1)]
-        self.d0_pinv = [None] + [d0_pseudo_inverse(n, h) for h in range(self.top)]
-        # B_h (the E0 basis as columns) and C_h = N_h^{-1} B_h^T: the one E0
-        # coordinate system, read by every map into and out of E0
+        # d0^{-1}, B_h (the E0 basis as columns), C_h = N_h^{-1} B_h^T and
+        # P_E0 = B_h C_h, each kept as rows {column: entry} of its nonzero
+        # entries; B_h and C_h are the one E0 coordinate system, read by
+        # every map into and out of E0
+        self.d0_pinv = [None] + [
+            [{j: c for j, c in enumerate(row) if c} for row in d0_pseudo_inverse(n, h)]
+            for h in range(self.top)
+        ]
         self._embed, self._coords = [], []
         for h in range(self.top + 1):
             core = self.cores[h]
             rows = [covector_coords(b, self.masks[h]) for b in core.basis]
-            self._embed.append([list(col) for col in zip(*rows)])
+            self._embed.append([{j: c for j, c in enumerate(col) if c} for col in zip(*rows)])
             self._coords.append(
-                [[c / n2 if c else c for c in row] for row, n2 in zip(rows, core.norms2)]
+                [{j: c / n2 for j, c in enumerate(row) if c} for row, n2 in zip(rows, core.norms2)]
             )
-        self._p_e0 = [linalg.matmul(b, c) for b, c in zip(self._embed, self._coords)]
+        self._p_e0 = [
+            [add_terms({}, ((k, b * c) for j, b in row.items() for k, c in coords[j].items()))
+             for row in embed]
+            for embed, coords in zip(self._embed, self._coords)
+        ]
         # d_c, delta_c, d_c delta_c and delta_c d_c, each built once per degree
         self._d_matrices: dict = {}
         self._delta_matrices: dict = {}
@@ -271,13 +280,12 @@ class RuminContext:
 
     # -- the d_c matrix ------------------------------------------------------
 
-    def _constant(self, matrix: list, src_degree: int, dst_degree: int) -> OperatorMatrix:
-        """A nonempty Fraction matrix as an operator matrix of scalar operators."""
+    def _constant(self, rows: list, cols: int, src_degree: int, dst_degree: int) -> OperatorMatrix:
+        """A Fraction matrix, as rows of its nonzero entries, as an operator
+        matrix of scalar operators."""
         one = EnvOp.one(self.n)
-        entries = [{j: one.scale(c) for j, c in enumerate(row) if c} for row in matrix]
-        return OperatorMatrix(
-            self.n, src_degree, dst_degree, entries, (len(matrix), len(matrix[0]))
-        )
+        entries = [{j: one.scale(c) for j, c in row.items()} for row in rows]
+        return OperatorMatrix(self.n, src_degree, dst_degree, entries, (len(rows), cols))
 
     def _d_operator(self, h: int) -> OperatorMatrix:
         """D1_h: the frame-field part of d from Lambda^h to Lambda^{h+1}.
@@ -307,10 +315,10 @@ class RuminContext:
         if h == self.top:
             mat = OperatorMatrix.zero(self.n, h, h + 1, 0, self.cores[h].dim)
         else:
-            embed = self._constant(self._embed[h], h, h)
-            coords = self._constant(self._coords[h + 1], h + 1, h + 1)
+            embed = self._constant(self._embed[h], self.cores[h].dim, h, h)
+            coords = self._constant(self._coords[h + 1], len(self.masks[h + 1]), h + 1, h + 1)
             d1 = self._d_operator(h)
-            d0_inv = self._constant(self.d0_pinv[h + 1], h + 1, h)
+            d0_inv = self._constant(self.d0_pinv[h + 1], len(self.masks[h + 1]), h + 1, h)
             # P_E on E0, where d0^{-1} vanishes and d = D1_h, is 1 - d0^{-1} D1_h
             rumin = embed - d0_inv.compose(d1.compose(embed))
             mat = coords.compose(d1.compose(rumin))

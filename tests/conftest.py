@@ -1,7 +1,8 @@
 """Shared generators, cached contexts and oracles for the test suite: the dense
-builds of the exact core, d0 as a matrix, the weight split of d, exact values
-and box integrals of polynomials, Euclidean masks on grids, the full-grid
-flow shift and flow difference, and the order and the action of operators."""
+builds of the exact core, d0 as a matrix, the weight split of d, the wedge
+product and the frame change by wedges, exact values and box integrals of
+polynomials, Euclidean masks on grids, the full-grid flow shift and flow
+difference, and the order and the action of operators."""
 
 import random
 from fractions import Fraction
@@ -19,10 +20,11 @@ from rumincalc.exterior_weights import (
     algebraic_d,
     covector_coords,
     lambda_masks,
+    wedge_terms,
 )
 
 # the test modules import random_form and random_poly from here
-from rumincalc.forms import Form, random_form, wedge_forms  # noqa: F401
+from rumincalc.forms import Form, random_form  # noqa: F401
 from rumincalc.polynomials import Poly, random_fraction, random_poly
 from rumincalc.rumin_complex import RuminContext
 
@@ -54,6 +56,51 @@ def random_core_form(rng: random.Random, ctx: RuminContext, h: int, degree: int)
     return ctx.form_from_core(
         h, [random_poly(rng, 2 * ctx.n + 1, degree, terms=2) for _ in range(dims[h])]
     )
+
+
+def wedge_forms(a: Form, b: Form) -> Form:
+    """a ^ b, coefficient by coefficient."""
+    a._check(b)
+    return Form(a.n, a.frame, wedge_terms(a.coeffs, b.coeffs))
+
+
+def mul_poly(form: Form, p: Poly) -> Form:
+    """The form with every coefficient multiplied by p."""
+    return Form(form.n, form.frame, {m: q * p for m, q in form.coeffs.items()})
+
+
+def reference_convert(form: Form, target: str) -> Form:
+    """Oracle for the frame change: each coframe monomial is the wedge of
+    the images of its basis one-form factors in the ``target`` frame, and
+    its coefficient multiplies that wedge.
+
+    theta = dt - 1/2 sum_j (x_j dy_j - y_j dx_j), so dt = theta + the same sum.
+    """
+    if form.frame == target:
+        return form
+    n = form.n
+    nv = 2 * n + 1
+    one = Poly.const(nv, 1)
+    half = Fraction(-1, 2) if target == "coord" else Fraction(1, 2)
+    images = [Form.monomial(n, 1 << i, one, target) for i in range(2 * n)]
+    coeffs = {1 << (2 * n): one}
+    for j in range(n):
+        coeffs[1 << (n + j)] = Poly.var(nv, j).scale(half)
+        coeffs[1 << j] = Poly.var(nv, n + j).scale(-half)
+    images.append(Form(n, target, coeffs))
+    out = Form.zero(n, target)
+    for mask, p in form.coeffs.items():
+        prod = Form.from_function(n, one, target)
+        for i in range(nv):
+            if mask >> i & 1:
+                prod = wedge_forms(prod, images[i])
+        out = out + mul_poly(prod, p)
+    return out
+
+
+def dense(rows: list, cols: int) -> list:
+    """The dense matrix of rows {column: entry}, zeros filled in."""
+    return [[row.get(j, Fraction(0)) for j in range(cols)] for row in rows]
 
 
 def covector_from_coords(n: int, masks: list, coords: list) -> Covector:
@@ -190,7 +237,7 @@ def d_field_by_field(form: Form) -> list:
         if frame == "left":
             d0 = algebraic_d(Covector(n, {mask: Fraction(1)}))
             d_coframe = Form(n, frame, {m: Poly.const(nv, v) for m, v in d0.terms.items()})
-            parts[0] = parts[0] + d_coframe.mul_poly(f)
+            parts[0] = parts[0] + mul_poly(d_coframe, f)
         for i in range(nv):
             wf = derive(n, i, f) if frame == "left" else f.partial(i)
             term = wedge_forms(Form.monomial(n, 1 << i, wf, frame), coframe)

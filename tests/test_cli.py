@@ -9,9 +9,9 @@ from pathlib import Path
 
 import pytest
 
-from rumincalc import cli
+from rumincalc import cli, homotopy_exact
 from rumincalc.forms import Form
-from rumincalc.homotopy_exact import scaling_probe
+from rumincalc.homotopy_exact import AveragingWeight, scaling_probe
 from rumincalc.polynomials import Poly
 
 
@@ -96,6 +96,50 @@ def test_homotopy_subcommand(capsys):
     scaling = [r for r in rows if r["check"] == "Poincare quotient scaling exponent"]
     assert {r["h"] for r in scaling} == {1, 2}
     assert all(r["within_2pct"] for r in scaling)
+
+
+def test_homotopy_failed_rows_name_a_witness(capsys, monkeypatch):
+    # a bump of total mass 2 breaks every residual that uses it; the
+    # Euclidean row's witness is read back off the recorded residuals
+    moment = AveragingWeight.moment
+
+    def wrong(self, beta, dimension):
+        value = moment(self, beta, dimension)
+        return 2 * value if self.kind == "polynomial_bump" and not any(beta) else value
+
+    monkeypatch.setattr(AveragingWeight, "moment", wrong)
+    residual, seen = homotopy_exact.euclidean_homotopy_residual, []
+
+    def recorded(weight, omega):
+        seen.append(residual(weight, omega))
+        return seen[-1]
+
+    monkeypatch.setattr(homotopy_exact, "euclidean_homotopy_residual", recorded)
+    code, rows = run_cli(capsys, ["homotopy", "--n", "1", "--grid", "8", "--seed", "1"])
+    assert code == 1
+    by_check = {r["check"]: r for r in rows}
+    row = by_check["omega - d K omega - K d omega = 0 (Euclidean)"]
+    trial = next(i for i, r in enumerate(seen) if r)
+    assert trial % 2 == 1  # the point mass, drawn first, keeps its moments
+    coeffs = seen[trial].coeffs
+    mask = min(coeffs)
+    exp = min(coeffs[mask].terms)
+    assert row["status"] == "failed" and row["witness"] == {
+        "trial": trial,
+        "mask": mask,
+        "exponent": list(exp),
+        "coefficient": str(coeffs[mask].terms[exp]),
+    }
+    assert Fraction(row["witness"]["coefficient"]) != 0
+    for check in ("omega = d_c K omega on closed sections",
+                  "omega = d_c K omega + K d_c omega on E0 sections"):
+        witness = by_check[check]["witness"]
+        assert by_check[check]["status"] == "failed"
+        assert set(witness) == {"trial", "mask", "exponent", "coefficient"}
+        assert len(witness["exponent"]) == 3 and Fraction(witness["coefficient"]) != 0
+    monkeypatch.undo()
+    code, rows = run_cli(capsys, ["homotopy", "--n", "1", "--grid", "8", "--seed", "1"])
+    assert code == 0 and not any("witness" in r for r in rows)
 
 
 def test_homotopy_exponent_flags(capsys):

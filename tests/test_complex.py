@@ -8,8 +8,10 @@ from conftest import (
     apply_poly_diff_op,
     d0_matrix,
     d_field_by_field,
+    dense,
     dense_pseudo_inverse,
     dense_spaces,
+    mul_poly,
     operator_order,
     random_core_form,
     random_form,
@@ -17,7 +19,7 @@ from conftest import (
     shared_context,
 )
 from rumincalc.envelope import EnvOp, commutator_with_multiplication
-from rumincalc.exterior_weights import covector_coords
+from rumincalc.exterior_weights import covector_coords, d0_pseudo_inverse
 from rumincalc.forms import Form, exterior_d, to_coordinate_frame, to_left_frame
 from rumincalc.linalg import matmul
 from rumincalc.polynomials import Poly
@@ -381,7 +383,7 @@ def test_commutator_matches_form_level_leibniz(ctx1):
         zeta = random_poly(rng, 3, 2)
         polys = [random_poly(rng, 3, 2) for _ in range(ctx1.cores[h].dim)]
         omega = ctx1.form_from_core(h, polys)
-        lhs = ctx1.rumin_d(omega.mul_poly(zeta)) - ctx1.rumin_d(omega).mul_poly(zeta)
+        lhs = ctx1.rumin_d(mul_poly(omega, zeta)) - mul_poly(ctx1.rumin_d(omega), zeta)
         coeffs = []
         for i in range(d.rows):
             acc = Poly.zero(3)
@@ -427,13 +429,34 @@ def test_core_projector_is_the_d0_projector_and_coordinates_invert_the_basis():
     for n in (1, 2, 3):
         ctx = shared_context(n)
         for h in range(ctx.top + 1):
-            proj = eye(len(ctx.masks[h]))
+            size, dim = len(ctx.masks[h]), ctx.cores[h].dim
+            proj = eye(size)
             if h < ctx.top:
-                proj = minus(proj, matmul(ctx.d0_pinv[h + 1], d0_matrix(n, h)))
+                d0_pinv = dense(ctx.d0_pinv[h + 1], len(ctx.masks[h + 1]))
+                proj = minus(proj, matmul(d0_pinv, d0_matrix(n, h)))
             if h > 0:
-                proj = minus(proj, matmul(d0_matrix(n, h - 1), ctx.d0_pinv[h]))
-            assert ctx._p_e0[h] == proj
-            assert matmul(ctx._coords[h], ctx._embed[h]) == eye(ctx.cores[h].dim)
+                proj = minus(proj, matmul(d0_matrix(n, h - 1), dense(ctx.d0_pinv[h], size)))
+            assert dense(ctx._p_e0[h], size) == proj
+            assert matmul(dense(ctx._coords[h], size), dense(ctx._embed[h], dim)) == eye(dim)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_context_keeps_the_constant_maps_as_rows_without_zeros(n):
+    # d0^{-1}, B_h, C_h and P_E0 are rows of their nonzero entries; filled
+    # back in, they are the dense matrices they replace
+    ctx = shared_context(n)
+    for h in range(ctx.top + 1):
+        size, dim = len(ctx.masks[h]), ctx.cores[h].dim
+        basis = [covector_coords(b, ctx.masks[h]) for b in ctx.cores[h].basis]
+        embed = [list(col) for col in zip(*basis)]
+        coords = [[c / n2 for c in row] for row, n2 in zip(basis, ctx.cores[h].norms2)]
+        kept = [(ctx._embed[h], embed, dim), (ctx._coords[h], coords, size),
+                (ctx._p_e0[h], matmul(embed, coords), size)]
+        if h < ctx.top:
+            kept.append((ctx.d0_pinv[h + 1], d0_pseudo_inverse(n, h), len(ctx.masks[h + 1])))
+        for rows, want, cols in kept:
+            assert all(c != 0 and 0 <= j < cols for row in rows for j, c in row.items())
+            assert dense(rows, cols) == want, (n, h)
 
 
 def test_d0_drops_out_of_the_core_coordinates():
@@ -443,7 +466,8 @@ def test_d0_drops_out_of_the_core_coordinates():
         ctx = shared_context(n)
         for h in range(ctx.top):
             d0 = d0_matrix(n, h)
-            embed, coords = ctx._embed[h], ctx._coords[h + 1]
+            embed = dense(ctx._embed[h], ctx.cores[h].dim)
+            coords = dense(ctx._coords[h + 1], len(ctx.masks[h + 1]))
             assert matmul(d0, embed) == [[0] * len(embed[0]) for _ in d0], (n, h)
             assert matmul(coords, d0) == [[0] * len(d0[0]) for _ in coords], (n, h)
 
@@ -451,12 +475,13 @@ def test_d0_drops_out_of_the_core_coordinates():
 def _assert_core_maps_equal_to_dense(n):
     ctx = shared_context(n)
     for h in range(ctx.top):
-        assert ctx.d0_pinv[h + 1] == dense_pseudo_inverse(n, h), (n, h)
+        d0_pinv = dense(ctx.d0_pinv[h + 1], len(ctx.masks[h + 1]))
+        assert d0_pinv == dense_pseudo_inverse(n, h), (n, h)
     for h, (_, _, core) in enumerate(dense_spaces(n)):
         rows = [covector_coords(b, ctx.masks[h]) for b in core.basis]
         embed = [list(col) for col in zip(*rows)]
         coords = [[c / n2 for c in row] for row, n2 in zip(rows, core.norms2)]
-        assert ctx._p_e0[h] == matmul(embed, coords), (n, h)
+        assert dense(ctx._p_e0[h], len(ctx.masks[h])) == matmul(embed, coords), (n, h)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

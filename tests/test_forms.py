@@ -3,17 +3,24 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import d_field_by_field, exact_value, random_form, random_poly
+from conftest import (
+    d_field_by_field,
+    exact_value,
+    random_form,
+    random_poly,
+    reference_convert,
+    wedge_forms,
+)
 from rumincalc.exterior_weights import mask_weight
 from rumincalc.forms import (
     Form,
     apply_mask_matrix,
     exterior_d,
+    matrix_times_polys,
     pullback_translation_dilation,
     to_coordinate_frame,
     to_left_frame,
     translation_dilation_images,
-    wedge_forms,
 )
 from rumincalc.group_geometry import Point, from_coords, multiply
 from rumincalc.polynomials import Poly
@@ -86,6 +93,40 @@ def test_frame_conversion_roundtrips_and_commutes_with_d():
             assert coord.frame == "coord"
             assert to_left_frame(coord) == omega
             assert to_left_frame(exterior_d(coord)) == exterior_d(omega)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_frame_change_table_equals_the_wedge_of_one_form_images(n):
+    # the oracle wedges the images of the basis one-forms for every coframe
+    # monomial; the table must give the same form, mask by mask and for
+    # whole forms, where several monomials feed one target, in both directions
+    rng = random.Random(40 + n)
+    nv = 2 * n + 1
+    for source, target in (("left", "coord"), ("coord", "left")):
+        convert = to_coordinate_frame if target == "coord" else to_left_frame
+        whole = {}
+        for mask in range(1 << nv):
+            p = random_poly(rng, nv, 3, terms=3)
+            while not p:
+                p = random_poly(rng, nv, 3, terms=3)
+            whole[mask] = p
+            omega = Form.monomial(n, mask, p, source)
+            got = convert(omega)
+            assert got == reference_convert(omega, target), (source, mask)
+            if not mask >> (2 * n) & 1:
+                # a monomial without theta or dt is its own image
+                assert got.coeffs == {mask: p} and got.coeffs[mask] is p
+        for k in range(nv + 1):
+            omega = Form(n, source, {m: p for m, p in whole.items() if m.bit_count() == k})
+            assert convert(omega) == reference_convert(omega, target), (source, k)
+
+
+def test_matrix_rows_of_a_single_one_pass_the_poly_through():
+    x, y = Poly.var(3, 0), Poly.var(3, 1)
+    rows = [{1: Fraction(1)}, {0: Fraction(1), 1: Fraction(1)}, {0: Fraction(-1, 2)}, {}, {2: 1}]
+    out = matrix_times_polys(rows, [x, y, None], 3)
+    assert out[0] is y
+    assert out == [y, x + y, x.scale(Fraction(-1, 2)), Poly.zero(3), Poly.zero(3)]
 
 
 def test_frame_conversion_fixes_horizontal_constants_at_origin():
@@ -168,11 +209,11 @@ def test_apply_mask_matrix_checks_source_support():
     n = 1
     form = Form.monomial(n, 0b011, Poly.var(3, 0))
     out = apply_mask_matrix(
-        [[Fraction(2)]], [0b011], [0b101], form
+        [{0: Fraction(2)}], [0b011], [0b101], form
     )
     assert out == Form.monomial(n, 0b101, Poly.var(3, 0).scale(2))
     with pytest.raises(ValueError):
-        apply_mask_matrix([[Fraction(1)]], [0b110], [0b101], form)
+        apply_mask_matrix([{0: Fraction(1)}], [0b110], [0b101], form)
 
 
 def test_pullback_requires_left_frame():

@@ -91,6 +91,20 @@ def test_derivative_convergence_is_second_order():
     assert rep["observed_order"] >= 1.8
 
 
+def test_default_quartic_gives_the_result_of_the_explicit_polynomial():
+    # the default is (sum_j (j+1) v_j)^4 + v_0^2 t, built once per n
+    for n in (1, 2):
+        nv = 2 * n + 1
+        total = Poly.zero(nv)
+        for j in range(nv):
+            total = total + Poly.var(nv, j).scale(j + 1)
+        quartic = total**4 + Poly.var(nv, 0) ** 2 * Poly.var(nv, 2 * n)
+        for i in (1, 2 * n):
+            assert derivative_convergence(n, i, resolutions=(6, 8)) == derivative_convergence(
+                n, i, resolutions=(6, 8), poly=quartic
+            )
+
+
 @pytest.mark.parametrize("n, i, resolutions", [
     (1, 1, (12, 18, 24)),
     (1, 2, (7, 10, 13)),
@@ -281,6 +295,25 @@ def test_gauge_mask_matches_the_exact_gauge_cell_for_cell(n, resolution):
         want = [gauge4(multiply(to_center, cell), t_weight) < radius**4 for cell in cells]
         assert gauge_mask(g, center, radius, float(t_weight)).reshape(-1).tolist() == want
         assert 0 < sum(want) < len(want)
+
+
+@pytest.mark.parametrize("n, resolution", [(1, 9), (1, 12), (2, 7), (2, 8), (3, 5), (3, 6)])
+def test_gauge_mask_equals_the_full_mesh_group_law(n, resolution):
+    # the group law and the gauge on full meshgrid arrays, the computation
+    # that the sparse axes replace, must give the same mask bit for bit
+    rng = random.Random(50 + 10 * n + resolution)
+    g = Grid.empty(n, rng.uniform(0.5, 2.0), resolution)
+    nonempty = 0
+    for t_weight in (1.0, 16.0, rng.uniform(0.1, 20.0)):
+        center = from_coords([rng.uniform(-1.0, 1.0) for _ in range(2 * n + 1)])
+        radius = rng.uniform(0.3, 1.5)
+        z = multiply(inverse(center), from_coords(g.meshes()))
+        want = gauge4(z, t_weight) < radius**4
+        got = gauge_mask(g, center, radius, t_weight)
+        assert got.shape == g.shape and got.dtype == bool
+        assert np.array_equal(got, want)
+        nonempty += bool(want.any())
+    assert nonempty
 
 
 def test_mask_volume_approximates_ball_volume():

@@ -107,6 +107,38 @@ def test_closed_form_equals_the_doubled_ring_oracle(n):
         assert cartan_homotopy(y, omega) == _oracle_at(y, omega)
 
 
+@pytest.mark.parametrize("n", [1, 2])
+def test_cone_sums_over_mixed_denominators_equal_the_doubled_ring_oracle(n):
+    # coefficients and moments with unlike denominators, so the cone sums
+    # over their lcm; at a centre with no zero coordinate every moment y^beta
+    # is nonzero and no split is skipped
+    rng = random.Random(30 + n)
+    nv = 2 * n + 1
+    dens = (1, 2, 3, 5, 7, 11, 12)
+
+    def fraction():
+        return Fraction(rng.choice((-1, 1)) * rng.randrange(1, 20), rng.choice(dens))
+
+    y = [fraction() for _ in range(nv)]
+    bump = AveragingWeight.bump(Fraction(2, 7), exponent=2)
+    for k in range(1, nv + 1):
+        coeffs = {}
+        for mask in range(1 << nv):
+            if mask.bit_count() != k:
+                continue
+            terms = {}
+            for _ in range(3):
+                exp = [0] * nv
+                for _ in range(rng.randrange(4)):
+                    exp[rng.randrange(nv)] += 1
+                terms[tuple(exp)] = fraction()
+            coeffs[mask] = Poly(nv, terms)
+        omega = Form(n, "coord", coeffs)
+        assert cartan_homotopy(y, omega) == _oracle_at(y, omega), k
+        for w in (POINT, BUMP, bump):
+            assert averaged_homotopy(w, omega) == _oracle_average(w, omega), (k, w)
+
+
 def test_cone_homotopy_primitive_of_dx():
     # K(dx_1) centered at the origin is x_1 itself
     n = 1
