@@ -84,10 +84,8 @@ class Grid:
 
     # -- quadrature ----------------------------------------------------------
 
-    def lp_norm(self, p: float, mask: np.ndarray | None = None) -> float:
+    def lp_norm(self, p: float) -> float:
         vals = np.abs(self.values) ** p
-        if mask is not None:
-            vals = vals * mask
         return float(vals.sum() * self.cell_volume) ** (1.0 / p)
 
 
@@ -290,16 +288,17 @@ def derivative_convergence(n: int, i: int = 1, resolutions=(16, 24, 32),
 
 
 def form_lp_norm(form, p: float, horizontal_half_width: float, resolution: int,
-                 mask_fn=None) -> float:
-    """L^p norm of a left-frame form's pointwise length over a masked grid.
+                 mask: np.ndarray) -> float:
+    """L^p norm of a left-frame form's pointwise length over the masked cells
+    of ``Grid.empty(form.n, horizontal_half_width, resolution)``.
 
     The frame monomials are orthonormal, so |omega(x)|^2 is the sum of squared
-    coefficients; that polynomial is evaluated on the grid directly.
+    coefficients; that polynomial is evaluated on the grid directly. The cells
+    outside the mask are zeroed before the power, which is taken in place, so
+    a value that would overflow there cannot reach the sum.
     """
-    norm2 = form.norm2_poly()
-    g = Grid.from_poly(form.n, horizontal_half_width, resolution, norm2)
-    mask = None if mask_fn is None else mask_fn(g)
-    vals = np.maximum(g.values, 0.0) ** (p / 2.0)
-    if mask is not None:
-        vals = vals * mask
+    g = Grid.from_poly(form.n, horizontal_half_width, resolution, form.norm2_poly())
+    vals = np.maximum(g.values, 0.0, out=g.values)
+    vals *= mask
+    vals **= p / 2.0
     return float(vals.sum() * g.cell_volume) ** (1.0 / p)

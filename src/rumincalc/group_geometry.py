@@ -124,11 +124,3 @@ def gauge4(p: Point, t_weight=1):
         t2 += h4  # a + b == b + a in floating point
         return t2
     return h4 + t2
-
-
-@dataclass(frozen=True)
-class Ball:
-    """Gauge ball B(center, radius) = {q : rho(center^{-1} q) < radius}."""
-
-    center: Point
-    radius: float

@@ -16,8 +16,9 @@ chain homotopy on the sections of E0: omega = d_c K omega + K d_c omega in
 positive degree, and f = K d_c f + (psi-average of f) in degree 0, so
 omega = d_c K omega exactly on d_c-closed sections of positive degree.
 
-The Poincare quotient and its dilation scaling probe live here too: the
-primitive is exact, only the L^p/L^q ball norms are quadrature.
+The dilation scaling probe of the Poincare quotient lives here too: the
+primitive is exact, only the L^p/L^q ball norms are quadrature, one pass
+per radius.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from .forms import (
     to_coordinate_frame,
     to_left_frame,
 )
-from .group_geometry import Ball, homogeneous_dimension, identity
+from .group_geometry import homogeneous_dimension, identity
 from .polynomials import Poly
 from .rumin_complex import RuminContext
 
@@ -274,128 +275,73 @@ def _smallest_even_resolution(n: int, lam) -> int:
     return 2 * high
 
 
-def poincare_quotient(
-    ctx: RuminContext,
-    omega: Form,
-    ball: Ball,
-    ball_prime: Ball,
-    p: float,
-    q: float,
-    weight: AveragingWeight | None = None,
-    resolution: int = 32,
-) -> dict:
-    """ratio = ||K omega||_{L^q(B)} / ||omega||_{L^p(B')} for closed omega.
-
-    The primitive K omega is exact; the two ball norms are midpoint
-    quadrature over a dilation-adapted grid. Exponents beyond the admissible
-    gap (1/p - 1/q larger than 1/Q, or 2/Q across the middle) are still
-    measured, and the report says ``"admissible": false``.
-    """
-    if weight is None:
-        weight = AveragingWeight.point_mass()
-    if ball.center != ball_prime.center:
-        raise ValueError("balls must be concentric")
-    if not ball_prime.radius > ball.radius:
-        raise ValueError("the outer ball must be strictly larger (lambda > 1)")
-    residual = ctx.rumin_d(omega)
-    if residual:
-        raise ValueError("input form is not d_c-closed")
-    n = ctx.n
-    h = omega.degree() if omega else 0
-    within_gap = admissible(n, h, p, q)
-    report = {
-        "n": n,
-        "h": h,
-        "p": p,
-        "q": q,
-        "radius": float(ball.radius),
-        "lam": float(ball_prime.radius) / float(ball.radius),
-        "admissible": within_gap,
-        "resolution": resolution,
-        "weight": weight.kind,
-    }
-    if not omega:
-        report.update({"ratio": 0.0, "numerator": 0.0, "denominator": 0.0})
-        return report
-    primitive = rumin_homotopy_K(ctx, weight, omega)
-    R = float(ball_prime.radius)
-    num = gridmod.form_lp_norm(
-        primitive, q, R, resolution,
-        mask_fn=lambda g: gridmod.gauge_mask(g, ball.center, float(ball.radius)),
-    )
-    den = gridmod.form_lp_norm(
-        omega, p, R, resolution,
-        mask_fn=lambda g: gridmod.gauge_mask(g, ball_prime.center, R),
-    )
-    report.update({
-        "ratio": num / den if den else math.inf,
-        "numerator": num,
-        "denominator": den,
-    })
-    return report
-
-
 def scaling_probe(
     ctx: RuminContext,
     omega: Form,
     p: float,
     q: float,
-    radii=(Fraction(1), Fraction(2)),
     lam: Fraction = Fraction(2),
-    weight: AveragingWeight | None = None,
     resolution: int = 32,
 ) -> dict:
-    """Dilate closed data across two radii and fit the quotient's power law.
+    """Fit the dilation exponent of the Poincare quotient
+    ||K omega_r||_{L^q(B(e, r))} / ||omega_r||_{L^p(B(e, r lam))} at r = 1 and 2.
 
-    The r-family is omega_r = pullback of omega under delta_{1/r}, measured
-    on balls scaled by r; the grids are dilation-adapted so the quadrature
-    errors cancel in the exponent fit. Expected slope:
-    Q/q - Q/p + 1, or + 2 when h = n + 1.
+    omega_r pulls omega back under delta_{1/r}, and K is the exact primitive
+    for the point mass, the one weight that commutes with the dilations.
+    Each radius is one pass: one grid spanning B(e, r lam), one mask per
+    ball and one primitive. The ball norms are midpoint quadrature on
+    dilation-adapted grids, whose errors cancel in the fit. Expected slope:
+    Q/q - Q/p + 1, or + 2 when h = n + 1; exponents beyond the admissible
+    gap are measured too.
 
-    Raises OverflowError, before any grid is built, when an outer radius
-    R = r * lam has an R^4 beyond the float range. Raises ValueError when no
-    grid cell lies in an inner ball B(e, r), where the quotient would be 0,
-    and when a quotient is 0 or not finite, so that no slope can be fitted. A
-    message about a grid too coarse for lam names the smallest even
-    resolution that puts cells in the inner ball.
+    Raises ValueError unless lam > 1 and omega is d_c-closed (so is each
+    omega_r: the pullback commutes with d_c), and OverflowError, before any
+    grid is built, when R = 2 lam has an R^4 beyond the float range. Raises
+    ValueError, so that no slope is fitted, when omega is zero, when no grid
+    cell lies in an inner ball (the message names the smallest even
+    resolution that puts cells there), and when a quotient is 0 or a ball
+    norm is not finite.
     """
-    if weight is None:
-        weight = AveragingWeight.point_mass()
-    n = ctx.n
-    h = omega.degree()
-    Q = homogeneous_dimension(n)
-    e = identity(n)
-    r_max = max(Fraction(r) for r in radii)
-    if (r_max * Fraction(lam)) ** 4 > sys.float_info.max:
+    lam = Fraction(lam)
+    if not lam > 1:
+        raise ValueError("the outer ball must be strictly larger (lambda > 1)")
+    radii = (1, 2)
+    if (radii[-1] * lam) ** 4 > sys.float_info.max:
         raise OverflowError(
-            f"lambda = {float(lam):g}: the outer radius R = {r_max} * lambda has R^4 "
+            f"lambda = {float(lam):g}: the outer radius R = {radii[-1]} * lambda has R^4 "
             "beyond the float range"
         )
+    if ctx.rumin_d(omega):
+        raise ValueError("input form is not d_c-closed")
+    if not omega:
+        raise ValueError("Poincare quotient is 0: the form is zero; no slope to fit")
+    n = ctx.n
+    h = omega.degree()
+    e = identity(n)
     rows, inner_cells = [], []
     for r in radii:
-        r = Fraction(r)
-        outer = gridmod.Grid.empty(n, float(r * lam), resolution)
-        inner_cells.append(int(gridmod.gauge_mask(outer, e, float(r)).sum()))
+        R = float(r * lam)
+        grid = gridmod.Grid.empty(n, R, resolution)
+        inner = gridmod.gauge_mask(grid, e, float(r))
+        inner_cells.append(int(inner.sum()))
         if not inner_cells[-1]:
             raise ValueError(
                 f"Poincare quotient is 0 at resolution {resolution}: 0 grid cells lie in "
                 f"the inner ball B(e, {r}); the smallest even resolution with cells there "
                 f"is {_smallest_even_resolution(n, lam)}"
             )
-        omega_r = pullback_translation_dilation(omega, e, Fraction(1) / r)
+        omega_r = pullback_translation_dilation(omega, e, Fraction(1, r))
         # a norm beyond the float range is reported below, not warned about
         with np.errstate(over="ignore", invalid="ignore"):
-            rows.append(
-                poincare_quotient(
-                    ctx, omega_r,
-                    Ball(e, r), Ball(e, r * lam),
-                    p, q, weight=weight, resolution=resolution,
-                )
-            )
+            primitive = rumin_homotopy_K(ctx, AveragingWeight.point_mass(), omega_r)
+            num = gridmod.form_lp_norm(primitive, q, R, resolution, inner)
+            den = gridmod.form_lp_norm(omega_r, p, R, resolution, gridmod.gauge_mask(grid, e, R))
+        ratio = num / den if den else math.inf
+        rows.append({"radius": float(r), "ratio": ratio, "numerator": num, "denominator": den})
+    Q = homogeneous_dimension(n)
     expected = Q / q - Q / p + (2 if h == n + 1 else 1)
-    r1, r2 = float(radii[0]), float(radii[-1])
     ratio1, ratio2 = rows[0]["ratio"], rows[-1]["ratio"]
-    if not (math.isfinite(ratio1) and math.isfinite(ratio2)):
+    if not all(math.isfinite(row["ratio"]) and math.isfinite(row["denominator"]) for row in rows):
         raise ValueError(
             f"Poincare quotient is not finite at p = {p:g}, q = {q:g}: a ball norm "
             "leaves the float range"
@@ -413,7 +359,7 @@ def scaling_probe(
                 f"{max(_smallest_even_resolution(n, lam), resolution + 1)}"
             )
         raise ValueError(message)
-    slope = math.log(ratio2 / ratio1) / math.log(r2 / r1)
+    slope = math.log(ratio2 / ratio1) / math.log(radii[-1] / radii[0])
     return {
         "n": n,
         "h": h,

@@ -211,11 +211,11 @@ def group_convolve(f: Grid, kernel, output_points: np.ndarray | None = None,
 # -- probes --------------------------------------------------------------------
 
 
-def _euclidean_bump(meshes, radius: float, exponent: int = 3) -> np.ndarray:
+def _euclidean_bump(meshes, radius: float) -> np.ndarray:
     sq = np.zeros_like(meshes[0])
     for m in meshes:
         sq = sq + m * m
-    return np.clip(1.0 - sq / radius**2, 0.0, None) ** exponent
+    return np.clip(1.0 - sq / radius**2, 0.0, None) ** 3
 
 
 def bump_grid(n: int, half_width: float, resolution: int, support: float) -> Grid:
@@ -226,7 +226,6 @@ def bump_grid(n: int, half_width: float, resolution: int, support: float) -> Gri
 
 
 def decay_slope_probe(n: int, mu: float, resolution: int = 64,
-                      support: float = 0.25, s_values=(2.0, 3.0, 4.0, 6.0, 8.0, 12.0, 16.0),
                       direction: np.ndarray | None = None) -> dict:
     """Fit the log-log decay of (bump * k) along a gauge ray; slope -> mu - Q.
 
@@ -236,7 +235,8 @@ def decay_slope_probe(n: int, mu: float, resolution: int = 64,
     """
     nv = 2 * n + 1
     Q = homogeneous_dimension(n)
-    f = bump_grid(n, 2 * support, resolution, support)
+    s_values = (2.0, 3.0, 4.0, 6.0, 8.0, 12.0, 16.0)
+    f = bump_grid(n, 0.5, resolution, 0.25)
     kernel = HomogeneousKernel(n, mu)
     p0 = np.zeros(nv)
     if direction is None:
@@ -278,8 +278,7 @@ def critical_exponent(n: int, alpha: float, p: float) -> float:
 
 
 def lp_lq_probe(n: int, alpha: float, p: float, qs=(None,),
-                lambdas=(1.0, 2.0, 4.0), resolution: int = 20,
-                support: float = 0.5, t_weight: float = 1.0) -> list:
+                lambdas=(1.0, 2.0, 4.0), resolution: int = 20) -> list:
     """||u_lam * k||_q / ||u_lam||_p across dilated bumps u_lam = u . delta_lam.
 
     At the critical exponent 1/q = 1/p - alpha/Q the ratio is lambda-free;
@@ -296,8 +295,8 @@ def lp_lq_probe(n: int, alpha: float, p: float, qs=(None,),
         raise ValueError("need 1 < p < Q/alpha")
     q_critical = critical_exponent(n, alpha, p)
     qs = [q_critical if q is None else q for q in qs]
-    kernel = HomogeneousKernel(n, alpha, t_weight)
-    base = bump_grid(n, 1.0, resolution, support)
+    kernel = HomogeneousKernel(n, alpha)
+    base = bump_grid(n, 1.0, resolution, 0.5)
     rows = [[] for _ in qs]
     for lam in lambdas:
         u = _dilated_copy(base, lam)

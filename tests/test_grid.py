@@ -327,6 +327,16 @@ def test_mask_volume_approximates_ball_volume():
 def test_form_lp_norm_of_constant_coframe():
     # |omega_1|_{L^2} over the box equals sqrt(volume)
     omega = Form.monomial(1, 1, Poly.const(3, 1))
-    got = form_lp_norm(omega, 2.0, 1.0, 16)
+    got = form_lp_norm(omega, 2.0, 1.0, 16, np.ones((16, 16, 16), dtype=bool))
     vol = 2.0 * 2.0 * 2.0  # t window is H^2 = 1 wide on each side
     assert got == pytest.approx(math.sqrt(vol), rel=1e-12)
+
+
+def test_form_lp_norm_ignores_an_overflow_outside_the_mask():
+    # |x|^2000 overflows on the cells at |x| = 1.25 and 1.75 of an 8-cell
+    # axis over [-2, 2]; the mask keeps |x| < 1, where 0.25^2000 underflows
+    # to 0 and the 2 * 8 * 8 cells at |x| = 0.75 of volume 0.5 * 0.5 * 1 remain
+    omega = Form.monomial(1, 1, Poly.var(3, 0))
+    x = Grid.empty(1, 2.0, 8).meshes()[0]
+    got = form_lp_norm(omega, 2000.0, 2.0, 8, np.abs(x) < 1.0)
+    assert got == pytest.approx(32.0 ** (1 / 2000) * 0.75, rel=1e-12)

@@ -7,7 +7,7 @@ import pytest
 
 from conftest import random_core_form, random_form, random_point_coords, shared_context
 from rumincalc.forms import Form, exterior_d, to_coordinate_frame, to_left_frame
-from rumincalc.group_geometry import Ball, from_coords, identity
+from rumincalc import grid as gridmod, homotopy_exact
 from rumincalc.homotopy_exact import (
     AveragingWeight,
     _cone_degree,
@@ -15,7 +15,6 @@ from rumincalc.homotopy_exact import (
     admissible,
     averaged_homotopy,
     euclidean_homotopy_residual,
-    poincare_quotient,
     rumin_homotopy_K,
     rumin_homotopy_residual,
     rumin_primitive_residual,
@@ -276,23 +275,40 @@ def test_rumin_homotopy_error_contracts(ctx1):
 
 
 def test_poincare_quotient_conventions(ctx1):
-    e = identity(1)
-    inner, outer = Ball(e, Fraction(1)), Ball(e, Fraction(2))
-    zero = Form.zero(1)
-    report = poincare_quotient(ctx1, zero, inner, outer, 2.0, 2.0, resolution=8)
-    assert report["ratio"] == 0.0
+    with pytest.raises(ValueError, match="Poincare quotient is 0"):
+        scaling_probe(ctx1, Form.zero(1), 2.0, 2.0, resolution=8)
     # non-closed input is rejected
     bad = ctx1.form_from_core(1, [Poly.var(3, 2), Poly.zero(3)])
     assert ctx1.rumin_d(bad)
     with pytest.raises(ValueError, match="not d_c-closed"):
-        poincare_quotient(ctx1, bad, inner, outer, 2.0, 2.0, resolution=8)
-    # geometric preconditions
-    with pytest.raises(ValueError, match="concentric"):
-        poincare_quotient(
-            ctx1, zero, Ball(from_coords([1, 0, 0]), Fraction(1)), outer, 2.0, 2.0
-        )
-    with pytest.raises(ValueError, match="strictly larger"):
-        poincare_quotient(ctx1, zero, outer, inner, 2.0, 2.0)
+        scaling_probe(ctx1, bad, 2.0, 2.0, resolution=8)
+    # the outer ball B(e, r lambda) must be larger than the inner one
+    omega = ctx1.rumin_d(Form.from_function(1, Poly.var(3, 0) ** 2))
+    for lam in (Fraction(1), Fraction(1, 2)):
+        with pytest.raises(ValueError, match="strictly larger"):
+            scaling_probe(ctx1, omega, 2.0, 2.0, lam=lam, resolution=8)
+
+
+def test_scaling_probe_makes_one_pass_per_radius(ctx1, monkeypatch):
+    calls = {"gauge_mask": 0, "rumin_homotopy_K": 0, "rumin_d": 0}
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    omega = ctx1.rumin_d(Form.from_function(1, Poly.var(3, 0) ** 2))
+    monkeypatch.setattr(gridmod, "gauge_mask", counting("gauge_mask", gridmod.gauge_mask))
+    monkeypatch.setattr(homotopy_exact, "rumin_homotopy_K",
+                        counting("rumin_homotopy_K", homotopy_exact.rumin_homotopy_K))
+    monkeypatch.setattr(ctx1, "rumin_d", counting("rumin_d", ctx1.rumin_d))
+    probe = scaling_probe(ctx1, omega, 2.0, 2.0, resolution=8)
+    radii = len(probe["rows"])
+    assert radii == 2
+    # one inner and one outer mask per radius, one primitive per radius, and
+    # the closedness of omega checked once
+    assert calls == {"gauge_mask": 2 * radii, "rumin_homotopy_K": radii, "rumin_d": 1}
 
 
 def test_admissible_is_exact_on_the_gap():
@@ -306,17 +322,21 @@ def test_admissible_is_exact_on_the_gap():
 
 
 def test_poincare_quotient_reports_beyond_gap_without_warning(ctx1):
-    e = identity(1)
     omega = ctx1.rumin_d(Form.from_function(1, Poly.var(3, 0) ** 2))
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        report = poincare_quotient(
-            ctx1, omega, Ball(e, Fraction(1)), Ball(e, Fraction(2)),
-            1.01, 100.0, resolution=8,
-        )
-    assert report["admissible"] is False
-    assert not caught, [str(w.message) for w in caught]
-    assert report["ratio"] > 0
+    assert not admissible(1, 1, 1.01, 100.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        probe = scaling_probe(ctx1, omega, 1.01, 100.0, resolution=8)
+    assert all(row["ratio"] > 0 for row in probe["rows"])
+
+
+def test_scaling_probe_ignores_an_overflow_outside_the_inner_ball(ctx1):
+    # |K omega|^2 reaches 9.38 in the corners of the box, outside B(e, 1),
+    # where its 350th power overflows; inside the ball the L^700 norm is finite
+    omega = ctx1.rumin_d(Form.from_function(1, Poly.var(3, 0) ** 2))
+    probe = scaling_probe(ctx1, omega, 2.0, 700.0, resolution=8)
+    assert all(math.isfinite(row["numerator"]) and row["numerator"] > 0 for row in probe["rows"])
+    assert probe["relative_error"] < 1e-12
 
 
 def test_scaling_probe_exact_power_law(ctx1):
