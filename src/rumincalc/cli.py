@@ -265,19 +265,22 @@ def cmd_homotopy(cfg: argparse.Namespace) -> int:
     bump = AveragingWeight.bump(Fraction(1, 3))
 
     def zero_row(check: str, residuals: list) -> None:
-        """A hard row: every residual must be exactly zero. A failed row
-        names a witness: the first nonzero residual's trial (its index among
-        the row's trials), its first coframe mask, and that coefficient's
-        first exponent, in sorted order, with its coefficient."""
+        """A hard row: every residual must be exactly zero, and a row with none
+        fails with a reason. A failed row names a witness: the first nonzero
+        residual's trial (its index among the row's trials), its first coframe
+        mask, and that coefficient's first exponent, in sorted order, with its
+        coefficient."""
         failed = [trial for trial, r in enumerate(residuals) if r]
-        rep.hard(not failed)
+        ok = rep.hard(bool(residuals) and not failed)
         row = {
             "report": "homotopy",
             "check": check,
             "n": n,
             "trials": len(residuals),
-            "status": "failed" if failed else "exact-zero",
+            "status": "exact-zero" if ok else "failed",
         }
+        if not residuals:
+            row["reason"] = "no nonzero section was drawn"
         if failed:
             coeffs = residuals[failed[0]].coeffs
             mask = min(coeffs)

@@ -11,7 +11,8 @@ is a finite sum whose only dependence on y is through the monomials y^beta.
 Averaging over y against a normalized weight psi (Iwaniec-Lutoborski)
 replaces each y^beta by the moment of psi, which is an exact rational; one
 closed form serves both the cone at a point and its average. The intrinsic
-primitive operator is the composite K = P_E0 . P_E . K_Euc . P_E. It is a
+primitive operator K = P_E0 . P_E . K_Euc . P_E is, on E0, P_E0 (1 - d d0^{-1})
+K_Euc (1 - d0^{-1} d), since P_E0 d0^{-1} = 0 and d0^{-1} vanishes on E0. It is a
 chain homotopy on the sections of E0: omega = d_c K omega + K d_c omega in
 positive degree, and f = K d_c f + (psi-average of f) in degree 0, so
 omega = d_c K omega exactly on d_c-closed sections of positive degree.
@@ -199,7 +200,7 @@ def euclidean_homotopy_residual(weight: AveragingWeight, omega: Form) -> Form:
 
 
 def rumin_homotopy_K(ctx: RuminContext, weight: AveragingWeight, omega: Form) -> Form:
-    """K omega = P_E0 P_E K_Euc P_E omega, exactly, for omega in E0^h, h >= 1.
+    """K = P_E0 P_E K_Euc P_E = P_E0 (1 - d d0^{-1}) K_Euc (1 - d0^{-1} d) on E0^h, h >= 1.
 
     When d_c omega = 0 this is an intrinsic primitive: omega = d_c K omega.
     """
@@ -212,10 +213,9 @@ def rumin_homotopy_K(ctx: RuminContext, weight: AveragingWeight, omega: Form) ->
         raise ValueError("degree 0 has no primitive")
     if ctx.project_core(omega) != omega:
         raise ValueError("input is not a section of E0")
-    embedded = ctx.project_rumin(omega)
+    embedded = omega - ctx.d0_inverse(exterior_d(omega))
     euc = averaged_homotopy(weight, to_coordinate_frame(embedded), h)
-    back = to_left_frame(euc)
-    return ctx.project_core(ctx.project_rumin(back))
+    return ctx.core_part(to_left_frame(euc))
 
 
 def rumin_primitive_residual(ctx: RuminContext, weight: AveragingWeight, omega: Form) -> Form:

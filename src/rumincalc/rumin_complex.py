@@ -10,17 +10,18 @@ and P_E0 below, are kept as rows of their nonzero entries. The operator
 matrices d_c, delta_c, d_c delta_c and delta_c d_c are built once per
 degree and kept.
 
-On forms these give the two projectors
+Rumin's projector onto E is P_E = 1 - d0^{-1} d - d d0^{-1} (d the full
+differential), and P_E0 = 1 - d0^{-1} d0 - d0 d0^{-1} = B_h C_h. Both
+complements are orthogonal (W ⟂ ker d0, V ⟂ im d0), so d0^{-1} is the
+Moore-Penrose inverse of d0, P_E0 is the orthogonal projector onto E0, and
+the orthogonal basis B_h makes it B_h C_h. The route from forms to E0 is
+their composite
 
-    P_E  = 1 - d0^{-1} d - d d0^{-1}        (d the full differential)
-    P_E0 = 1 - d0^{-1} d0 - d0 d0^{-1} = B_h C_h
+    P_E0 P_E = P_E0 (1 - d d0^{-1})
 
-and the intrinsic differential d_c = P_E0 ∘ d ∘ P_E ∘ P_E0. Both complements
-are orthogonal (W ⟂ ker d0, V ⟂ im d0), so d0^{-1} is the Moore-Penrose
-inverse of d0, P_E0 is the orthogonal projector onto E0, and the
-orthogonal basis B_h makes it B_h C_h. Since d0^{-1} vanishes on E0,
-``rumin_d`` computes d_c as P_E0(d omega - d d0^{-1} d omega) with
-omega = P_E0 form.
+(``core_part``): d0^{-1} maps into W, which is orthogonal to E0 ⊂ ker d0,
+so P_E0 d0^{-1} = 0. Since d P_E = P_E d, the intrinsic differential
+d_c = P_E0 ∘ d ∘ P_E ∘ P_E0 is ``rumin_d`` = P_E0 P_E ∘ d ∘ P_E0.
 
 Because d_c is left-invariant and homogeneous, it is a matrix of constant
 coefficient operators in the enveloping algebra once forms are written in the
@@ -259,18 +260,13 @@ class RuminContext:
             coeffs.update(zip(masks, matrix_times_polys(self._p_e0[k], src, 2 * self.n + 1)))
         return Form(self.n, "left", coeffs)
 
-    def project_rumin(self, form: Form) -> Form:
-        """P_E = 1 - d0^{-1} d - d d0^{-1} with the full differential d."""
-        return form - self.d0_inverse(exterior_d(form)) - exterior_d(self.d0_inverse(form))
+    def core_part(self, form: Form) -> Form:
+        """P_E0 P_E form, as P_E0(form - d d0^{-1} form): P_E0 d0^{-1} = 0."""
+        return self.project_core(form - exterior_d(self.d0_inverse(form)))
 
     def rumin_d(self, form: Form) -> Form:
-        """d_c = P_E0 d P_E on omega = P_E0 form, as P_E0(d omega - d d0^{-1} d omega).
-
-        d0^{-1} vanishes on E0, so P_E omega = omega - d0^{-1} d omega, and
-        d omega serves both terms.
-        """
-        d_omega = exterior_d(self.project_core(form))
-        return self.project_core(d_omega - exterior_d(self.d0_inverse(d_omega)))
+        """d_c = P_E0 P_E d on omega = P_E0 form, since d P_E = P_E d."""
+        return self.core_part(exterior_d(self.project_core(form)))
 
     def form_from_core(self, h: int, polys: list) -> Form:
         if len(polys) != self.cores[h].dim:

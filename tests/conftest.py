@@ -1,8 +1,9 @@
-"""Shared generators, cached contexts and oracles for the test suite: the dense
-builds of the exact core, d0 as a matrix, the weight split of d, the wedge
-product and the frame change by wedges, exact values and box integrals of
-polynomials, Euclidean masks on grids, the full-grid flow shift and flow
-difference, and the order and the action of operators."""
+"""Shared generators, cached contexts and oracles for the test suite: Rumin's
+projector P_E, the dense builds of the exact core, d0 as a matrix, the
+weight split of d, the wedge product and the frame change by wedges, exact
+values and box integrals of polynomials, Euclidean masks on grids, the
+full-grid flow shift and flow difference, and the order and the action of
+operators."""
 
 import random
 from fractions import Fraction
@@ -24,7 +25,7 @@ from rumincalc.exterior_weights import (
 )
 
 # the test modules import random_form and random_poly from here
-from rumincalc.forms import Form, random_form  # noqa: F401
+from rumincalc.forms import Form, exterior_d, random_form  # noqa: F401
 from rumincalc.polynomials import Poly, random_fraction, random_poly
 from rumincalc.rumin_complex import RuminContext
 
@@ -56,6 +57,12 @@ def random_core_form(rng: random.Random, ctx: RuminContext, h: int, degree: int)
     return ctx.form_from_core(
         h, [random_poly(rng, 2 * ctx.n + 1, degree, terms=2) for _ in range(dims[h])]
     )
+
+
+def project_rumin(ctx: RuminContext, form: Form) -> Form:
+    """Rumin's projector P_E = 1 - d0^{-1} d - d d0^{-1}, with the full
+    differential d: the oracle of the projector identities."""
+    return form - ctx.d0_inverse(exterior_d(form)) - exterior_d(ctx.d0_inverse(form))
 
 
 def wedge_forms(a: Form, b: Form) -> Form:

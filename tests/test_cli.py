@@ -142,6 +142,20 @@ def test_homotopy_failed_rows_name_a_witness(capsys, monkeypatch):
     assert code == 0 and not any("witness" in r for r in rows)
 
 
+@pytest.mark.parametrize("argv", [
+    ["--n", "1", "--grid", "8", "--poly-degree", "0"],
+    ["--n", "1", "--h", "2", "--poly-degree", "1", "--grid", "8", "--seed", "13"],
+])
+def test_homotopy_row_without_trials_fails(capsys, argv):
+    # d_c of every drawn phi is 0 (constants; seed 13's three linear draws),
+    # so no closed section reaches the row
+    code, rows = run_cli(capsys, ["homotopy", *argv])
+    assert code == 1
+    (row,) = [r for r in rows if r["check"] == "omega = d_c K omega on closed sections"]
+    assert row["trials"] == 0 and row["status"] == "failed"
+    assert row["reason"] == "no nonzero section was drawn"
+
+
 def test_homotopy_exponent_flags(capsys):
     code, rows = run_cli(
         capsys,

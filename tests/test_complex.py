@@ -13,6 +13,7 @@ from conftest import (
     dense_spaces,
     mul_poly,
     operator_order,
+    project_rumin,
     random_core_form,
     random_form,
     random_poly,
@@ -229,8 +230,8 @@ def test_dc_matrix_matches_the_form_pipeline(ctx1, ctx2):
 
 
 def test_rumin_d_equals_the_full_projector_composition(ctx1, ctx2):
-    # rumin_d reuses d omega for P_E; the composition through project_rumin
-    # (P_E with both d0^{-1} terms) is its oracle
+    # rumin_d reaches E0 through core_part; the composition through the
+    # oracle P_E (with both d0^{-1} terms) checks it
     rng = random.Random(9)
     for ctx in (ctx1, ctx2, shared_context(3)):
         for h in range(2 * ctx.n + 2):
@@ -239,9 +240,29 @@ def test_rumin_d_equals_the_full_projector_composition(ctx1, ctx2):
                 random_form(rng, ctx.n, h, 3, frame="left"),
             ):
                 composed = ctx.project_core(
-                    exterior_d(ctx.project_rumin(ctx.project_core(omega)))
+                    exterior_d(project_rumin(ctx, ctx.project_core(omega)))
                 )
                 assert ctx.rumin_d(omega) == composed
+
+
+def test_rumin_projector_identities(ctx1, ctx2):
+    # Rumin's identities for P_E (the oracle) and P_E0: P_E is a projector
+    # that commutes with d, P_E and P_E0 are inverse isomorphisms between E
+    # and E0, and P_E0 P_E is core_part, P_E0 (1 - d d0^{-1})
+    rng = random.Random(11)
+    for ctx in (ctx1, ctx2, shared_context(3)):
+        p_e0 = ctx.project_core
+        for h in range(2 * ctx.n + 2):
+            for _ in range(2):
+                omega = random_form(rng, ctx.n, h, 3, frame="left")
+                e = project_rumin(ctx, omega)
+                core = p_e0(omega)
+                assert e and core
+                assert project_rumin(ctx, e) == e
+                assert exterior_d(e) == project_rumin(ctx, exterior_d(omega))
+                assert project_rumin(ctx, p_e0(e)) == e
+                assert p_e0(project_rumin(ctx, core)) == core
+                assert p_e0(e) == ctx.core_part(omega)
 
 
 def test_entries_are_homogeneous_t_free_and_horizontal(ctx1, ctx2):
@@ -408,7 +429,7 @@ def test_core_coefficients_roundtrip_and_rejection(ctx1):
 def test_rumin_d_requires_left_frame(ctx1):
     dt = Form.monomial(1, 1 << 2, Poly.const(3, 1), frame="coord")
     for omega in (to_coordinate_frame(Form.monomial(1, 1, Poly.var(3, 0))), dt):
-        for entry in (ctx1.rumin_d, ctx1.project_core, ctx1.d0_inverse, ctx1.project_rumin):
+        for entry in (ctx1.rumin_d, ctx1.project_core, ctx1.d0_inverse, ctx1.core_part):
             with pytest.raises(ValueError, match="left-invariant frame"):
                 entry(omega)
     # dt = theta + (x dy - y dx)/2 in the left frame, and theta is not in E0

@@ -6,8 +6,15 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_core_form, random_form, random_point_coords, shared_context
-from rumincalc.forms import Form, exterior_d, to_coordinate_frame, to_left_frame
-from rumincalc import grid as gridmod, homotopy_exact
+from rumincalc.forms import (
+    Form,
+    exterior_d,
+    pullback_translation_dilation,
+    to_coordinate_frame,
+    to_left_frame,
+)
+from rumincalc import grid as gridmod, homotopy_exact, rumin_complex
+from rumincalc.group_geometry import identity
 from rumincalc.homotopy_exact import (
     AveragingWeight,
     _cone_degree,
@@ -261,6 +268,49 @@ def test_rumin_chain_homotopy_residual_vanishes(ctx1, ctx2):
                     while h < 2 * ctx.n + 1 and not ctx.rumin_d(omega):
                         omega = random_core_form(rng, ctx, h, 2)
                     assert not rumin_homotopy_residual(ctx, w, omega)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_K_commutes_with_dilations_under_the_point_mass(n):
+    # K(delta_r^* omega) = delta_r^* K(omega); delta_r^* moves the bump out
+    # of AveragingWeight's family, so the bump breaks the law in every degree
+    ctx = shared_context(n)
+    rng = random.Random(n)
+    bump = AveragingWeight.bump(Fraction(1, 3))
+
+    def dilate(form):
+        return pullback_translation_dilation(form, identity(n), Fraction(3, 2))
+
+    for h in range(1, 2 * n + 2):
+        omega = random_core_form(rng, ctx, h, 2)
+        while not omega:
+            omega = random_core_form(rng, ctx, h, 2)
+        primitive = rumin_homotopy_K(ctx, POINT, omega)
+        assert primitive
+        assert rumin_homotopy_K(ctx, POINT, dilate(omega)) == dilate(primitive)
+        assert rumin_homotopy_K(ctx, bump, dilate(omega)) != dilate(
+            rumin_homotopy_K(ctx, bump, omega)
+        )
+
+
+def test_K_and_rumin_d_each_make_two_exterior_d_calls(ctx2, monkeypatch):
+    calls = []
+
+    def counted(form):
+        calls.append(form)
+        return exterior_d(form)
+
+    for module in (rumin_complex, homotopy_exact):
+        monkeypatch.setattr(module, "exterior_d", counted)
+    rng = random.Random(6)
+    for h in range(1, 2 * ctx2.n + 2):
+        omega = random_core_form(rng, ctx2, h, 2)
+        calls.clear()
+        rumin_homotopy_K(ctx2, POINT, omega)
+        assert len(calls) == 2
+        calls.clear()
+        ctx2.rumin_d(omega)
+        assert len(calls) == 2
 
 
 def test_rumin_homotopy_error_contracts(ctx1):
