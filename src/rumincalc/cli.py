@@ -10,8 +10,9 @@ verify    the exact identity suite: d_c^2 = 0, entry audits, the
 homotopy  exact homotopy residual suites (Euclidean and intrinsic) and the
           Poincare-quotient scaling probe.
 numeric   grid experiments: derivative convergence, kernel decay slopes,
-          critical-exponent invariance, the scalar Sobolev quotient, and
-          the fundamental-solution gauge scan.
+          critical-exponent invariance and the scalar Sobolev quotient;
+          then the exact fundamental-solution gauge check, which must find
+          Folland's t weight 16 and no other.
 
 Reports are JSON lines on stdout (optionally teed to --json and flattened
 to --csv). Exit codes: 0 on success, 1 when an exact identity fails, the
@@ -60,7 +61,7 @@ def _convergence_resolutions(grid: int) -> tuple:
 
 
 def _probe_resolution(grid: int) -> int:
-    """The grid of numeric's kernel decay probe and gauge scan."""
+    """The grid of numeric's kernel decay probe."""
     return max(grid, 32)
 
 
@@ -509,19 +510,31 @@ def cmd_numeric(cfg: argparse.Namespace) -> int:
             "within_2pct": ok,
         })
 
-    if n == 1:
-        scan = fundamental_gauge_scan(n, resolution=_probe_resolution(cfg.grid))
-        ok = scan["best_t_weight"] == 16.0
-        rep.soft(ok)
-        rep.emit({
-            "report": "numeric",
-            "check": "fundamental-solution gauge scan",
-            "n": n,
-            "residuals": {str(r["t_weight"]): r["residual"] for r in scan["rows"]},
-            "best_t_weight": scan["best_t_weight"],
-            "expected_t_weight": 16.0,
-            "match": ok,
-        })
+    # a hard row: Folland's remainder R_a is zero at a = 16 and at no other weight
+    scan = fundamental_gauge_scan(n)
+    remainders = {r["t_weight"]: r["remainder"] for r in scan["rows"]}
+    ok = rep.hard(all((not r) == (a == 16.0) for a, r in remainders.items()))
+    row = {
+        "report": "numeric",
+        "check": "fundamental-solution gauge scan",
+        "n": n,
+        "residuals": {str(r["t_weight"]): r["residual"] for r in scan["rows"]},
+        "best_t_weight": scan["best_t_weight"],
+        "expected_t_weight": 16.0,
+        "match": ok,
+    }
+    if not ok:
+        # the first term of R_16 in sorted exponent order; with R_16 zero,
+        # the first other weight whose remainder is zero too
+        r16 = remainders[16.0]
+        if r16:
+            exp = min(r16.terms)
+            row["witness"] = {"t_weight": 16.0, "exponent": list(exp),
+                              "coefficient": str(r16.terms[exp])}
+        else:
+            zero = next(a for a, r in remainders.items() if not r and a != 16.0)
+            row["witness"] = {"t_weight": zero, "coefficient": "0"}
+    rep.emit(row)
     return rep.finish()
 
 

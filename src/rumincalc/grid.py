@@ -1,8 +1,8 @@
 """Anisotropic grids, discrete horizontal derivatives, and norms on H^n.
 
-Grids are midpoint lattices over a box [-H, H]^{2n} x [-H_t, H_t]; the t
-half-width defaults to the square of the horizontal one so that the grid is
-stable under the group dilations used by the scaling probes.
+Grids are midpoint lattices over a box [-H, H]^{2n} x [-H^2, H^2]: the t
+half-width is the square of the horizontal one, so that the grid is stable
+under the group dilations used by the scaling probes.
 
 The discrete horizontal derivative follows the flow of the frame field: a
 central difference between u(p . (h e_i)) and u(p . (-h e_i)). The x/y part
@@ -66,19 +66,15 @@ class Grid:
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def empty(cls, n: int, horizontal_half_width: float, resolution: int,
-              t_half_width: float | None = None, t_resolution: int | None = None) -> "Grid":
+    def empty(cls, n: int, horizontal_half_width: float, resolution: int) -> "Grid":
         H = float(horizontal_half_width)
-        Ht = H * H if t_half_width is None else float(t_half_width)
-        Nt = resolution if t_resolution is None else t_resolution
-        hw = tuple([H] * (2 * n) + [Ht])
-        shape = tuple([resolution] * (2 * n) + [Nt])
+        hw = tuple([H] * (2 * n) + [H * H])
+        shape = (resolution,) * (2 * n + 1)
         return cls(n, hw, shape, np.zeros(shape))
 
     @classmethod
-    def from_poly(cls, n: int, horizontal_half_width: float, resolution: int, poly,
-                  t_half_width: float | None = None, t_resolution: int | None = None) -> "Grid":
-        g = cls.empty(n, horizontal_half_width, resolution, t_half_width, t_resolution)
+    def from_poly(cls, n: int, horizontal_half_width: float, resolution: int, poly) -> "Grid":
+        g = cls.empty(n, horizontal_half_width, resolution)
         g.values = poly.evaluate_float([g.axis(i) for i in range(2 * n + 1)])
         return g
 
@@ -89,17 +85,17 @@ class Grid:
         return float(vals.sum() * self.cell_volume) ** (1.0 / p)
 
 
-def gauge_mask(grid: Grid, center: Point, radius: float, t_weight: float = 1.0) -> np.ndarray:
+def gauge_mask(grid: Grid, center: Point, radius: float) -> np.ndarray:
     """Boolean mask of grid cells inside the gauge ball around ``center``.
 
-    The gauge is rho^4 = |z|^4 + t_weight * t^2 evaluated on center^{-1} . p.
+    The gauge is rho^4 = |z|^4 + t^2 evaluated on center^{-1} . p.
     The coordinates are sparse axes that the group law and the gauge
     broadcast: only the t coordinate, its square and the comparison fill the
     lattice, |z|^4 stays on the horizontal cells.
     """
     c = from_coords([float(v) for v in center.coords()])
     z = multiply(inverse(c), from_coords(grid.meshes(sparse=True)))
-    return gauge4(z, t_weight) < float(radius) ** 4
+    return gauge4(z) < float(radius) ** 4
 
 
 def _interp_t(plane: np.ndarray, offsets: np.ndarray) -> tuple:

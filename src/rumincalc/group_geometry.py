@@ -110,9 +110,11 @@ def _spans(a, b) -> bool:
 def gauge4(p: Point, t_weight=1):
     """rho^4 = |z|^4 + t_weight t^2; exact on exact input.
 
-    A t_weight of 1 costs no multiply, since (1 t) t = t t. Both terms are
-    fresh values, so on float arrays the sum is written into whichever of
-    them already has its full shape; no caller array is written to.
+    Only ``kernels.folland_remainder`` weighs t, on ``Poly`` points with int
+    weights. A t_weight of 1 costs no multiply, since (1 t) t = t t. Both
+    terms are fresh values, so on float arrays the sum is written into
+    whichever of them already has its full shape; no caller array is
+    written to.
     """
     h2 = horizontal_norm2(p)
     h4 = h2 * h2

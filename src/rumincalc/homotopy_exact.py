@@ -164,20 +164,18 @@ def _cone_homotopy(omega: Form, moment) -> Form:
     })
 
 
-def _cone_degree(name: str, omega: Form, k: int | None) -> None:
-    """Check that omega is a coordinate-frame form of degree k >= 1 (k=None: its own)."""
+def _cone_degree(name: str, omega: Form, k: int) -> None:
+    """Check that omega is a coordinate-frame form of degree k >= 1."""
     if omega.frame != "coord":
         raise ValueError(f"{name} works in the coordinate coframe")
     degree = omega.degree()
-    if k is None:
-        k = degree
     if k == 0:
         raise ValueError("the cone homotopy needs degree >= 1")
     if omega and degree != k:
         raise ValueError(f"form has degree {degree}, not {k}")
 
 
-def averaged_homotopy(weight: AveragingWeight, omega: Form, k: int | None = None) -> Form:
+def averaged_homotopy(weight: AveragingWeight, omega: Form, k: int) -> Form:
     """K_Euc omega: the cone homotopy averaged over y against the weight."""
     _cone_degree("averaged_homotopy", omega, k)
     nv = 2 * omega.n + 1

@@ -11,22 +11,23 @@ sum runs over live horizontal source columns against every output column
 and t offset; on the grid's uniform t axis a pair of columns has 2T - 1
 offsets for its T^2 (source, output) cell pairs, so the quadrature is a
 Toeplitz product along t. Singular cells are searched for only in the
-column pairs with |z|^4 < eps^4, which is exact because rho^4 >= |z|^4 for
-a positive t weight. Everything downstream - decay slopes, L^p - L^q ratio
-probes and the scalar Sobolev-quotient check - is an invariance test, never
-a constant computation.
+column pairs with |z|^4 < eps^4, which is exact because
+rho^4 = |z|^4 + t^2 >= |z|^4. Everything downstream - decay slopes, L^p - L^q
+ratio probes and the scalar Sobolev-quotient check - is an invariance test,
+never a constant computation, and the fundamental-solution gauge check is exact.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
+from .envelope import derive
 from .grid import Grid, discrete_horizontal_derivative
 from .group_geometry import (
-    Point,
     dilate,
     from_coords,
     gauge4,
@@ -35,23 +36,23 @@ from .group_geometry import (
     inverse,
     multiply,
 )
+from .polynomials import Poly
+
+# the candidate t weights a of the gauge |z|^4 + a t^2 in fundamental_gauge_scan;
+# Folland's fundamental solution has a = 16
+GAUGE_T_WEIGHTS = (1, 4, 8, 12, 16, 20, 32)
 
 
-def gauge_ball_volume(n: int, t_weight: float = 1.0) -> float:
-    """Lebesgue volume of {(|z|^2)^2 + a t^2 < 1} in R^{2n+1}, a = t_weight.
+def gauge_ball_volume(n: int) -> float:
+    """Lebesgue volume of {(|z|^2)^2 + t^2 < 1} in R^{2n+1}.
 
-    Slicing over |z| = s gives (2/sqrt(a)) * area(S^{2n-1}) *
+    Slicing over |z| = s gives 2 * area(S^{2n-1}) *
     int_0^1 s^{2n-1} sqrt(1-s^4) ds, and the s-integral is a Beta value.
-    For n = 1, a = 1 this is pi^2 / 2.
+    For n = 1 this is pi^2 / 2.
     """
     area = 2.0 * math.pi**n / math.gamma(n)
     radial = math.gamma(n / 2) * math.gamma(1.5) / math.gamma(n / 2 + 1.5) / 4.0
-    return 2.0 / math.sqrt(t_weight) * area * radial
-
-
-def _float_point(coords) -> Point:
-    """A point of float arrays; rho^{negative} stays numpy's inf at the origin."""
-    return from_coords([np.asarray(c, dtype=float) for c in coords])
+    return 2.0 * area * radial
 
 
 @dataclass(frozen=True)
@@ -60,23 +61,15 @@ class HomogeneousKernel:
 
     n: int
     mu: float
-    t_weight: float = 1.0
-
-    def __post_init__(self):
-        # group_convolve's singular-cell prefilter needs rho^4 >= |z|^4
-        if not self.t_weight > 0:
-            raise ValueError("t_weight must be positive")
 
     @property
     def Q(self) -> int:
         return homogeneous_dimension(self.n)
 
-    def gauge(self, coords) -> np.ndarray:
-        return gauge4(_float_point(coords), self.t_weight) ** 0.25
-
     def evaluate(self, coords) -> np.ndarray:
-        # gauge4 returns a fresh value, so the power may overwrite it
-        rho4 = gauge4(_float_point(coords), self.t_weight)
+        # on float arrays rho^{negative} is numpy's inf at the origin; gauge4
+        # returns a fresh value, so the power may overwrite it
+        rho4 = gauge4(from_coords([np.asarray(c, dtype=float) for c in coords]))
         with np.errstate(divide="ignore"):
             rho4 **= (self.mu - self.Q) / 4.0
         return rho4
@@ -123,7 +116,7 @@ def group_convolve(f: Grid, kernel, output_points: np.ndarray | None = None,
       and each output keeps its own t, so the slab holds every (source cell,
       output) value and is contracted against F[h, s] directly.
 
-    Since rho^4 = |z|^4 + a t^2 >= |z|^4 in floating point for a > 0, only
+    Since rho^4 = |z|^4 + t^2 >= |z|^4 in floating point, only
     the (column, column) pairs with |z|^4 < eps^4 can hold a singular
     evaluation, and only their offset rows are checked against the full
     gauge. A replaced slab entry counts once for every live source cell it
@@ -161,7 +154,7 @@ def group_convolve(f: Grid, kernel, output_points: np.ndarray | None = None,
     columns, depth = np.broadcast(*outputs.coords()).shape[1:]
     # on the grid acc[(c, d), s] = sum_h k[h, c, d] F[h, s], folded along t below
     acc = np.zeros((columns * depth, T) if output_points is None else columns)
-    eps = (f.cell_volume / gauge_ball_volume(n, kernel.t_weight)) ** (1.0 / (2 * n + 2))
+    eps = (f.cell_volume / gauge_ball_volume(n)) ** (1.0 / (2 * n + 2))
     policy = kernel.cell_estimate(eps)
     singular_touched = 0
 
@@ -177,8 +170,7 @@ def group_convolve(f: Grid, kernel, output_points: np.ndarray | None = None,
             # rho^4 >= |z|^4, so a singular entry lies in an offset row kept here
             cells, cols, _ = np.nonzero(h2 * h2 < eps**4)
             if cells.size:
-                near = gauge4(from_coords([c[cells, cols] for c in z.coords()]),
-                              kernel.t_weight) < eps**4
+                near = gauge4(from_coords([c[cells, cols] for c in z.coords()])) < eps**4
                 singular_touched += int(stands_for[start + cells][near].sum())
                 offset_rows = vals[cells, cols]
                 offset_rows[near] = 0.0 if policy == "pv" else policy
@@ -211,17 +203,16 @@ def group_convolve(f: Grid, kernel, output_points: np.ndarray | None = None,
 # -- probes --------------------------------------------------------------------
 
 
-def _euclidean_bump(meshes, radius: float) -> np.ndarray:
-    sq = np.zeros_like(meshes[0])
-    for m in meshes:
-        sq = sq + m * m
-    return np.clip(1.0 - sq / radius**2, 0.0, None) ** 3
-
-
 def bump_grid(n: int, half_width: float, resolution: int, support: float) -> Grid:
-    """A smooth even bump supported in the Euclidean ball of the given radius."""
+    """The even bump (1 - |p|^2 / support^2)_+^3, built in place from sparse
+    axes so that the lattice holds one full array, not one per coordinate."""
     g = Grid.empty(n, half_width, resolution)
-    g.values = _euclidean_bump(g.meshes(), support)
+    sq = sum(m * m for m in g.meshes(sparse=True))
+    sq /= -(support**2)
+    sq += 1.0
+    np.clip(sq, 0.0, None, out=sq)
+    sq **= 3
+    g.values = sq
     return g
 
 
@@ -392,45 +383,43 @@ def _require_interior_support(u: Grid) -> None:
         raise ValueError("input is not supported in the grid interior")
 
 
-def fundamental_gauge_scan(n: int = 1, t_weights=(1.0, 4.0, 8.0, 12.0, 16.0, 20.0, 32.0),
-                           resolution: int = 48) -> dict:
-    """Score candidate gauges rho_a^{2-Q} as fundamental-solution kernels.
+def folland_remainder(n: int, t_weight) -> tuple:
+    """(R, F LF) for F = |z|^4 + a t^2, a = t_weight, as polynomials.
 
-    Applies the flow-sampled discrete sub-Laplacian
-    -sum_i (u(p.(h e_i)) - 2u(p) + u(p.(-h e_i))) / h^2 to each candidate and
-    measures the residual on an annulus away from the origin, normalized by
-    the homogeneity-matched scale rho^{-Q}; the harmonic candidate is the
-    one whose residual is pure truncation error and it minimizes the score.
-    The shifted points are evaluated exactly through the kernel formula, so
-    the only error is the O(h^2) central-difference truncation. They do not
-    depend on the weight, so they are built once and only the kernel is
-    evaluated per candidate.
+    With s = -n/2 and the sub-Laplacian L = sum_i W_i^2 over the horizontal
+    frame, L(F^s) = s F^{s-2} R where R = F LF + (s - 1) sum_i (W_i F)^2.
+    F^s is harmonic off the origin, the fundamental solution up to a
+    constant (Folland, Bull. AMS 79, 1973), exactly when R is zero.
     """
-    Q = homogeneous_dimension(n)
-    g = Grid.empty(n, 1.0, resolution, t_half_width=0.4, t_resolution=resolution)
-    meshes = g.meshes()
-    p = from_coords(meshes)
-    h = g.steps()[0]
-    # (p.(h e_j), p.(-h e_j)) for each horizontal direction j
-    flows = [
-        [multiply(p, from_coords([sgn * h if i == j else 0.0 for i in range(2 * n + 1)])).coords()
-         for sgn in (1.0, -1.0)]
-        for j in range(2 * n)
-    ]
+    nv = 2 * n + 1
+    s = Fraction(-n, 2)
+    F = gauge4(from_coords([Poly.var(nv, i) for i in range(nv)]), t_weight)
+    W = [derive(n, i, F) for i in range(2 * n)]
+    LF = sum((derive(n, i, w) for i, w in enumerate(W)), Poly.zero(nv))
+    squares = sum((w * w for w in W), Poly.zero(nv))
+    scale = F * LF
+    return scale + squares * (s - 1), scale
+
+
+def _coefficient_norm(p: Poly) -> float:
+    return math.sqrt(sum(float(c * c) for c in p.terms.values()))
+
+
+def fundamental_gauge_scan(n: int) -> dict:
+    """Folland's remainder R_a for each candidate t weight a in GAUGE_T_WEIGHTS.
+
+    Each row holds the weight, the remainder polynomial R_a of
+    ``folland_remainder`` and its residual: the coefficient 2-norm of R_a
+    over that of F LF, which is 0 exactly when R_a is. The best weight is
+    the one with the smallest residual.
+    """
     rows = []
-    for a in t_weights:
-        kernel = HomogeneousKernel(n, 2.0, a)
-        u0 = kernel.evaluate(p.coords())
-        lap = np.zeros(g.shape)
-        for forward, backward in flows:
-            lap -= kernel.evaluate(forward)
-            lap -= kernel.evaluate(backward)
-            lap += 2.0 * u0
-        lap /= h**2
-        rho = kernel.gauge(meshes)
-        annulus = (rho > 0.45) & (rho < 0.75)
-        scale = float(np.sqrt(np.mean(rho[annulus] ** (-2.0 * Q))))
-        score = float(np.sqrt(np.mean(lap[annulus] ** 2)))
-        rows.append({"t_weight": a, "residual": score / scale})
+    for a in GAUGE_T_WEIGHTS:
+        remainder, scale = folland_remainder(n, a)
+        rows.append({
+            "t_weight": float(a),
+            "residual": _coefficient_norm(remainder) / _coefficient_norm(scale),
+            "remainder": remainder,
+        })
     best = min(rows, key=lambda r: r["residual"])
-    return {"n": n, "resolution": resolution, "rows": rows, "best_t_weight": best["t_weight"]}
+    return {"n": n, "rows": rows, "best_t_weight": best["t_weight"]}

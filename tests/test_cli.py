@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from rumincalc import cli, homotopy_exact
+from rumincalc import cli, homotopy_exact, kernels
 from rumincalc.forms import Form
 from rumincalc.homotopy_exact import AveragingWeight, scaling_probe
 from rumincalc.polynomials import Poly
@@ -226,8 +226,37 @@ def test_numeric_subcommand(capsys):
     (sob,) = [r for r in rows if r["check"] == "scalar Sobolev quotient invariance"]
     assert len(sob["boundary_fractions"]) == len(sob["ratios"]) == 2
     assert all(0 < f < 1 for f in sob["boundary_fractions"])
-    scan = [r for r in rows if r["check"] == "fundamental-solution gauge scan"]
-    assert scan[0]["best_t_weight"] == 16.0
+    code, rows_n2 = run_cli(capsys, ["numeric", "--n", "2", "--grid", "8"])
+    assert code == 0
+    # the exact gauge row comes last at every n, and R_a is zero at a = 16 only
+    for n, scan in ((1, rows[-1]), (2, rows_n2[-1])):
+        assert scan["check"] == "fundamental-solution gauge scan" and scan["n"] == n
+        assert scan["best_t_weight"] == 16.0 and scan["match"] is True
+        assert [a for a, r in scan["residuals"].items() if r == 0.0] == ["16.0"]
+        assert len(scan["residuals"]) == 7 and "witness" not in scan
+
+
+def test_gauge_row_names_a_witness_when_it_fails(capsys, monkeypatch):
+    # a remainder taken at a + 4 vanishes at a = 12, so R_16 is nonzero and
+    # the row names its first term in sorted exponent order
+    remainder = kernels.folland_remainder
+    monkeypatch.setattr(kernels, "folland_remainder", lambda n, a: remainder(n, a + 4))
+    code, rows = run_cli(capsys, ["numeric", "--n", "1", "--grid", "8"])
+    assert code == 1
+    row = rows[-1]
+    r16 = remainder(1, 20)[0]
+    exp = min(r16.terms)
+    assert row["match"] is False and row["best_t_weight"] == 12.0
+    assert row["witness"] == {"t_weight": 16.0, "exponent": list(exp),
+                              "coefficient": str(r16.terms[exp])}
+    # a remainder that is zero at every weight: the witness is the first
+    # other weight whose remainder is zero too
+    monkeypatch.setattr(kernels, "folland_remainder",
+                        lambda n, a: (Poly.zero(3), remainder(n, a)[1]))
+    code, rows = run_cli(capsys, ["numeric", "--n", "1", "--grid", "8"])
+    assert code == 1
+    assert rows[-1]["match"] is False
+    assert rows[-1]["witness"] == {"t_weight": 1.0, "coefficient": "0"}
 
 
 def _reject_constant(token):

@@ -132,12 +132,28 @@ def test_derivative_convergence_errors_on_the_interior_box(n, i, resolutions):
     assert rep["errors"] == want
 
 
+def _grid_on_poly(n, half_widths, shape, poly) -> Grid:
+    """A grid with its own t window, sampling poly as ``Grid.from_poly`` does."""
+    g = Grid(n, tuple(half_widths), tuple(shape), np.zeros(shape))
+    g.values = poly.evaluate_float([g.axis(i) for i in range(2 * n + 1)])
+    return g
+
+
+def _random_grid(n, resolution, t_resolution, t_half_width) -> Grid:
+    """Seeded normal values on [-1, 1]^{2n} x [-H_t, H_t]; a None t window
+    is the dilation-adapted one of ``Grid.empty``."""
+    shape = (resolution,) * (2 * n) + (t_resolution or resolution,)
+    half_widths = (1.0,) * (2 * n) + (t_half_width or 1.0,)
+    values = np.random.default_rng(resolution + 10 * n).standard_normal(shape)
+    return Grid(n, half_widths, shape, values)
+
+
 def test_grid_quadrature_converges_to_exact():
     p = (Poly.var(3, 0) + Poly.var(3, 1)) ** 2
     exact = float(symmetric_box_integral(p))
     vals = []
     for res in (16, 32, 64):
-        g = Grid.from_poly(1, 1.0, res, p, t_half_width=1.0, t_resolution=res)
+        g = Grid.from_poly(1, 1.0, res, p)
         vals.append(abs(g.values.sum() * g.cell_volume - exact))
     assert vals[2] < vals[0]
     assert vals[2] < 1e-2
@@ -158,7 +174,7 @@ def test_from_poly_is_the_per_term_sum_within_the_rounding_bound():
     # the sum of |c| |x^e| over the terms
     rng = random.Random(12)
     p = random_poly(rng, 5, 4, terms=40) + Poly.const(5, Fraction(1, 3))
-    g = Grid.from_poly(2, 0.7, 9, p, t_resolution=11)
+    g = _grid_on_poly(2, (0.7,) * 4 + (0.7 * 0.7,), (9,) * 4 + (11,), p)
     meshes = g.meshes()
     expected = 0.0
     scale = 0.0
@@ -184,10 +200,10 @@ def test_from_poly_is_the_per_term_sum_within_the_rounding_bound():
     x_only = Grid.from_poly(2, 0.7, 9, Poly.var(5, 0) ** 3)
     assert x_only.values.shape == g.shape[:4] + (9,)
     assert np.array_equal(x_only.values, x_only.meshes()[0] ** 3)
-    const = Grid.from_poly(2, 0.7, 9, Poly.const(5, Fraction(1, 3)), t_resolution=11)
+    const = _grid_on_poly(2, g.half_widths, g.shape, Poly.const(5, Fraction(1, 3)))
     assert const.values.shape == g.shape
     assert np.all(const.values == 1 / 3)
-    zero = Grid.from_poly(2, 0.7, 9, Poly.zero(5), t_resolution=11)
+    zero = _grid_on_poly(2, g.half_widths, g.shape, Poly.zero(5))
     assert zero.values.shape == g.shape
     assert not np.any(zero.values)
 
@@ -204,8 +220,7 @@ def test_flow_shift_equals_the_full_grid_gather(n, resolution, t_resolution, t_h
     # interpolating along t on the (coordinate, t) plane, then stepping one
     # cell along the flow axis, gives the same bits as the full-size gather
     # of the stepped values: the commutation the flow difference rests on
-    g = Grid.empty(n, 1.0, resolution, t_half_width, t_resolution)
-    g.values = np.random.default_rng(resolution + 10 * n).standard_normal(g.shape)
+    g = _random_grid(n, resolution, t_resolution, t_half_width)
     t_step = g.steps()[2 * n]
     for i in range(2 * n):
         coord_axis, sign = (n + i, -1.0) if i < n else (i - n, +1.0)
@@ -242,8 +257,7 @@ def test_flow_difference_equals_the_full_grid_reference(n, resolution, t_resolut
     # fraction of two full-grid shifts and a per-cell choice of quotient; the
     # narrow t windows shift by 1.6 to 4.4 t cells, and by more than all of
     # them at t_half_width 0.02
-    g = Grid.empty(n, 1.0, resolution, t_half_width, t_resolution)
-    g.values = np.random.default_rng(resolution + 10 * n).standard_normal(g.shape)
+    g = _random_grid(n, resolution, t_resolution, t_half_width)
     for a in range(2 * n + 1):
         if a < 2 * n:
             got, rep = discrete_horizontal_derivative(g, a + 1)
@@ -283,18 +297,17 @@ def test_gauge_and_euclidean_masks():
 
 @pytest.mark.parametrize("n, resolution", [(1, 16), (2, 8)])
 def test_gauge_mask_matches_the_exact_gauge_cell_for_cell(n, resolution):
-    # dyadic grids, centres, radii and weights keep the float arithmetic
-    # exact, so the float mask must agree with Fractions in every cell
+    # dyadic grids, centres and radii keep the float arithmetic exact, so
+    # the float mask must agree with Fractions in every cell
     g = Grid.empty(n, 1.0, resolution)
     rng = random.Random(n)
     cells = [from_coords([Fraction(v) for v in c]) for c in zip(*(m.reshape(-1) for m in g.meshes()))]
-    for t_weight in (1, 4):
-        center = from_coords([Fraction(rng.randrange(-4, 5), 8) for _ in range(2 * n + 1)])
-        radius = Fraction(rng.randrange(4, 9), 8)
-        to_center = inverse(center)
-        want = [gauge4(multiply(to_center, cell), t_weight) < radius**4 for cell in cells]
-        assert gauge_mask(g, center, radius, float(t_weight)).reshape(-1).tolist() == want
-        assert 0 < sum(want) < len(want)
+    center = from_coords([Fraction(rng.randrange(-4, 5), 8) for _ in range(2 * n + 1)])
+    radius = Fraction(rng.randrange(4, 9), 8)
+    to_center = inverse(center)
+    want = [gauge4(multiply(to_center, cell)) < radius**4 for cell in cells]
+    assert gauge_mask(g, center, radius).reshape(-1).tolist() == want
+    assert 0 < sum(want) < len(want)
 
 
 @pytest.mark.parametrize("n, resolution", [(1, 9), (1, 12), (2, 7), (2, 8), (3, 5), (3, 6)])
@@ -304,12 +317,12 @@ def test_gauge_mask_equals_the_full_mesh_group_law(n, resolution):
     rng = random.Random(50 + 10 * n + resolution)
     g = Grid.empty(n, rng.uniform(0.5, 2.0), resolution)
     nonempty = 0
-    for t_weight in (1.0, 16.0, rng.uniform(0.1, 20.0)):
+    for _ in range(3):
         center = from_coords([rng.uniform(-1.0, 1.0) for _ in range(2 * n + 1)])
         radius = rng.uniform(0.3, 1.5)
         z = multiply(inverse(center), from_coords(g.meshes()))
-        want = gauge4(z, t_weight) < radius**4
-        got = gauge_mask(g, center, radius, t_weight)
+        want = gauge4(z) < radius**4
+        got = gauge_mask(g, center, radius)
         assert got.shape == g.shape and got.dtype == bool
         assert np.array_equal(got, want)
         nonempty += bool(want.any())
@@ -318,7 +331,7 @@ def test_gauge_mask_equals_the_full_mesh_group_law(n, resolution):
 
 def test_mask_volume_approximates_ball_volume():
     # euclidean ball volume in (x, y, t): (4/3) pi r^3
-    g = Grid.empty(1, 1.0, 40, t_half_width=1.0, t_resolution=40)
+    g = Grid.empty(1, 1.0, 40)
     m = euclidean_mask(g, identity(1), 0.8)
     vol = m.sum() * g.cell_volume
     assert vol == pytest.approx(4.0 / 3.0 * math.pi * 0.8**3, rel=0.05)

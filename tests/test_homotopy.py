@@ -34,14 +34,14 @@ POINT = AveragingWeight.point_mass()
 BUMP = AveragingWeight.bump(Fraction(1, 2))
 
 
-def cartan_homotopy(y, omega: Form, k: int | None = None) -> Form:
+def cartan_homotopy(y, omega: Form) -> Form:
     """The cone homotopy centered at the concrete point y, exactly: the closed
     form with y^beta for the moments.
 
-    omega must be a coordinate-frame polynomial form of pure degree k >= 1;
+    omega must be a coordinate-frame polynomial form of pure degree >= 1;
     y is a sequence of 2n+1 rationals.
     """
-    _cone_degree("cartan_homotopy", omega, k)
+    _cone_degree("cartan_homotopy", omega, omega.degree())
     y = [Fraction(v) for v in y]
     if len(y) != 2 * omega.n + 1:
         raise ValueError("y needs 2n+1 coordinates")
@@ -109,7 +109,7 @@ def test_closed_form_equals_the_doubled_ring_oracle(n):
         while not omega:
             omega = random_form(rng, n, k, 3 if n < 3 else 2, frame="coord")
         for w in (POINT, BUMP):
-            assert averaged_homotopy(w, omega) == _oracle_average(w, omega)
+            assert averaged_homotopy(w, omega, omega.degree()) == _oracle_average(w, omega)
         assert cartan_homotopy(y, omega) == _oracle_at(y, omega)
 
 
@@ -142,7 +142,7 @@ def test_cone_sums_over_mixed_denominators_equal_the_doubled_ring_oracle(n):
         omega = Form(n, "coord", coeffs)
         assert cartan_homotopy(y, omega) == _oracle_at(y, omega), k
         for w in (POINT, BUMP, bump):
-            assert averaged_homotopy(w, omega) == _oracle_average(w, omega), (k, w)
+            assert averaged_homotopy(w, omega, omega.degree()) == _oracle_average(w, omega), (k, w)
 
 
 def test_cone_homotopy_primitive_of_dx():
@@ -163,7 +163,7 @@ def test_point_mass_equals_cartan_at_origin():
     n = 2
     for k in (1, 2, 3):
         omega = random_form(rng, n, k, 3, frame="coord")
-        assert averaged_homotopy(POINT, omega) == cartan_homotopy(
+        assert averaged_homotopy(POINT, omega, omega.degree()) == cartan_homotopy(
             [Fraction(0)] * 5, omega
         )
 
@@ -196,7 +196,7 @@ def test_degree_zero_identity_reconstruction():
     n = 1
     f = Poly.var(3, 0) * Poly.var(3, 1) + Poly.var(3, 2) ** 2
     df = exterior_d(Form.from_function(n, f, frame="coord"))
-    kf = averaged_homotopy(POINT, df)
+    kf = averaged_homotopy(POINT, df, df.degree())
     assert kf == Form.from_function(n, f, frame="coord")  # f(0) = 0 here
 
 
@@ -227,10 +227,10 @@ def test_homotopy_error_contracts():
     n = 1
     f = Form.from_function(n, Poly.var(3, 0), frame="coord")
     with pytest.raises(ValueError, match="degree >= 1"):
-        averaged_homotopy(POINT, f)
+        averaged_homotopy(POINT, f, f.degree())
     left = Form.monomial(n, 1, Poly.const(3, 1))
     with pytest.raises(ValueError, match="coordinate coframe"):
-        averaged_homotopy(POINT, left)
+        averaged_homotopy(POINT, left, left.degree())
     with pytest.raises(ValueError, match="coordinate coframe"):
         cartan_homotopy([0, 0, 0], left)
     mixed = Form.monomial(n, 1, Poly.const(3, 1), frame="coord")

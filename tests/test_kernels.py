@@ -18,9 +18,11 @@ from rumincalc.group_geometry import (
     multiply,
 )
 from rumincalc.kernels import (
+    GAUGE_T_WEIGHTS,
     HomogeneousKernel,
     bump_grid,
     decay_slope_probe,
+    folland_remainder,
     fundamental_gauge_scan,
     gauge_ball_volume,
     group_convolve,
@@ -28,6 +30,11 @@ from rumincalc.kernels import (
     scalar_sobolev_check,
 )
 from rumincalc.polynomials import Poly
+
+
+def _gauge(coords) -> np.ndarray:
+    """rho = (|z|^4 + t^2)^(1/4) at float coordinates."""
+    return gauge4(from_coords([np.asarray(c, dtype=float) for c in coords])) ** 0.25
 
 
 @dataclass(frozen=True)
@@ -38,25 +45,21 @@ class KernelFlowDerivative:
     i: int
 
     @property
-    def t_weight(self) -> float:
-        return self.base.t_weight
-
-    @property
     def mu(self) -> float:
         return self.base.mu - 1
 
     def evaluate(self, coords) -> np.ndarray:
-        n, a = self.base.n, self.base.t_weight
+        n = self.base.n
         Q = self.base.Q
         p = from_coords([np.asarray(c, dtype=float) for c in coords])
         z, t = p.x + p.y, p.t
         sq = horizontal_norm2(p)
-        rho4 = gauge4(p, a)
+        rho4 = gauge4(p)
         j = self.i - 1
         if j < n:  # X_{j+1} = d/dx_j - (y_j/2) d/dt
-            w_rho4 = 4.0 * z[j] * sq - z[n + j] * a * t
+            w_rho4 = 4.0 * z[j] * sq - z[n + j] * t
         else:  # Y_{j-n+1} = d/dy_{j-n} + (x_{j-n}/2) d/dt
-            w_rho4 = 4.0 * z[j] * sq + z[j - n] * a * t
+            w_rho4 = 4.0 * z[j] * sq + z[j - n] * t
         with np.errstate(divide="ignore", invalid="ignore"):
             return (self.base.mu - Q) / 4.0 * rho4 ** ((self.base.mu - Q) / 4.0 - 1.0) * w_rho4
 
@@ -93,12 +96,8 @@ class CutoffKernel:
         if self.R <= 0:
             raise ValueError("cutoff radius must be positive")
 
-    @property
-    def t_weight(self) -> float:
-        return self.base.t_weight
-
     def evaluate(self, coords) -> np.ndarray:
-        rho = self.base.gauge(coords)
+        rho = _gauge(coords)
         psi = _smoothstep(rho, self.R)
         out = np.zeros_like(rho)
         live = psi > 0 if self.part == "local" else psi < 1
@@ -134,16 +133,12 @@ def tail_smoothing_probe(n: int, mu: float, R: float = 0.5,
 
 def test_gauge_ball_volume_closed_form():
     assert gauge_ball_volume(1) == pytest.approx(math.pi**2 / 2.0, rel=1e-12)
-    # scaling t by sqrt(a) divides the volume by sqrt(a)
-    assert gauge_ball_volume(1, t_weight=16.0) == pytest.approx(
-        math.pi**2 / 8.0, rel=1e-12
-    )
 
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_gauge_ball_volume_against_grid_count(n):
     res = 48 if n == 1 else 24
-    g = Grid.empty(n, 1.0, res, t_half_width=1.0, t_resolution=res)
+    g = Grid.empty(n, 1.0, res)
     mask = gauge_mask(g, identity(n), 1.0)
     counted = mask.sum() * g.cell_volume
     assert counted == pytest.approx(gauge_ball_volume(n), rel=0.05)
@@ -195,12 +190,14 @@ def test_gauge4_and_kernel_values_leave_the_inputs_alone(case, a):
     got = gauge4(from_coords([x, y, t]), a)
     assert np.shape(got) == np.broadcast(x, y, t).shape
     assert np.array_equal(got, want)
-    kernel = HomogeneousKernel(1, 2.0, a)
+    # the kernel's gauge has t weight 1
+    rho4 = hh * hh + t * t
+    kernel = HomogeneousKernel(1, 2.0)
     with np.errstate(divide="ignore"):
-        want_k = want ** ((kernel.mu - kernel.Q) / 4.0)
+        want_k = rho4 ** ((kernel.mu - kernel.Q) / 4.0)
     got_k = kernel.evaluate([x, y, t])
     assert np.array_equal(got_k, want_k)
-    assert np.array_equal(np.isinf(got_k), want == 0.0)
+    assert np.array_equal(np.isinf(got_k), rho4 == 0.0)
     for c, b in zip((x, y, t), before):
         assert np.array_equal(c, b)  # no caller array is written to
         if isinstance(c, np.ndarray):
@@ -215,11 +212,9 @@ def test_gauge4_of_exact_points():
         assert isinstance(got, Fraction)
         assert got == (third**2 + half**2) ** 2 + a * Fraction(2, 7) ** 2
         assert p.coords() == (third, half, Fraction(2, 7))
-        # the kernel reads Fraction coordinates as floats
-        want = float((third**2 + half**2) ** 2 + a * Fraction(4, 49)) ** -0.5
-        assert HomogeneousKernel(1, 2.0, float(a)).evaluate(p.coords()) == pytest.approx(
-            want, rel=1e-15
-        )
+    # the kernel reads Fraction coordinates as floats
+    want = float((third**2 + half**2) ** 2 + Fraction(4, 49)) ** -0.5
+    assert HomogeneousKernel(1, 2.0).evaluate(p.coords()) == pytest.approx(want, rel=1e-15)
     x, y, t = (Poly.var(3, i) for i in range(3))
     coords = (x, y, t + Poly.const(3, 1))
     copies = [Poly(3, dict(c.terms)) for c in coords]
@@ -265,30 +260,20 @@ def test_kernel_split_reconstructs_exactly():
     finite = np.isfinite(base)
     assert np.allclose(total[finite], base[finite], rtol=1e-12)
     # tail vanishes inside R/2 and matches k outside R
-    rho = k.gauge(mesh)
+    rho = _gauge(mesh)
     assert np.all(tail.evaluate(mesh)[rho <= 0.25] == 0.0)
     far = rho >= 0.5
     assert np.allclose(tail.evaluate(mesh)[far], base[far], rtol=1e-12)
     # tail is globally bounded even at the origin
     assert tail.cell_estimate(0.01) == 0.0
     assert local.cell_estimate(0.01) == k.cell_estimate(0.01)
-    # the two parts convolve back to the kernel, with the singular cell sized
-    # by the base gauge weight also when t is weighted
+    # the two parts convolve back to the kernel
     f = bump_grid(1, 1.0, 12, 0.5)
-    for t_weight in (1.0, 16.0):
-        k = HomogeneousKernel(1, 1.0, t_weight)
-        local, tail = kernel_split(k, 0.5)
-        assert local.t_weight == tail.t_weight == horizontal_derivative(k, 1).t_weight == t_weight
-        whole, _ = group_convolve(f, k)
-        parts = group_convolve(f, local)[0].values + group_convolve(f, tail)[0].values
-        assert np.allclose(parts, whole.values, rtol=0, atol=1e-12)
-
-
-def test_t_weight_must_be_positive():
-    # group_convolve finds singular cells through rho^4 >= |z|^4
-    for a in (0.0, -1.0, float("nan")):
-        with pytest.raises(ValueError, match="t_weight"):
-            HomogeneousKernel(1, 2.0, a)
+    k = HomogeneousKernel(1, 1.0)
+    local, tail = kernel_split(k, 0.5)
+    whole, _ = group_convolve(f, k)
+    parts = group_convolve(f, local)[0].values + group_convolve(f, tail)[0].values
+    assert np.allclose(parts, whole.values, rtol=0, atol=1e-12)
 
 
 def test_cutoff_kernel_validation():
@@ -324,7 +309,7 @@ def _full_array_convolve(f, kernel, output_points=None, chunk=1 << 22):
     outputs = from_coords([x[None, :] for x in xs])
     m_out = xs[0].size
     acc = np.zeros(m_out)
-    eps = (f.cell_volume / gauge_ball_volume(f.n, kernel.t_weight)) ** (1.0 / (nv + 1))
+    eps = (f.cell_volume / gauge_ball_volume(f.n)) ** (1.0 / (nv + 1))
     policy = kernel.cell_estimate(eps)
     touched = 0
     cells_per_chunk = max(1, chunk // max(m_out, 1))
@@ -334,7 +319,7 @@ def _full_array_convolve(f, kernel, output_points=None, chunk=1 << 22):
         z = multiply(inverse(block), outputs)
         vals = kernel.evaluate(z.coords())
         if policy is not None:
-            near = gauge4(z, kernel.t_weight) < eps**4
+            near = gauge4(z) < eps**4
             if np.any(near):
                 touched += int(near.sum())
                 vals = np.where(near, 0.0 if policy == "pv" else policy, vals)
@@ -372,7 +357,6 @@ def test_group_convolve_equals_the_full_array_loop(n, res):
         base,  # average
         HomogeneousKernel(n, -0.5),  # pv
         HomogeneousKernel(n, float(Q)),  # none
-        HomogeneousKernel(n, 1.0, 16.0),
         horizontal_derivative(base, 1),
         horizontal_derivative(base, 2 * n),
         *kernel_split(base, 0.5),
@@ -412,10 +396,6 @@ class _CountingKernel:
 
     base: object
     points: int = 0
-
-    @property
-    def t_weight(self):
-        return self.base.t_weight
 
     def cell_estimate(self, eps):
         return self.base.cell_estimate(eps)
@@ -612,10 +592,10 @@ def test_scalar_sobolev_check_zero_and_validation():
 
 
 def _flow_sampled_laplacian(kernel, g: Grid) -> np.ndarray:
-    """-sum_i (u(p.(h e_i)) - 2u(p) + u(p.(-h e_i))) / h^2, points built per kernel.
+    """-sum_i (u(p.(h e_i)) - 2u(p) + u(p.(-h e_i))) / h^2 for u = kernel.evaluate.
 
-    The gauge scan's Laplacian as it was computed for one weight at a time,
-    kept as the oracle of the scan that builds its flow points once.
+    The shifted points are evaluated exactly through the kernel formula, so
+    the only error is the O(h^2) central-difference truncation.
     """
     n = g.n
     p = from_coords(g.meshes())
@@ -631,31 +611,49 @@ def _flow_sampled_laplacian(kernel, g: Grid) -> np.ndarray:
     return lap / h**2
 
 
-@pytest.mark.parametrize("n, t_weights", [(1, (1.0, 4.0, 8.0, 12.0, 16.0, 20.0, 32.0)),
-                                          (2, (1.0, 16.0))])
-def test_fundamental_gauge_scan_equals_the_per_weight_laplacian(n, t_weights):
-    resolution = 32 if n == 1 else 12
-    report = fundamental_gauge_scan(n, t_weights=t_weights, resolution=resolution)
-    Q = homogeneous_dimension(n)
-    rows = []
-    for a in t_weights:
-        kernel = HomogeneousKernel(n, 2.0, a)
-        g = Grid.empty(n, 1.0, resolution, t_half_width=0.4, t_resolution=resolution)
-        lap = _flow_sampled_laplacian(kernel, g)
-        rho = kernel.gauge(g.meshes())
-        annulus = (rho > 0.45) & (rho < 0.75)
-        scale = float(np.sqrt(np.mean(rho[annulus] ** (-2.0 * Q))))
-        score = float(np.sqrt(np.mean(lap[annulus] ** 2)))
-        rows.append({"t_weight": a, "residual": score / scale})
-    assert report["rows"] == rows
-
-
-def test_fundamental_gauge_scan_prefers_sixteen():
-    report = fundamental_gauge_scan(1, t_weights=(4.0, 16.0, 32.0), resolution=32)
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_folland_remainder_vanishes_at_sixteen_only(n):
+    # R_a is quadratic in a: A + a B + a^2 C, interpolated from a = 0, 1, 2
+    r0, r1, r2 = (folland_remainder(n, a)[0] for a in (0, 1, 2))
+    C = (r2 - r1 * 2 + r0) * Fraction(1, 2)
+    B = r1 - r0 - C
+    report = fundamental_gauge_scan(n)
+    assert [r["t_weight"] for r in report["rows"]] == [float(a) for a in GAUGE_T_WEIGHTS]
+    for a, row in zip(GAUGE_T_WEIGHTS, report["rows"]):
+        remainder = folland_remainder(n, a)[0]
+        assert remainder == r0 + B * a + C * (a * a), a
+        assert row["remainder"] == remainder
+        assert (remainder == Poly.zero(2 * n + 1)) == (a == 16), a
+        assert (row["residual"] == 0.0) == (a == 16), a
     assert report["best_t_weight"] == 16.0
-    by_weight = {r["t_weight"]: r["residual"] for r in report["rows"]}
-    assert by_weight[16.0] < 0.5 * by_weight[4.0]
-    assert by_weight[16.0] < 0.5 * by_weight[32.0]
+
+
+@dataclass(frozen=True)
+class _GaugePower:
+    """F^s for F = |z|^4 + a t^2 and s = -n/2, at float coordinates."""
+
+    n: int
+    t_weight: int
+
+    def evaluate(self, coords) -> np.ndarray:
+        return gauge4(from_coords(list(coords)), float(self.t_weight)) ** (-self.n / 2)
+
+
+@pytest.mark.parametrize("a", [4, 16])
+def test_flow_sampled_laplacian_matches_the_folland_remainder(a):
+    # the second differences of F^s converge to -L(F^s) = -s F^{s-2} R_a
+    # at second order: halving h divides the error on the annulus by 4
+    n, s = 1, -0.5
+    remainder, _ = folland_remainder(n, a)
+    errors = []
+    for N in (32, 64):
+        g = Grid(n, (1.0, 1.0, 0.4), (N,) * 3, np.zeros((N,) * 3))
+        F = gauge4(from_coords(g.meshes()), float(a))
+        exact = -s * F ** (s - 2) * remainder.evaluate_float([g.axis(i) for i in range(3)])
+        annulus = (F > 0.45**4) & (F < 0.75**4)
+        diff = _flow_sampled_laplacian(_GaugePower(n, a), g) - exact
+        errors.append(float(np.sqrt(np.mean(diff[annulus] ** 2))))
+    assert 3.5 < errors[0] / errors[1] < 4.5, errors
 
 
 def test_convolution_commutes_with_projected_derivative():
