@@ -14,6 +14,7 @@ numeric   grid experiments: derivative convergence, kernel decay slopes,
           then the exact fundamental-solution gauge check, which must find
           Folland's t weight 16 and no other.
 
+Each subcommand takes only the flags it reads (``FLAGS``), spelled in full.
 Reports are JSON lines on stdout (optionally teed to --json and flattened
 to --csv). Exit codes: 0 on success, 1 when an exact identity fails, the
 arguments are invalid or a report file cannot be written, 2 when a numeric
@@ -32,7 +33,7 @@ from fractions import Fraction
 
 from .envelope import EnvOp
 from .exterior_weights import core_dimension_oracle
-from .forms import random_form
+from .forms import random_form, random_section
 from .group_geometry import homogeneous_dimension
 from .polynomials import random_poly
 from .rumin_complex import (
@@ -55,6 +56,31 @@ MAX_GRID_CELLS = 2 ** 25
 MAX_POLY_DEGREE = 8
 
 
+ALL = ("basis", "verify", "homotopy", "numeric")
+# each flag once: the subcommands that take it and its argparse options
+FLAGS = (
+    ("--n", ALL, dict(type=int, default=1, help="group index (1..3)")),
+    ("--h", ("verify", "homotopy"), dict(type=int, default=None, help="restrict to one degree")),
+    ("--p", ("homotopy", "numeric"),
+     dict(type=float, default=2.0, help="source exponent (homotopy: >= 1; numeric: 1 < p < Q)")),
+    ("--q", ("homotopy",), dict(type=float, default=2.0, help="target exponent (>= 1)")),
+    ("--lambda", ("homotopy",),
+     dict(dest="lam", type=float, default=2.0, help="domain-loss factor (> 1)")),
+    ("--poly-degree", ("verify", "homotopy"),
+     dict(type=int, default=3, help="degree cap for random polynomial data")),
+    ("--grid", ("homotopy", "numeric"),
+     dict(type=int, default=20, help=f"grid resolution (>= {MIN_GRID})")),
+    # numeric draws nothing at random; benchmarks/workloads.py:335 passes it --seed
+    ("--seed", ("verify", "homotopy", "numeric"), dict(type=int, default=0, help="RNG seed")),
+    ("--strict", ("homotopy", "numeric"),
+     dict(action="store_true", help="numeric tolerance misses exit 2 instead of warning")),
+    ("--json", ALL, dict(dest="json_path", help="also write JSON lines to this path")),
+    ("--csv", ALL, dict(dest="csv_path", help="flatten scalar fields to CSV at this path")),
+    # benchmarks/selftest.py:42 passes it to verify
+    ("--inject-delta-sign-fault", ("verify",), dict(action="store_true", help=argparse.SUPPRESS)),
+)
+
+
 def _convergence_resolutions(grid: int) -> tuple:
     """The grids of numeric's derivative convergence runs."""
     return (grid, grid * 3 // 2, grid * 2)
@@ -66,7 +92,11 @@ def _probe_resolution(grid: int) -> int:
 
 
 class Reporter:
-    """Collects JSON-line rows, mirrors them to files, tracks exit status."""
+    """Collects JSON-line rows, mirrors them to files, tracks exit status.
+
+    Every row carries the subcommand as "report" and the group index "n";
+    a row may override "report".
+    """
 
     def __init__(self, config: argparse.Namespace):
         self.config = config
@@ -75,6 +105,7 @@ class Reporter:
         self.soft_misses = 0
 
     def emit(self, row: dict) -> None:
+        row = {"report": self.config.command, "n": self.config.n, **row}
         self.rows.append(row)
         print(json.dumps(row, sort_keys=True, default=str))
 
@@ -87,6 +118,12 @@ class Reporter:
         if not ok:
             self.soft_misses += 1
         return ok
+
+    def miss(self, row: dict, ok_key: str, exc: Exception) -> None:
+        """The soft miss of a probe that raised: ``ok_key`` is false and the
+        reason names the exception."""
+        self.soft(False)
+        self.emit({**row, ok_key: False, "reason": f"{type(exc).__name__}: {exc}"})
 
     def finish(self) -> int:
         try:
@@ -110,6 +147,7 @@ class Reporter:
             return 1
         if self.hard_failures:
             return 1
+        # only the subcommands with soft rows take --strict
         if self.soft_misses and self.config.strict:
             return 2
         return 0
@@ -131,29 +169,14 @@ def cmd_basis(cfg: argparse.Namespace) -> int:
     oracle = [core_dimension_oracle(cfg.n, h) for h in range(len(dims))]
     for h, (got, want) in enumerate(zip(dims, oracle)):
         basis = [str(v) for v in ctx.cores[h].basis]
-        row = {
-            "report": "basis",
-            "n": cfg.n,
-            "h": h,
-            "dimension": got,
-            "oracle": want,
-            "match": got == want,
-            "basis": basis,
-        }
-        rep.hard(row["match"])
-        rep.emit(row)
+        rep.hard(got == want)
+        rep.emit({"h": h, "dimension": got, "oracle": want, "match": got == want, "basis": basis})
     duality = all(dims[h] == dims[len(dims) - 1 - h] for h in range(len(dims)))
     alternating = sum((-1) ** h * d for h, d in enumerate(dims))
-    summary = {
-        "report": "basis-summary",
-        "n": cfg.n,
-        "dimensions": dims,
-        "duality": duality,
-        "alternating_sum": alternating,
-    }
     rep.hard(duality)
     rep.hard(alternating == 0)
-    rep.emit(summary)
+    rep.emit({"report": "basis-summary", "dimensions": dims, "duality": duality,
+              "alternating_sum": alternating})
     return rep.finish()
 
 
@@ -166,20 +189,14 @@ def cmd_verify(cfg: argparse.Namespace) -> int:
         square = ctx.rumin_d_matrix(h + 1).compose(ctx.rumin_d_matrix(h))
         ok = square.is_zero()
         rep.hard(ok)
-        rep.emit({
-            "report": "verify",
-            "check": f"d_c^2 = 0 out of degree {h}",
-            "n": cfg.n,
-            "status": "exact-zero" if ok else "failed",
-        })
+        rep.emit({"check": f"d_c^2 = 0 out of degree {h}",
+                  "status": "exact-zero" if ok else "failed"})
 
     for h in _degrees(cfg, top - 1):
         audit = horizontal_representability_report(ctx, h)
         rep.hard(audit["ok"])
         rep.emit({
-            "report": "verify",
             "check": f"entry audit at degree {h}",
-            "n": cfg.n,
             "status": "exact" if audit["ok"] else "failed",
             "expected_weight": audit["expected_weight"],
             "nonzero_entries": audit["nonzero_entries"],
@@ -196,9 +213,7 @@ def cmd_verify(cfg: argparse.Namespace) -> int:
     ok = got == expected
     rep.hard(ok)
     row = {
-        "report": "verify",
         "check": "-Delta_0 = sum W_j^2",
-        "n": cfg.n,
         "status": "exact" if ok else "failed",
         "fault_injected": cfg.inject_delta_sign_fault,
     }
@@ -216,12 +231,7 @@ def cmd_verify(cfg: argparse.Namespace) -> int:
     commutation = laplacian_commutation_report(ctx)
     for c in commutation["checks"]:
         rep.hard(c["exact_zero"])
-        rep.emit({
-            "report": "verify",
-            "check": c["identity"],
-            "n": cfg.n,
-            "status": "exact-zero" if c["exact_zero"] else "failed",
-        })
+        rep.emit({"check": c["identity"], "status": "exact-zero" if c["exact_zero"] else "failed"})
 
     rng = random.Random(cfg.seed)
     nv = 2 * cfg.n + 1
@@ -238,9 +248,7 @@ def cmd_verify(cfg: argparse.Namespace) -> int:
                 worst = audit["max_order"] if worst is None else max(worst, audit["max_order"])
     rep.hard(all_ok)
     rep.emit({
-        "report": "verify",
         "check": "[d_c, zeta] order and T-zeta freedom",
-        "n": cfg.n,
         "trials": trials,
         "max_order_seen": worst,
         "status": "exact" if all_ok else "failed",
@@ -261,7 +269,6 @@ def cmd_homotopy(cfg: argparse.Namespace) -> int:
     rep = Reporter(cfg)
     rng = random.Random(cfg.seed)
     n = cfg.n
-    nv = 2 * n + 1
     point = AveragingWeight.point_mass()
     bump = AveragingWeight.bump(Fraction(1, 3))
 
@@ -273,13 +280,7 @@ def cmd_homotopy(cfg: argparse.Namespace) -> int:
         coefficient."""
         failed = [trial for trial, r in enumerate(residuals) if r]
         ok = rep.hard(bool(residuals) and not failed)
-        row = {
-            "report": "homotopy",
-            "check": check,
-            "n": n,
-            "trials": len(residuals),
-            "status": "exact-zero" if ok else "failed",
-        }
+        row = {"check": check, "trials": len(residuals), "status": "exact-zero" if ok else "failed"}
         if not residuals:
             row["reason"] = "no nonzero section was drawn"
         if failed:
@@ -303,14 +304,10 @@ def cmd_homotopy(cfg: argparse.Namespace) -> int:
     zero_row("omega - d K omega - K d omega = 0 (Euclidean)", residuals)
 
     ctx = RuminContext(n)
-    dims = ctx.core_dims()
     residuals = []
     for h in _degrees(cfg, 2 * n + 1, lowest=1):
         for trial in range(3):
-            phi = ctx.form_from_core(
-                h - 1, [random_poly(rng, nv, cfg.poly_degree, terms=2) for _ in range(dims[h - 1])]
-            )
-            omega = ctx.rumin_d(phi)
+            omega = ctx.rumin_d(random_section(rng, ctx, h - 1, cfg.poly_degree))
             if omega:
                 weight = bump if trial % 2 else point
                 residuals.append(rumin_primitive_residual(ctx, weight, omega))
@@ -318,9 +315,7 @@ def cmd_homotopy(cfg: argparse.Namespace) -> int:
 
     h_gap = 1 if cfg.h is None else cfg.h
     rep.emit({
-        "report": "homotopy",
         "check": "exponent admissibility",
-        "n": n,
         "h": h_gap,
         "p": cfg.p,
         "q": cfg.q,
@@ -330,41 +325,25 @@ def cmd_homotopy(cfg: argparse.Namespace) -> int:
     probe_degrees = [cfg.h] if cfg.h is not None else sorted({1, n + 1})
     for h in probe_degrees:
         for _ in range(MAX_DRAWS):
-            phi = ctx.form_from_core(
-                h - 1, [random_poly(rng, nv, 2, terms=2) for _ in range(dims[h - 1])]
-            )
-            omega = ctx.rumin_d(phi)
+            omega = ctx.rumin_d(random_section(rng, ctx, h - 1, 2))
             if omega:
                 break
         else:
             rep.hard(False)
             rep.emit({
-                "report": "homotopy",
                 "check": "Poincare quotient scaling exponent",
-                "n": n,
                 "h": h,
                 "status": "failed",
                 "reason": f"no nonzero closed {h}-section in {MAX_DRAWS} draws",
             })
             continue
-        row = {
-            "report": "homotopy",
-            "check": "Poincare quotient scaling exponent",
-            "n": n,
-            "h": h,
-            "p": cfg.p,
-            "q": cfg.q,
-        }
+        row = {"check": "Poincare quotient scaling exponent", "h": h, "p": cfg.p, "q": cfg.q}
         try:
-            probe = scaling_probe(
-                ctx, omega, cfg.p, cfg.q,
-                lam=Fraction(cfg.lam),
-                resolution=cfg.grid,
-            )
+            probe = scaling_probe(ctx, omega, cfg.p, cfg.q, lam=Fraction(cfg.lam),
+                                  resolution=cfg.grid)
         except (ValueError, OverflowError) as exc:
             # a quotient of 0 on a coarse grid, or a ball too large for floats
-            rep.soft(False)
-            rep.emit({**row, "within_2pct": False, "reason": f"{type(exc).__name__}: {exc}"})
+            rep.miss(row, "within_2pct", exc)
             continue
         ok = probe["relative_error"] <= 0.02
         rep.soft(ok)
@@ -380,9 +359,7 @@ def cmd_homotopy(cfg: argparse.Namespace) -> int:
     residuals = []
     for h in _degrees(cfg, 2 * n + 1):
         for trial in range(2):
-            omega = ctx.form_from_core(
-                h, [random_poly(rng, nv, cfg.poly_degree, terms=2) for _ in range(dims[h])]
-            )
+            omega = random_section(rng, ctx, h, cfg.poly_degree)
             if omega:
                 weight = bump if trial % 2 else point
                 residuals.append(rumin_homotopy_residual(ctx, weight, omega))
@@ -403,7 +380,6 @@ def cmd_numeric(cfg: argparse.Namespace) -> int:
 
     rep = Reporter(cfg)
     n = cfg.n
-    Q = homogeneous_dimension(n)
 
     resolutions = _convergence_resolutions(cfg.grid)
     for i in range(1, 2 * n + 1):
@@ -411,9 +387,7 @@ def cmd_numeric(cfg: argparse.Namespace) -> int:
         ok = conv["observed_order"] >= 1.8
         rep.soft(ok)
         rep.emit({
-            "report": "numeric",
             "check": f"derivative convergence along W_{i}",
-            "n": n,
             "resolutions": list(resolutions),
             "errors": conv["errors"],
             "boundary_fractions": conv["boundary_fractions"],
@@ -426,9 +400,7 @@ def cmd_numeric(cfg: argparse.Namespace) -> int:
         ok = probe["relative_error"] <= 0.05
         rep.soft(ok)
         rep.emit({
-            "report": "numeric",
             "check": "kernel decay slope",
-            "n": n,
             "mu": mu,
             "expected_slope": probe["expected_slope"],
             "fitted_slope": probe["fitted_slope"],
@@ -436,33 +408,18 @@ def cmd_numeric(cfg: argparse.Namespace) -> int:
             "within_5pct": ok,
         })
 
-    alpha = 1.0
-    p = cfg.p if 1.0 < cfg.p < Q / alpha else 2.0
+    # alpha = 1, so --p lies in (1, Q/alpha) and q_critical is finite
+    alpha, p = 1.0, cfg.p
     q_critical = critical_exponent(n, alpha, p)
-    critical_row = {
-        "report": "numeric",
-        "check": "critical L^p-L^q invariance",
-        "n": n,
-        "alpha": alpha,
-        "p": p,
-        "q": q_critical,
-    }
-    off_row = {
-        "report": "numeric",
-        "check": "off-critical drift (negative control)",
-        "n": n,
-        "q": 0.75 * q_critical,
-    }
+    critical_row = {"check": "critical L^p-L^q invariance", "alpha": alpha, "p": p, "q": q_critical}
+    off_row = {"check": "off-critical drift (negative control)", "q": 0.75 * q_critical}
     try:
         # one convolution per dilate serves both rows
         critical, off = lp_lq_probe(n, alpha, p, qs=(None, off_row["q"]), resolution=cfg.grid)
     except ValueError as exc:
         # an L^q norm beyond the float range: no NaN or Infinity may reach the rows
-        reason = f"{type(exc).__name__}: {exc}"
-        rep.soft(False)
-        rep.emit({**critical_row, "within_5pct": False, "reason": reason})
-        rep.soft(False)
-        rep.emit({**off_row, "monotone": False, "reason": reason})
+        rep.miss(critical_row, "within_5pct", exc)
+        rep.miss(off_row, "monotone", exc)
     else:
         ok = critical["max_relative_spread"] <= 0.05
         rep.soft(ok)
@@ -484,21 +441,13 @@ def cmd_numeric(cfg: argparse.Namespace) -> int:
             "monotone": monotone,
         })
 
-    p_sob = cfg.p if 1.0 < cfg.p < Q else 2.0
-    sob_row = {
-        "report": "numeric",
-        "check": "scalar Sobolev quotient invariance",
-        "n": n,
-        "p": p_sob,
-        "q": critical_exponent(n, 1.0, p_sob),
-    }
+    sob_row = {"check": "scalar Sobolev quotient invariance", "p": p, "q": q_critical}
     u = bump_grid(n, 1.0, cfg.grid, 0.5)
     try:
-        sob = scalar_sobolev_check(n, p_sob, u)
+        sob = scalar_sobolev_check(n, p, u)
     except ValueError as exc:
         # a norm of 0 or beyond the float range measures nothing
-        rep.soft(False)
-        rep.emit({**sob_row, "within_2pct": False, "reason": f"{type(exc).__name__}: {exc}"})
+        rep.miss(sob_row, "within_2pct", exc)
     else:
         ok = sob["max_relative_spread"] <= 0.02
         rep.soft(ok)
@@ -515,9 +464,7 @@ def cmd_numeric(cfg: argparse.Namespace) -> int:
     remainders = {r["t_weight"]: r["remainder"] for r in scan["rows"]}
     ok = rep.hard(all((not r) == (a == 16.0) for a, r in remainders.items()))
     row = {
-        "report": "numeric",
         "check": "fundamental-solution gauge scan",
-        "n": n,
         "residuals": {str(r["t_weight"]): r["residual"] for r in scan["rows"]},
         "best_t_weight": scan["best_t_weight"],
         "expected_t_weight": 16.0,
@@ -553,48 +500,32 @@ def build_parser() -> argparse.ArgumentParser:
         ("homotopy", "homotopy residuals and Poincare scaling"),
         ("numeric", "grid experiments"),
     ):
-        cmd = sub.add_parser(name, help=help_text)
-        cmd.add_argument("--n", type=int, default=1, help="group index (1..3)")
-        cmd.add_argument("--h", type=int, default=None,
-                         help="restrict to one degree (verify, homotopy)")
-        cmd.add_argument("--p", type=float, default=2.0, help="source exponent (>= 1)")
-        cmd.add_argument("--q", type=float, default=2.0, help="target exponent (>= 1)")
-        cmd.add_argument("--lambda", dest="lam", type=float, default=2.0,
-                         help="domain-loss factor (> 1)")
-        cmd.add_argument("--poly-degree", type=int, default=3,
-                         help="degree cap for random polynomial data")
-        cmd.add_argument("--grid", type=int, default=20,
-                         help=f"grid resolution (>= {MIN_GRID})")
-        cmd.add_argument("--seed", type=int, default=0, help="RNG seed")
-        cmd.add_argument("--strict", action="store_true",
-                         help="numeric tolerance misses exit 2 instead of warning")
-        cmd.add_argument("--json", dest="json_path", default=None,
-                         help="also write JSON lines to this path")
-        cmd.add_argument("--csv", dest="csv_path", default=None,
-                         help="flatten scalar fields to CSV at this path")
-        cmd.add_argument("--inject-delta-sign-fault", action="store_true",
-                         help=argparse.SUPPRESS)
+        # no prefix forms: a subcommand without --h would read it as --help
+        cmd = sub.add_parser(name, help=help_text, allow_abbrev=False)
+        for flag, commands, options in FLAGS:
+            if name in commands:
+                cmd.add_argument(flag, **options)
     return parser
 
 
 def _argument_error(args) -> str | None:
-    """The first invalid argument, described in one line, or None."""
+    """The first invalid argument, described in one line, or None. Only the
+    flags that the subcommand takes are on ``args``."""
     if args.n < 1 or args.n > 3:
         return "--n must be 1, 2, or 3"
-    if not all(map(math.isfinite, (args.p, args.q, args.lam))):
-        return "--p, --q and --lambda must be finite"
-    if args.lam <= 1.0:
-        return "--lambda must exceed 1"
-    if args.h is not None:
-        if args.command in ("basis", "numeric"):
-            return f"--h does not apply to {args.command}"
+    if args.command == "homotopy":
+        if not all(map(math.isfinite, (args.p, args.q, args.lam))):
+            return "--p, --q and --lambda must be finite"
+        if args.lam <= 1.0:
+            return "--lambda must exceed 1"
+    if "h" in args and args.h is not None:
         top = 2 * args.n + 1
         low, high = {"verify": (0, top - 1), "homotopy": (1, top)}[args.command]
         if not low <= args.h <= high:
             return f"--h must lie in {low}..{high} for {args.command} at n = {args.n}"
-    if args.grid < MIN_GRID:
-        return f"--grid must be at least {MIN_GRID}"
-    if args.command in ("numeric", "homotopy"):
+    if "grid" in args:
+        if args.grid < MIN_GRID:
+            return f"--grid must be at least {MIN_GRID}"
         largest = args.grid
         if args.command == "numeric":
             largest = max(*_convergence_resolutions(args.grid), _probe_resolution(args.grid))
@@ -602,20 +533,27 @@ def _argument_error(args) -> str | None:
         if cells > MAX_GRID_CELLS:
             return (f"{args.command} at n = {args.n}, --grid {args.grid} needs a grid of"
                     f" {cells} cells; the limit is {MAX_GRID_CELLS} (32^5)")
-    if args.p < 1.0 or args.q < 1.0:
+    if args.command == "homotopy" and (args.p < 1.0 or args.q < 1.0):
         return "--p and --q must be at least 1"
-    if not 0 <= args.poly_degree <= MAX_POLY_DEGREE:
+    if args.command == "numeric":
+        Q = homogeneous_dimension(args.n)
+        if not 1.0 < args.p < Q:
+            return f"--p must lie strictly between 1 and Q = {Q} for numeric at n = {args.n}"
+    if "poly_degree" in args and not 0 <= args.poly_degree <= MAX_POLY_DEGREE:
         return f"--poly-degree must lie in 0..{MAX_POLY_DEGREE}"
     return None
 
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args, unknown = build_parser().parse_known_args(argv)
     except SystemExit as exc:
         # usage errors exit 1: exit code 2 means a strict numeric miss
         return 1 if exc.code else 0
-    error = _argument_error(args)
+    if unknown:
+        error = f"{unknown[0].split('=')[0]} does not apply to {args.command}"
+    else:
+        error = _argument_error(args)
     if error:
         print(f"error: {error}", file=sys.stderr)
         return 1

@@ -352,22 +352,10 @@ class PolyDiffOp:
         self.n = n
         self.terms = {tuple(e): p for e, p in (terms or {}).items() if p}
 
-    def __add__(self, other: "PolyDiffOp") -> "PolyDiffOp":
-        return PolyDiffOp(self.n, add_terms(dict(self.terms), other.terms.items()))
-
-    def __neg__(self) -> "PolyDiffOp":
-        return PolyDiffOp(self.n, {e: -p for e, p in self.terms.items()})
-
-    def __sub__(self, other: "PolyDiffOp") -> "PolyDiffOp":
-        return self + (-other)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, PolyDiffOp) and self.n == other.n and self.terms == other.terms
         )
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
 
     def order(self) -> int | None:
         if not self.terms:

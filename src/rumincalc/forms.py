@@ -155,6 +155,14 @@ def random_form(rng: random.Random, n: int, k: int, degree: int, frame: str = "l
     return Form(n, frame, {m: random_poly(rng, nv, degree, terms=2) for m in lambda_masks(n, k)})
 
 
+def random_section(rng: random.Random, ctx, h: int, degree: int) -> Form:
+    """A section of E0^h of the ``RuminContext`` ctx, with a two-term random
+    coefficient of degree <= ``degree`` per basis element of its core."""
+    nv = 2 * ctx.n + 1
+    return ctx.form_from_core(
+        h, [random_poly(rng, nv, degree, terms=2) for _ in range(ctx.cores[h].dim)])
+
+
 # -- exterior differential --------------------------------------------------
 
 

@@ -204,9 +204,13 @@ def group_convolve(f: Grid, kernel, output_points: np.ndarray | None = None,
 
 
 def bump_grid(n: int, half_width: float, resolution: int, support: float) -> Grid:
-    """The even bump (1 - |p|^2 / support^2)_+^3, built in place from sparse
-    axes so that the lattice holds one full array, not one per coordinate."""
-    g = Grid.empty(n, half_width, resolution)
+    """The even bump (1 - |p|^2 / support^2)_+^3 on ``Grid.empty``'s lattice."""
+    return _bump_on(Grid.empty(n, half_width, resolution), support)
+
+
+def _bump_on(g: Grid, support: float) -> Grid:
+    """g with the even bump as its values, built in place from sparse axes so
+    that the lattice holds one full array, not one per coordinate."""
     sq = sum(m * m for m in g.meshes(sparse=True))
     sq /= -(support**2)
     sq += 1.0
@@ -227,7 +231,14 @@ def decay_slope_probe(n: int, mu: float, resolution: int = 64,
     nv = 2 * n + 1
     Q = homogeneous_dimension(n)
     s_values = (2.0, 3.0, 4.0, 6.0, 8.0, 12.0, 16.0)
-    f = bump_grid(n, 0.5, resolution, 0.25)
+    # the bump of support 1/4 on the lattice of half-width 1/2: only the m
+    # horizontal cells per axis whose centres lie in the support,
+    # (2k + 1 - N) / 2N in (-1/4, 1/4), can be nonzero, so the lattice keeps
+    # those and the full t axis; group_convolve skips zero columns anyway
+    m = sum(2 * abs(2 * k + 1 - resolution) < resolution for k in range(resolution))
+    shape = (m,) * (2 * n) + (resolution,)
+    half_widths = (m / (2 * resolution),) * (2 * n) + (0.25,)
+    f = _bump_on(Grid(n, half_widths, shape, np.zeros(shape)), 0.25)
     kernel = HomogeneousKernel(n, mu)
     p0 = np.zeros(nv)
     if direction is None:

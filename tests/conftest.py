@@ -24,8 +24,8 @@ from rumincalc.exterior_weights import (
     wedge_terms,
 )
 
-# the test modules import random_form and random_poly from here
-from rumincalc.forms import Form, exterior_d, random_form  # noqa: F401
+# the test modules import random_form, random_section and random_poly from here
+from rumincalc.forms import Form, exterior_d, random_form, random_section  # noqa: F401
 from rumincalc.polynomials import Poly, random_fraction, random_poly
 from rumincalc.rumin_complex import RuminContext
 
@@ -50,13 +50,6 @@ def ctx2():
 
 def random_point_coords(rng: random.Random, nvars: int) -> list:
     return [random_fraction(rng) for _ in range(nvars)]
-
-
-def random_core_form(rng: random.Random, ctx: RuminContext, h: int, degree: int) -> Form:
-    dims = ctx.core_dims()
-    return ctx.form_from_core(
-        h, [random_poly(rng, 2 * ctx.n + 1, degree, terms=2) for _ in range(dims[h])]
-    )
 
 
 def project_rumin(ctx: RuminContext, form: Form) -> Form:

@@ -1,3 +1,4 @@
+import ast
 import csv
 import json
 import os
@@ -259,6 +260,43 @@ def test_gauge_row_names_a_witness_when_it_fails(capsys, monkeypatch):
     assert rows[-1]["witness"] == {"t_weight": 1.0, "coefficient": "0"}
 
 
+def _loads(node, *path) -> set:
+    """The attributes that a definition loads off ``cfg`` or ``self.config``."""
+    read = set()
+    for child in ast.walk(node):
+        if isinstance(child, ast.Attribute) and isinstance(child.ctx, ast.Load):
+            base, names = child.value, []
+            while isinstance(base, ast.Attribute):
+                names.insert(0, base.attr)
+                base = base.value
+            if isinstance(base, ast.Name) and (base.id, *names) == path:
+                read.add(child.attr)
+    return read
+
+
+def test_each_subcommand_takes_the_flags_it_reads():
+    tree = ast.parse(Path(cli.__file__).read_text())
+    defs = {d.name: d for d in tree.body if isinstance(d, (ast.FunctionDef, ast.ClassDef))}
+    reporter = _loads(defs["Reporter"], "self", "config")
+    # the subcommand and --strict, which finish reads only after a soft miss
+    assert {"command", "strict"} <= reporter
+    taken = {}
+    for command in ("basis", "verify", "homotopy", "numeric"):
+        handler = defs[f"cmd_{command}"]
+        called = {getattr(c.func, "attr", getattr(c.func, "id", None))
+                  for c in ast.walk(handler) if isinstance(c, ast.Call)}
+        read = _loads(handler, "cfg") | (reporter - {"command", "strict"})
+        if "_degrees" in called:
+            read |= _loads(defs["_degrees"], "cfg")
+        if called & {"soft", "miss"}:
+            read.add("strict")
+        if command == "numeric":
+            read.add("seed")  # the benchmark passes it; numeric draws nothing
+        taken[command] = set(vars(cli.build_parser().parse_args([command]))) - {"command"}
+        assert taken[command] == read, command
+    assert [len(flags) for flags in taken.values()] == [3, 7, 11, 7]
+
+
 def _reject_constant(token):
     raise ValueError(f"{token} is not JSON")
 
@@ -296,7 +334,7 @@ def test_overflowing_lp_lq_norms_are_soft_misses(capsys):
         sob = by_check["scalar Sobolev quotient invariance"]
         assert sob["within_2pct"] is False and "ratios" not in sob
         assert sob["reason"].startswith("ValueError: Sobolev ratio is 0.0 at p = 3.99, q = 1596,")
-        assert sob["q"] == critical["q"]
+        assert sob["q"] == critical["q"] and sob["p"] == critical["p"] == 3.99
         # the rows after the probe still run
         assert rows[-1]["check"] == "fundamental-solution gauge scan"
 
@@ -357,12 +395,18 @@ def test_invalid_arguments(capsys, ctx1):
         ["homotopy", "--n", "1", "--grid", "8", "--lambda", "nan"],
         ["homotopy", "--n", "1", "--grid", "8", "--q", "inf"],
         ["numeric", "--n", "1", "--p", "nan"],
+        # numeric ran at p = 2 in place of a p outside (1, Q)
+        ["numeric", "--n", "1", "--p", "1"],
+        ["numeric", "--n", "1", "--p", "5"],
         ["verify", "--n", "1", "--q=-inf"],
         ["numeric", "--n", "2"],
         ["numeric", "--n", "3", "--grid", "8"],
         ["homotopy", "--n", "1", "--grid", "330"],
         ["homotopy", "--n", "1", "--grid", "500"],
         ["homotopy", "--n", "2", "--grid", "40"],
+        # --h is a prefix of --help, which would exit 0
+        ["basis", "--n", "1", "--h", "3"],
+        ["basis", "--n", "1", "--grid", "20"],
     ):
         assert cli.main(argv) == 1, argv
         assert len(capsys.readouterr().err.strip().splitlines()) == 1, argv
@@ -370,6 +414,8 @@ def test_invalid_arguments(capsys, ctx1):
     assert cli.main(["numeric", "--n", "2", "--grid", "20"]) == 1
     err = capsys.readouterr().err
     assert f"{40 ** 5} cells" in err and f"{2 ** 25}" in err
+    assert cli.main(["numeric", "--n", "2", "--grid", "8", "--p", "6"]) == 1
+    assert "strictly between 1 and Q = 6" in capsys.readouterr().err
     # homotopy's Poincare probe builds grids of --grid^(2n+1) cells: 330^3 here
     assert cli.main(["homotopy", "--n", "1", "--grid", "330"]) == 1
     err = capsys.readouterr().err

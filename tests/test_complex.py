@@ -14,9 +14,9 @@ from conftest import (
     mul_poly,
     operator_order,
     project_rumin,
-    random_core_form,
     random_form,
     random_poly,
+    random_section,
     shared_context,
 )
 from rumincalc.envelope import EnvOp, commutator_with_multiplication
@@ -205,7 +205,7 @@ def test_dc_squares_to_zero_on_random_sections(ctx1):
     rng = random.Random(0)
     for h in range(4):
         for _ in range(5):
-            omega = random_core_form(rng, ctx1, h, 3)
+            omega = random_section(rng, ctx1, h, 3)
             assert not ctx1.rumin_d(ctx1.rumin_d(omega))
 
 
@@ -236,7 +236,7 @@ def test_rumin_d_equals_the_full_projector_composition(ctx1, ctx2):
     for ctx in (ctx1, ctx2, shared_context(3)):
         for h in range(2 * ctx.n + 2):
             for omega in (
-                random_core_form(rng, ctx, h, 3),
+                random_section(rng, ctx, h, 3),
                 random_form(rng, ctx.n, h, 3, frame="left"),
             ):
                 composed = ctx.project_core(
@@ -526,7 +526,7 @@ def test_projectors(ctx1):
         p = ctx1.project_core(omega)
         assert ctx1.project_core(p) == p
         # core sections are fixed points
-        core = random_core_form(rng, ctx1, h, 2)
+        core = random_section(rng, ctx1, h, 2)
         assert ctx1.project_core(core) == core
 
 

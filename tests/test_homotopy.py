@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_core_form, random_form, random_point_coords, shared_context
+from conftest import random_form, random_point_coords, random_section, shared_context
 from rumincalc.forms import (
     Form,
     exterior_d,
@@ -248,7 +248,7 @@ def test_rumin_primitive_residual_vanishes(ctx1, ctx2):
             if ctx.cores[h].dim == 0 or ctx.cores[h + 1].dim == 0:
                 continue
             for w in (POINT, BUMP):
-                phi = random_core_form(rng, ctx, h, 2)
+                phi = random_section(rng, ctx, h, 2)
                 omega = ctx.rumin_d(phi)
                 if not omega:
                     continue
@@ -264,9 +264,9 @@ def test_rumin_chain_homotopy_residual_vanishes(ctx1, ctx2):
         for h in range(2 * ctx.n + 2):
             for w in weights:
                 for _ in range(trials):
-                    omega = random_core_form(rng, ctx, h, 2)
+                    omega = random_section(rng, ctx, h, 2)
                     while h < 2 * ctx.n + 1 and not ctx.rumin_d(omega):
-                        omega = random_core_form(rng, ctx, h, 2)
+                        omega = random_section(rng, ctx, h, 2)
                     assert not rumin_homotopy_residual(ctx, w, omega)
 
 
@@ -282,9 +282,9 @@ def test_K_commutes_with_dilations_under_the_point_mass(n):
         return pullback_translation_dilation(form, identity(n), Fraction(3, 2))
 
     for h in range(1, 2 * n + 2):
-        omega = random_core_form(rng, ctx, h, 2)
+        omega = random_section(rng, ctx, h, 2)
         while not omega:
-            omega = random_core_form(rng, ctx, h, 2)
+            omega = random_section(rng, ctx, h, 2)
         primitive = rumin_homotopy_K(ctx, POINT, omega)
         assert primitive
         assert rumin_homotopy_K(ctx, POINT, dilate(omega)) == dilate(primitive)
@@ -304,7 +304,7 @@ def test_K_and_rumin_d_each_make_two_exterior_d_calls(ctx2, monkeypatch):
         monkeypatch.setattr(module, "exterior_d", counted)
     rng = random.Random(6)
     for h in range(1, 2 * ctx2.n + 2):
-        omega = random_core_form(rng, ctx2, h, 2)
+        omega = random_section(rng, ctx2, h, 2)
         calls.clear()
         rumin_homotopy_K(ctx2, POINT, omega)
         assert len(calls) == 2
@@ -410,7 +410,7 @@ def test_scaling_probe_exact_power_law(ctx1):
 
 def test_primitive_converts_frames_consistently(ctx1):
     rng = random.Random(4)
-    phi = random_core_form(rng, ctx1, 1, 2)
+    phi = random_section(rng, ctx1, 1, 2)
     omega = ctx1.rumin_d(phi)
     primitive = rumin_homotopy_K(ctx1, BUMP, omega)
     assert primitive.frame == "left"

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import euclidean_mask
+from rumincalc import kernels
 from rumincalc.grid import Grid, discrete_horizontal_derivative, gauge_mask
 from rumincalc.group_geometry import (
     from_coords,
@@ -495,6 +496,32 @@ def test_decay_slope_along_t_axis():
         1, 2.0, resolution=32, direction=np.array([0.0, 0.0, 1.0])
     )
     assert report["relative_error"] < 0.05, report
+
+
+@pytest.mark.parametrize("n, resolution", [(1, 32), (1, 33), (1, 40), (2, 12)])
+def test_decay_probe_lattice_holds_the_bump_support(monkeypatch, n, resolution):
+    # the probe samples its bump only over the horizontal cells whose centres
+    # lie in the support |x_i| < 1/4, and the quadrature equals the one on
+    # the full lattice of half-width 1/2
+    calls = []
+
+    def recorded(f, kernel, output_points):
+        calls.append((f, kernel, output_points))
+        return group_convolve(f, kernel, output_points=output_points)
+
+    monkeypatch.setattr(kernels, "group_convolve", recorded)
+    probe = decay_slope_probe(n, 2.0, resolution=resolution)
+    (f, kernel, points), = calls
+    full = bump_grid(n, 0.5, resolution, 0.25)
+    if resolution % 4 == 0:
+        assert f.values.size == (resolution // 2) ** (2 * n) * resolution
+    assert np.count_nonzero(f.values) == np.count_nonzero(full.values)
+    got, _ = group_convolve(f, kernel, output_points=points)
+    want, _ = group_convolve(full, kernel, output_points=points)
+    assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+    s_values = np.linalg.norm(points[:, :-1], axis=1)  # the base point is (1, 0, .., 0)
+    slope = np.polyfit(np.log(s_values), np.log(np.abs(want)), 1)[0]
+    assert probe["fitted_slope"] == pytest.approx(slope, rel=1e-12, abs=0.0)
 
 
 def test_lp_lq_probe_critical_is_dilation_invariant():
