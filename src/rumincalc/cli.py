@@ -17,8 +17,9 @@ numeric   grid experiments: derivative convergence, kernel decay slopes,
 Each subcommand takes only the flags it reads (``FLAGS``), spelled in full.
 Reports are JSON lines on stdout (optionally teed to --json and flattened
 to --csv). Exit codes: 0 on success, 1 when an exact identity fails, the
-arguments are invalid or a report file cannot be written, 2 when a numeric
-tolerance is missed under --strict (soft warning otherwise).
+arguments are invalid, a report file cannot be written or stdout is closed
+before the report ends, 2 when a numeric tolerance is missed under --strict
+(soft warning otherwise).
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import random
 import sys
 from fractions import Fraction
@@ -37,10 +39,13 @@ from .forms import random_form, random_section
 from .group_geometry import homogeneous_dimension
 from .polynomials import random_poly
 from .rumin_complex import (
+    OperatorMatrix,
     RuminContext,
     commutator_audit,
+    first_difference,
     horizontal_representability_report,
     laplacian_commutation_report,
+    term_difference,
 )
 
 
@@ -189,8 +194,11 @@ def cmd_verify(cfg: argparse.Namespace) -> int:
         square = ctx.rumin_d_matrix(h + 1).compose(ctx.rumin_d_matrix(h))
         ok = square.is_zero()
         rep.hard(ok)
-        rep.emit({"check": f"d_c^2 = 0 out of degree {h}",
-                  "status": "exact-zero" if ok else "failed"})
+        row = {"check": f"d_c^2 = 0 out of degree {h}", "status": "exact-zero" if ok else "failed"}
+        if not ok:
+            zero = OperatorMatrix.zero(cfg.n, h, h + 2, square.rows, square.cols)
+            row["witness"] = {"degree": h, **first_difference(square, zero)}
+        rep.emit(row)
 
     for h in _degrees(cfg, top - 1):
         audit = horizontal_representability_report(ctx, h)
@@ -218,20 +226,16 @@ def cmd_verify(cfg: argparse.Namespace) -> int:
         "fault_injected": cfg.inject_delta_sign_fault,
     }
     if not ok:
-        # the first PBW exponent, in sorted order, whose coefficients differ
-        exp = min(e for e in got.terms.keys() | expected.terms.keys()
-                  if got.terms.get(e, 0) != expected.terms.get(e, 0))
-        row["witness"] = {
-            "exponent": list(exp),
-            "got": str(got.terms.get(exp, 0)),
-            "expected": str(expected.terms.get(exp, 0)),
-        }
+        row["witness"] = term_difference(got, expected)
     rep.emit(row)
 
     commutation = laplacian_commutation_report(ctx)
     for c in commutation["checks"]:
         rep.hard(c["exact_zero"])
-        rep.emit({"check": c["identity"], "status": "exact-zero" if c["exact_zero"] else "failed"})
+        row = {"check": c["identity"], "status": "exact-zero" if c["exact_zero"] else "failed"}
+        if "witness" in c:
+            row["witness"] = c["witness"]
+        rep.emit(row)
 
     rng = random.Random(cfg.seed)
     nv = 2 * cfg.n + 1
@@ -544,6 +548,21 @@ def _argument_error(args) -> str | None:
     return None
 
 
+def _leftover_error(command: str, leftover: str) -> str:
+    """The refusal, in one line, of an argument that no parser took."""
+    try:
+        float(leftover)
+        positional = True
+    except ValueError:
+        positional = not leftover.startswith("-")
+    if positional:
+        return f"{command} takes no positional argument, got {leftover!r}"
+    flag = leftover.split("=")[0]
+    if any(flag == name for name, _, _ in FLAGS):
+        return f"{flag} does not apply to {command}"
+    return f"unknown flag {flag}"
+
+
 def main(argv=None) -> int:
     try:
         args, unknown = build_parser().parse_known_args(argv)
@@ -551,7 +570,7 @@ def main(argv=None) -> int:
         # usage errors exit 1: exit code 2 means a strict numeric miss
         return 1 if exc.code else 0
     if unknown:
-        error = f"{unknown[0].split('=')[0]} does not apply to {args.command}"
+        error = _leftover_error(args.command, unknown[0])
     else:
         error = _argument_error(args)
     if error:
@@ -563,7 +582,16 @@ def main(argv=None) -> int:
         "homotopy": cmd_homotopy,
         "numeric": cmd_numeric,
     }[args.command]
-    return handler(args)
+    try:
+        code = handler(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout, as `| head` does: the rest of the report
+        # has nowhere to go; point stdout at the null device so the flush at
+        # exit cannot fail again, and exit 1 with no traceback
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code
 
 
 if __name__ == "__main__":

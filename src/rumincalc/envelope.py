@@ -30,9 +30,7 @@ from math import comb, lcm, perm, prod
 from operator import add
 from typing import Mapping
 
-from .polynomials import Poly, add_terms
-
-_HALF = Fraction(1, 2)
+from .polynomials import Poly, add_terms, linear_combination
 
 
 def derive(n: int, field_index: int, f: Poly) -> Poly:
@@ -40,7 +38,7 @@ def derive(n: int, field_index: int, f: Poly) -> Poly:
 
     f is a polynomial in the 2n+1 group coordinates (x_1..x_n, y_1..y_n, t).
     X_i f and Y_i f are the partial plus the terms of d/dt f times -y_i/2 or
-    x_i/2, added as exponent shifts in one pass.
+    x_i/2, added as exponent shifts in one pass, on numerators over 2 f.den.
     """
     if f.nvars != 2 * n + 1:
         raise ValueError("polynomial not in the group coordinate ring")
@@ -49,18 +47,20 @@ def derive(n: int, field_index: int, f: Poly) -> Poly:
         return f.partial(t)
     if 0 <= field_index < n:
         # X_i = d/dx_i - (y_i/2) d/dt
-        s, half = n + field_index, -_HALF
+        s, sign = n + field_index, -1
     elif n <= field_index < 2 * n:
         # Y_i = d/dy_i + (x_i/2) d/dt
-        s, half = field_index - n, _HALF
+        s, sign = field_index - n, 1
     else:
         raise ValueError(f"field index {field_index} out of range")
-    terms = f.partial(field_index).terms  # a fresh dict, ours to extend
-    add_terms(terms, (
-        (e[:s] + (e[s] + 1,) + e[s + 1:t] + (e[t] - 1,), c * e[t] * half)
-        for e, c in f.terms.items() if e[t]
-    ))
-    return Poly.wrap(f.nvars, terms)
+    i = field_index
+    nums = {e[:i] + (e[i] - 1,) + e[i + 1:]: 2 * v * e[i] for e, v in f.nums.items() if e[i]}
+    get = nums.get
+    for e, v in f.nums.items():
+        if e[t]:
+            key = e[:s] + (e[s] + 1,) + e[s + 1:t] + (e[t] - 1,)
+            nums[key] = get(key, 0) + sign * v * e[t]
+    return Poly.wrap(f.nvars, {e: v for e, v in nums.items() if v}, 2 * f.den)
 
 
 def frame_derivatives(n: int, f: Poly, frame: str) -> list:
@@ -68,31 +68,43 @@ def frame_derivatives(n: int, f: Poly, frame: str) -> list:
 
     ``frame`` is ``"left"`` for the fields X_i, Y_i, T of ``derive`` or
     ``"coord"`` for the partials d/dx_i, d/dy_i, d/dt. In the left frame
-    d/dt f is taken once, and its terms times y_i/2 or x_i/2 are exponent
-    shifts added to the partials.
+    d/dt f is taken once, and its numerators, as terms of y_i/2 or x_i/2
+    times d/dt f over 2 f.den, are exponent shifts added to the partials
+    over 2 f.den.
     """
     if f.nvars != 2 * n + 1:
         raise ValueError("polynomial not in the group coordinate ring")
     if frame not in ("left", "coord"):
         raise ValueError(f"unknown frame {frame!r}")
     t = 2 * n
+    left = frame == "left"
     out = [{} for _ in range(t + 1)]
-    for exp, c in f.terms.items():
-        for i, k in enumerate(exp):
+    for exp, v in f.nums.items():
+        # distinct monomials have distinct partials: no merging
+        k = exp[t]
+        if k:
+            out[t][exp[:t] + (k - 1,)] = v * k
+        if left:
+            v *= 2
+        for i in range(t):
+            k = exp[i]
             if k:
-                # distinct monomials have distinct partials: no merging
-                out[i][exp[:i] + (k - 1,) + exp[i + 1:]] = c if k == 1 else c * k
-    if frame == "left":
-        halves = []
-        for e, v in out[t].items():
-            v = v * _HALF
-            halves.append((e, v, -v))
-        for j in range(n):
-            # X_j = d/dx_j - (y_j/2) d/dt and Y_j = d/dy_j + (x_j/2) d/dt
-            y, x = n + j, j
-            add_terms(out[j], ((e[:y] + (e[y] + 1,) + e[y + 1:], neg) for e, _, neg in halves))
-            add_terms(out[y], ((e[:x] + (e[x] + 1,) + e[x + 1:], pos) for e, pos, _ in halves))
-    return [Poly.wrap(f.nvars, terms) for terms in out]
+                out[i][exp[:i] + (k - 1,) + exp[i + 1:]] = v * k
+    if not left:
+        return [Poly.wrap(f.nvars, nums, f.den) for nums in out]
+    dt = out[t]
+    for j in range(n):
+        # X_j = d/dx_j - (y_j/2) d/dt and Y_j = d/dy_j + (x_j/2) d/dt
+        y, x = n + j, j
+        X, Y = out[x], out[y]
+        for e, v in dt.items():
+            key = e[:y] + (e[y] + 1,) + e[y + 1:]
+            X[key] = X.get(key, 0) - v
+            key = e[:x] + (e[x] + 1,) + e[x + 1:]
+            Y[key] = Y.get(key, 0) + v
+    den = 2 * f.den
+    return [Poly.wrap(f.nvars, {e: v for e, v in nums.items() if v}, den)
+            for nums in out[:t]] + [Poly.wrap(f.nvars, dt, f.den)]
 
 
 class DerivativeTable(dict):
@@ -272,10 +284,7 @@ class EnvOp:
         """
         if not isinstance(f, DerivativeTable):
             f = DerivativeTable(self.n, f)
-        terms: dict = {}
-        for K, c in self.terms.items():
-            add_terms(terms, ((e, c * v) for e, v in f[K].terms.items()))
-        return Poly.wrap(2 * self.n + 1, terms)
+        return linear_combination(2 * self.n + 1, ((c, f[K]) for K, c in self.terms.items()))
 
     def adjoint(self) -> "EnvOp":
         """Formal L2 adjoint: the anti-automorphism sending each W to -W.

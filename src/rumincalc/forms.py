@@ -30,7 +30,7 @@ from typing import Mapping
 from .envelope import frame_derivatives
 from .exterior_weights import d_table, lambda_masks, mask_weight
 from .group_geometry import dilate, from_coords, multiply
-from .polynomials import Poly, add_terms, random_poly
+from .polynomials import Poly, linear_combination, random_poly
 
 FRAMES = ("left", "coord")
 
@@ -52,7 +52,7 @@ class Form:
                     raise ValueError(f"mask {mask} out of range")
                 if p.nvars != nv:
                     raise ValueError("coefficient has wrong variable count")
-                if p.terms:
+                if p:
                     clean[mask] = p
         self.coeffs = clean
 
@@ -78,19 +78,27 @@ class Form:
         if self.frame != other.frame:
             raise ValueError("forms in different frames")
 
-    def __add__(self, other: "Form") -> "Form":
+    def _combine(self, other: "Form", sign: int) -> "Form":
+        """self + sign other, coefficient by coefficient."""
         self._check(other)
         coeffs = dict(self.coeffs)
+        nv = 2 * self.n + 1
         for m, p in other.coeffs.items():
             s = coeffs.get(m)
-            s = p if s is None else s + p
-            if s.terms:
+            if s is None:
+                coeffs[m] = p if sign > 0 else -p
+                continue
+            s = linear_combination(nv, ((1, s), (sign, p)))
+            if s:
                 coeffs[m] = s
             else:
-                coeffs.pop(m, None)
+                del coeffs[m]
         out = Form.__new__(Form)
         out.n, out.frame, out.coeffs = self.n, self.frame, coeffs
         return out
+
+    def __add__(self, other: "Form") -> "Form":
+        return self._combine(other, 1)
 
     def __neg__(self) -> "Form":
         out = Form.__new__(Form)
@@ -99,7 +107,7 @@ class Form:
         return out
 
     def __sub__(self, other: "Form") -> "Form":
-        return self + (-other)
+        return self._combine(other, -1)
 
     def __eq__(self, other) -> bool:
         return (
@@ -173,7 +181,7 @@ def exterior_d(form: Form) -> Form:
     the structure-equation d on each coframe monomial. Coordinate frame: the
     coframe is closed, only coefficients differentiate. The frame fields of
     each coefficient come from one ``frame_derivatives`` pass, and every
-    target coefficient is summed in place as a term dict.
+    target coefficient is one ``linear_combination`` of them.
     """
     n, left = form.n, form.frame == "left"
     table = d_table(n)
@@ -182,17 +190,13 @@ def exterior_d(form: Form) -> Form:
         d0, steps = table[mask]
         if left:
             for target, c in d0:
-                add_terms(out.setdefault(target, {}), ((e, v * c) for e, v in p.terms.items()))
+                out.setdefault(target, []).append((c, p))
         derivatives = frame_derivatives(n, p, form.frame)
         for i, target, sign in steps:
-            terms = derivatives[i].terms
-            if terms:
-                add_terms(
-                    out.setdefault(target, {}),
-                    terms.items() if sign > 0 else ((e, -v) for e, v in terms.items()),
-                )
+            if derivatives[i]:
+                out.setdefault(target, []).append((sign, derivatives[i]))
     nv = 2 * n + 1
-    return Form(n, form.frame, {m: Poly.wrap(nv, terms) for m, terms in out.items() if terms})
+    return Form(n, form.frame, {m: linear_combination(nv, pairs) for m, pairs in out.items()})
 
 
 # -- frame conversion --------------------------------------------------------
@@ -233,20 +237,22 @@ def _convert(form: Form, target: str) -> Form:
     if form.frame == target:
         return form
     n = form.n
+    nv = 2 * n + 1
     table = _frame_change(n, target)
-    coeffs = dict(form.coeffs)
     extra: dict = {}
     for mask, p in form.coeffs.items():
         for dst, var, c in table.get(mask, ()):
-            add_terms(extra.setdefault(dst, {}), (
-                (e[:var] + (e[var] + 1,) + e[var + 1:], v * c) for e, v in p.terms.items()
-            ))
-    nv = 2 * n + 1
-    for dst, terms in extra.items():
+            # x_var p: distinct monomials stay distinct, and p.den stays reduced
+            shifted = Poly.wrap(nv, {
+                e[:var] + (e[var] + 1,) + e[var + 1:]: v for e, v in p.nums.items()
+            }, p.den)
+            extra.setdefault(dst, []).append((c, shifted))
+    coeffs = dict(form.coeffs)
+    for dst, pairs in extra.items():
         own = coeffs.get(dst)
         if own is not None:
-            add_terms(terms, own.terms.items())
-        coeffs[dst] = Poly.wrap(nv, terms)
+            pairs.append((1, own))
+        coeffs[dst] = linear_combination(nv, pairs)
     return Form(n, target, coeffs)
 
 
@@ -284,7 +290,7 @@ def pullback_translation_dilation(form: Form, base, r) -> Form:
     for mask, p in form.coeffs.items():
         factor = r ** mask_weight(n, mask)
         q = p.compose(images).scale(factor)
-        if q.terms:
+        if q:
             coeffs[mask] = q
     return Form(n, "left", coeffs)
 
@@ -296,21 +302,10 @@ def matrix_times_polys(rows: list, polys: list, nvars: int) -> list:
     """A Fraction matrix, given as rows {column: entry} of its nonzero
     entries, times a column of Polys, ``None`` counting as zero. A row whose
     only entry is 1 gives its source Poly itself."""
-    out = []
-    for row in rows:
-        if len(row) == 1:
-            ((j, c),) = row.items()
-            if c == 1 and polys[j] is not None:
-                out.append(polys[j])
-                continue
-        terms: dict = {}
-        for j, c in row.items():
-            p = polys[j]
-            if p is not None:
-                add_terms(terms, p.terms.items() if c == 1 else
-                          ((e, v * c) for e, v in p.terms.items()))
-        out.append(Poly.wrap(nvars, terms))
-    return out
+    return [
+        linear_combination(nvars, ((c, polys[j]) for j, c in row.items() if polys[j] is not None))
+        for row in rows
+    ]
 
 
 def apply_mask_matrix(rows: list, src_masks: list, dst_masks: list, form: Form) -> Form:

@@ -74,12 +74,13 @@ class AveragingWeight:
     def bump(cls, radius, exponent: int = 3) -> "AveragingWeight":
         return cls(kind="polynomial_bump", exponent=exponent, radius=Fraction(radius))
 
-    def moment(self, beta: tuple, dimension: int) -> Fraction:
-        """int y^beta psi(y) dy over R^dimension, exactly."""
+    def moment(self, beta: tuple, dimension: int) -> Fraction | int:
+        """int y^beta psi(y) dy over R^dimension, exactly. The point mass's
+        moments and the odd moments of the bump are the ints 1 and 0."""
         if self.kind == "point_mass_at_origin":
-            return Fraction(1) if not any(beta) else Fraction(0)
+            return 0 if any(beta) else 1
         if any(b % 2 for b in beta):
-            return Fraction(0)
+            return 0
         gammas = [b // 2 for b in beta]
         total = sum(gammas)
         # prod_i prod_{j < gamma_i} (2j + 1)/2 over prod_{j < total}
@@ -105,61 +106,65 @@ def _cone_homotopy(omega: Form, moment) -> Form:
     with +-_j = (-1)^(position of j in I) and B(p, q) = (p-1)!(q-1)!/(p+q-1)!.
     m(beta) = y^beta gives the cone at y, and the moments of psi its average.
 
-    A split a whose moments m(alpha - a) and m(alpha - a + e_j), j in I, all
-    vanish contributes nothing and is skipped. The others are summed as ints
-    over one denominator: the lcm of the coefficients' denominators, times
-    (|alpha| + k)! at its largest, times the lcm of the moments'
-    denominators. Each output term is then one Fraction.
+    The splits a of each exponent alpha are enumerated once per call,
+    whichever coefficients hold alpha, and a split whose moments
+    m(alpha - a) and m(alpha - a + e_j), for every j of those coefficients'
+    masks, all vanish contributes nothing and is dropped. The others are
+    summed on the coefficients' numerators, as ints over one denominator: the
+    lcm of the coefficients' denominators, times (|alpha| + k)! at its
+    largest, times the lcm of the moments' denominators. Each output
+    coefficient is a Poly over that denominator.
     """
     nv = 2 * omega.n + 1
-    moments: dict = {}
-
-    def m(beta: tuple) -> Fraction:
-        if beta not in moments:
-            moments[beta] = moment(beta)
-        return moments[beta]
-
-    live = []  # (mask, indices, alpha, c, a, rest, shifts) for each split that counts
+    holders: dict = {}  # alpha -> the union of the masks whose coefficient holds it
     for mask, p in omega.coeffs.items():
-        indices = [i for i in range(nv) if mask >> i & 1]
-        for alpha, c in p.terms.items():
-            for a in product(*(range(e + 1) for e in alpha)):
-                rest = tuple(map(sub, alpha, a))
-                shifts = [rest[:j] + (rest[j] + 1,) + rest[j + 1:] for j in indices]
-                # a list, not a generator: the sums below read every moment
-                if any([m(beta) for beta in (rest, *shifts)]):
-                    live.append((mask, indices, alpha, c, a, rest, shifts))
-    coeffs = [(mask, alpha, c) for mask, p in omega.coeffs.items() for alpha, c in p.terms.items()]
+        for alpha in p.nums:
+            holders[alpha] = holders.get(alpha, 0) | mask
+    moments: dict = {}
+    splits: dict = {}  # alpha -> [(a, |a|, C(alpha, a), rest, {j: rest + e_j})] that count
+    for alpha, union in holders.items():
+        js = [j for j in range(nv) if union >> j & 1]
+        live = splits[alpha] = []
+        for a in product(*(range(e + 1) for e in alpha)):
+            rest = tuple(map(sub, alpha, a))
+            shifts = {j: rest[:j] + (rest[j] + 1,) + rest[j + 1:] for j in js}
+            for beta in (rest, *shifts.values()):
+                if beta not in moments:
+                    moments[beta] = moment(beta)
+            if moments[rest] or any(moments[beta] for beta in shifts.values()):
+                live.append((a, sum(a), math.prod(map(math.comb, alpha, a)), rest, shifts))
     # (|alpha| + k)! at its largest is a multiple of every Beta denominator
-    top = max((sum(alpha) + mask.bit_count() for mask, alpha, _ in coeffs), default=0)
+    top = max((sum(alpha) + mask.bit_count()
+               for mask, p in omega.coeffs.items() for alpha in p.nums), default=0)
     factorial = list(accumulate(range(1, top + 1), mul, initial=1))
-    coeff_den = math.lcm(*(c.denominator for _, _, c in coeffs))
+    coeff_den = math.lcm(*(p.den for p in omega.coeffs.values()))
     moment_den = math.lcm(*(v.denominator for v in moments.values() if v))
     scaled = {beta: v.numerator * (moment_den // v.denominator)
               for beta, v in moments.items() if v}
 
     out: dict = {}
-    for mask, indices, alpha, c, a, rest, shifts in live:
-        k, size, low = mask.bit_count(), sum(alpha), sum(a)
-        coeff = (
-            c.numerator * (coeff_den // c.denominator)
-            * math.prod(math.comb(e, b) for e, b in zip(alpha, a))
-            * factorial[low + k - 1] * factorial[size - low]
-            * (factorial[top] // factorial[size + k])
-        )
-        m_rest = scaled.get(rest)
-        for pos, j in enumerate(indices):
-            signed = -coeff if pos % 2 else coeff
-            terms = out.setdefault(mask & ~(1 << j), {})
-            if m_rest:
-                up = a[:j] + (a[j] + 1,) + a[j + 1:]
-                terms[up] = terms.get(up, 0) + signed * m_rest
-            m_shift = scaled.get(shifts[pos])
-            if m_shift:
-                terms[a] = terms.get(a, 0) - signed * m_shift
+    for mask, p in omega.coeffs.items():
+        k = mask.bit_count()
+        # (j, +-_j, the coefficient of dx_{I - j}) for each j in I
+        targets = [(j, -1 if pos % 2 else 1, out.setdefault(mask & ~(1 << j), {}))
+                   for pos, j in enumerate(i for i in range(nv) if mask >> i & 1)]
+        lift = coeff_den // p.den
+        for alpha, v in p.nums.items():
+            size = sum(alpha)
+            base = v * lift * (factorial[top] // factorial[size + k])
+            for a, low, binomial, rest, shifts in splits[alpha]:
+                coeff = base * binomial * factorial[low + k - 1] * factorial[size - low]
+                m_rest = scaled.get(rest)
+                for j, sign, terms in targets:
+                    if m_rest:
+                        up = a[:j] + (a[j] + 1,) + a[j + 1:]
+                        terms[up] = terms.get(up, 0) + sign * coeff * m_rest
+                    m_shift = scaled.get(shifts[j])
+                    if m_shift:
+                        terms[a] = terms.get(a, 0) - sign * coeff * m_shift
     den = coeff_den * factorial[top] * moment_den
     return Form(omega.n, "coord", {
-        mask: Poly.wrap(nv, {e: Fraction(v, den) for e, v in terms.items() if v})
+        mask: Poly.wrap(nv, {e: v for e, v in terms.items() if v}, den)
         for mask, terms in out.items()
     })
 

@@ -1,9 +1,14 @@
 """Sparse multivariate polynomials with exact rational coefficients.
 
-Representation: a polynomial in ``nvars`` variables is a dict mapping exponent
-tuples (length ``nvars``, non-negative ints) to nonzero ``Fraction``
-coefficients. The zero polynomial is the empty dict. All operations are exact;
-no floating point enters until a caller explicitly evaluates.
+Representation: a polynomial in ``nvars`` variables is a dict ``nums`` from
+exponent tuples (length ``nvars``, non-negative ints) to nonzero ints, over
+one positive int denominator ``den``: the coefficient of x^e is
+nums[e] / den. The pair stays reduced, gcd(den, *nums) = 1, and the zero
+polynomial is the empty dict over den = 1, so equal polynomials have equal
+``nums`` and ``den``. Sums and products run on ints; ``terms`` gives the
+coefficients as Fractions for the callers that print or inspect them. All
+operations are exact; no floating point enters until a caller explicitly
+evaluates.
 
 Instances are treated as immutable: every operation returns a new ``Poly``.
 
@@ -19,6 +24,7 @@ from __future__ import annotations
 import operator
 import random
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Mapping, Sequence
 
 
@@ -45,8 +51,34 @@ def add_terms(terms: dict, pairs) -> dict:
     return terms
 
 
+def linear_combination(nvars: int, pairs) -> "Poly":
+    """sum c p over the (c, p) pairs, each c an int or a Fraction.
+
+    Every c p is put over the lcm D of the products c.denominator p.den, so
+    the sum runs on ints: the numerators of p are scaled by
+    c.numerator D / (c.denominator p.den) and added. Cancelled terms go, and
+    ``Poly.wrap`` reduces the result. A lone term 1 p gives p itself.
+    """
+    live = [(c, p) for c, p in pairs if c and p.nums]
+    if not live:
+        return Poly.wrap(nvars, {})
+    if len(live) == 1 and live[0][0] == 1:
+        return live[0][1]
+    # an int c has numerator c and denominator 1
+    den = lcm(*(c.denominator * p.den for c, p in live))
+    acc: dict = {}
+    get = acc.get
+    for c, p in live:
+        m = c.numerator * (den // (c.denominator * p.den))
+        for e, v in p.nums.items():
+            acc[e] = get(e, 0) + m * v
+    if len(live) > 1:  # a lone term cannot cancel
+        acc = {e: v for e, v in acc.items() if v}
+    return Poly.wrap(nvars, acc, den)
+
+
 class Poly:
-    __slots__ = ("nvars", "terms")
+    __slots__ = ("nvars", "nums", "den")
 
     def __init__(self, nvars: int, terms: Mapping[tuple, object] | None = None):
         self.nvars = nvars
@@ -59,31 +91,44 @@ class Poly:
                 if len(exp) != nvars or any(e < 0 for e in exp):
                     raise ValueError(f"bad exponent tuple {exp} for {nvars} variables")
                 clean[tuple(exp)] = c
-        self.terms = clean
+        # over the lcm of reduced denominators, the numerators share no factor with it
+        self.den = lcm(*(c.denominator for c in clean.values()))
+        self.nums = {e: c.numerator * (self.den // c.denominator) for e, c in clean.items()}
 
     @classmethod
-    def wrap(cls, nvars: int, terms: dict) -> "Poly":
-        """A Poly owning ``terms`` as is: valid exponents, no zero coefficient."""
+    def wrap(cls, nvars: int, nums: dict, den: int = 1) -> "Poly":
+        """A Poly owning ``nums`` (valid exponents to nonzero ints) over the
+        positive int ``den``, both divided by their gcd."""
+        g = gcd(den, *nums.values())
+        if g != 1:
+            nums = {e: v // g for e, v in nums.items()}
+            den //= g
         out = cls.__new__(cls)
-        out.nvars, out.terms = nvars, terms
+        out.nvars, out.nums, out.den = nvars, nums, den
         return out
+
+    @property
+    def terms(self) -> dict:
+        """The coefficients as a fresh dict {exponent: Fraction}."""
+        den = self.den
+        return {e: Fraction(v, den) for e, v in self.nums.items()}
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zero(cls, nvars: int) -> "Poly":
-        return cls(nvars)
+        return cls.wrap(nvars, {})
 
     @classmethod
     def const(cls, nvars: int, c) -> "Poly":
-        return cls(nvars, {(0,) * nvars: _as_fraction(c)})
+        return cls(nvars, {(0,) * nvars: c})
 
     @classmethod
     def var(cls, nvars: int, i: int) -> "Poly":
         if not 0 <= i < nvars:
             raise ValueError(f"variable index {i} out of range")
         exp = tuple(1 if j == i else 0 for j in range(nvars))
-        return cls(nvars, {exp: Fraction(1)})
+        return cls.wrap(nvars, {exp: 1})
 
     # -- ring operations ---------------------------------------------------
 
@@ -95,33 +140,35 @@ class Poly:
         if isinstance(other, (int, Fraction)):
             other = Poly.const(self.nvars, other)
         self._check_ring(other)
-        return Poly.wrap(self.nvars, add_terms(dict(self.terms), other.terms.items()))
+        return linear_combination(self.nvars, ((1, self), (1, other)))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly.wrap(self.nvars, {e: -c for e, c in self.terms.items()})
+        return Poly.wrap(self.nvars, {e: -v for e, v in self.nums.items()}, self.den)
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
             other = Poly.const(self.nvars, other)
-        return self + (-other)
+        self._check_ring(other)
+        return linear_combination(self.nvars, ((1, self), (-1, other)))
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = _as_fraction(other)
-            if c == 0:
-                return Poly.zero(self.nvars)
-            return Poly.wrap(self.nvars, {e: c * v for e, v in self.terms.items()})
+            num = other.numerator
+            return Poly.wrap(self.nvars, {e: num * v for e, v in self.nums.items()} if num else {},
+                             self.den * other.denominator)
         self._check_ring(other)
-        return Poly.wrap(self.nvars, add_terms({}, (
-            (tuple(map(operator.add, e1, e2)), c1 * c2)
-            for e1, c1 in self.terms.items()
-            for e2, c2 in other.terms.items()
-        )))
+        acc: dict = {}
+        get = acc.get
+        for e1, v1 in self.nums.items():
+            for e2, v2 in other.nums.items():
+                e = tuple(map(operator.add, e1, e2))
+                acc[e] = get(e, 0) + v1 * v2
+        return Poly.wrap(self.nvars, {e: v for e, v in acc.items() if v}, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -144,16 +191,17 @@ class Poly:
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = Poly.const(self.nvars, other)
-        return isinstance(other, Poly) and self.nvars == other.nvars and self.terms == other.terms
+        return (isinstance(other, Poly) and self.nvars == other.nvars
+                and self.den == other.den and self.nums == other.nums)
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self.nums)
 
     def __hash__(self):
-        return hash((self.nvars, frozenset(self.terms.items())))
+        return hash((self.nvars, self.den, frozenset(self.nums.items())))
 
     def __repr__(self):
-        if not self.terms:
+        if not self.nums:
             return "0"
         bits = []
         for exp, c in sorted(self.terms.items()):
@@ -170,9 +218,9 @@ class Poly:
         """Partial derivative with respect to variable ``i``."""
         # distinct monomials stay distinct, so nothing merges or cancels
         return Poly.wrap(self.nvars, {
-            exp[:i] + (exp[i] - 1,) + exp[i + 1:]: c * exp[i]
-            for exp, c in self.terms.items() if exp[i]
-        })
+            exp[:i] + (exp[i] - 1,) + exp[i + 1:]: v * exp[i]
+            for exp, v in self.nums.items() if exp[i]
+        }, self.den)
 
     def compose(self, images: Sequence["Poly"]) -> "Poly":
         """Substitute images[i] for variable i. Images share one target ring."""
@@ -188,14 +236,16 @@ class Poly:
                 pow_cache[key] = images[i] ** k
             return pow_cache[key]
 
-        total = Poly.zero(nv_out)
-        for exp, c in self.terms.items():
-            term = Poly.const(nv_out, c)
+        one = Poly.wrap(nv_out, {(0,) * nv_out: 1})
+        products = []
+        for exp, v in self.nums.items():
+            term = one
             for i, e in enumerate(exp):
                 if e:
                     term = term * power(i, e)
-            total = total + term
-        return total
+            products.append((v, term))
+        total = linear_combination(nv_out, products)
+        return Poly.wrap(nv_out, total.nums, total.den * self.den)
 
     def evaluate_float(self, axes: Sequence):
         """Values on the tensor grid axes[0] x ... x axes[nvars - 1], in floats.
@@ -208,14 +258,16 @@ class Poly:
 
         The coefficient tensor C[e_0, ..., e_{nvars-1}] is contracted with
         one Vandermonde matrix x ** (0..d) per axis in turn, so only the
-        last contraction reaches the full grid.
+        last contraction reaches the full grid. Each entry of C is
+        nums[e] / den, the correctly rounded float of the coefficient.
         """
         import numpy as np  # only the float layer needs numpy
 
-        degrees = [max((e[i] for e in self.terms), default=0) for i in range(self.nvars)]
+        degrees = [max((e[i] for e in self.nums), default=0) for i in range(self.nvars)]
         C = np.zeros([d + 1 for d in degrees])
-        for exp, c in self.terms.items():
-            C[exp] = float(c)
+        den = self.den
+        for exp, v in self.nums.items():
+            C[exp] = v / den
         for x, d in zip(axes, degrees):
             V = np.asarray(x, dtype=float)[..., None] ** np.arange(d + 1)
             C = np.tensordot(C, V, axes=([0], [-1]))

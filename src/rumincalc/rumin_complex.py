@@ -57,7 +57,7 @@ from .exterior_weights import (
     lambda_masks,
 )
 from .forms import Form, apply_mask_matrix, exterior_d, matrix_times_polys
-from .polynomials import Poly, add_terms
+from .polynomials import Poly, add_terms, linear_combination
 
 
 class OperatorMatrix:
@@ -163,13 +163,9 @@ class OperatorMatrix:
         if len(polys) != self.cols:
             raise ValueError("coefficient count mismatch")
         tables = [DerivativeTable(self.n, p) for p in polys]
-        out = []
-        for row in self.entries:
-            terms: dict = {}
-            for j, e in row.items():
-                add_terms(terms, e.act(tables[j]).terms.items())
-            out.append(Poly.wrap(2 * self.n + 1, terms))
-        return out
+        nv = 2 * self.n + 1
+        return [linear_combination(nv, ((1, e.act(tables[j])) for j, e in row.items()))
+                for row in self.entries]
 
     def adjoint(self, gram_src: list, gram_dst: list) -> "OperatorMatrix":
         """Formal L2 adjoint with respect to diagonal Gram matrices.
@@ -365,6 +361,30 @@ class RuminContext:
         return lap
 
 
+def term_difference(got: EnvOp, expected: EnvOp) -> dict:
+    """The first PBW exponent, in sorted order, whose coefficients in two
+    different operators differ, with both coefficients as strings."""
+    a, b = got.terms, expected.terms
+    exp = min(e for e in a.keys() | b.keys() if a.get(e, 0) != b.get(e, 0))
+    return {"exponent": list(exp), "got": str(a.get(exp, 0)), "expected": str(b.get(exp, 0))}
+
+
+def first_difference(got: OperatorMatrix, expected: OperatorMatrix) -> dict | None:
+    """Where two operator matrices first differ, or None when their entries
+    agree: the first (row, column) in row-major order whose entries differ,
+    with the ``term_difference`` of those entries. Matrices of different
+    shapes differ in their shapes."""
+    if got.shape != expected.shape:
+        return {"shapes": [list(got.shape), list(expected.shape)]}
+    zero = EnvOp.zero(got.n)
+    for r, (a, b) in enumerate(zip(got.entries, expected.entries)):
+        for col in sorted(a.keys() | b.keys()):
+            x, y = a.get(col, zero), b.get(col, zero)
+            if x != y:
+                return {"row": r, "column": col, **term_difference(x, y)}
+    return None
+
+
 def laplacian_commutation_report(ctx: RuminContext) -> dict:
     """Exact commutation between d_c, delta_c and the intrinsic Laplacians.
 
@@ -374,29 +394,31 @@ def laplacian_commutation_report(ctx: RuminContext) -> dict:
     have different homogeneity); the exact substitutes, consequences of
     d_c^2 = 0, carry the crossing factor cubed on one side. Each identity
     holds when its two sides are equal entry by entry; entries are
-    normalized, so equal operators have equal terms.
+    normalized, so equal operators have equal terms. A failed identity
+    carries the ``first_difference`` of its two sides as its witness.
     """
     n = ctx.n
     top = 2 * n + 1
     checks = []
     lap = [ctx.rumin_laplacian(h) for h in range(top + 1)]
 
+    def check(identity: str, lhs: OperatorMatrix, rhs: OperatorMatrix) -> None:
+        row = {"identity": identity, "exact_zero": lhs == rhs}
+        if not row["exact_zero"]:
+            row["witness"] = first_difference(lhs, rhs)
+        checks.append(row)
+
     for h in range(top):
         if h in (n - 1, n + 1):
             continue
         d = ctx.rumin_d_matrix(h)
-        checks.append({
-            "identity": f"d_c Delta_{h} = Delta_{h + 1} d_c",
-            "exact_zero": d.compose(lap[h]) == lap[h + 1].compose(d),
-        })
+        check(f"d_c Delta_{h} = Delta_{h + 1} d_c", d.compose(lap[h]), lap[h + 1].compose(d))
     for h in range(1, top + 1):
         if h in (n, n + 2):
             continue
         delta = ctx.rumin_delta_matrix(h - 1)
-        checks.append({
-            "identity": f"delta_c Delta_{h} = Delta_{h - 1} delta_c",
-            "exact_zero": delta.compose(lap[h]) == lap[h - 1].compose(delta),
-        })
+        check(f"delta_c Delta_{h} = Delta_{h - 1} delta_c",
+              delta.compose(lap[h]), lap[h - 1].compose(delta))
 
     # the crossing factors, grouped (d_c delta_c) d_c and (delta_c d_c) delta_c
     d_lo = ctx.rumin_d_matrix(n - 1)
@@ -407,16 +429,14 @@ def laplacian_commutation_report(ctx: RuminContext) -> dict:
     delta_hi = ctx.rumin_delta_matrix(n + 1)
     cross_d_hi = ctx.rumin_d_delta(n + 2).compose(d_hi)
     cross_delta_hi = ctx.rumin_delta_d(n + 1).compose(delta_hi)
-    checks += [
-        {"identity": f"Delta_{n} d_c = (d_c delta_c d_c) Delta_{n - 1}",
-         "exact_zero": lap[n].compose(d_lo) == cross_d_lo.compose(lap[n - 1])},
-        {"identity": f"d_c Delta_{n + 1} = Delta_{n + 2} (d_c delta_c d_c)",
-         "exact_zero": d_hi.compose(lap[n + 1]) == lap[n + 2].compose(cross_d_hi)},
-        {"identity": f"delta_c Delta_{n} = Delta_{n - 1} (delta_c d_c delta_c)",
-         "exact_zero": delta_lo.compose(lap[n]) == lap[n - 1].compose(cross_delta_lo)},
-        {"identity": f"Delta_{n + 1} delta_c = (delta_c d_c delta_c) Delta_{n + 2}",
-         "exact_zero": lap[n + 1].compose(delta_hi) == cross_delta_hi.compose(lap[n + 2])},
-    ]
+    check(f"Delta_{n} d_c = (d_c delta_c d_c) Delta_{n - 1}",
+          lap[n].compose(d_lo), cross_d_lo.compose(lap[n - 1]))
+    check(f"d_c Delta_{n + 1} = Delta_{n + 2} (d_c delta_c d_c)",
+          d_hi.compose(lap[n + 1]), lap[n + 2].compose(cross_d_hi))
+    check(f"delta_c Delta_{n} = Delta_{n - 1} (delta_c d_c delta_c)",
+          delta_lo.compose(lap[n]), lap[n - 1].compose(cross_delta_lo))
+    check(f"Delta_{n + 1} delta_c = (delta_c d_c delta_c) Delta_{n + 2}",
+          lap[n + 1].compose(delta_hi), cross_delta_hi.compose(lap[n + 2]))
     return {
         "n": n,
         "checks": checks,

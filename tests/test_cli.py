@@ -11,9 +11,11 @@ from pathlib import Path
 import pytest
 
 from rumincalc import cli, homotopy_exact, kernels
+from rumincalc.envelope import EnvOp
 from rumincalc.forms import Form
 from rumincalc.homotopy_exact import AveragingWeight, scaling_probe
 from rumincalc.polynomials import Poly
+from rumincalc.rumin_complex import OperatorMatrix, RuminContext
 
 
 def run_cli(capsys, argv):
@@ -82,6 +84,63 @@ def test_verify_fault_injection_fails(capsys):
     code, rows = run_cli(capsys, ["verify", "--n", "1"])
     good = [r for r in rows if r["check"] == "-Delta_0 = sum W_j^2"]
     assert code == 0 and good[0]["status"] == "exact" and "witness" not in good[0]
+
+
+def _assert_first_difference(witness, left, right):
+    """The witness names the first entry, in row-major order, where the two
+    operator matrices differ, and the first exponent, in sorted order, where
+    that entry's coefficients differ."""
+    zero = EnvOp.zero(left.n)
+    r, col = witness["row"], witness["column"]
+    for i in range(r + 1):
+        a, b = left.entries[i], right.entries[i]
+        for j in sorted(a.keys() | b.keys()):
+            if (i, j) < (r, col):
+                assert a.get(j, zero) == b.get(j, zero), (i, j)
+    x, y = left.entries[r].get(col, zero).terms, right.entries[r].get(col, zero).terms
+    exp = tuple(witness["exponent"])
+    assert all(x.get(e, 0) == y.get(e, 0) for e in x.keys() | y.keys() if e < exp)
+    assert (witness["got"], witness["expected"]) == (str(x.get(exp, 0)), str(y.get(exp, 0)))
+    assert x.get(exp, 0) != y.get(exp, 0)
+
+
+def test_failed_square_and_commutation_rows_name_a_witness(capsys, monkeypatch):
+    # T added to entry (0, 0) of d_c out of degree 0 breaks d_c^2 = 0 out of
+    # degree 0 and the commutation identities that reach that matrix
+    original = RuminContext.rumin_d_matrix
+
+    def patched(self, h):
+        mat = original(self, h)
+        if h != 0:
+            return mat
+        entries = [dict(row) for row in mat.entries]
+        entries[0][0] = entries[0].get(0, EnvOp.zero(self.n)) + EnvOp.generator(self.n, 2)
+        return OperatorMatrix(self.n, 0, 1, entries, mat.shape)
+
+    monkeypatch.setattr(RuminContext, "rumin_d_matrix", patched)
+    code, rows = run_cli(capsys, ["verify", "--n", "1"])
+    assert code == 1
+    by_check = {r["check"]: r for r in rows}
+    ctx = RuminContext(1)
+    d0, d1 = ctx.rumin_d_matrix(0), ctx.rumin_d_matrix(1)
+    square = by_check["d_c^2 = 0 out of degree 0"]
+    assert square["status"] == "failed" and square["witness"]["degree"] == 0
+    _assert_first_difference(square["witness"], d1.compose(d0),
+                             OperatorMatrix.zero(1, 0, 2, d1.rows, d0.cols))
+    assert "witness" not in by_check["d_c^2 = 0 out of degree 1"]
+    crossing = by_check["Delta_1 d_c = (d_c delta_c d_c) Delta_0"]
+    assert crossing["status"] == "failed"
+    _assert_first_difference(crossing["witness"], ctx.rumin_laplacian(1).compose(d0),
+                             ctx.rumin_d_delta(1).compose(d0).compose(ctx.rumin_laplacian(0)))
+    identities = [r for r in rows if "Delta_" in r["check"] and "=" in r["check"]
+                  and r["check"] != "-Delta_0 = sum W_j^2"]
+    assert len(identities) == 6
+    for row in identities:
+        if row["status"] == "failed":
+            assert set(row["witness"]) == {"row", "column", "exponent", "got", "expected"}
+        else:
+            assert "witness" not in row
+    assert sum(r["status"] == "failed" for r in identities) == 4
 
 
 def test_homotopy_subcommand(capsys):
@@ -430,6 +489,19 @@ def test_invalid_arguments(capsys, ctx1):
     # usage errors must not exit 2, which means a strict numeric miss
     assert cli.main(["verify", "--bogus"]) == 1
     capsys.readouterr()
+    # an argument no parser took: a stray positional, a flag no subcommand
+    # takes (before or after the subcommand) and a flag of another subcommand
+    for argv, message in (
+        (["basis", "--n", "1", "extra"], "basis takes no positional argument, got 'extra'"),
+        (["basis", "--n", "1", "-5"], "basis takes no positional argument, got '-5'"),
+        (["--bogus", "basis", "--n", "1"], "unknown flag --bogus"),
+        (["verify", "--n", "1", "--bogus=3"], "unknown flag --bogus"),
+        (["homotopy", "--n", "1", "--lam", "3"], "unknown flag --lam"),
+        (["basis", "--n", "1", "--grid=20"], "--grid does not apply to basis"),
+    ):
+        assert cli.main(argv) == 1, argv
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n" and not captured.out, argv
     x, y = Poly.var(3, 0), Poly.var(3, 1)
     omega = ctx1.rumin_d(Form.from_function(1, x**2))
     # a message about a grid too coarse for lambda names a resolution that
@@ -517,16 +589,41 @@ def test_strict_mode_escalates_soft_misses(capsys, monkeypatch):
     assert code_strict == 2
 
 
-def _run_child(args):
+def _child_env(**extra):
     # the child imports the package this test imported, installed or not
     src = str(Path(cli.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return {**os.environ, "PYTHONPATH": path, **extra}
+
+
+def _run_child(args):
     return subprocess.run(
         [sys.executable, *args],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": path},
+        env=_child_env(),
     )
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""])
+def test_closed_stdout_ends_without_a_traceback(unbuffered):
+    # the read end of the pipe is closed before the child starts, so every
+    # write to stdout fails, whether each print writes (unbuffered) or only
+    # the last flush does; the child exits 1 and writes nothing to stderr
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "rumincalc.cli", "verify", "--n", "1"],
+            stdout=write,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=_child_env(PYTHONUNBUFFERED=unbuffered),
+        )
+    finally:
+        os.close(write)
+    assert proc.returncode == 1
+    assert proc.stderr == ""
 
 
 def test_module_entry_point_runs():

@@ -28,6 +28,7 @@ from rumincalc.rumin_complex import (
     OperatorMatrix,
     RuminContext,
     commutator_audit,
+    first_difference,
     horizontal_representability_report,
     laplacian_commutation_report,
 )
@@ -541,3 +542,23 @@ def test_pseudoinverse_homotopy_identity(ctx1):
             continue
         recovered = d_field_by_field(ctx1.d0_inverse(image))[0]
         assert recovered == image
+
+
+def test_first_difference_names_the_first_entry_and_exponent():
+    # row 0 agrees; row 1 differs in columns 0 and 2, and column 0 differs at
+    # the exponents of X_1, (1, 0, 0), and of Y_1 T, (0, 1, 1), which comes
+    # first in sorted order
+    n = 1
+    X, Y, T = (EnvOp.generator(n, g) for g in range(3))
+    left = OperatorMatrix(n, 0, 1, [{1: X}, {0: X + Y * T, 2: T}], (2, 3))
+    right = OperatorMatrix(n, 0, 1, [{1: X}, {0: (Y * T).scale(2), 2: T.scale(3)}], (2, 3))
+    assert first_difference(left, left) is None
+    assert first_difference(left, right) == {
+        "row": 1, "column": 0, "exponent": [0, 1, 1], "got": "1", "expected": "2"}
+    assert first_difference(right, left)["expected"] == "1"
+    # an entry missing on one side counts as zero there
+    short = OperatorMatrix(n, 0, 1, [{1: X}, {2: T}], (2, 3))
+    assert first_difference(left, short) == {
+        "row": 1, "column": 0, "exponent": [0, 1, 1], "got": "1", "expected": "0"}
+    wide = OperatorMatrix.zero(n, 0, 1, 2, 4)
+    assert first_difference(left, wide) == {"shapes": [[2, 3], [2, 4]]}

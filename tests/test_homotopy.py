@@ -416,3 +416,27 @@ def test_primitive_converts_frames_consistently(ctx1):
     assert primitive.frame == "left"
     assert ctx1.project_core(primitive) == primitive
     assert to_left_frame(to_coordinate_frame(primitive)) == primitive
+
+
+@pytest.mark.parametrize("weight", [POINT, BUMP], ids=["point", "bump"])
+def test_d_c_and_K_build_fewer_fractions_than_they_output_terms(ctx2, weight, monkeypatch):
+    # the form layer sums int numerators over one denominator per polynomial,
+    # so d_c and K build Fractions for constants only, not one per output term
+    rng = random.Random(29)
+    sections = [random_section(rng, ctx2, h, 3) for h in range(2 * ctx2.n + 1)]
+    built = []
+    new = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        built.append(cls)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    outputs = []
+    for phi in sections:
+        omega = ctx2.rumin_d(phi)
+        outputs += [omega, rumin_homotopy_K(ctx2, weight, omega)]
+    monkeypatch.undo()
+    terms = sum(len(p.terms) for form in outputs for p in form.coeffs.values())
+    assert all(outputs) and terms > 100
+    assert len(built) < terms, (len(built), terms)
