@@ -5,14 +5,17 @@ index n <= i < 2n is Y_{i-n+1} = d/dy_i + (x_i/2) d/dt, and index 2n is
 T = d/dt. The only nonzero bracket is [X_j, Y_j] = T, and T is central.
 
 An ``EnvOp`` is a rational linear combination of ordered monomials
-W^I = X_1^{i_1} ... X_n^{i_n} Y_1^{j_1} ... Y_n^{j_n} T^{k}, stored as a dict
-from exponent tuples (length 2n+1) to Fraction. Products are renormalized into
-this basis in closed form: T is central, so the only rewrite is
-Y_j^b X_j^a = sum_k (-1)^k k! C(a,k) C(b,k) X_j^(a-k) Y_j^(b-k) T^k.
+W^I = X_1^{i_1} ... X_n^{i_n} Y_1^{j_1} ... Y_n^{j_n} T^{k}. By
+Poincare-Birkhoff-Witt these are a basis, so an operator is stored like a
+polynomial: it is a ``polynomials.SparseRational`` over exponent tuples of
+length 2n+1, reduced int numerators ``nums`` over one denominator ``den``,
+and its sums, differences and multiples are the shared ones. Products are
+renormalized into this basis in closed form: T is central, so the only
+rewrite is Y_j^b X_j^a = sum_k (-1)^k k! C(a,k) C(b,k) X_j^(a-k) Y_j^(b-k) T^k.
 Every product, of two operators or of two operator matrices, goes through
-``sum_of_products``: the factors are put over a common denominator, the
-coefficients are multiplied and summed as ints, and each collected term
-becomes one Fraction. W^I W^J is built once per process.
+``sum_of_products``: the numerators are multiplied and summed as ints, and
+the sum is one reduced ``EnvOp`` over the product of the denominators.
+W^I W^J is built once per process.
 
 Operators act on a polynomial through its ``DerivativeTable``, which files
 each W^K f by K, so operators applied to one polynomial derive it once.
@@ -23,14 +26,13 @@ exponent twice, matching the anisotropic dilations.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cache
-from itertools import chain, product
+from itertools import product
 from math import comb, lcm, perm, prod
 from operator import add
 from typing import Mapping
 
-from .polynomials import Poly, add_terms, linear_combination
+from .polynomials import Poly, SparseRational, add_terms, linear_combination
 
 
 def derive(n: int, field_index: int, f: Poly) -> Poly:
@@ -157,115 +159,67 @@ def _mono_product(I: tuple, J: tuple) -> tuple:
     return tuple(out)
 
 
-def _collect(n: int, pairs) -> "EnvOp":
-    """Sum (exponent, nonzero coefficient) pairs into an EnvOp, dropping cancelled terms."""
-    out = EnvOp.__new__(EnvOp)
-    out.n, out.terms = n, add_terms({}, pairs)
-    return out
-
-
 def integer_terms(ops) -> tuple:
-    """The ops over one common denominator: (d, [[(exponent, int)] per op]).
+    """The ops over one common denominator: (d, [{exponent: int} per op]).
 
-    d is the lcm of every coefficient denominator, and each int is the
-    coefficient times d.
+    d is the lcm of their denominators, and each int is a coefficient times d.
     """
     ops = list(ops)
-    d = lcm(*(c.denominator for a in ops for c in a.terms.values()))
-    return d, [[(e, c.numerator * (d // c.denominator)) for e, c in a.terms.items()] for a in ops]
+    d = lcm(*(a.den for a in ops))
+    return d, [a.nums if a.den == d else {e: v * (d // a.den) for e, v in a.nums.items()}
+               for a in ops]
 
 
 def sum_of_products(n: int, pairs, denominator: int) -> "EnvOp":
     """(sum of a b over the pairs) / denominator, renormalized and collected once.
 
-    Each a and b is a list of (exponent, int) as ``integer_terms`` gives
-    them, so products and sums run on ints, and each collected term becomes
-    one Fraction.
+    Each a and b is a dict {exponent: int}, such as an ``EnvOp``'s ``nums``
+    or one of ``integer_terms``, so products and sums run on ints and the
+    result is one reduced ``EnvOp`` over the denominator.
     """
     acc: dict = {}
     get = acc.get
     for a, b in pairs:
-        for I, ci in a:
+        b = b.items()
+        for I, ci in a.items():
             for J, cj in b:
                 c = ci * cj
                 for exp, k in _mono_product(I, J):
                     acc[exp] = get(exp, 0) + c * k
-    out = EnvOp.__new__(EnvOp)
-    out.n = n
-    out.terms = {e: Fraction(c, denominator) for e, c in acc.items() if c}
-    return out
+    return EnvOp.wrap(n, {e: c for e, c in acc.items() if c}, denominator)
 
 
-class EnvOp:
-    __slots__ = ("n", "terms")
+class EnvOp(SparseRational):
+    """An operator on H^n: rational coefficients on the PBW exponents W^I,
+    stored and added as in ``SparseRational``; the product is the PBW one."""
 
-    def __init__(self, n: int, terms: Mapping[tuple, object] | None = None):
-        self.n = n
-        width = 2 * n + 1
-        clean = {}
-        if terms:
-            for exp, c in terms.items():
-                c = Fraction(c)
-                if c == 0:
-                    continue
-                if len(exp) != width or any(e < 0 for e in exp):
-                    raise ValueError(f"bad multi-index {exp}")
-                clean[tuple(exp)] = c
-        self.terms = clean
+    __slots__ = ()
+    n = SparseRational.ring  # the ring slot, read as the group's n
 
-    @classmethod
-    def zero(cls, n: int) -> "EnvOp":
-        return cls(n)
+    @staticmethod
+    def width(n: int) -> int:
+        return 2 * n + 1
 
     @classmethod
     def one(cls, n: int) -> "EnvOp":
-        return cls(n, {(0,) * (2 * n + 1): Fraction(1)})
+        return cls.wrap(n, {(0,) * (2 * n + 1): 1})
 
     @classmethod
     def generator(cls, n: int, g: int) -> "EnvOp":
         exp = [0] * (2 * n + 1)
         exp[g] = 1
-        return cls(n, {tuple(exp): Fraction(1)})
-
-    def __add__(self, other: "EnvOp") -> "EnvOp":
-        return _collect(self.n, chain(self.terms.items(), other.terms.items()))
-
-    def __neg__(self) -> "EnvOp":
-        out = EnvOp.__new__(EnvOp)
-        out.n = self.n
-        out.terms = {e: -c for e, c in self.terms.items()}
-        return out
-
-    def __sub__(self, other: "EnvOp") -> "EnvOp":
-        return self + (-other)
-
-    def scale(self, c) -> "EnvOp":
-        c = Fraction(c)
-        if c == 0:
-            return EnvOp.zero(self.n)
-        out = EnvOp.__new__(EnvOp)
-        out.n = self.n
-        out.terms = {e: c * v for e, v in self.terms.items()}
-        return out
+        return cls.wrap(n, {tuple(exp): 1})
 
     def __mul__(self, other: "EnvOp") -> "EnvOp":
         """Operator composition self after other, renormalized."""
+        if type(other) is not EnvOp:
+            raise TypeError(f"cannot multiply EnvOp by {type(other).__name__}; use scale")
         if self.n != other.n:
             raise ValueError("operators on different groups")
-        d, (a, b) = integer_terms([self, other])
-        return sum_of_products(self.n, [(a, b)], d * d)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, EnvOp) and self.n == other.n and self.terms == other.terms
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __hash__(self):
-        return hash((self.n, frozenset(self.terms.items())))
+        return sum_of_products(self.n, [(self.nums, other.nums)], self.den * other.den)
 
     def __repr__(self) -> str:
-        if not self.terms:
+        if not self.nums:
             return "0"
         names = [f"X{i+1}" for i in range(self.n)] + [f"Y{i+1}" for i in range(self.n)] + ["T"]
         bits = []
@@ -284,7 +238,8 @@ class EnvOp:
         """
         if not isinstance(f, DerivativeTable):
             f = DerivativeTable(self.n, f)
-        return linear_combination(2 * self.n + 1, ((c, f[K]) for K, c in self.terms.items()))
+        pairs = ((v, f[K]) for K, v in self.nums.items())
+        return linear_combination(2 * self.n + 1, pairs, self.den)
 
     def adjoint(self) -> "EnvOp":
         """Formal L2 adjoint: the anti-automorphism sending each W to -W.
@@ -293,20 +248,17 @@ class EnvOp:
         of each kind commute among themselves.
         """
         n = self.n
-        pairs = []
-        for exp, c in self.terms.items():
-            xs = exp[:n] + (0,) * (n + 1)
-            yts = (0,) * n + exp[n:]
-            signed = -c if sum(exp) % 2 else c
-            pairs.extend((e, signed * k) for e, k in _mono_product(yts, xs))
-        return _collect(n, pairs)
+        return sum_of_products(n, [
+            ({(0,) * n + exp[n:]: -v if sum(exp) % 2 else v}, {exp[:n] + (0,) * (n + 1): 1})
+            for exp, v in self.nums.items()
+        ], self.den)
 
     def homogeneity(self, exp: tuple) -> int:
         return sum(exp[:-1]) + 2 * exp[-1]
 
     def homogeneous_degree(self) -> int | None:
         """The common homogeneity degree d(I), or None if mixed or zero."""
-        degs = {self.homogeneity(exp) for exp in self.terms}
+        degs = {self.homogeneity(exp) for exp in self.nums}
         if len(degs) == 1:
             return degs.pop()
         return None
@@ -334,7 +286,7 @@ def horizontal_span_coefficients(a: EnvOp, max_length: int) -> list | None:
     monomials of homogeneity <= L.
     """
     n = a.n
-    if any(a.homogeneity(exp) > max_length for exp in a.terms):
+    if any(a.homogeneity(exp) > max_length for exp in a.nums):
         return None
     t_words = (((0, n), 1), ((n, 0), -1))
     words: dict = {}

@@ -301,11 +301,14 @@ def pullback_translation_dilation(form: Form, base, r) -> Form:
 def matrix_times_polys(rows: list, polys: list, nvars: int) -> list:
     """A Fraction matrix, given as rows {column: entry} of its nonzero
     entries, times a column of Polys, ``None`` counting as zero. A row whose
-    only entry is 1 gives its source Poly itself."""
-    return [
-        linear_combination(nvars, ((c, polys[j]) for j, c in row.items() if polys[j] is not None))
-        for row in rows
-    ]
+    only entry is 1 gives its source Poly itself, and a row whose sources
+    are all zero gives one shared zero Poly."""
+    zero = Poly.zero(nvars)
+    out = []
+    for row in rows:
+        pairs = [(c, polys[j]) for j, c in row.items() if polys[j]]
+        out.append(linear_combination(nvars, pairs) if pairs else zero)
+    return out
 
 
 def apply_mask_matrix(rows: list, src_masks: list, dst_masks: list, form: Form) -> Form:

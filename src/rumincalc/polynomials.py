@@ -1,16 +1,24 @@
-"""Sparse multivariate polynomials with exact rational coefficients.
+"""Exact sparse coefficient maps: polynomials, and the store operators share.
 
-Representation: a polynomial in ``nvars`` variables is a dict ``nums`` from
-exponent tuples (length ``nvars``, non-negative ints) to nonzero ints, over
-one positive int denominator ``den``: the coefficient of x^e is
-nums[e] / den. The pair stays reduced, gcd(den, *nums) = 1, and the zero
-polynomial is the empty dict over den = 1, so equal polynomials have equal
-``nums`` and ``den``. Sums and products run on ints; ``terms`` gives the
-coefficients as Fractions for the callers that print or inspect them. All
-operations are exact; no floating point enters until a caller explicitly
-evaluates.
+Storage: a ``SparseRational`` maps exponent tuples (non-negative ints, of a
+length its ring fixes) to rational coefficients. It keeps them as a dict
+``nums`` from exponents to nonzero ints over one positive int denominator
+``den``: the coefficient of e is nums[e] / den. The pair stays reduced,
+gcd(den, *nums) = 1, and zero is the empty dict over den = 1, so equal maps
+have equal ``nums`` and ``den``. ``terms`` gives the coefficients as
+Fractions for the callers that print or inspect them.
 
-Instances are treated as immutable: every operation returns a new ``Poly``.
+Kernel: sums, differences and multiples are one ``linear_combination``,
+which puts its terms over the lcm of their denominators and adds the
+numerators as ints. The base class holds this linear half; ``Poly``, a
+polynomial in ``nvars`` variables, adds the commutative product, powers,
+partials, composition and float evaluation, and ``envelope.EnvOp`` adds the
+PBW product of operators. Two kinds never mix: a sum, difference or product
+of a ``Poly`` and an ``EnvOp`` raises ``TypeError``, and they compare
+unequal. All operations are exact; no floating point enters until a caller
+explicitly evaluates.
+
+Instances are treated as immutable: every operation returns a new one.
 
 Example:
     >>> x, y = Poly.var(2, 0), Poly.var(2, 1)
@@ -51,61 +59,72 @@ def add_terms(terms: dict, pairs) -> dict:
     return terms
 
 
-def linear_combination(nvars: int, pairs) -> "Poly":
-    """sum c p over the (c, p) pairs, each c an int or a Fraction.
+class SparseRational:
+    """Rational coefficients on exponent tuples, as reduced int numerators
+    ``nums`` over one denominator ``den``; ``ring`` fixes the exponent length
+    through ``width``. Subclasses add their product."""
 
-    Every c p is put over the lcm D of the products c.denominator p.den, so
-    the sum runs on ints: the numerators of p are scaled by
-    c.numerator D / (c.denominator p.den) and added. Cancelled terms go, and
-    ``Poly.wrap`` reduces the result. A lone term 1 p gives p itself.
-    """
-    live = [(c, p) for c, p in pairs if c and p.nums]
-    if not live:
-        return Poly.wrap(nvars, {})
-    if len(live) == 1 and live[0][0] == 1:
-        return live[0][1]
-    # an int c has numerator c and denominator 1
-    den = lcm(*(c.denominator * p.den for c, p in live))
-    acc: dict = {}
-    get = acc.get
-    for c, p in live:
-        m = c.numerator * (den // (c.denominator * p.den))
-        for e, v in p.nums.items():
-            acc[e] = get(e, 0) + m * v
-    if len(live) > 1:  # a lone term cannot cancel
-        acc = {e: v for e, v in acc.items() if v}
-    return Poly.wrap(nvars, acc, den)
+    __slots__ = ("ring", "nums", "den")
 
+    @staticmethod
+    def width(ring: int) -> int:
+        """The exponent length in the given ring."""
+        return ring
 
-class Poly:
-    __slots__ = ("nvars", "nums", "den")
-
-    def __init__(self, nvars: int, terms: Mapping[tuple, object] | None = None):
-        self.nvars = nvars
+    def __init__(self, ring: int, terms: Mapping[tuple, object] | None = None):
+        width = self.width(ring)
         clean = {}
         if terms:
             for exp, c in terms.items():
                 c = _as_fraction(c)
                 if c == 0:
                     continue
-                if len(exp) != nvars or any(e < 0 for e in exp):
-                    raise ValueError(f"bad exponent tuple {exp} for {nvars} variables")
+                if len(exp) != width or any(e < 0 for e in exp):
+                    raise ValueError(f"bad exponent tuple {exp} for {width} variables")
                 clean[tuple(exp)] = c
+        self.ring = ring
         # over the lcm of reduced denominators, the numerators share no factor with it
         self.den = lcm(*(c.denominator for c in clean.values()))
         self.nums = {e: c.numerator * (self.den // c.denominator) for e, c in clean.items()}
 
     @classmethod
-    def wrap(cls, nvars: int, nums: dict, den: int = 1) -> "Poly":
-        """A Poly owning ``nums`` (valid exponents to nonzero ints) over the
-        positive int ``den``, both divided by their gcd."""
+    def wrap(cls, ring: int, nums: dict, den: int = 1):
+        """An instance owning ``nums`` (valid exponents to nonzero ints) over
+        the positive int ``den``, both divided by their gcd."""
         g = gcd(den, *nums.values())
         if g != 1:
             nums = {e: v // g for e, v in nums.items()}
             den //= g
         out = cls.__new__(cls)
-        out.nvars, out.nums, out.den = nvars, nums, den
+        out.ring, out.nums, out.den = ring, nums, den
         return out
+
+    @classmethod
+    def linear_combination(cls, ring: int, pairs, den: int = 1):
+        """(sum c p over the (c, p) pairs) / den, each c an int or a Fraction.
+
+        Every c p is put over the lcm D of the products c.denominator p.den, so
+        the sum runs on ints: the numerators of p are scaled by
+        c.numerator D / (c.denominator p.den) and added over D den. Cancelled
+        terms go, and ``wrap`` reduces the result once. A lone term 1 p over
+        den = 1 gives p itself.
+        """
+        live = [(c, p) for c, p in pairs if c and p.nums]
+        if not live:
+            return cls.zero(ring)
+        if len(live) == 1 and live[0][0] == 1 and den == 1:
+            return live[0][1]
+        # an int c has numerator c and denominator 1
+        common = lcm(*(c.denominator * p.den for c, p in live))
+        acc: dict = {}
+        get = acc.get
+        for c, p in live:
+            m = c.numerator * (common // (c.denominator * p.den))
+            for e, v in p.nums.items():
+                acc[e] = get(e, 0) + m * v
+        if len(live) > 1:  # a lone term cannot cancel
+            acc = {e: v for e, v in acc.items() if v}
+        return cls.wrap(ring, acc, common * den)
 
     @property
     def terms(self) -> dict:
@@ -113,15 +132,69 @@ class Poly:
         den = self.den
         return {e: Fraction(v, den) for e, v in self.nums.items()}
 
-    # -- constructors ------------------------------------------------------
+    @classmethod
+    def zero(cls, ring: int):
+        return cls.wrap(ring, {})
 
     @classmethod
-    def zero(cls, nvars: int) -> "Poly":
-        return cls.wrap(nvars, {})
+    def const(cls, ring: int, c):
+        """c times the unit, the exponent of zeros."""
+        return cls(ring, {(0,) * cls.width(ring): c})
 
-    @classmethod
-    def const(cls, nvars: int, c) -> "Poly":
-        return cls(nvars, {(0,) * nvars: c})
+    # -- linear operations -------------------------------------------------
+
+    def _operand(self, other):
+        """other as an operand of a sum: a number is a constant of this ring."""
+        if isinstance(other, (int, Fraction)):
+            return self.const(self.ring, other)
+        if type(other) is not type(self):
+            raise TypeError(f"cannot combine {type(self).__name__} with {type(other).__name__}")
+        if self.ring != other.ring:
+            raise ValueError(f"{type(self).__name__}s over different rings")
+        return other
+
+    def __add__(self, other):
+        return self.linear_combination(self.ring, ((1, self), (1, self._operand(other))))
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return self.linear_combination(self.ring, ((-1, self),))
+
+    def __sub__(self, other):
+        return self.linear_combination(self.ring, ((1, self), (-1, self._operand(other))))
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def scale(self, c):
+        """c times self, for an int or a Fraction c."""
+        if not isinstance(c, int):
+            c = _as_fraction(c)
+        return self.linear_combination(self.ring, ((c, self),))
+
+    def __truediv__(self, c):
+        return self.scale(1 / _as_fraction(c))
+
+    def __eq__(self, other):
+        if isinstance(other, (int, Fraction)):
+            other = self.const(self.ring, other)
+        elif type(other) is not type(self):
+            return NotImplemented
+        return self.ring == other.ring and self.den == other.den and self.nums == other.nums
+
+    def __bool__(self):
+        return bool(self.nums)
+
+    def __hash__(self):
+        return hash((self.ring, self.den, frozenset(self.nums.items())))
+
+
+class Poly(SparseRational):
+    """A polynomial in ``nvars`` variables, the ring of its exponents."""
+
+    __slots__ = ()
+    nvars = SparseRational.ring  # the ring slot, read as the variable count
 
     @classmethod
     def var(cls, nvars: int, i: int) -> "Poly":
@@ -132,36 +205,10 @@ class Poly:
 
     # -- ring operations ---------------------------------------------------
 
-    def _check_ring(self, other: "Poly") -> None:
-        if self.nvars != other.nvars:
-            raise ValueError("polynomials live in different rings")
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Poly.const(self.nvars, other)
-        self._check_ring(other)
-        return linear_combination(self.nvars, ((1, self), (1, other)))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Poly.wrap(self.nvars, {e: -v for e, v in self.nums.items()}, self.den)
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Poly.const(self.nvars, other)
-        self._check_ring(other)
-        return linear_combination(self.nvars, ((1, self), (-1, other)))
-
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            num = other.numerator
-            return Poly.wrap(self.nvars, {e: num * v for e, v in self.nums.items()} if num else {},
-                             self.den * other.denominator)
-        self._check_ring(other)
+            return self.scale(other)
+        other = self._operand(other)
         acc: dict = {}
         get = acc.get
         for e1, v1 in self.nums.items():
@@ -171,9 +218,6 @@ class Poly:
         return Poly.wrap(self.nvars, {e: v for e, v in acc.items() if v}, self.den * other.den)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, c):
-        return self * (1 / _as_fraction(c))
 
     def __pow__(self, k: int):
         if k < 0:
@@ -188,18 +232,6 @@ class Poly:
                 base = base * base
         return result
 
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Poly.const(self.nvars, other)
-        return (isinstance(other, Poly) and self.nvars == other.nvars
-                and self.den == other.den and self.nums == other.nums)
-
-    def __bool__(self):
-        return bool(self.nums)
-
-    def __hash__(self):
-        return hash((self.nvars, self.den, frozenset(self.nums.items())))
-
     def __repr__(self):
         if not self.nums:
             return "0"
@@ -208,9 +240,6 @@ class Poly:
             mono = "*".join(f"v{i}^{e}" if e > 1 else f"v{i}" for i, e in enumerate(exp) if e)
             bits.append(f"{c}" + (f"*{mono}" if mono else ""))
         return " + ".join(bits)
-
-    def scale(self, c) -> "Poly":
-        return self * _as_fraction(c)
 
     # -- calculus and structure --------------------------------------------
 
@@ -244,8 +273,7 @@ class Poly:
                 if e:
                     term = term * power(i, e)
             products.append((v, term))
-        total = linear_combination(nv_out, products)
-        return Poly.wrap(nv_out, total.nums, total.den * self.den)
+        return Poly.linear_combination(nv_out, products, self.den)
 
     def evaluate_float(self, axes: Sequence):
         """Values on the tensor grid axes[0] x ... x axes[nvars - 1], in floats.
@@ -272,6 +300,9 @@ class Poly:
             V = np.asarray(x, dtype=float)[..., None] ** np.arange(d + 1)
             C = np.tensordot(C, V, axes=([0], [-1]))
         return C
+
+
+linear_combination = Poly.linear_combination
 
 
 def random_fraction(rng: random.Random) -> Fraction:

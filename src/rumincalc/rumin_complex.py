@@ -511,7 +511,7 @@ def horizontal_representability_report(ctx: RuminContext, h: int) -> dict:
         for e in row.values():
             if e.homogeneous_degree() != shift:
                 report["homogeneous"] = False
-            if shift == 1 and any(exp[-1] for exp in e.terms):
+            if shift == 1 and any(exp[-1] for exp in e.nums):
                 report["order_one_t_free"] = False
             if horizontal_span_coefficients(e, shift) is None:
                 report["horizontally_representable"] = False

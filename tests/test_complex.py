@@ -1,6 +1,7 @@
 import random
 import time
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -160,11 +161,17 @@ def test_compose_matches_applying_the_factors_in_turn():
 
 def _assert_stores_no_zero(m):
     """One dict per row, keyed by columns in range, holding only nonzero
-    operators; ``is_zero`` agrees with every row being empty."""
+    operators, each stored reduced; ``is_zero`` agrees with every row being
+    empty."""
     assert len(m.entries) == m.rows
     assert all(isinstance(row, dict) for row in m.entries)
     assert all(0 <= j < m.cols for row in m.entries for j in row)
     assert all(e for row in m.entries for e in row.values())
+    for row in m.entries:
+        for e in row.values():
+            assert type(e) is EnvOp and e.n == m.n
+            assert all(type(v) is int and v for v in e.nums.values())
+            assert type(e.den) is int and e.den > 0 and gcd(e.den, *e.nums.values()) == 1
     assert m.is_zero() == all(not row for row in m.entries)
 
 
@@ -341,6 +348,27 @@ def test_laplacian_commutation_identities(ctx1, ctx2):
         assert report["ok"], report
         assert len(report["checks"]) == expected_count
         assert all(c["exact_zero"] for c in report["checks"])
+
+
+def test_laplacians_and_their_commutation_build_fewer_than_100_fractions(monkeypatch):
+    # operators keep int numerators over one denominator, so composing and
+    # comparing the n = 2 operator matrices builds no Fraction per term
+    ctx = RuminContext(2)
+    for h in range(ctx.top + 1):
+        ctx.rumin_d_matrix(h)
+    built = []
+    new = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        built.append(cls)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    laps = [ctx.rumin_laplacian(h) for h in range(ctx.top + 1)]
+    report = laplacian_commutation_report(ctx)
+    monkeypatch.undo()
+    assert report["ok"] and all(not lap.is_zero() for lap in laps)
+    assert len(built) < 100, len(built)
 
 
 def test_commutator_audit_random(ctx1):

@@ -1,8 +1,10 @@
 import random
 from fractions import Fraction
 from itertools import product
+from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import (
     apply_poly_diff_op,
@@ -58,6 +60,11 @@ def test_pbw_normalization_example():
     # same-index and distinct-index generators commute
     assert X(2, 0) * X(2, 1) == X(2, 1) * X(2, 0)
     assert X(2, 0) * Y(2, 1) == Y(2, 1) * X(2, 0)
+    # an exact operator refuses a float coefficient, as a Poly does
+    with pytest.raises(TypeError):
+        EnvOp(1, {(0, 0, 1): 0.1})
+    with pytest.raises(TypeError):
+        EnvOp.generator(1, 0).scale(0.1)
 
 
 def test_pbw_confluence_random():
@@ -324,3 +331,63 @@ def test_frame_derivatives_match_derive_and_partials():
     assert frame_derivatives(1, f, "left") == [Poly.zero(3), x, Poly.const(3, 1)]
     with pytest.raises(ValueError, match="unknown frame"):
         frame_derivatives(1, f, "right")
+
+
+# -- the shared int store against a dict-of-Fraction oracle --------------------
+#
+# An EnvOp keeps int numerators over one denominator, as a Poly does, and
+# shares its sums, differences, multiples, equality and hash. The oracle
+# keeps the plain {exponent: Fraction} dict and works term by term.
+
+
+def _o_combine(a, b, sign):
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, Fraction(0)) + sign * c
+    return {e: c for e, c in out.items() if c}
+
+
+def _assert_op_matches(op, oracle):
+    assert type(op) is EnvOp and op.n == 1
+    assert all(type(v) is int and v for v in op.nums.values())
+    assert type(op.den) is int and op.den > 0 and gcd(op.den, *op.nums.values()) == 1
+    assert op.nums or op.den == 1
+    assert op.terms == oracle
+    twin = EnvOp(1, oracle)
+    assert op == twin and hash(op) == hash(twin)
+    assert bool(op) == bool(oracle)
+
+
+def _op_oracles():
+    coeff = st.fractions(min_value=-7, max_value=7, max_denominator=12)
+    exp = st.tuples(*[st.integers(min_value=0, max_value=2)] * 3)
+    return st.dictionaries(exp, coeff, max_size=5).map(
+        lambda d: {e: c for e, c in d.items() if c})
+
+
+@given(_op_oracles(), _op_oracles(),
+       st.one_of(st.integers(-6, 6), st.fractions(-5, 5, max_denominator=9)),
+       st.integers(0, 2 ** 32))
+@settings(max_examples=60, deadline=None)
+def test_envop_store_matches_the_fraction_oracle(a, b, c, seed):
+    p, q = EnvOp(1, a), EnvOp(1, b)
+    _assert_op_matches(p, a)
+    _assert_op_matches(p + q, _o_combine(a, b, 1))
+    _assert_op_matches(p - q, _o_combine(a, b, -1))
+    _assert_op_matches(-p, {e: -v for e, v in a.items()})
+    _assert_op_matches(p.scale(c), {e: v * c for e, v in a.items() if c})
+    _assert_op_matches(p - p, {})
+    _assert_op_matches((p + q) - q, a)
+    assert (p == q) == (a == b)
+    # the product is the operator product: it acts as the factors in turn
+    f = random_poly(random.Random(seed), 3, 6, terms=5)
+    product = p * q
+    _assert_op_matches(product, product.terms)
+    assert product.act(f) == p.act(q.act(f))
+    # operators and polynomials never mix, and numbers scale only through scale
+    g = Poly.var(3, 0)
+    for mixed in (lambda: p + g, lambda: g + p, lambda: p - g, lambda: g - p,
+                  lambda: p * g, lambda: g * p, lambda: p * c, lambda: c * p):
+        with pytest.raises(TypeError):
+            mixed()
+    assert p != g and g != p and not (p == g)
