@@ -27,12 +27,10 @@ exponent twice, matching the anisotropic dilations.
 from __future__ import annotations
 
 from functools import cache
-from itertools import product
-from math import comb, lcm, perm, prod
+from math import comb, lcm, perm
 from operator import add
-from typing import Mapping
 
-from .polynomials import Poly, SparseRational, add_terms, linear_combination
+from .polynomials import Poly, SparseRational, linear_combination
 
 
 def derive(n: int, field_index: int, f: Poly) -> Poly:
@@ -262,137 +260,3 @@ class EnvOp(SparseRational):
         if len(degs) == 1:
             return degs.pop()
         return None
-
-
-def word_op(n: int, word) -> EnvOp:
-    """The PBW-normalized product W_{word[0]} W_{word[1]} ... of generators."""
-    acc = EnvOp.one(n)
-    for g in word:
-        acc = acc * EnvOp.generator(n, g)
-    return acc
-
-
-def horizontal_span_coefficients(a: EnvOp, max_length: int) -> list | None:
-    """Write ``a`` as a combination of horizontal words of length <= max_length.
-
-    Returns [(word, coeff)] with each word a tuple of horizontal generator
-    indices, or None if no such representation exists. The representation is
-    what "a differential operator in the horizontal derivatives" means; its
-    PBW normal form may still show T through commutators.
-
-    T is central and equals X_1 Y_1 - Y_1 X_1, so X^a Y^b T^c is the word
-    X^a Y^b followed by c factors (X_1 Y_1 - Y_1 X_1), a combination of words
-    of length d(a, b, c). Words of length <= L thus span exactly the
-    monomials of homogeneity <= L.
-    """
-    n = a.n
-    if any(a.homogeneity(exp) > max_length for exp in a.nums):
-        return None
-    t_words = (((0, n), 1), ((n, 0), -1))
-    words: dict = {}
-    for exp, c in a.terms.items():
-        head = tuple(g for g in range(2 * n) for _ in range(exp[g]))
-        add_terms(words, (
-            (head + sum((w for w, _ in factors), ()), c * prod(s for _, s in factors))
-            for factors in product(t_words, repeat=exp[-1])
-        ))
-    return list(words.items())
-
-
-class PolyDiffOp:
-    """Differential operator with polynomial coefficients.
-
-    Stored as a dict from PBW multi-indices to Poly coefficients; applies as
-    sum_I c_I(p) (W^I f)(p). Used for commutators [d_c, zeta] whose
-    coefficients are genuinely non-constant.
-    """
-
-    __slots__ = ("n", "terms")
-
-    def __init__(self, n: int, terms: Mapping[tuple, Poly] | None = None):
-        self.n = n
-        self.terms = {tuple(e): p for e, p in (terms or {}).items() if p}
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, PolyDiffOp) and self.n == other.n and self.terms == other.terms
-        )
-
-    def order(self) -> int | None:
-        if not self.terms:
-            return None
-        return max(sum(e) for e in self.terms)
-
-
-def commutator_with_multiplication(a: EnvOp, zeta: "Poly | DerivativeTable") -> PolyDiffOp:
-    """[a, zeta] = a(zeta u) - zeta a(u) as an operator in u.
-
-    Leibniz over each PBW monomial: W^I (zeta u) expands over split exponents
-    K <= I with multinomial weights, giving (W^K zeta) W^{I-K} u; the K = 0
-    term cancels against zeta a(u). The W^K zeta are read from the
-    ``DerivativeTable`` of zeta, which the caller may pass in to share it.
-    """
-    n = a.n
-    if not isinstance(zeta, DerivativeTable):
-        zeta = DerivativeTable(n, zeta)
-    terms: dict = {}
-    for I, c in a.terms.items():
-        add_terms(terms, (
-            (tuple(i - k for i, k in zip(I, K)), c * prod(map(comb, I, K)) * zeta[K])
-            for K in product(*(range(e + 1) for e in I))
-            if any(K)
-        ))
-    return PolyDiffOp(n, terms)
-
-
-class WordDerivatives(dict):
-    """The word route's table for one zeta, kept apart from its ``DerivativeTable``.
-
-    Filed by a horizontal word w = (w_0, ..., w_k), an entry is
-    W_{w_0} ... W_{w_k} zeta, derived from the entry of its tail w[1:]; the
-    PBW products ``word_op`` of the leftover words are filed in ``products``
-    and read through ``op``.
-    """
-
-    def __init__(self, n: int, zeta: Poly):
-        super().__init__({(): zeta})
-        self.n = n
-        self.products: dict = {}
-
-    def __missing__(self, word: tuple) -> Poly:
-        tail = self[word[1:]]
-        out = self[word] = derive(self.n, word[0], tail) if tail else tail
-        return out
-
-    def op(self, word: tuple) -> EnvOp:
-        """``word_op`` of the word, built once per table."""
-        out = self.products.get(word)
-        if out is None:
-            out = self.products[word] = word_op(self.n, word)
-        return out
-
-
-def leibniz_commutator_from_words(
-    n: int, words: list, zeta: "Poly | WordDerivatives"
-) -> PolyDiffOp:
-    """[sum_w c_w W_w, zeta] from a horizontal-word representation.
-
-    Every derivative of zeta that appears is a composition of horizontal
-    fields only; T is never applied to zeta here. The derivatives are filed
-    by sub-word in the ``WordDerivatives`` of zeta, which the caller may pass
-    in to share it.
-    """
-    if not isinstance(zeta, WordDerivatives):
-        zeta = WordDerivatives(n, zeta)
-    terms: dict = {}
-    for word, c in words:
-        for split in product((False, True), repeat=len(word)):
-            if not any(split):
-                continue
-            deriv = zeta[tuple(g for g, applied in zip(word, split) if applied)]
-            if not deriv:
-                continue
-            scaled = c * deriv
-            rest = zeta.op(tuple(g for g, applied in zip(word, split) if not applied))
-            add_terms(terms, ((exp, scaled * cc) for exp, cc in rest.terms.items()))
-    return PolyDiffOp(n, terms)

@@ -39,16 +39,7 @@ same operator.
 
 from __future__ import annotations
 
-from .envelope import (
-    DerivativeTable,
-    EnvOp,
-    WordDerivatives,
-    commutator_with_multiplication,
-    horizontal_span_coefficients,
-    integer_terms,
-    leibniz_commutator_from_words,
-    sum_of_products,
-)
+from .envelope import DerivativeTable, EnvOp, integer_terms, sum_of_products
 from .exterior_weights import (
     build_spaces,
     covector_coords,
@@ -57,7 +48,7 @@ from .exterior_weights import (
     lambda_masks,
 )
 from .forms import Form, apply_mask_matrix, exterior_d, matrix_times_polys
-from .polynomials import Poly, add_terms, linear_combination
+from .polynomials import add_terms, linear_combination
 
 
 class OperatorMatrix:
@@ -444,80 +435,34 @@ def laplacian_commutation_report(ctx: RuminContext) -> dict:
     }
 
 
-def commutator_audit(ctx: RuminContext, h: int, zeta: Poly) -> dict:
-    """Structure of the commutator [d_c, zeta] out of degree h.
+def entry_audit(ctx: RuminContext, h: int) -> dict:
+    """Every d_c entry out of degree h is homogeneous of weight s = ``weight_shift(h)``.
 
-    Entry by entry: the argument order of [a, zeta] stays one below the
-    weight of d_c (0 away from the middle, at most 1 across it), and the
-    commutator computed through a horizontal-word representation of a, which
-    by construction never applies T to zeta, agrees exactly with the direct
-    Leibniz expansion. Agreement certifies the coefficients are free of
-    T zeta. Each route files the derivatives of zeta in a table of its own,
-    shared by every entry, so the two stay independent computations.
-    """
-    mat = ctx.rumin_d_matrix(h)
-    shift = ctx.weight_shift(h)
-    direct_table = DerivativeTable(ctx.n, zeta)
-    word_table = WordDerivatives(ctx.n, zeta)
-    report = {
-        "n": ctx.n,
-        "degree": h,
-        "order_bound": shift - 1,
-        "max_order": None,
-        "orders_ok": True,
-        "t_zeta_free": True,
-    }
-    for row in mat.entries:
-        for e in row.values():
-            direct = commutator_with_multiplication(e, direct_table)
-            order = direct.order()
-            if order is not None:
-                if report["max_order"] is None or order > report["max_order"]:
-                    report["max_order"] = order
-                if order > shift - 1:
-                    report["orders_ok"] = False
-            words = horizontal_span_coefficients(e, shift)
-            if words is None:
-                report["t_zeta_free"] = False
-                continue
-            horizontal = leibniz_commutator_from_words(ctx.n, words, word_table)
-            if direct != horizontal:
-                report["t_zeta_free"] = False
-    report["ok"] = report["orders_ok"] and report["t_zeta_free"]
-    return report
-
-
-def horizontal_representability_report(ctx: RuminContext, h: int) -> dict:
-    """Audit of the d_c entries out of degree h.
-
-    Checks that every entry is homogeneous of the expected weight, that
-    order-1 entries contain no T in their PBW form, and that every entry is a
-    combination of words in the horizontal generators alone (for the order-2
-    entries this absorbs any PBW T into commutators X_j Y_j - Y_j X_j).
+    The rest of the entries' structure follows from this. T has weight 2, so
+    an entry of weight 1 has no T. Words of length <= s span exactly the
+    monomials of homogeneity <= s (T = X_1 Y_1 - Y_1 X_1), so every entry is
+    a combination of horizontal words, and its commutator with a
+    multiplication by zeta applies no T to zeta. The commutator [a, zeta]
+    has order at most (the largest PBW order of a) - 1, attained for generic
+    zeta. ``max_order`` is that largest order, sum(exp) over the monomials of
+    every entry, None when there is no entry. A failed audit names a
+    witness: the first entry in row-major order, and its first exponent in
+    sorted order, whose homogeneity is not s.
     """
     mat = ctx.rumin_d_matrix(h)
     shift = ctx.weight_shift(h)
     report = {
-        "n": ctx.n,
-        "degree": h,
         "expected_weight": shift,
-        "entries": mat.rows * mat.cols,
         "nonzero_entries": sum(map(len, mat.entries)),
-        "homogeneous": True,
-        "order_one_t_free": True,
-        "horizontally_representable": True,
+        "max_order": max((sum(exp) for row in mat.entries for e in row.values()
+                          for exp in e.nums), default=None),
     }
-    for row in mat.entries:
-        for e in row.values():
+    for r, row in enumerate(mat.entries):
+        for col in sorted(row):
+            e = row[col]
             if e.homogeneous_degree() != shift:
-                report["homogeneous"] = False
-            if shift == 1 and any(exp[-1] for exp in e.nums):
-                report["order_one_t_free"] = False
-            if horizontal_span_coefficients(e, shift) is None:
-                report["horizontally_representable"] = False
-    report["ok"] = (
-        report["homogeneous"]
-        and report["order_one_t_free"]
-        and report["horizontally_representable"]
-    )
-    return report
+                exp = min(x for x in e.nums if e.homogeneity(x) != shift)
+                return {**report, "homogeneous": False, "witness": {
+                    "degree": h, "row": r, "column": col,
+                    "exponent": list(exp), "homogeneity": e.homogeneity(exp)}}
+    return {**report, "homogeneous": True}

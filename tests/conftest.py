@@ -2,18 +2,23 @@
 projector P_E, the dense builds of the exact core, d0 as a matrix, the
 weight split of d, the wedge product and the frame change by wedges, exact
 values and box integrals of polynomials, Euclidean masks on grids, the
-full-grid flow shift and flow difference, and the order and the action of
-operators."""
+full-grid flow shift and flow difference, the order and the action of
+operators, and the sampled commutator audit of d_c: [a, zeta] by direct
+Leibniz over the PBW monomials of a and by Leibniz over a's horizontal words,
+which never applies T to zeta."""
 
 import random
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
+from math import comb, prod
+from typing import Mapping
 
 import numpy as np
 import pytest
 
 from rumincalc import linalg
-from rumincalc.envelope import EnvOp, derive
+from rumincalc.envelope import DerivativeTable, EnvOp, derive
 from rumincalc.exterior_weights import (
     Covector,
     Subspace,
@@ -26,7 +31,7 @@ from rumincalc.exterior_weights import (
 
 # the test modules import random_form, random_section and random_poly from here
 from rumincalc.forms import Form, exterior_d, random_form, random_section  # noqa: F401
-from rumincalc.polynomials import Poly, random_fraction, random_poly
+from rumincalc.polynomials import Poly, add_terms, random_fraction, random_poly
 from rumincalc.rumin_complex import RuminContext
 
 _CONTEXTS = {}
@@ -197,6 +202,197 @@ def apply_poly_diff_op(op, f: Poly) -> Poly:
 def operator_order(a) -> int | None:
     """Order of an ``EnvOp``: its longest PBW monomial, None for zero."""
     return max((sum(exp) for exp in a.terms), default=None)
+
+
+def word_op(n: int, word) -> EnvOp:
+    """The PBW-normalized product W_{word[0]} W_{word[1]} ... of generators."""
+    acc = EnvOp.one(n)
+    for g in word:
+        acc = acc * EnvOp.generator(n, g)
+    return acc
+
+
+def horizontal_span_coefficients(a: EnvOp, max_length: int) -> list | None:
+    """Write ``a`` as a combination of horizontal words of length <= max_length.
+
+    Returns [(word, coeff)] with each word a tuple of horizontal generator
+    indices, or None if no such representation exists. The representation is
+    what "a differential operator in the horizontal derivatives" means; its
+    PBW normal form may still show T through commutators.
+
+    T is central and equals X_1 Y_1 - Y_1 X_1, so X^a Y^b T^c is the word
+    X^a Y^b followed by c factors (X_1 Y_1 - Y_1 X_1), a combination of words
+    of length d(a, b, c). Words of length <= L thus span exactly the
+    monomials of homogeneity <= L.
+    """
+    n = a.n
+    if any(a.homogeneity(exp) > max_length for exp in a.nums):
+        return None
+    t_words = (((0, n), 1), ((n, 0), -1))
+    words: dict = {}
+    for exp, c in a.terms.items():
+        head = tuple(g for g in range(2 * n) for _ in range(exp[g]))
+        add_terms(words, (
+            (head + sum((w for w, _ in factors), ()), c * prod(s for _, s in factors))
+            for factors in product(t_words, repeat=exp[-1])
+        ))
+    return list(words.items())
+
+
+class PolyDiffOp:
+    """Differential operator with polynomial coefficients.
+
+    Stored as a dict from PBW multi-indices to Poly coefficients; applies as
+    sum_I c_I(p) (W^I f)(p). Used for commutators [d_c, zeta] whose
+    coefficients are genuinely non-constant.
+    """
+
+    __slots__ = ("n", "terms")
+
+    def __init__(self, n: int, terms: Mapping[tuple, Poly] | None = None):
+        self.n = n
+        self.terms = {tuple(e): p for e, p in (terms or {}).items() if p}
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, PolyDiffOp) and self.n == other.n and self.terms == other.terms
+        )
+
+    def order(self) -> int | None:
+        if not self.terms:
+            return None
+        return max(sum(e) for e in self.terms)
+
+
+def commutator_with_multiplication(a: EnvOp, zeta: "Poly | DerivativeTable") -> PolyDiffOp:
+    """[a, zeta] = a(zeta u) - zeta a(u) as an operator in u.
+
+    Leibniz over each PBW monomial: W^I (zeta u) expands over split exponents
+    K <= I with multinomial weights, giving (W^K zeta) W^{I-K} u; the K = 0
+    term cancels against zeta a(u). The W^K zeta are read from the
+    ``DerivativeTable`` of zeta, which the caller may pass in to share it.
+    """
+    n = a.n
+    if not isinstance(zeta, DerivativeTable):
+        zeta = DerivativeTable(n, zeta)
+    terms: dict = {}
+    for I, c in a.terms.items():
+        add_terms(terms, (
+            (tuple(i - k for i, k in zip(I, K)), c * prod(map(comb, I, K)) * zeta[K])
+            for K in product(*(range(e + 1) for e in I))
+            if any(K)
+        ))
+    return PolyDiffOp(n, terms)
+
+
+class WordDerivatives(dict):
+    """The word route's table for one zeta, kept apart from its ``DerivativeTable``.
+
+    Filed by a horizontal word w = (w_0, ..., w_k), an entry is
+    W_{w_0} ... W_{w_k} zeta, derived from the entry of its tail w[1:]; the
+    PBW products ``word_op`` of the leftover words are filed in ``products``
+    and read through ``op``.
+    """
+
+    def __init__(self, n: int, zeta: Poly):
+        super().__init__({(): zeta})
+        self.n = n
+        self.products: dict = {}
+
+    def __missing__(self, word: tuple) -> Poly:
+        tail = self[word[1:]]
+        out = self[word] = derive(self.n, word[0], tail) if tail else tail
+        return out
+
+    def op(self, word: tuple) -> EnvOp:
+        """``word_op`` of the word, built once per table."""
+        out = self.products.get(word)
+        if out is None:
+            out = self.products[word] = word_op(self.n, word)
+        return out
+
+
+def leibniz_commutator_from_words(
+    n: int, words: list, zeta: "Poly | WordDerivatives"
+) -> PolyDiffOp:
+    """[sum_w c_w W_w, zeta] from a horizontal-word representation.
+
+    Every derivative of zeta that appears is a composition of horizontal
+    fields only; T is never applied to zeta here. The derivatives are filed
+    by sub-word in the ``WordDerivatives`` of zeta, which the caller may pass
+    in to share it.
+    """
+    if not isinstance(zeta, WordDerivatives):
+        zeta = WordDerivatives(n, zeta)
+    terms: dict = {}
+    for word, c in words:
+        for split in product((False, True), repeat=len(word)):
+            if not any(split):
+                continue
+            deriv = zeta[tuple(g for g, applied in zip(word, split) if applied)]
+            if not deriv:
+                continue
+            scaled = c * deriv
+            rest = zeta.op(tuple(g for g, applied in zip(word, split) if not applied))
+            add_terms(terms, ((exp, scaled * cc) for exp, cc in rest.terms.items()))
+    return PolyDiffOp(n, terms)
+
+
+def commutator_audit(ctx: RuminContext, h: int, zeta: Poly) -> dict:
+    """Structure of the commutator [d_c, zeta] out of degree h.
+
+    Entry by entry: the argument order of [a, zeta] stays one below the
+    weight of d_c (0 away from the middle, at most 1 across it), and the
+    commutator computed through a horizontal-word representation of a, which
+    by construction never applies T to zeta, agrees exactly with the direct
+    Leibniz expansion. Agreement certifies the coefficients are free of
+    T zeta. Each route files the derivatives of zeta in a table of its own,
+    shared by every entry, so the two stay independent computations.
+    """
+    mat = ctx.rumin_d_matrix(h)
+    shift = ctx.weight_shift(h)
+    direct_table = DerivativeTable(ctx.n, zeta)
+    word_table = WordDerivatives(ctx.n, zeta)
+    report = {
+        "n": ctx.n,
+        "degree": h,
+        "order_bound": shift - 1,
+        "max_order": None,
+        "orders_ok": True,
+        "t_zeta_free": True,
+    }
+    for row in mat.entries:
+        for e in row.values():
+            direct = commutator_with_multiplication(e, direct_table)
+            order = direct.order()
+            if order is not None:
+                if report["max_order"] is None or order > report["max_order"]:
+                    report["max_order"] = order
+                if order > shift - 1:
+                    report["orders_ok"] = False
+            words = horizontal_span_coefficients(e, shift)
+            if words is None:
+                report["t_zeta_free"] = False
+                continue
+            horizontal = leibniz_commutator_from_words(ctx.n, words, word_table)
+            if direct != horizontal:
+                report["t_zeta_free"] = False
+    report["ok"] = report["orders_ok"] and report["t_zeta_free"]
+    return report
+
+
+def entry_structure(ctx: RuminContext, h: int) -> dict:
+    """Two properties of the d_c entries out of degree h that their
+    homogeneity implies, checked directly: entries of weight 1 have no T in
+    their PBW form, and every entry is a combination of horizontal words of
+    length at most its weight."""
+    shift = ctx.weight_shift(h)
+    entries = [e for row in ctx.rumin_d_matrix(h).entries for e in row.values()]
+    return {
+        "order_one_t_free": shift != 1 or not any(exp[-1] for e in entries for exp in e.nums),
+        "horizontally_representable": all(
+            horizontal_span_coefficients(e, shift) is not None for e in entries),
+    }
 
 
 def exact_value(p: Poly, point) -> Fraction:

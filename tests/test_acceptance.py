@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from conftest import random_form, random_poly
+from conftest import commutator_audit, entry_structure, random_form, random_poly
 from rumincalc.envelope import EnvOp
 from rumincalc.exterior_weights import core_dimension_oracle
 from rumincalc.forms import Form
@@ -30,8 +30,7 @@ from rumincalc.kernels import (
 )
 from rumincalc.rumin_complex import (
     RuminContext,
-    commutator_audit,
-    horizontal_representability_report,
+    entry_audit,
     laplacian_commutation_report,
 )
 
@@ -81,15 +80,15 @@ def test_criterion_02_entries_t_free_homogeneous(capsys):
     for n in (1, 2, 3):
         ctx = ctx_for(n)
         for h in range(2 * n + 1):
-            report = horizontal_representability_report(ctx, h)
+            report = entry_audit(ctx, h)
+            structure = entry_structure(ctx, h)
             entries += report["nonzero_entries"]
             ok = (
                 ok
-                and report["ok"]
                 and report["expected_weight"] == (2 if h == n else 1)
                 and report["homogeneous"]
-                and report["order_one_t_free"]
-                and report["horizontally_representable"]
+                and structure["order_one_t_free"]
+                and structure["horizontally_representable"]
             )
     announce(
         capsys, 2, ok,

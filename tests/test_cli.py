@@ -104,9 +104,8 @@ def _assert_first_difference(witness, left, right):
     assert x.get(exp, 0) != y.get(exp, 0)
 
 
-def test_failed_square_and_commutation_rows_name_a_witness(capsys, monkeypatch):
-    # T added to entry (0, 0) of d_c out of degree 0 breaks d_c^2 = 0 out of
-    # degree 0 and the commutation identities that reach that matrix
+def _plant_t(monkeypatch):
+    """Every context's d_c out of degree 0 gets T added to entry (0, 0)."""
     original = RuminContext.rumin_d_matrix
 
     def patched(self, h):
@@ -118,6 +117,12 @@ def test_failed_square_and_commutation_rows_name_a_witness(capsys, monkeypatch):
         return OperatorMatrix(self.n, 0, 1, entries, mat.shape)
 
     monkeypatch.setattr(RuminContext, "rumin_d_matrix", patched)
+
+
+def test_failed_square_and_commutation_rows_name_a_witness(capsys, monkeypatch):
+    # T added to entry (0, 0) of d_c out of degree 0 breaks d_c^2 = 0 out of
+    # degree 0 and the commutation identities that reach that matrix
+    _plant_t(monkeypatch)
     code, rows = run_cli(capsys, ["verify", "--n", "1"])
     assert code == 1
     by_check = {r["check"]: r for r in rows}
@@ -141,6 +146,29 @@ def test_failed_square_and_commutation_rows_name_a_witness(capsys, monkeypatch):
         else:
             assert "witness" not in row
     assert sum(r["status"] == "failed" for r in identities) == 4
+
+
+def test_failed_entry_audit_names_a_witness(capsys, monkeypatch):
+    # the control: every degree's entries are homogeneous
+    code, rows = run_cli(capsys, ["verify", "--n", "1"])
+    assert code == 0
+    audits = [r for r in rows if r["check"].startswith("entry audit")]
+    assert [r["status"] for r in audits] == ["exact"] * 3
+    assert all("witness" not in r for r in audits)
+    # T, of weight 2, planted in entry (0, 0) of d_c out of degree 0, whose
+    # entries have weight 1
+    _plant_t(monkeypatch)
+    code, rows = run_cli(capsys, ["verify", "--n", "1"])
+    assert code == 1
+    by_check = {r["check"]: r for r in rows}
+    audit = by_check["entry audit at degree 0"]
+    assert audit["status"] == "failed"
+    assert audit["witness"] == {"degree": 0, "row": 0, "column": 0,
+                                "exponent": [0, 0, 1], "homogeneity": 2}
+    for h in (1, 2):
+        row = by_check[f"entry audit at degree {h}"]
+        assert row["status"] == "exact" and "witness" not in row
+    assert by_check["[d_c, zeta] order and T-zeta freedom"]["status"] == "failed"
 
 
 def test_homotopy_subcommand(capsys):
@@ -349,11 +377,11 @@ def test_each_subcommand_takes_the_flags_it_reads():
             read |= _loads(defs["_degrees"], "cfg")
         if called & {"soft", "miss"}:
             read.add("strict")
-        if command == "numeric":
-            read.add("seed")  # the benchmark passes it; numeric draws nothing
+        if command in ("verify", "numeric"):
+            read.add("seed")  # the benchmark passes it; neither draws anything
         taken[command] = set(vars(cli.build_parser().parse_args([command]))) - {"command"}
         assert taken[command] == read, command
-    assert [len(flags) for flags in taken.values()] == [3, 7, 11, 7]
+    assert [len(flags) for flags in taken.values()] == [3, 6, 11, 7]
 
 
 def _reject_constant(token):
@@ -482,10 +510,8 @@ def test_invalid_arguments(capsys, ctx1):
     # the degree of random polynomial data is capped before any is drawn
     assert cli.main(["homotopy", "--n", "1", "--poly-degree", "200"]) == 1
     assert f"0..{cli.MAX_POLY_DEGREE}" in capsys.readouterr().err
-    for command in ("verify", "homotopy"):
-        args = cli.build_parser().parse_args(
-            [command, "--poly-degree", str(cli.MAX_POLY_DEGREE)])
-        assert cli._argument_error(args) is None
+    args = cli.build_parser().parse_args(["homotopy", "--poly-degree", str(cli.MAX_POLY_DEGREE)])
+    assert cli._argument_error(args) is None
     # usage errors must not exit 2, which means a strict numeric miss
     assert cli.main(["verify", "--bogus"]) == 1
     capsys.readouterr()

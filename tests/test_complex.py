@@ -7,11 +7,14 @@ import pytest
 
 from conftest import (
     apply_poly_diff_op,
+    commutator_audit,
+    commutator_with_multiplication,
     d0_matrix,
     d_field_by_field,
     dense,
     dense_pseudo_inverse,
     dense_spaces,
+    entry_structure,
     mul_poly,
     operator_order,
     project_rumin,
@@ -20,7 +23,7 @@ from conftest import (
     random_section,
     shared_context,
 )
-from rumincalc.envelope import EnvOp, commutator_with_multiplication
+from rumincalc.envelope import EnvOp
 from rumincalc.exterior_weights import covector_coords, d0_pseudo_inverse
 from rumincalc.forms import Form, exterior_d, to_coordinate_frame, to_left_frame
 from rumincalc.linalg import matmul
@@ -28,9 +31,8 @@ from rumincalc.polynomials import Poly
 from rumincalc.rumin_complex import (
     OperatorMatrix,
     RuminContext,
-    commutator_audit,
+    entry_audit,
     first_difference,
-    horizontal_representability_report,
     laplacian_commutation_report,
 )
 
@@ -276,12 +278,13 @@ def test_rumin_projector_identities(ctx1, ctx2):
 def test_entries_are_homogeneous_t_free_and_horizontal(ctx1, ctx2):
     for ctx in (ctx1, ctx2):
         for h in range(2 * ctx.n + 1):
-            report = horizontal_representability_report(ctx, h)
-            assert report["ok"], report
+            report = entry_audit(ctx, h)
+            structure = entry_structure(ctx, h)
+            assert report["homogeneous"], report
             assert report["expected_weight"] == ctx.weight_shift(h)
-            assert report["homogeneous"]
-            assert report["order_one_t_free"]
-            assert report["horizontally_representable"]
+            assert "witness" not in report
+            assert structure["order_one_t_free"]
+            assert structure["horizontally_representable"]
 
 
 def test_delta_is_the_gram_adjoint(ctx1, ctx2):
@@ -394,6 +397,7 @@ def test_commutator_audit_fails_on_a_planted_t(ctx1):
         # a context of its own: the fault goes into its cached d_c matrix
         ctx = RuminContext(1)
         assert commutator_audit(ctx, h, zeta)["ok"]
+        assert entry_audit(ctx, h)["homogeneous"]
         row = ctx.rumin_d_matrix(h).entries[0]
         j = next(iter(row))
         assert operator_order(row[j]) == 1
@@ -401,6 +405,11 @@ def test_commutator_audit_fails_on_a_planted_t(ctx1):
         report = commutator_audit(ctx, h, zeta)
         assert not report["ok"]
         assert not report["t_zeta_free"]
+        # the exact audit fails too, and names the planted T
+        audit = entry_audit(ctx, h)
+        assert not audit["homogeneous"]
+        assert audit["witness"] == {"degree": h, "row": 0, "column": j,
+                                    "exponent": [0, 0, 1], "homogeneity": 2}
         # the unplanted context passes with the same zeta
         assert commutator_audit(ctx1, h, zeta)["ok"]
 

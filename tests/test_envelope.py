@@ -7,24 +7,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (
+    PolyDiffOp,
+    WordDerivatives,
     apply_poly_diff_op,
+    commutator_with_multiplication,
+    horizontal_span_coefficients,
+    leibniz_commutator_from_words,
     operator_order,
     random_poly,
     shared_context,
     symmetric_box_integral,
-)
-from rumincalc.envelope import (
-    DerivativeTable,
-    EnvOp,
-    PolyDiffOp,
-    WordDerivatives,
-    commutator_with_multiplication,
-    derive,
-    frame_derivatives,
-    horizontal_span_coefficients,
-    leibniz_commutator_from_words,
     word_op,
 )
+from rumincalc.envelope import DerivativeTable, EnvOp, derive, frame_derivatives
 from rumincalc.polynomials import Poly
 
 
