@@ -56,7 +56,7 @@ MIN_GRID = 8
 # float array
 MAX_GRID_CELLS = 2 ** 25
 # the highest degree of random polynomial data: homotopy at n = 3, --grid 8
-# takes about 5 s at 8 on a 2-core machine
+# takes about 3 s at 8 on a 2-core machine
 MAX_POLY_DEGREE = 8
 
 
@@ -91,16 +91,13 @@ def _convergence_resolutions(grid: int) -> tuple:
     return (grid, grid * 3 // 2, grid * 2)
 
 
-def _probe_resolution(grid: int) -> int:
-    """The grid of numeric's kernel decay probe."""
-    return max(grid, 32)
-
-
 class Reporter:
     """Collects JSON-line rows, mirrors them to files, tracks exit status.
 
     Every row carries the subcommand as "report" and the group index "n";
-    a row may override "report".
+    a row may override "report". A row with a verdict goes out through the
+    call that writes and counts it: ``exact`` and ``agrees`` for hard rows,
+    ``probe`` for soft ones.
     """
 
     def __init__(self, config: argparse.Namespace):
@@ -114,21 +111,29 @@ class Reporter:
         self.rows.append(row)
         print(json.dumps(row, sort_keys=True, default=str))
 
-    def hard(self, ok: bool) -> bool:
+    def exact(self, row: dict, ok: bool, witness=None, passed: str = "exact") -> None:
+        """A hard row whose "status" is ``passed``, or "failed". A failed row
+        names ``witness()``, a zero-argument callable called only then."""
+        self._hard({**row, "status": passed if ok else "failed"}, ok, witness)
+
+    def agrees(self, row: dict, key: str, ok: bool, witness=None) -> None:
+        """A hard row whose verdict is the bool ``key``, with a witness as in ``exact``."""
+        self._hard({**row, key: ok}, ok, witness)
+
+    def _hard(self, row: dict, ok: bool, witness) -> None:
         if not ok:
             self.hard_failures += 1
-        return ok
+            if witness:
+                row["witness"] = witness()
+        self.emit(row)
 
-    def soft(self, ok: bool) -> bool:
-        if not ok:
-            self.soft_misses += 1
-        return ok
-
-    def miss(self, row: dict, ok_key: str, exc: Exception) -> None:
-        """The soft miss of a probe that raised: ``ok_key`` is false and the
-        reason names the exception."""
-        self.soft(False)
-        self.emit({**row, ok_key: False, "reason": f"{type(exc).__name__}: {exc}"})
+    def probe(self, row: dict, key: str, ok: bool, error: Exception | None = None) -> None:
+        """A soft row whose verdict is the bool ``key``. A probe that raised
+        ``error`` misses, and the row's "reason" names the exception."""
+        if error is not None:
+            row = {**row, "reason": f"{type(error).__name__}: {error}"}
+        self.soft_misses += not ok
+        self.emit({**row, key: ok})
 
     def finish(self) -> int:
         try:
@@ -174,14 +179,13 @@ def cmd_basis(cfg: argparse.Namespace) -> int:
     oracle = [core_dimension_oracle(cfg.n, h) for h in range(len(dims))]
     for h, (got, want) in enumerate(zip(dims, oracle)):
         basis = [str(v) for v in ctx.cores[h].basis]
-        rep.hard(got == want)
-        rep.emit({"h": h, "dimension": got, "oracle": want, "match": got == want, "basis": basis})
+        rep.agrees({"h": h, "dimension": got, "oracle": want, "basis": basis}, "match", got == want)
     duality = all(dims[h] == dims[len(dims) - 1 - h] for h in range(len(dims)))
     alternating = sum((-1) ** h * d for h, d in enumerate(dims))
-    rep.hard(duality)
-    rep.hard(alternating == 0)
-    rep.emit({"report": "basis-summary", "dimensions": dims, "duality": duality,
-              "alternating_sum": alternating})
+    # duality pairs the 2n + 2 degrees as h and 2n + 1 - h, of opposite parity,
+    # so the alternating sum is 0 whenever duality holds: duality is the verdict
+    rep.agrees({"report": "basis-summary", "dimensions": dims, "alternating_sum": alternating},
+               "duality", duality)
     return rep.finish()
 
 
@@ -192,26 +196,17 @@ def cmd_verify(cfg: argparse.Namespace) -> int:
 
     for h in degrees:
         square = ctx.rumin_d_matrix(h + 1).compose(ctx.rumin_d_matrix(h))
-        ok = square.is_zero()
-        rep.hard(ok)
-        row = {"check": f"d_c^2 = 0 out of degree {h}", "status": "exact-zero" if ok else "failed"}
-        if not ok:
-            zero = OperatorMatrix.zero(cfg.n, h, h + 2, square.rows, square.cols)
-            row["witness"] = {"degree": h, **first_difference(square, zero)}
-        rep.emit(row)
+        zero = OperatorMatrix.zero(cfg.n, h, h + 2, square.rows, square.cols)
+        rep.exact({"check": f"d_c^2 = 0 out of degree {h}"}, square.is_zero(),
+                  lambda: {"degree": h, **first_difference(square, zero)}, passed="exact-zero")
 
     audits = [entry_audit(ctx, h) for h in degrees]
     for h, audit in zip(degrees, audits):
-        ok = rep.hard(audit["homogeneous"])
-        row = {
+        rep.exact({
             "check": f"entry audit at degree {h}",
-            "status": "exact" if ok else "failed",
             "expected_weight": audit["expected_weight"],
             "nonzero_entries": audit["nonzero_entries"],
-        }
-        if not ok:
-            row["witness"] = audit["witness"]
-        rep.emit(row)
+        }, audit["homogeneous"], lambda: audit["witness"])
 
     lap0 = ctx.rumin_delta_d(0).entries[0].get(0, EnvOp.zero(cfg.n))
     if cfg.inject_delta_sign_fault:
@@ -221,34 +216,20 @@ def cmd_verify(cfg: argparse.Namespace) -> int:
         w = EnvOp.generator(cfg.n, j)
         expected = expected + w * w
     got = lap0.scale(Fraction(-1))
-    ok = got == expected
-    rep.hard(ok)
-    row = {
-        "check": "-Delta_0 = sum W_j^2",
-        "status": "exact" if ok else "failed",
-        "fault_injected": cfg.inject_delta_sign_fault,
-    }
-    if not ok:
-        row["witness"] = term_difference(got, expected)
-    rep.emit(row)
+    rep.exact({"check": "-Delta_0 = sum W_j^2", "fault_injected": cfg.inject_delta_sign_fault},
+              got == expected, lambda: term_difference(got, expected))
 
-    commutation = laplacian_commutation_report(ctx)
-    for c in commutation["checks"]:
-        rep.hard(c["exact_zero"])
-        row = {"check": c["identity"], "status": "exact-zero" if c["exact_zero"] else "failed"}
-        if "witness" in c:
-            row["witness"] = c["witness"]
-        rep.emit(row)
+    for c in laplacian_commutation_report(ctx)["checks"]:
+        rep.exact({"check": c["identity"]}, c["exact_zero"], lambda: c["witness"],
+                  passed="exact-zero")
 
     # homogeneous entries make [d_c, zeta] free of T zeta, of order one below
     # the largest PBW order of an entry for generic zeta (``entry_audit``)
-    ok = rep.hard(all(audit["homogeneous"] for audit in audits))
-    rep.emit({
+    rep.exact({
         "check": "[d_c, zeta] order and T-zeta freedom",
         "entries": sum(audit["nonzero_entries"] for audit in audits),
         "max_order": max(audit["max_order"] for audit in audits) - 1,
-        "status": "exact" if ok else "failed",
-    })
+    }, all(audit["homogeneous"] for audit in audits))
     return rep.finish()
 
 
@@ -275,21 +256,19 @@ def cmd_homotopy(cfg: argparse.Namespace) -> int:
         mask, and that coefficient's first exponent, in sorted order, with its
         coefficient."""
         failed = [trial for trial, r in enumerate(residuals) if r]
-        ok = rep.hard(bool(residuals) and not failed)
-        row = {"check": check, "trials": len(residuals), "status": "exact-zero" if ok else "failed"}
+        row = {"check": check, "trials": len(residuals)}
         if not residuals:
             row["reason"] = "no nonzero section was drawn"
-        if failed:
+
+        def witness() -> dict:
             coeffs = residuals[failed[0]].coeffs
             mask = min(coeffs)
             exp = min(coeffs[mask].terms)
-            row["witness"] = {
-                "trial": failed[0],
-                "mask": mask,
-                "exponent": list(exp),
-                "coefficient": str(coeffs[mask].terms[exp]),
-            }
-        rep.emit(row)
+            return {"trial": failed[0], "mask": mask, "exponent": list(exp),
+                    "coefficient": str(coeffs[mask].terms[exp])}
+
+        rep.exact(row, bool(residuals) and not failed, witness if failed else None,
+                  passed="exact-zero")
 
     residuals = []
     for k in (1, 2, 3):
@@ -325,13 +304,8 @@ def cmd_homotopy(cfg: argparse.Namespace) -> int:
             if omega:
                 break
         else:
-            rep.hard(False)
-            rep.emit({
-                "check": "Poincare quotient scaling exponent",
-                "h": h,
-                "status": "failed",
-                "reason": f"no nonzero closed {h}-section in {MAX_DRAWS} draws",
-            })
+            rep.exact({"check": "Poincare quotient scaling exponent", "h": h,
+                       "reason": f"no nonzero closed {h}-section in {MAX_DRAWS} draws"}, False)
             continue
         row = {"check": "Poincare quotient scaling exponent", "h": h, "p": cfg.p, "q": cfg.q}
         try:
@@ -339,17 +313,14 @@ def cmd_homotopy(cfg: argparse.Namespace) -> int:
                                   resolution=cfg.grid)
         except (ValueError, OverflowError) as exc:
             # a quotient of 0 on a coarse grid, or a ball too large for floats
-            rep.miss(row, "within_2pct", exc)
+            rep.probe(row, "within_2pct", False, exc)
             continue
-        ok = probe["relative_error"] <= 0.02
-        rep.soft(ok)
-        rep.emit({
+        rep.probe({
             **row,
             "expected_exponent": probe["expected_exponent"],
             "fitted_exponent": probe["fitted_exponent"],
             "relative_error": probe["relative_error"],
-            "within_2pct": ok,
-        })
+        }, "within_2pct", probe["relative_error"] <= 0.02)
 
     # drawn after every other row, so a fixed seed leaves their output unchanged
     residuals = []
@@ -380,29 +351,23 @@ def cmd_numeric(cfg: argparse.Namespace) -> int:
     resolutions = _convergence_resolutions(cfg.grid)
     for i in range(1, 2 * n + 1):
         conv = derivative_convergence(n, i, resolutions=resolutions)
-        ok = conv["observed_order"] >= 1.8
-        rep.soft(ok)
-        rep.emit({
+        rep.probe({
             "check": f"derivative convergence along W_{i}",
             "resolutions": list(resolutions),
             "errors": conv["errors"],
             "boundary_fractions": conv["boundary_fractions"],
             "observed_order": conv["observed_order"],
-            "order_at_least_1.8": ok,
-        })
+        }, "order_at_least_1.8", conv["observed_order"] >= 1.8)
 
     for mu in (1.0, 2.0):
-        probe = decay_slope_probe(n, mu, resolution=_probe_resolution(cfg.grid))
-        ok = probe["relative_error"] <= 0.05
-        rep.soft(ok)
-        rep.emit({
+        probe = decay_slope_probe(n, mu, resolution=max(cfg.grid, 32))
+        rep.probe({
             "check": "kernel decay slope",
             "mu": mu,
             "expected_slope": probe["expected_slope"],
             "fitted_slope": probe["fitted_slope"],
             "relative_error": probe["relative_error"],
-            "within_5pct": ok,
-        })
+        }, "within_5pct", probe["relative_error"] <= 0.05)
 
     # alpha = 1, so --p lies in (1, Q/alpha) and q_critical is finite
     alpha, p = 1.0, cfg.p
@@ -414,28 +379,20 @@ def cmd_numeric(cfg: argparse.Namespace) -> int:
         critical, off = lp_lq_probe(n, alpha, p, qs=(None, off_row["q"]), resolution=cfg.grid)
     except ValueError as exc:
         # an L^q norm beyond the float range: no NaN or Infinity may reach the rows
-        rep.miss(critical_row, "within_5pct", exc)
-        rep.miss(off_row, "monotone", exc)
+        rep.probe(critical_row, "within_5pct", False, exc)
+        rep.probe(off_row, "monotone", False, exc)
     else:
-        ok = critical["max_relative_spread"] <= 0.05
-        rep.soft(ok)
-        rep.emit({
+        rep.probe({
             **critical_row,
             "ratios": [r["ratio"] for r in critical["rows"]],
             "max_relative_spread": critical["max_relative_spread"],
-            "within_5pct": ok,
-        })
+        }, "within_5pct", critical["max_relative_spread"] <= 0.05)
         ratios = [r["ratio"] for r in off["rows"]]
         monotone = all(a < b for a, b in zip(ratios, ratios[1:])) or all(
             a > b for a, b in zip(ratios, ratios[1:])
         )
-        rep.soft(monotone)
-        rep.emit({
-            **off_row,
-            "ratios": ratios,
-            "expected_drift_exponent": off["expected_drift_exponent"],
-            "monotone": monotone,
-        })
+        rep.probe({**off_row, "ratios": ratios,
+                   "expected_drift_exponent": off["expected_drift_exponent"]}, "monotone", monotone)
 
     sob_row = {"check": "scalar Sobolev quotient invariance", "p": p, "q": q_critical}
     u = bump_grid(n, 1.0, cfg.grid, 0.5)
@@ -443,41 +400,35 @@ def cmd_numeric(cfg: argparse.Namespace) -> int:
         sob = scalar_sobolev_check(n, p, u)
     except ValueError as exc:
         # a norm of 0 or beyond the float range measures nothing
-        rep.miss(sob_row, "within_2pct", exc)
+        rep.probe(sob_row, "within_2pct", False, exc)
     else:
-        ok = sob["max_relative_spread"] <= 0.02
-        rep.soft(ok)
-        rep.emit({
+        rep.probe({
             **sob_row,
             "ratios": [r["ratio"] for r in sob["rows"]],
             "boundary_fractions": [r["boundary_fraction"] for r in sob["rows"]],
             "max_relative_spread": sob["max_relative_spread"],
-            "within_2pct": ok,
-        })
+        }, "within_2pct", sob["max_relative_spread"] <= 0.02)
 
     # a hard row: Folland's remainder R_a is zero at a = 16 and at no other weight
     scan = fundamental_gauge_scan(n)
     remainders = {r["t_weight"]: r["remainder"] for r in scan["rows"]}
-    ok = rep.hard(all((not r) == (a == 16.0) for a, r in remainders.items()))
-    row = {
-        "check": "fundamental-solution gauge scan",
-        "residuals": {str(r["t_weight"]): r["residual"] for r in scan["rows"]},
-        "best_t_weight": scan["best_t_weight"],
-        "expected_t_weight": 16.0,
-        "match": ok,
-    }
-    if not ok:
+
+    def witness() -> dict:
         # the first term of R_16 in sorted exponent order; with R_16 zero,
         # the first other weight whose remainder is zero too
         r16 = remainders[16.0]
         if r16:
             exp = min(r16.terms)
-            row["witness"] = {"t_weight": 16.0, "exponent": list(exp),
-                              "coefficient": str(r16.terms[exp])}
-        else:
-            zero = next(a for a, r in remainders.items() if not r and a != 16.0)
-            row["witness"] = {"t_weight": zero, "coefficient": "0"}
-    rep.emit(row)
+            return {"t_weight": 16.0, "exponent": list(exp), "coefficient": str(r16.terms[exp])}
+        zero = next(a for a, r in remainders.items() if not r and a != 16.0)
+        return {"t_weight": zero, "coefficient": "0"}
+
+    rep.agrees({
+        "check": "fundamental-solution gauge scan",
+        "residuals": {str(r["t_weight"]): r["residual"] for r in scan["rows"]},
+        "best_t_weight": scan["best_t_weight"],
+        "expected_t_weight": 16.0,
+    }, "match", all((not r) == (a == 16.0) for a, r in remainders.items()), witness)
     return rep.finish()
 
 
@@ -524,7 +475,9 @@ def _argument_error(args) -> str | None:
             return f"--grid must be at least {MIN_GRID}"
         largest = args.grid
         if args.command == "numeric":
-            largest = max(*_convergence_resolutions(args.grid), _probe_resolution(args.grid))
+            # the decay probe's lattice, (r/2)^(2n) x r cells for r = max(grid, 32),
+            # passes the limit wherever the finest convergence grid does
+            largest = max(_convergence_resolutions(args.grid))
         cells = largest ** (2 * args.n + 1)
         if cells > MAX_GRID_CELLS:
             return (f"{args.command} at n = {args.n}, --grid {args.grid} needs a grid of"

@@ -1,7 +1,9 @@
+import argparse
 import ast
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -375,13 +377,52 @@ def test_each_subcommand_takes_the_flags_it_reads():
         read = _loads(handler, "cfg") | (reporter - {"command", "strict"})
         if "_degrees" in called:
             read |= _loads(defs["_degrees"], "cfg")
-        if called & {"soft", "miss"}:
+        if "probe" in called:
             read.add("strict")
         if command in ("verify", "numeric"):
             read.add("seed")  # the benchmark passes it; neither draws anything
         taken[command] = set(vars(cli.build_parser().parse_args([command]))) - {"command"}
         assert taken[command] == read, command
     assert [len(flags) for flags in taken.values()] == [3, 6, 11, 7]
+
+
+# the bool keys of soft rows; every other verdict is hard
+SOFT_KEYS = ("within_2pct", "within_5pct", "order_at_least_1.8", "monotone")
+
+
+@pytest.mark.parametrize("argv, exit_code", [
+    (["basis", "--n", "1"], 0),
+    (["verify", "--n", "1"], 0),
+    (["verify", "--n", "1", "--inject-delta-sign-fault"], 1),
+    (["homotopy", "--n", "1", "--grid", "8", "--poly-degree", "0"], 1),
+    (["homotopy", "--n", "1", "--h", "1", "--lambda", "3.7", "--grid", "8"], 0),
+    (["homotopy", "--n", "1", "--h", "1", "--lambda", "3.7", "--grid", "8", "--strict"], 2),
+    (["numeric", "--n", "1", "--grid", "8", "--p", "3.99"], 0),
+    (["numeric", "--n", "1", "--grid", "8", "--p", "3.99", "--strict"], 2),
+])
+def test_exit_code_is_read_off_the_rows(capsys, argv, exit_code):
+    code, rows = run_cli(capsys, argv)
+    hard = any(r.get("status") == "failed" or r.get("match") is False
+               or r.get("duality") is False or r.get("alternating_sum", 0) != 0 for r in rows)
+    soft = any(r.get(key) is False for r in rows for key in SOFT_KEYS)
+    assert code == (1 if hard else 2 if soft and "--strict" in argv else 0) == exit_code
+
+
+def test_readme_lists_the_flags_each_subcommand_takes():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    bullets = readme.split("Each subcommand takes only the flags it reads:\n\n")[1].split("\n\n")[0]
+    listed = {}
+    for bullet in re.split(r"^- ", bullets, flags=re.M)[1:]:
+        command, text = re.match(r"`(\w+)`:(.*)", bullet, re.S).groups()
+        listed[command] = set(re.findall(r"`(--[\w-]+)`", text))
+    (subparsers,) = [a for a in cli.build_parser()._actions
+                     if isinstance(a, argparse._SubParsersAction)]
+    taken = {
+        command: {flag for action in parser._actions if action.help != argparse.SUPPRESS
+                  for flag in action.option_strings} - {"-h", "--help"}
+        for command, parser in subparsers.choices.items()
+    }
+    assert listed == taken
 
 
 def _reject_constant(token):
@@ -501,6 +542,10 @@ def test_invalid_arguments(capsys, ctx1):
     assert cli.main(["numeric", "--n", "2", "--grid", "20"]) == 1
     err = capsys.readouterr().err
     assert f"{40 ** 5} cells" in err and f"{2 ** 25}" in err
+    # numeric is sized by its finest convergence grid, 16^7 cells here
+    assert cli.main(["numeric", "--n", "3", "--grid", "8"]) == 1
+    assert capsys.readouterr().err == ("error: numeric at n = 3, --grid 8 needs a grid of"
+                                       " 268435456 cells; the limit is 33554432 (32^5)\n")
     assert cli.main(["numeric", "--n", "2", "--grid", "8", "--p", "6"]) == 1
     assert "strictly between 1 and Q = 6" in capsys.readouterr().err
     # homotopy's Poincare probe builds grids of --grid^(2n+1) cells: 330^3 here
