@@ -7,8 +7,10 @@ orthonormal, which fixes the inner product on every degree.
 
 The differential of the coframe is computed from the structure equations
 d omega(U, V) = -omega([U, V]) on frame fields, not hardcoded; with the group
-conventions here this yields d theta = -sum_j omega_j ^ omega_{j+n}, and the
-Lefschetz operator is wedging with the horizontal 2-covector d theta.
+conventions here this yields d theta = -sum_j omega_j ^ omega_{j+n}. The
+Lefschetz operator L = d theta ^ . is read off ``d_table`` as
+d0(theta ^ .) on horizontal covectors, where d0 vanishes; this L is
+-sum_j omega_j ^ omega_{j+n} ^ ., a sign that no rank sees.
 
 ``d_table`` is the one definition of d used by every layer: per coframe
 monomial it holds the image under d0 and the frame-field steps
@@ -16,21 +18,21 @@ f omega_I -> (W_i f) omega_i ^ omega_I. Forms, the weight split and the
 operator matrices of ``rumin_complex`` all read it.
 
 The core E0 and d0^{-1} are built block by block, and the blocks are exact.
-d0 vanishes on horizontal monomials and sends theta ^ beta to -L beta, and
-L = sum_j omega_j ^ omega_{j+n} only turns an index j carrying neither
-omega_j nor omega_{j+n} into one carrying both. So d0 keeps a monomial's
-*singleton pattern*: which indices carry exactly one of the pair, and which
-one. Monomials with and without theta share a pattern. Lambda^h splits into
-orthogonal blocks by pattern, of at most 3, 6 and 10 monomials at n = 3, 4
-and 5, and d0, E0 and the orthogonal complements V = (im d0)^⟂ and
-W = (ker d0)^⟂ split with it. With both complements orthogonal, d0^{-1}
-(zero on V, the inverse of d0 restricted to W) is the Moore-Penrose inverse
-of d0, which needs d0 alone, one block at a time; V and W are never built.
-The nullspaces and Gram-Schmidt of E0 run inside each block; rref never
-mixes blocks and Gram-Schmidt across them subtracts nothing. Sorting the
-vectors on the global index of their free column (their last nonzero entry)
-gives the basis and squared norms, equal and in the same order, that the
-same steps give on all of Lambda^h at once.
+d0 vanishes on horizontal monomials and sends theta ^ beta to L beta, and L
+only turns an index j carrying neither omega_j nor omega_{j+n} into one
+carrying both. So d0 keeps a monomial's *singleton pattern*: which indices
+carry exactly one of the pair, and which one. Monomials with and without
+theta share a pattern. Lambda^h splits into orthogonal blocks by pattern, of
+at most 3, 6 and 10 monomials at n = 3, 4 and 5, and d0, E0 and the
+orthogonal complements V = (im d0)^⟂ and W = (ker d0)^⟂ split with it. With
+both complements orthogonal, d0^{-1} (zero on V, the inverse of d0
+restricted to W) is the Moore-Penrose inverse of d0, which needs d0 alone,
+one block at a time; V and W are never built. The nullspaces and
+Gram-Schmidt of E0 run inside each block; rref never mixes blocks and
+Gram-Schmidt across them subtracts nothing. Sorting the vectors on the
+global index of their free column (their last nonzero entry) gives the basis
+and squared norms, equal and in the same order, that the same steps give on
+all of Lambda^h at once.
 """
 
 from __future__ import annotations
@@ -74,14 +76,6 @@ class Covector:
                 clean[mask] = c
         self.terms = clean
 
-    @classmethod
-    def basis(cls, n: int, mask: int) -> "Covector":
-        return cls(n, {mask: Fraction(1)})
-
-    @classmethod
-    def one_form(cls, n: int, i: int) -> "Covector":
-        return cls.basis(n, 1 << i)
-
     def __add__(self, other: "Covector") -> "Covector":
         terms = dict(self.terms)
         for m, c in other.terms.items():
@@ -121,39 +115,10 @@ class Covector:
             bits.append(f"({c})" + "^".join(factors))
         return " + ".join(bits)
 
-    def is_horizontal(self) -> bool:
-        theta_bit = 1 << (2 * self.n)
-        return all(not mask & theta_bit for mask in self.terms)
-
 
 def mask_weight(n: int, mask: int) -> int:
     """Weight of a coframe monomial: 1 per horizontal factor, 2 for theta."""
     return mask.bit_count() + (mask >> (2 * n) & 1)
-
-
-def wedge_terms(a: Mapping, b: Mapping) -> dict:
-    """Wedge of two mask -> coefficient maps, zero sums left in.
-
-    Coefficients only need ``*``, ``+`` and unary ``-``, so the same loop
-    serves Fraction covectors and Poly-coefficient forms, whose constructors
-    drop the zeros.
-    """
-    terms: dict = {}
-    for m1, c1 in a.items():
-        for m2, c2 in b.items():
-            if m1 & m2:
-                continue
-            m = m1 | m2
-            term = c1 * c2 if _merge_sign(m1, m2) > 0 else -(c1 * c2)
-            s = terms.get(m)
-            terms[m] = term if s is None else s + term
-    return terms
-
-
-def wedge(a: Covector, b: Covector) -> Covector:
-    if a.n != b.n:
-        raise ValueError("covectors on different groups")
-    return Covector(a.n, wedge_terms(a.terms, b.terms))
 
 
 def structure_d_one_form(n: int, i: int) -> Covector:
@@ -216,10 +181,6 @@ def d_table(n: int) -> tuple:
     return tuple(table)
 
 
-def dtheta(n: int) -> Covector:
-    return algebraic_d(Covector.one_form(n, 2 * n))
-
-
 def algebraic_d(c: Covector) -> Covector:
     """d on constant-coefficient covectors, read off ``d_table``.
 
@@ -234,20 +195,12 @@ def algebraic_d(c: Covector) -> Covector:
     return Covector(c.n, terms)
 
 
-def lefschetz(a: Covector) -> Covector:
-    """Wedge with the horizontal part of d theta; defined on horizontal input."""
-    if not a.is_horizontal():
-        raise ValueError("lefschetz expects a horizontal covector")
-    return wedge(dtheta(a.n), a)
-
-
 # -- graded bases, the core E0 and d0^{-1} ----------------------------------
 
 
 def lambda_masks(n: int, h: int, horizontal_only: bool = False) -> list:
     width = 2 * n + (0 if horizontal_only else 1)
-    masks = [m for m in range(1 << width) if m.bit_count() == h]
-    return sorted(masks)
+    return [m for m in range(1 << width) if m.bit_count() == h]
 
 
 def covector_coords(c: Covector, masks: list) -> list:
@@ -365,28 +318,29 @@ def d0_pseudo_inverse(n: int, h: int) -> list:
 
 
 def _lefschetz_power_matrix(n: int, k: int, power: int) -> list:
-    """Matrix of L^power from horizontal degree k to degree k + 2 power."""
+    """Matrix of L^power from horizontal degree k to degree k + 2 power.
+
+    L beta = d0(theta ^ beta), as d0 beta = 0. theta is the top bit, so
+    theta ^ omega_I = (-1)^|I| omega_(I + theta), and |I| = k mod 2.
+    """
+    theta, sign = 1 << (2 * n), -1 if k % 2 else 1
     src = lambda_masks(n, k, horizontal_only=True)
     dst = lambda_masks(n, k + 2 * power, horizontal_only=True)
     cols = []
     for m in src:
-        c = Covector.basis(n, m)
+        c = Covector(n, {m: 1})
         for _ in range(power):
-            c = lefschetz(c)
+            c = algebraic_d(Covector(n, {mask | theta: sign * v for mask, v in c.terms.items()}))
         cols.append(c)
     return [[col.terms.get(dm, Fraction(0)) for col in cols] for dm in dst]
 
 
 def core_dimension_oracle(n: int, h: int) -> int:
-    """dim E0^h by brute-force Lefschetz ranks, independent of build_spaces."""
+    """dim E0^h by brute-force Lefschetz ranks, independent of build_spaces:
+    the kernel of L^(n - h + 1) on horizontal h-covectors for h <= n, else
+    of L on horizontal (h - 1)-covectors."""
     if not 0 <= h <= 2 * n + 1:
         return 0
-    if h <= n:
-        hmasks = lambda_masks(n, h, horizontal_only=True)
-        lp = _lefschetz_power_matrix(n, h, n - h + 1)
-        r = linalg.rank(lp) if lp and lp[0] else 0
-        return len(hmasks) - r
-    hmasks = lambda_masks(n, h - 1, horizontal_only=True)
-    l_once = _lefschetz_power_matrix(n, h - 1, 1)
-    r = linalg.rank(l_once) if l_once and l_once[0] else 0
-    return len(hmasks) - r
+    k, power = (h, n - h + 1) if h <= n else (h - 1, 1)
+    lp = _lefschetz_power_matrix(n, k, power)
+    return len(lambda_masks(n, k, horizontal_only=True)) - (linalg.rank(lp) if lp else 0)

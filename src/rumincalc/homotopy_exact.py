@@ -43,42 +43,36 @@ from .forms import (
 )
 from .group_geometry import homogeneous_dimension, identity
 from .polynomials import Poly
-from .rumin_complex import RuminContext
+from .rumin_complex import RuminContext, weight_shift
 
 
 @dataclass(frozen=True)
 class AveragingWeight:
     """A normalized averaging measure for the cone-center y.
 
-    Either the point mass at the origin, or the polynomial bump
-    c (1 - |y|^2/r0^2)^m on the Euclidean ball of radius r0, normalized to
-    total mass 1. Only monomial moments are ever needed and they are exact
-    rationals; odd moments vanish by symmetry.
+    The polynomial bump c (1 - |y|^2/r0^2)^m on the Euclidean ball of radius
+    r0, normalized to total mass 1. Radius 0 is the point mass at the origin,
+    the bump's limit. Only monomial moments are ever needed and they are
+    exact rationals; odd moments vanish by symmetry.
     """
 
-    kind: str  # "point_mass_at_origin" | "polynomial_bump"
+    radius: Fraction
     exponent: int = 3
-    radius: Fraction = Fraction(1, 2)
-
-    def __post_init__(self):
-        if self.kind not in ("point_mass_at_origin", "polynomial_bump"):
-            raise ValueError(f"unknown weight kind {self.kind!r}")
-        if self.kind == "polynomial_bump" and (self.exponent < 0 or self.radius <= 0):
-            raise ValueError("bump needs exponent >= 0 and positive radius")
 
     @classmethod
     def point_mass(cls) -> "AveragingWeight":
-        return cls(kind="point_mass_at_origin")
+        return cls(Fraction(0))
 
     @classmethod
     def bump(cls, radius, exponent: int = 3) -> "AveragingWeight":
-        return cls(kind="polynomial_bump", exponent=exponent, radius=Fraction(radius))
+        if exponent < 0 or radius <= 0:
+            raise ValueError("bump needs exponent >= 0 and positive radius")
+        return cls(Fraction(radius), exponent)
 
     def moment(self, beta: tuple, dimension: int) -> Fraction | int:
-        """int y^beta psi(y) dy over R^dimension, exactly. The point mass's
-        moments and the odd moments of the bump are the ints 1 and 0."""
-        if self.kind == "point_mass_at_origin":
-            return 0 if any(beta) else 1
+        """int y^beta psi(y) dy over R^dimension, exactly. Odd moments are the
+        int 0; at radius 0 the formula gives the point mass's moments, 1 at
+        beta = 0 and 0 elsewhere."""
         if any(b % 2 for b in beta):
             return 0
         gammas = [b // 2 for b in beta]
@@ -250,7 +244,7 @@ def admissible(n: int, h: int, p: float, q: float) -> bool:
     allows: 1/Q, or 2/Q in degree n + 1, whose primitive inverts the order-2
     d_c out of n. Exact rationals, each exponent rounded to a denominator of
     at most 10^6."""
-    gap = Fraction(2 if h == n + 1 else 1, homogeneous_dimension(n))
+    gap = Fraction(weight_shift(n, h - 1), homogeneous_dimension(n))
     inverse_p, inverse_q = (1 / Fraction(v).limit_denominator(10**6) for v in (p, q))
     return inverse_p - inverse_q <= gap
 
@@ -302,8 +296,9 @@ def scaling_probe(
     grid is built, when R = 2 lam has an R^4 beyond the float range. Raises
     ValueError, so that no slope is fitted, when omega is zero, when no grid
     cell lies in an inner ball (the message names the smallest even
-    resolution that puts cells there), and when a quotient is 0 or a ball
-    norm is not finite.
+    resolution that puts cells there), and when a quotient is 0 (the message
+    tells an L^q norm that underflowed apart from a primitive that vanishes
+    on the inner ball) or a ball norm is not finite.
     """
     lam = Fraction(lam)
     if not lam > 1:
@@ -321,7 +316,7 @@ def scaling_probe(
     n = ctx.n
     h = omega.degree()
     e = identity(n)
-    rows, inner_cells = [], []
+    rows, inner_cells, underflows = [], [], []
     for r in radii:
         R = float(r * lam)
         grid = gridmod.Grid.empty(n, R, resolution)
@@ -339,22 +334,31 @@ def scaling_probe(
             primitive = rumin_homotopy_K(ctx, AveragingWeight.point_mass(), omega_r)
             num = gridmod.form_lp_norm(primitive, q, R, resolution, inner)
             den = gridmod.form_lp_norm(omega_r, p, R, resolution, gridmod.gauge_mask(grid, e, R))
+            # a primitive with an L^2 norm but no L^q norm on the inner ball underflowed
+            underflows.append(
+                not num and gridmod.form_lp_norm(primitive, 2.0, R, resolution, inner) > 0)
         ratio = num / den if den else math.inf
         rows.append({"radius": float(r), "ratio": ratio, "numerator": num, "denominator": den})
     Q = homogeneous_dimension(n)
-    expected = Q / q - Q / p + (2 if h == n + 1 else 1)
+    expected = Q / q - Q / p + weight_shift(n, h - 1)
     ratio1, ratio2 = rows[0]["ratio"], rows[-1]["ratio"]
     if not all(math.isfinite(row["ratio"]) and math.isfinite(row["denominator"]) for row in rows):
         raise ValueError(
-            f"Poincare quotient is not finite at p = {p:g}, q = {q:g}: a ball norm "
+            f"Poincare quotient is not finite at p = {p!r}, q = {q!r}: a ball norm "
             "leaves the float range"
         )
     if not ratio1 or not ratio2:
+        at = 0 if not ratio1 else -1
+        cells = inner_cells[at]
         message = f"Poincare quotient is 0 at resolution {resolution}; no slope to fit"
-        if resolution % 2:
+        if underflows[at]:
+            message += (
+                f": the primitive is nonzero on the inner ball B(e, {radii[at]}) of {cells} "
+                f"cells, but its L^q norm there underflows to 0 at p = {p!r}, q = {q!r}"
+            )
+        elif resolution % 2:
             # an odd grid has a cell at the centre, where the primitive of
             # closed data may vanish, and lines the nearest cells up with it
-            cells = inner_cells[0] if not ratio1 else inner_cells[-1]
             held = "only the centre cell" if cells == 1 else f"the centre cell and {cells - 1} more"
             message += (
                 f": the inner ball holds {held}, and the primitive vanishes there; the next "

@@ -310,7 +310,7 @@ def lp_lq_probe(n: int, alpha: float, p: float, qs=(None,),
             ratio = num / den
             if not 0.0 < ratio < math.inf:
                 raise ValueError(
-                    f"L^p-L^q ratio is {ratio} at p = {p:g}, q = {q:g}, lambda = {lam:g}:"
+                    f"L^p-L^q ratio is {ratio} at p = {p!r}, q = {q!r}, lambda = {lam!r}:"
                     " the L^q norm leaves the float range"
                 )
             q_rows.append({
@@ -366,7 +366,7 @@ def scalar_sobolev_check(n: int, p: float, u: Grid, lambdas=(1.0, 2.0)) -> dict:
         ratio = 0.0 if den == 0.0 else num / den
         if not 0.0 < ratio < math.inf:
             raise ValueError(
-                f"Sobolev ratio is {ratio} at p = {p:g}, q = {q:g}, lambda = {lam:g}:"
+                f"Sobolev ratio is {ratio} at p = {p!r}, q = {q!r}, lambda = {lam!r}:"
                 " a norm is 0 or leaves the float range"
             )
         rows.append({

@@ -51,6 +51,11 @@ from .forms import Form, apply_mask_matrix, exterior_d, matrix_times_polys
 from .polynomials import add_terms, linear_combination
 
 
+def weight_shift(n: int, h: int) -> int:
+    """Order of d_c out of degree h on H^n: 2 across the middle, else 1."""
+    return 2 if h == n else 1
+
+
 class OperatorMatrix:
     """A matrix of enveloping algebra operators between two E0 bases.
 
@@ -327,10 +332,6 @@ class RuminContext:
             self._delta_d[h] = self.rumin_delta_matrix(h).compose(self.rumin_d_matrix(h))
         return self._delta_d[h]
 
-    def weight_shift(self, h: int) -> int:
-        """Order of d_c out of degree h: 2 across the middle, else 1."""
-        return 2 if h == self.n else 1
-
     def rumin_laplacian(self, h: int) -> OperatorMatrix:
         """The degree-h intrinsic Laplacian, homogeneous of order 2 or 4.
 
@@ -436,7 +437,8 @@ def laplacian_commutation_report(ctx: RuminContext) -> dict:
 
 
 def entry_audit(ctx: RuminContext, h: int) -> dict:
-    """Every d_c entry out of degree h is homogeneous of weight s = ``weight_shift(h)``.
+    """Every d_c entry out of degree h is homogeneous of weight
+    s = ``weight_shift(n, h)``.
 
     The rest of the entries' structure follows from this. T has weight 2, so
     an entry of weight 1 has no T. Words of length <= s span exactly the
@@ -450,7 +452,7 @@ def entry_audit(ctx: RuminContext, h: int) -> dict:
     sorted order, whose homogeneity is not s.
     """
     mat = ctx.rumin_d_matrix(h)
-    shift = ctx.weight_shift(h)
+    shift = weight_shift(ctx.n, h)
     report = {
         "expected_weight": shift,
         "nonzero_entries": sum(map(len, mat.entries)),

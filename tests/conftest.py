@@ -1,6 +1,7 @@
 """Shared generators, cached contexts and oracles for the test suite: Rumin's
 projector P_E, the dense builds of the exact core, d0 as a matrix, the
-weight split of d, the wedge product and the frame change by wedges, exact
+weight split of d, the wedge product, d theta and the Lefschetz map L by
+wedges (the oracle of d_table's signs), the frame change by wedges, exact
 values and box integrals of polynomials, Euclidean masks on grids, the
 full-grid flow shift and flow difference, the order and the action of
 operators, and the sampled commutator audit of d_c: [a, zeta] by direct
@@ -23,16 +24,16 @@ from rumincalc.exterior_weights import (
     Covector,
     Subspace,
     _d0_between,
+    _merge_sign,
     algebraic_d,
     covector_coords,
     lambda_masks,
-    wedge_terms,
 )
 
 # the test modules import random_form, random_section and random_poly from here
 from rumincalc.forms import Form, exterior_d, random_form, random_section  # noqa: F401
 from rumincalc.polynomials import Poly, add_terms, random_fraction, random_poly
-from rumincalc.rumin_complex import RuminContext
+from rumincalc.rumin_complex import RuminContext, weight_shift
 
 _CONTEXTS = {}
 
@@ -61,6 +62,58 @@ def project_rumin(ctx: RuminContext, form: Form) -> Form:
     """Rumin's projector P_E = 1 - d0^{-1} d - d d0^{-1}, with the full
     differential d: the oracle of the projector identities."""
     return form - ctx.d0_inverse(exterior_d(form)) - exterior_d(ctx.d0_inverse(form))
+
+
+def monomial(n: int, mask: int) -> Covector:
+    """The coframe monomial omega_I of the mask I."""
+    return Covector(n, {mask: Fraction(1)})
+
+
+def one_form(n: int, i: int) -> Covector:
+    return monomial(n, 1 << i)
+
+
+def is_horizontal(c: Covector) -> bool:
+    theta_bit = 1 << (2 * c.n)
+    return all(not mask & theta_bit for mask in c.terms)
+
+
+def wedge_terms(a: Mapping, b: Mapping) -> dict:
+    """Wedge of two mask -> coefficient maps, zero sums left in.
+
+    Coefficients only need ``*``, ``+`` and unary ``-``, so the same loop
+    serves Fraction covectors and Poly-coefficient forms, whose constructors
+    drop the zeros.
+    """
+    terms: dict = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            if m1 & m2:
+                continue
+            m = m1 | m2
+            term = c1 * c2 if _merge_sign(m1, m2) > 0 else -(c1 * c2)
+            s = terms.get(m)
+            terms[m] = term if s is None else s + term
+    return terms
+
+
+def wedge(a: Covector, b: Covector) -> Covector:
+    if a.n != b.n:
+        raise ValueError("covectors on different groups")
+    return Covector(a.n, wedge_terms(a.terms, b.terms))
+
+
+def dtheta(n: int) -> Covector:
+    return algebraic_d(one_form(n, 2 * n))
+
+
+def lefschetz(a: Covector) -> Covector:
+    """Wedge with the horizontal part of d theta, by the wedge product: the
+    oracle of the Lefschetz map that ``exterior_weights`` reads off d_table.
+    Defined on horizontal input."""
+    if not is_horizontal(a):
+        raise ValueError("lefschetz expects a horizontal covector")
+    return wedge(dtheta(a.n), a)
 
 
 def wedge_forms(a: Form, b: Form) -> Form:
@@ -350,7 +403,7 @@ def commutator_audit(ctx: RuminContext, h: int, zeta: Poly) -> dict:
     shared by every entry, so the two stay independent computations.
     """
     mat = ctx.rumin_d_matrix(h)
-    shift = ctx.weight_shift(h)
+    shift = weight_shift(ctx.n, h)
     direct_table = DerivativeTable(ctx.n, zeta)
     word_table = WordDerivatives(ctx.n, zeta)
     report = {
@@ -386,7 +439,7 @@ def entry_structure(ctx: RuminContext, h: int) -> dict:
     homogeneity implies, checked directly: entries of weight 1 have no T in
     their PBW form, and every entry is a combination of horizontal words of
     length at most its weight."""
-    shift = ctx.weight_shift(h)
+    shift = weight_shift(ctx.n, h)
     entries = [e for row in ctx.rumin_d_matrix(h).entries for e in row.values()]
     return {
         "order_one_t_free": shift != 1 or not any(exp[-1] for e in entries for exp in e.nums),

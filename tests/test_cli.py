@@ -195,7 +195,7 @@ def test_homotopy_failed_rows_name_a_witness(capsys, monkeypatch):
 
     def wrong(self, beta, dimension):
         value = moment(self, beta, dimension)
-        return 2 * value if self.kind == "polynomial_bump" and not any(beta) else value
+        return 2 * value if self.radius and not any(beta) else value
 
     monkeypatch.setattr(AveragingWeight, "moment", wrong)
     residual, seen = homotopy_exact.euclidean_homotopy_residual, []
@@ -277,9 +277,11 @@ def test_homotopy_lambda_is_taken_exactly(capsys):
     (["--lambda", "3.7"], "ValueError: Poincare quotient is 0 at resolution 8"),
     (["--lambda", "1e300"], "OverflowError"),
     # the L^p norm of the data overflows: no NaN may reach the JSON rows
-    (["--p", "1e300"], "ValueError: Poincare quotient is not finite at p = 1e+300, q = 2:"),
+    (["--p", "1e300"], "ValueError: Poincare quotient is not finite at p = 1e+300, q = 2.0:"),
     # |K omega| < 1 in the inner ball, so its L^q norm underflows to 0
-    (["--q", "1e300"], "ValueError: Poincare quotient is 0 at resolution 8"),
+    (["--q", "1e300"], "ValueError: Poincare quotient is 0 at resolution 8; no slope to fit: "
+     "the primitive is nonzero on the inner ball B(e, 1) of 24 cells, but its L^q norm there "
+     "underflows to 0 at p = 2.0, q = 1e+300"),
 ], ids=["3.7-ValueError: Poincare quotient is 0 at resolution 8", "1e300-OverflowError",
         "p-1e300", "q-1e300"])
 def test_homotopy_probe_errors_are_soft_misses(capsys, flags, reason):
@@ -295,6 +297,33 @@ def test_homotopy_probe_errors_are_soft_misses(capsys, flags, reason):
         assert row["reason"].startswith(reason)
         # the rows after the probe still run
         assert rows[-1]["check"] == "omega = d_c K omega + K d_c omega on E0 sections"
+
+
+def test_probe_reasons_name_the_cause_and_the_exponents_in_full(capsys):
+    # 24 cells lie in the inner ball, so a larger grid cannot help: the L^q
+    # norm of the primitive underflows
+    code, rows = run_cli(capsys, ["homotopy", "--n", "1", "--q", "1e308", "--grid", "8"])
+    assert code == 0
+    scaling = [r for r in rows if r["check"] == "Poincare quotient scaling exponent"]
+    assert [r["h"] for r in scaling] == [1, 2]
+    for row in scaling:
+        assert row["reason"] == (
+            "ValueError: Poincare quotient is 0 at resolution 8; no slope to fit: the "
+            "primitive is nonzero on the inner ball B(e, 1) of 24 cells, but its L^q norm "
+            "there underflows to 0 at p = 2.0, q = 1e+308")
+    # p = 3.9999999 rounds to 4 under :g, outside numeric's range at n = 1
+    code, rows = run_cli(capsys, ["numeric", "--n", "1", "--grid", "8", "--p", "3.9999999"])
+    assert code == 0
+    reasons = {r["check"]: r["reason"] for r in rows if "reason" in r}
+    lp_lq = ("ValueError: L^p-L^q ratio is inf at p = 3.9999999, q = 159999996.70913902, "
+             "lambda = 1.0: the L^q norm leaves the float range")
+    assert reasons == {
+        "critical L^p-L^q invariance": lp_lq,
+        "off-critical drift (negative control)": lp_lq,
+        "scalar Sobolev quotient invariance": (
+            "ValueError: Sobolev ratio is 0.0 at p = 3.9999999, q = 159999996.70913902, "
+            "lambda = 1.0: a norm is 0 or leaves the float range"),
+    }
 
 
 def test_numeric_subcommand(capsys):
@@ -454,15 +483,18 @@ def test_overflowing_lp_lq_norms_are_soft_misses(capsys):
         critical = by_check["critical L^p-L^q invariance"]
         off = by_check["off-critical drift (negative control)"]
         assert critical["within_5pct"] is False and off["monotone"] is False
+        q = critical["q"]
         for row in (critical, off):
-            assert row["reason"].startswith("ValueError: L^p-L^q ratio is inf at p = 3.99, q = 1596,")
+            assert row["reason"].startswith(
+                f"ValueError: L^p-L^q ratio is inf at p = 3.99, q = {q!r}, lambda = 1.0:")
             assert "ratios" not in row
         assert critical["q"] == pytest.approx(1596.0) and off["q"] == 0.75 * critical["q"]
         # the bump's L^q norm underflows to 0 at q = 1596
         sob = by_check["scalar Sobolev quotient invariance"]
         assert sob["within_2pct"] is False and "ratios" not in sob
-        assert sob["reason"].startswith("ValueError: Sobolev ratio is 0.0 at p = 3.99, q = 1596,")
-        assert sob["q"] == critical["q"] and sob["p"] == critical["p"] == 3.99
+        assert sob["reason"].startswith(
+            f"ValueError: Sobolev ratio is 0.0 at p = 3.99, q = {q!r}, lambda = 1.0:")
+        assert sob["q"] == q and sob["p"] == critical["p"] == 3.99
         # the rows after the probe still run
         assert rows[-1]["check"] == "fundamental-solution gauge scan"
 

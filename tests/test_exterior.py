@@ -4,7 +4,19 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import covector_from_coords, d0_matrix, dense_spaces, kernel, subspace_from_vectors
+from conftest import (
+    covector_from_coords,
+    d0_matrix,
+    dense_spaces,
+    dtheta,
+    is_horizontal,
+    kernel,
+    lefschetz,
+    monomial,
+    one_form,
+    subspace_from_vectors,
+    wedge,
+)
 from rumincalc import linalg
 from rumincalc.exterior_weights import (
     Covector,
@@ -15,13 +27,10 @@ from rumincalc.exterior_weights import (
     core_dimension_oracle,
     covector_coords,
     d_table,
-    dtheta,
     lambda_masks,
-    lefschetz,
     mask_weight,
     singleton_blocks,
     singleton_pattern,
-    wedge,
 )
 
 CORE_DIMS = {
@@ -32,7 +41,7 @@ CORE_DIMS = {
 
 
 def w(n, i):
-    return Covector.one_form(n, i)
+    return one_form(n, i)
 
 
 def inner(a: Covector, b: Covector) -> Fraction:
@@ -48,7 +57,7 @@ def _embed_horizontal(n: int, h: int, vec_masks: list, vec: list, with_theta: bo
     """Coordinates in Lambda^h of a horizontal covector, optionally theta-wedged."""
     c = covector_from_coords(n, vec_masks, vec)
     if with_theta:
-        c = wedge(Covector.one_form(n, 2 * n), c)
+        c = wedge(one_form(n, 2 * n), c)
     return covector_coords(c, lambda_masks(n, h))
 
 
@@ -166,7 +175,23 @@ def test_lefschetz_requires_horizontal_input():
     n = 1
     with pytest.raises(ValueError):
         lefschetz(w(n, 2))
-    assert lefschetz(Covector.basis(n, 0)) == dtheta(n)
+    assert lefschetz(monomial(n, 0)) == dtheta(n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_lefschetz_powers_read_off_d_table_equal_the_wedge_powers(n):
+    # the rank oracle applies L as d0(theta ^ .) through d_table; the
+    # conftest L wedges with d theta, entry for entry the same matrix
+    for k in range(2 * n + 1):
+        for power in range((2 * n - k) // 2 + 1):
+            dst = lambda_masks(n, k + 2 * power, horizontal_only=True)
+            cols = []
+            for m in lambda_masks(n, k, horizontal_only=True):
+                c = monomial(n, m)
+                for _ in range(power):
+                    c = lefschetz(c)
+                cols.append(covector_coords(c, dst))
+            assert _lefschetz_power_matrix(n, k, power) == [list(r) for r in zip(*cols)], (k, power)
 
 
 def test_core_dimensions_match_oracle_and_frozen_values():
@@ -221,7 +246,7 @@ def test_core_elements_are_closed_and_orthogonal_to_image():
                 assert not algebraic_d(e)
                 if h > 0:
                     for m in lambda_masks(n, h - 1):
-                        assert inner(e, algebraic_d(Covector.basis(n, m))) == 0
+                        assert inner(e, algebraic_d(monomial(n, m))) == 0
 
 
 def test_core_structure_by_degree():
@@ -231,7 +256,7 @@ def test_core_structure_by_degree():
             for e in e0.basis:
                 if h <= n:
                     # horizontal primitive covectors of pure weight h
-                    assert e.is_horizontal()
+                    assert is_horizontal(e)
                     assert weights(e) == {h}
                     power = e
                     for _ in range(n - h + 1):
@@ -243,7 +268,7 @@ def test_core_structure_by_degree():
                     assert weights(e) == {h + 1}
                     beta = theta_complement(e)
                     assert wedge(w(n, 2 * n), beta) == e
-                    assert beta.is_horizontal()
+                    assert is_horizontal(beta)
                     assert not lefschetz(beta)
 
 

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -22,6 +23,7 @@ from rumincalc.kernels import (
     GAUGE_T_WEIGHTS,
     HomogeneousKernel,
     bump_grid,
+    critical_exponent,
     decay_slope_probe,
     folland_remainder,
     fundamental_gauge_scan,
@@ -583,13 +585,16 @@ def test_lp_lq_probe_convolves_each_dilate_once_for_every_q(monkeypatch):
 
 
 @pytest.mark.parametrize("p, qs, lambdas, ratio, q", [
-    (3.99, (None,), (1.0, 2.0, 4.0), "inf", "1596"),  # |u * k|^q overflows
-    (2.0, (4.0, 1000.0), (64.0,), "0.0", "1000"),  # |u * k|^q underflows
-])
+    # |u * k|^q overflows at the critical q = 1596.0000000000355
+    (3.99, (None,), (1.0, 2.0, 4.0), "inf", critical_exponent(1, 1.0, 3.99)),
+    (2.0, (4.0, 1000.0), (64.0,), "0.0", 1000.0),  # |u * k|^q underflows
+], ids=["3.99-qs0-lambdas0-inf-1596", "2.0-qs1-lambdas1-0.0-1000"])
 def test_lp_lq_probe_rejects_a_ratio_beyond_the_float_range(p, qs, lambdas, ratio, q):
+    # p, q and lambda are printed in full, not rounded
+    reason = f"ratio is {ratio} at p = {p!r}, q = {q!r}, lambda = {lambdas[0]!r}:"
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        with pytest.raises(ValueError, match=f"ratio is {ratio} at p = {p:g}, q = {q},"):
+        with pytest.raises(ValueError, match=re.escape(reason)):
             lp_lq_probe(1, 1.0, p, qs=qs, lambdas=lambdas, resolution=8)
 
 
@@ -603,13 +608,15 @@ def test_scalar_sobolev_check_invariance():
 def test_scalar_sobolev_check_zero_and_validation():
     zero = Grid.empty(1, 1.0, 8)
     # both norms vanish: the ratio measures nothing
-    with pytest.raises(ValueError, match="ratio is 0.0 at p = 2, q = 4, lambda = 1:"):
+    reason = "ratio is 0.0 at p = 2.0, q = 4.0, lambda = 1.0:"
+    with pytest.raises(ValueError, match=re.escape(reason)):
         scalar_sobolev_check(1, 2.0, zero)
     # q = 1596: every |u|^q of the bump underflows, so the L^q norm is 0
     u = bump_grid(1, 1.0, 8, 0.5)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        with pytest.raises(ValueError, match="ratio is 0.0 at p = 3.99, q = 1596, lambda = 1:"):
+        reason = f"ratio is 0.0 at p = 3.99, q = {critical_exponent(1, 1.0, 3.99)!r}, lambda = 1.0:"
+        with pytest.raises(ValueError, match=re.escape(reason)):
             scalar_sobolev_check(1, 3.99, u)
     with pytest.raises(ValueError, match="1 < p < Q"):
         scalar_sobolev_check(1, 1.0, zero)
