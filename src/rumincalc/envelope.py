@@ -63,50 +63,6 @@ def derive(n: int, field_index: int, f: Poly) -> Poly:
     return Poly.wrap(f.nvars, {e: v for e, v in nums.items() if v}, 2 * f.den)
 
 
-def frame_derivatives(n: int, f: Poly, frame: str) -> list:
-    """[W_0 f, ..., W_2n f], all frame fields of f in one pass over its terms.
-
-    ``frame`` is ``"left"`` for the fields X_i, Y_i, T of ``derive`` or
-    ``"coord"`` for the partials d/dx_i, d/dy_i, d/dt. In the left frame
-    d/dt f is taken once, and its numerators, as terms of y_i/2 or x_i/2
-    times d/dt f over 2 f.den, are exponent shifts added to the partials
-    over 2 f.den.
-    """
-    if f.nvars != 2 * n + 1:
-        raise ValueError("polynomial not in the group coordinate ring")
-    if frame not in ("left", "coord"):
-        raise ValueError(f"unknown frame {frame!r}")
-    t = 2 * n
-    left = frame == "left"
-    out = [{} for _ in range(t + 1)]
-    for exp, v in f.nums.items():
-        # distinct monomials have distinct partials: no merging
-        k = exp[t]
-        if k:
-            out[t][exp[:t] + (k - 1,)] = v * k
-        if left:
-            v *= 2
-        for i in range(t):
-            k = exp[i]
-            if k:
-                out[i][exp[:i] + (k - 1,) + exp[i + 1:]] = v * k
-    if not left:
-        return [Poly.wrap(f.nvars, nums, f.den) for nums in out]
-    dt = out[t]
-    for j in range(n):
-        # X_j = d/dx_j - (y_j/2) d/dt and Y_j = d/dy_j + (x_j/2) d/dt
-        y, x = n + j, j
-        X, Y = out[x], out[y]
-        for e, v in dt.items():
-            key = e[:y] + (e[y] + 1,) + e[y + 1:]
-            X[key] = X.get(key, 0) - v
-            key = e[:x] + (e[x] + 1,) + e[x + 1:]
-            Y[key] = Y.get(key, 0) + v
-    den = 2 * f.den
-    return [Poly.wrap(f.nvars, {e: v for e, v in nums.items() if v}, den)
-            for nums in out[:t]] + [Poly.wrap(f.nvars, dt, f.den)]
-
-
 class DerivativeTable(dict):
     """W^K f for one polynomial f, filed by the PBW exponent K.
 

@@ -76,27 +76,6 @@ class Covector:
                 clean[mask] = c
         self.terms = clean
 
-    def __add__(self, other: "Covector") -> "Covector":
-        terms = dict(self.terms)
-        for m, c in other.terms.items():
-            s = terms.get(m, Fraction(0)) + c
-            if s == 0:
-                terms.pop(m, None)
-            else:
-                terms[m] = s
-        out = Covector.__new__(Covector)
-        out.n, out.terms = self.n, terms
-        return out
-
-    def __neg__(self) -> "Covector":
-        out = Covector.__new__(Covector)
-        out.n = self.n
-        out.terms = {m: -c for m, c in self.terms.items()}
-        return out
-
-    def __sub__(self, other: "Covector") -> "Covector":
-        return self + (-other)
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Covector) and self.n == other.n and self.terms == other.terms
 

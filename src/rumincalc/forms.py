@@ -13,8 +13,8 @@ supported:
 
 In both frames d is read off ``exterior_weights.d_table``: its frame-field
 steps give the derivative terms (partials in the coordinate frame, X_i, Y_i,
-T in the left frame) with their wedge signs, and its d0 column gives the
-structure-equation term of the left frame.
+T of ``envelope.derive`` in the left frame) with their wedge signs, and its
+d0 column gives the structure-equation term of the left frame.
 
 Conversion between the frames substitutes
 theta = dt - 1/2 sum_j (x_j dy_j - y_j dx_j) and back.
@@ -27,7 +27,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping
 
-from .envelope import frame_derivatives
+from .envelope import derive
 from .exterior_weights import d_table, lambda_masks, mask_weight
 from .group_geometry import dilate, from_coords, multiply
 from .polynomials import Poly, linear_combination, random_poly
@@ -179,9 +179,11 @@ def exterior_d(form: Form) -> Form:
 
     Left frame: df = sum_i (W_i f) omega_i + (Tf) theta on coefficients plus
     the structure-equation d on each coframe monomial. Coordinate frame: the
-    coframe is closed, only coefficients differentiate. The frame fields of
-    each coefficient come from one ``frame_derivatives`` pass, and every
-    target coefficient is one ``linear_combination`` of them.
+    coframe is closed, only coefficients differentiate. The coefficient of
+    omega_I is differentiated only along the fields of its ``d_table``
+    steps, the i not in I: by ``derive`` in the left frame, by
+    ``Poly.partial`` in the coordinate frame. Every target coefficient is
+    one ``linear_combination``.
     """
     n, left = form.n, form.frame == "left"
     table = d_table(n)
@@ -191,10 +193,10 @@ def exterior_d(form: Form) -> Form:
         if left:
             for target, c in d0:
                 out.setdefault(target, []).append((c, p))
-        derivatives = frame_derivatives(n, p, form.frame)
         for i, target, sign in steps:
-            if derivatives[i]:
-                out.setdefault(target, []).append((sign, derivatives[i]))
+            field = derive(n, i, p) if left else p.partial(i)
+            if field:
+                out.setdefault(target, []).append((sign, field))
     nv = 2 * n + 1
     return Form(n, form.frame, {m: linear_combination(nv, pairs) for m, pairs in out.items()})
 
@@ -310,12 +312,3 @@ def matrix_times_polys(rows: list, polys: list, nvars: int) -> list:
         out.append(linear_combination(nvars, pairs) if pairs else zero)
     return out
 
-
-def apply_mask_matrix(rows: list, src_masks: list, dst_masks: list, form: Form) -> Form:
-    """Apply a Fraction matrix (dst x src over coframe masks, as rows of its
-    nonzero entries) coefficientwise."""
-    if set(form.coeffs) - set(src_masks):
-        raise ValueError("form has components outside the source basis")
-    src = [form.coeffs.get(m) for m in src_masks]
-    image = matrix_times_polys(rows, src, 2 * form.n + 1)
-    return Form(form.n, form.frame, dict(zip(dst_masks, image)))

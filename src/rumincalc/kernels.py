@@ -266,11 +266,11 @@ def _dilated_copy(u: Grid, lam: float) -> Grid:
 
     With horizontal extents shrunk by lam and the t extent by lam^2 the
     sample points map exactly onto the original lattice, so the dilate
-    reuses the same value array.
+    shares u's value array; its callers only read it.
     """
     hw = list(u.half_widths)
     scaled = tuple([h / lam for h in hw[:-1]] + [hw[-1] / lam**2])
-    return Grid(u.n, scaled, u.shape, u.values.copy())
+    return Grid(u.n, scaled, u.shape, u.values)
 
 
 def critical_exponent(n: int, alpha: float, p: float) -> float:

@@ -47,7 +47,7 @@ from .exterior_weights import (
     d_table,
     lambda_masks,
 )
-from .forms import Form, apply_mask_matrix, exterior_d, matrix_times_polys
+from .forms import Form, exterior_d, matrix_times_polys
 from .polynomials import add_terms, linear_combination
 
 
@@ -240,7 +240,9 @@ class RuminContext:
         k = degs.pop()
         if k == 0:
             return Form.zero(self.n)
-        return apply_mask_matrix(self.d0_pinv[k], self.masks[k], self.masks[k - 1], form)
+        src = [form.coeffs.get(m) for m in self.masks[k]]
+        image = matrix_times_polys(self.d0_pinv[k], src, 2 * self.n + 1)
+        return Form(self.n, "left", dict(zip(self.masks[k - 1], image)))
 
     def project_core(self, form: Form) -> Form:
         """Orthogonal projection onto E0, degree by degree."""

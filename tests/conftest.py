@@ -73,6 +73,22 @@ def one_form(n: int, i: int) -> Covector:
     return monomial(n, 1 << i)
 
 
+def add_covectors(a: Covector, b: Covector) -> Covector:
+    """a + b; the constructor drops the terms that cancel."""
+    terms = dict(a.terms)
+    for m, c in b.terms.items():
+        terms[m] = terms.get(m, 0) + c
+    return Covector(a.n, terms)
+
+
+def negate_covector(c: Covector) -> Covector:
+    return Covector(c.n, {m: -v for m, v in c.terms.items()})
+
+
+def subtract_covectors(a: Covector, b: Covector) -> Covector:
+    return add_covectors(a, negate_covector(b))
+
+
 def is_horizontal(c: Covector) -> bool:
     theta_bit = 1 << (2 * c.n)
     return all(not mask & theta_bit for mask in c.terms)

@@ -19,7 +19,7 @@ from conftest import (
     symmetric_box_integral,
     word_op,
 )
-from rumincalc.envelope import DerivativeTable, EnvOp, derive, frame_derivatives
+from rumincalc.envelope import DerivativeTable, EnvOp, derive
 from rumincalc.polynomials import Poly
 
 
@@ -306,26 +306,11 @@ def test_polydiffop_order_and_t_flag():
     assert any(e[-1] for e in d.terms)
 
 
-def test_frame_derivatives_match_derive_and_partials():
-    rng = random.Random(12)
-    for n in (1, 2, 3):
-        nv = 2 * n + 1
-        for trial in range(8):
-            f = random_poly(rng, nv, 4, terms=6)
-            if trial % 2:
-                f = Poly(nv, {e: c for e, c in f.terms.items() if not e[-1]})
-            left = frame_derivatives(n, f, "left")
-            coord = frame_derivatives(n, f, "coord")
-            assert len(left) == len(coord) == nv
-            for i in range(nv):
-                assert left[i] == derive(n, i, f)
-                assert coord[i] == f.partial(i)
+def test_derive_cancels_the_partial_against_the_t_shift():
     # X_1 (t + x y / 2) = y/2 - y/2: the partial and the d/dt shift cancel
     x, y, t = (Poly.var(3, i) for i in range(3))
     f = t + x * y * Fraction(1, 2)
-    assert frame_derivatives(1, f, "left") == [Poly.zero(3), x, Poly.const(3, 1)]
-    with pytest.raises(ValueError, match="unknown frame"):
-        frame_derivatives(1, f, "right")
+    assert [derive(1, i, f) for i in range(3)] == [Poly.zero(3), x, Poly.const(3, 1)]
 
 
 # -- the shared int store against a dict-of-Fraction oracle --------------------

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import (
+    add_covectors,
     covector_from_coords,
     d0_matrix,
     dense_spaces,
@@ -13,8 +14,10 @@ from conftest import (
     kernel,
     lefschetz,
     monomial,
+    negate_covector,
     one_form,
     subspace_from_vectors,
+    subtract_covectors,
     wedge,
 )
 from rumincalc import linalg
@@ -113,16 +116,16 @@ def test_wedge_is_graded_anticommutative():
         ka, kb = rng.randrange(4), rng.randrange(4)
         a = Covector(n)
         for m in rng.sample(lambda_masks(n, ka), min(2, len(lambda_masks(n, ka)))):
-            a = a + Covector(n, {m: Fraction(rng.randrange(-4, 5) or 1)})
+            a = add_covectors(a, Covector(n, {m: Fraction(rng.randrange(-4, 5) or 1)}))
         b = Covector(n)
         for m in rng.sample(lambda_masks(n, kb), min(2, len(lambda_masks(n, kb)))):
-            b = b + Covector(n, {m: Fraction(rng.randrange(-4, 5) or 1)})
-        assert wedge(a, b) == (-wedge(b, a) if (ka * kb) % 2 else wedge(b, a))
+            b = add_covectors(b, Covector(n, {m: Fraction(rng.randrange(-4, 5) or 1)}))
+        assert wedge(a, b) == (negate_covector(wedge(b, a)) if (ka * kb) % 2 else wedge(b, a))
 
 
 def test_wedge_squares_to_zero_and_associates():
     n = 2
-    a = w(n, 0) + Covector(n, {1 << 2: 3})
+    a = add_covectors(w(n, 0), Covector(n, {1 << 2: 3}))
     assert not wedge(a, a)
     b, c = w(n, 1), w(n, 3)
     assert wedge(wedge(a, b), c) == wedge(a, wedge(b, c))
@@ -134,7 +137,7 @@ def test_inner_product_is_monomial_orthonormal():
     assert inner(w(n, 0), w(n, 1)) == 0
     two_form = wedge(w(n, 0), w(n, 1))
     assert inner(two_form, two_form) == 1
-    mixed = Covector(n, {0b11: Fraction(2, 3)}) + wedge(w(n, 0), w(n, 2))
+    mixed = add_covectors(Covector(n, {0b11: Fraction(2, 3)}), wedge(w(n, 0), w(n, 2)))
     assert inner(mixed, two_form) == Fraction(2, 3)
 
 
@@ -144,7 +147,7 @@ def test_weights_count_theta_twice():
     assert weights(w(n, 0)) == {1}
     assert weights(theta) == {2}
     assert weights(wedge(theta, w(n, 0))) == {3}
-    mixed = w(n, 0) + theta
+    mixed = add_covectors(w(n, 0), theta)
     assert weights(mixed) == {1, 2}
     assert pure_weight_part(mixed, 2) == theta
     assert horizontal_part(mixed) == w(n, 0)
@@ -154,7 +157,7 @@ def test_dtheta_from_structure_equations():
     for n in (1, 2, 3):
         expected = Covector(n)
         for j in range(n):
-            expected = expected - wedge(w(n, j), w(n, n + j))
+            expected = subtract_covectors(expected, wedge(w(n, j), w(n, n + j)))
         assert dtheta(n) == expected
         # horizontal coframe elements are closed
         for i in range(2 * n):
@@ -328,6 +331,6 @@ def test_core_dimensions_and_closure_at_n5():
 def test_covector_coords_roundtrip():
     n = 2
     masks = lambda_masks(n, 2)
-    c = Covector(n, {0b11: Fraction(7, 3)}) - wedge(w(n, 2), w(n, 4))
+    c = subtract_covectors(Covector(n, {0b11: Fraction(7, 3)}), wedge(w(n, 2), w(n, 4)))
     coords = covector_coords(c, masks)
     assert covector_from_coords(n, masks, coords) == c

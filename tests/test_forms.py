@@ -11,10 +11,11 @@ from conftest import (
     reference_convert,
     wedge_forms,
 )
+from rumincalc import forms
+from rumincalc.envelope import derive
 from rumincalc.exterior_weights import mask_weight
 from rumincalc.forms import (
     Form,
-    apply_mask_matrix,
     exterior_d,
     matrix_times_polys,
     pullback_translation_dilation,
@@ -79,6 +80,43 @@ def test_exterior_d_matches_the_field_by_field_composition():
                 omega = random_form(rng, n, k, 3, frame=frame)
                 d0, d1, d2 = d_field_by_field(omega)
                 assert exterior_d(omega) == d0 + d1 + d2
+
+
+def test_exterior_d_drops_a_vanishing_field():
+    # X_1 (t + x y / 2) = 0 in the left frame and d/dy (x t) = 0 in the
+    # coordinate frame: the step of that field adds no term
+    x, y, t = (Poly.var(3, i) for i in range(3))
+    cases = (
+        (Form.monomial(1, 0b010, t + x * y * Fraction(1, 2)), {0b110}),
+        (Form.monomial(1, 0b100, x * t, "coord"), {0b101}),
+    )
+    for omega, masks in cases:
+        d0, d1, d2 = d_field_by_field(omega)
+        got = exterior_d(omega)
+        assert got == d0 + d1 + d2
+        assert set(got.coeffs) == masks
+
+
+def test_exterior_d_derives_each_coefficient_along_its_steps_only(monkeypatch):
+    # the coefficient of omega_I needs the 2n+1-|I| fields outside I
+    calls = []
+
+    def counted(n, i, f):
+        calls.append(i)
+        return derive(n, i, f)
+
+    monkeypatch.setattr(forms, "derive", counted)
+    for n in (1, 2):
+        t = Poly.var(2 * n + 1, 2 * n)
+        for mask in range(1 << (2 * n + 1)):
+            calls.clear()
+            exterior_d(Form.monomial(n, mask, t * t))
+            assert calls == [i for i in range(2 * n + 1) if not mask >> i & 1]
+
+
+def test_form_refuses_an_unknown_frame():
+    with pytest.raises(ValueError, match="unknown frame 'right'"):
+        Form(1, "right")
 
 
 def test_frame_conversion_roundtrips_and_commutes_with_d():
@@ -203,17 +241,6 @@ def test_pullback_composes():
     assert pullback_translation_dilation(
         pullback_translation_dilation(omega, a, r), b, s
     ) == pullback_translation_dilation(omega, combined, r * s)
-
-
-def test_apply_mask_matrix_checks_source_support():
-    n = 1
-    form = Form.monomial(n, 0b011, Poly.var(3, 0))
-    out = apply_mask_matrix(
-        [{0: Fraction(2)}], [0b011], [0b101], form
-    )
-    assert out == Form.monomial(n, 0b101, Poly.var(3, 0).scale(2))
-    with pytest.raises(ValueError):
-        apply_mask_matrix([{0: Fraction(1)}], [0b110], [0b101], form)
 
 
 def test_pullback_requires_left_frame():

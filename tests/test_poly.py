@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import exact_value, symmetric_box_integral
-from rumincalc.envelope import derive, frame_derivatives
+from rumincalc.envelope import derive
 from rumincalc.polynomials import Poly, linear_combination, random_poly
 
 NVARS = 3
@@ -225,12 +225,6 @@ def test_integer_poly_derivatives_match_the_fraction_oracle(a):
     for i in range(NVARS):
         assert_matches(p.partial(i), o_partial(a, i))
         assert_matches(derive(1, i, p), o_derive(a, i))
-    for frame, want in (("left", [o_derive(a, i) for i in range(NVARS)]),
-                        ("coord", [o_partial(a, i) for i in range(NVARS)])):
-        got = frame_derivatives(1, p, frame)
-        assert len(got) == NVARS
-        for g, w in zip(got, want):
-            assert_matches(g, w)
 
 
 @given(oracle_strategy(max_degree=2), oracle_strategy(max_degree=1),
