@@ -196,7 +196,7 @@ def cmd_verify(cfg: argparse.Namespace) -> int:
 
     for h in degrees:
         square = ctx.rumin_d_matrix(h + 1).compose(ctx.rumin_d_matrix(h))
-        zero = OperatorMatrix.zero(cfg.n, h, h + 2, square.rows, square.cols)
+        zero = OperatorMatrix.zero(cfg.n, square.rows, square.cols)
         rep.exact({"check": f"d_c^2 = 0 out of degree {h}"}, square.is_zero(),
                   lambda: {"degree": h, **first_difference(square, zero)}, passed="exact-zero")
 

@@ -46,8 +46,8 @@ from . import linalg
 from .envelope import EnvOp
 
 
-def _merge_sign(a: int, b: int) -> int:
-    """Sign of sorting the concatenation of two disjoint ascending masks."""
+def merge_sign(a: int, b: int) -> int:
+    """The sign s in omega_a ^ omega_b = s omega_(a + b), for disjoint masks."""
     sign = 1
     bb = b
     while bb:
@@ -146,14 +146,14 @@ def d_table(n: int) -> tuple:
         for i in range(nv):
             bit = 1 << i
             if not mask & bit:
-                steps.append((i, mask | bit, _merge_sign(bit, mask)))
+                steps.append((i, mask | bit, merge_sign(bit, mask)))
                 continue
             before, after = mask & (bit - 1), mask & ~((bit << 1) - 1)
             sign = -1 if before.bit_count() % 2 else 1
             for m2, c in d_one[i].items():
                 if m2 & (before | after):
                     continue
-                s = sign * _merge_sign(before, m2) * _merge_sign(before | m2, after)
+                s = sign * merge_sign(before, m2) * merge_sign(before | m2, after)
                 target = before | m2 | after
                 d0[target] = d0.get(target, 0) + s * c
         table.append(CoframeD(tuple(sorted((m, c) for m, c in d0.items() if c)), tuple(steps)))
@@ -275,7 +275,7 @@ def build_spaces(n: int, h: int) -> Subspace:
 
 
 def d0_pseudo_inverse(n: int, h: int) -> list:
-    """Matrix of d0^{-1}: Lambda^{h+1} -> Lambda^h, block by block.
+    """d0^{-1}: Lambda^{h+1} -> Lambda^h as rows {column: entry} of its nonzero entries.
 
     d0^{-1} is zero on the complement V of im(d0) and inverts d0 restricted
     to the complement W of ker(d0). Both complements are orthogonal, so
@@ -283,7 +283,7 @@ def d0_pseudo_inverse(n: int, h: int) -> list:
     pattern, so each block of d0 is inverted on its own.
     """
     lower, upper = lambda_masks(n, h), lambda_masks(n, h + 1)
-    out = [[Fraction(0)] * len(upper) for _ in lower]
+    out = [{} for _ in lower]
     upper_blocks = singleton_blocks(n, upper)
     for pattern, rows in singleton_blocks(n, lower).items():
         cols = upper_blocks.get(pattern)
@@ -291,25 +291,24 @@ def d0_pseudo_inverse(n: int, h: int) -> list:
             continue
         d0 = _d0_between(n, [lower[r] for r in rows], [upper[c] for c in cols])
         for r, values in zip(rows, linalg.pseudo_inverse(d0)):
-            for c, x in zip(cols, values):
-                out[r][c] = x
+            out[r] = {c: x for c, x in zip(cols, values) if x}
     return out
 
 
 def _lefschetz_power_matrix(n: int, k: int, power: int) -> list:
     """Matrix of L^power from horizontal degree k to degree k + 2 power.
 
-    L beta = d0(theta ^ beta), as d0 beta = 0. theta is the top bit, so
-    theta ^ omega_I = (-1)^|I| omega_(I + theta), and |I| = k mod 2.
+    L beta = d0(theta ^ beta), as d0 beta = 0.
     """
-    theta, sign = 1 << (2 * n), -1 if k % 2 else 1
+    theta = 1 << (2 * n)
     src = lambda_masks(n, k, horizontal_only=True)
     dst = lambda_masks(n, k + 2 * power, horizontal_only=True)
     cols = []
     for m in src:
         c = Covector(n, {m: 1})
         for _ in range(power):
-            c = algebraic_d(Covector(n, {mask | theta: sign * v for mask, v in c.terms.items()}))
+            c = algebraic_d(Covector(n, {mask | theta: merge_sign(theta, mask) * v
+                                         for mask, v in c.terms.items()}))
         cols.append(c)
     return [[col.terms.get(dm, Fraction(0)) for col in cols] for dm in dst]
 

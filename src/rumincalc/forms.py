@@ -28,7 +28,7 @@ from functools import lru_cache
 from typing import Mapping
 
 from .envelope import derive
-from .exterior_weights import d_table, lambda_masks, mask_weight
+from .exterior_weights import d_table, lambda_masks, mask_weight, merge_sign
 from .group_geometry import dilate, from_coords, multiply
 from .polynomials import Poly, linear_combination, random_poly
 
@@ -225,9 +225,8 @@ def _frame_change(n: int, target: str) -> dict:
     table = {}
     for mask in range(t_bit, t_bit << 1):
         rest = mask ^ t_bit
-        # e_I ^ e_b = (-1)^(the indices of I above b) e_{I + b}
         table[mask] = tuple(
-            (rest | bit, var, -c if (rest >> bit.bit_length()).bit_count() % 2 else c)
+            (rest | bit, var, merge_sign(rest, bit) * c)
             for bit, (var, c) in slope.items() if not rest & bit
         )
     return table

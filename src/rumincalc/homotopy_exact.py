@@ -34,6 +34,7 @@ from operator import mul, sub
 import numpy as np
 
 from . import grid as gridmod
+from .exterior_weights import merge_sign
 from .forms import (
     Form,
     exterior_d,
@@ -140,8 +141,8 @@ def _cone_homotopy(omega: Form, moment) -> Form:
     for mask, p in omega.coeffs.items():
         k = mask.bit_count()
         # (j, +-_j, the coefficient of dx_{I - j}) for each j in I
-        targets = [(j, -1 if pos % 2 else 1, out.setdefault(mask & ~(1 << j), {}))
-                   for pos, j in enumerate(i for i in range(nv) if mask >> i & 1)]
+        targets = [(j, merge_sign(1 << j, mask & ~(1 << j)), out.setdefault(mask & ~(1 << j), {}))
+                   for j in range(nv) if mask >> j & 1]
         lift = coeff_den // p.den
         for alpha, v in p.nums.items():
             size = sum(alpha)

@@ -6,9 +6,10 @@ V of im d0, the inverse of d0 restricted to the complement W of ker d0 on its
 image), both from ``exterior_weights``, and the E0 coordinates: B_h, the E0
 basis as columns, and C_h = N_h^{-1} B_h^T, with N_h the diagonal of its
 squared norms. V and W themselves are never built. These constant maps,
-and P_E0 below, are kept as rows of their nonzero entries. The operator
-matrices d_c, delta_c, d_c delta_c and delta_c d_c are built once per
-degree and kept.
+and P_E0 below, are kept as rows of their nonzero entries, and d0^{-1} and
+P_E0 reach a form through one route that applies the map of each degree to
+that degree. The operator matrices d_c, delta_c, d_c delta_c and delta_c d_c
+are built once per degree and kept in one memo, keyed by operator and degree.
 
 Rumin's projector onto E is P_E = 1 - d0^{-1} d - d d0^{-1} (d the full
 differential), and P_E0 = 1 - d0^{-1} d0 - d0 d0^{-1} = B_h C_h. Both
@@ -64,19 +65,18 @@ class OperatorMatrix:
     entry, and no entry stores a zero operator, so ``==`` and ``is_zero``
     read the dicts directly. The shape is carried explicitly so that empty
     matrices (degrees off the end of the complex) still compose with the
-    right dimensions.
+    right dimensions; it is all that composition checks, and the matrix
+    carries no degree labels.
     """
 
-    def __init__(self, n: int, src_degree: int, dst_degree: int, entries: list, shape: tuple):
+    def __init__(self, n: int, entries: list, shape: tuple):
         self.n = n
-        self.src_degree = src_degree
-        self.dst_degree = dst_degree
         self.entries = entries
         self.shape = shape
 
     @classmethod
-    def zero(cls, n: int, src_degree: int, dst_degree: int, rows: int, cols: int):
-        return cls(n, src_degree, dst_degree, [{} for _ in range(rows)], (rows, cols))
+    def zero(cls, n: int, rows: int, cols: int):
+        return cls(n, [{} for _ in range(rows)], (rows, cols))
 
     @property
     def rows(self) -> int:
@@ -89,8 +89,7 @@ class OperatorMatrix:
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, OperatorMatrix)
-            and (self.n, self.src_degree, self.dst_degree, self.shape)
-            == (other.n, other.src_degree, other.dst_degree, other.shape)
+            and (self.n, self.shape) == (other.n, other.shape)
             and self.entries == other.entries
         )
 
@@ -104,7 +103,7 @@ class OperatorMatrix:
             add_terms(dict(ra), ((j, -b) for j, b in rb.items()) if negate else rb.items())
             for ra, rb in zip(self.entries, other.entries)
         ]
-        return OperatorMatrix(self.n, self.src_degree, self.dst_degree, entries, self.shape)
+        return OperatorMatrix(self.n, entries, self.shape)
 
     def __add__(self, other: "OperatorMatrix") -> "OperatorMatrix":
         return self._combine(other, False)
@@ -148,10 +147,7 @@ class OperatorMatrix:
                 if entry:
                     out[k] = entry
             entries.append(out)
-        return OperatorMatrix(
-            n, inner.src_degree, self.dst_degree, entries,
-            (self.rows, inner.cols),
-        )
+        return OperatorMatrix(n, entries, (self.rows, inner.cols))
 
     def apply(self, polys: list) -> list:
         """The matrix applied to a column of Polys; each source polynomial
@@ -172,14 +168,7 @@ class OperatorMatrix:
         for i, row in enumerate(self.entries):
             for j, e in row.items():
                 entries[j][i] = e.adjoint().scale(gram_dst[i] / gram_src[j])
-        return OperatorMatrix(
-            self.n, self.dst_degree, self.src_degree, entries, (self.cols, self.rows)
-        )
-
-
-def _require_left_frame(form: Form) -> None:
-    if form.frame != "left":
-        raise ValueError("E0 and d0 act on forms in the left-invariant frame")
+        return OperatorMatrix(self.n, entries, (self.cols, self.rows))
 
 
 class RuminContext:
@@ -196,10 +185,7 @@ class RuminContext:
         # P_E0 = B_h C_h, each kept as rows {column: entry} of its nonzero
         # entries; B_h and C_h are the one E0 coordinate system, read by
         # every map into and out of E0
-        self.d0_pinv = [None] + [
-            [{j: c for j, c in enumerate(row) if c} for row in d0_pseudo_inverse(n, h)]
-            for h in range(self.top)
-        ]
+        self.d0_pinv = [None] + [d0_pseudo_inverse(n, h) for h in range(self.top)]
         self._embed, self._coords = [], []
         for h in range(self.top + 1):
             core = self.cores[h]
@@ -213,11 +199,8 @@ class RuminContext:
              for row in embed]
             for embed, coords in zip(self._embed, self._coords)
         ]
-        # d_c, delta_c, d_c delta_c and delta_c d_c, each built once per degree
-        self._d_matrices: dict = {}
-        self._delta_matrices: dict = {}
-        self._d_delta: dict = {}
-        self._delta_d: dict = {}
+        # d_c, delta_c, d_c delta_c and delta_c d_c, keyed by (operator, degree)
+        self._operators: dict = {}
 
     # -- exact matrix data -------------------------------------------------
 
@@ -230,29 +213,26 @@ class RuminContext:
 
     # -- form-level operators -----------------------------------------------
 
+    def _by_degree(self, form: Form, maps: list, shift: int) -> Form:
+        """``maps[k]`` (rows of nonzero entries, None for zero) applied to
+        the degree-k part of a left-frame form, written in degree k + shift."""
+        if form.frame != "left":
+            raise ValueError("E0 and d0 act on forms in the left-invariant frame")
+        coeffs = {}
+        for k in sorted(form.degrees()):
+            if maps[k] is not None:
+                src = [form.coeffs.get(m) for m in self.masks[k]]
+                image = matrix_times_polys(maps[k], src, 2 * self.n + 1)
+                coeffs.update(zip(self.masks[k + shift], image))
+        return Form(self.n, "left", coeffs)
+
     def d0_inverse(self, form: Form) -> Form:
-        _require_left_frame(form)
-        degs = form.degrees()
-        if not degs:
-            return Form.zero(self.n)
-        if len(degs) > 1:
-            raise ValueError("d0 inverse needs a pure-degree form")
-        k = degs.pop()
-        if k == 0:
-            return Form.zero(self.n)
-        src = [form.coeffs.get(m) for m in self.masks[k]]
-        image = matrix_times_polys(self.d0_pinv[k], src, 2 * self.n + 1)
-        return Form(self.n, "left", dict(zip(self.masks[k - 1], image)))
+        """d0^{-1}, degree by degree; zero on functions."""
+        return self._by_degree(form, self.d0_pinv, -1)
 
     def project_core(self, form: Form) -> Form:
         """Orthogonal projection onto E0, degree by degree."""
-        _require_left_frame(form)
-        coeffs = {}
-        for k in sorted(form.degrees()):
-            masks = self.masks[k]
-            src = [form.coeffs.get(m) for m in masks]
-            coeffs.update(zip(masks, matrix_times_polys(self._p_e0[k], src, 2 * self.n + 1)))
-        return Form(self.n, "left", coeffs)
+        return self._by_degree(form, self._p_e0, 0)
 
     def core_part(self, form: Form) -> Form:
         """P_E0 P_E form, as P_E0(form - d d0^{-1} form): P_E0 d0^{-1} = 0."""
@@ -270,12 +250,12 @@ class RuminContext:
 
     # -- the d_c matrix ------------------------------------------------------
 
-    def _constant(self, rows: list, cols: int, src_degree: int, dst_degree: int) -> OperatorMatrix:
+    def _constant(self, rows: list, cols: int) -> OperatorMatrix:
         """A Fraction matrix, as rows of its nonzero entries, as an operator
         matrix of scalar operators."""
         one = EnvOp.one(self.n)
         entries = [{j: one.scale(c) for j, c in row.items()} for row in rows]
-        return OperatorMatrix(self.n, src_degree, dst_degree, entries, (len(rows), cols))
+        return OperatorMatrix(self.n, entries, (len(rows), cols))
 
     def _d_operator(self, h: int) -> OperatorMatrix:
         """D1_h: the frame-field part of d from Lambda^h to Lambda^{h+1}.
@@ -290,49 +270,50 @@ class RuminContext:
         for col, mask in enumerate(masks):
             for i, target, sign in table[mask].steps:
                 entries[row_of[target]][col] = EnvOp.generator(self.n, i).scale(sign)
-        return OperatorMatrix(self.n, h, h + 1, entries, (len(targets), len(masks)))
+        return OperatorMatrix(self.n, entries, (len(targets), len(masks)))
+
+    def _keep(self, key: tuple, build) -> OperatorMatrix:
+        """The operator under ``key``, built by ``build()`` on first use."""
+        if key not in self._operators:
+            self._operators[key] = build()
+        return self._operators[key]
 
     def rumin_d_matrix(self, h: int) -> OperatorMatrix:
-        """The matrix of d_c: E0^h -> E0^{h+1}, as C_{h+1} D1_h (B_h - d0^{-1} D1_h B_h).
+        """The matrix of d_c: E0^h -> E0^{h+1}."""
+        if not 0 <= h <= self.top:
+            raise ValueError("degree out of range")
+        return self._keep(("d_c", h), lambda: self._build_d_matrix(h))
+
+    def _build_d_matrix(self, h: int) -> OperatorMatrix:
+        """d_c out of degree h as C_{h+1} D1_h (B_h - d0^{-1} D1_h B_h).
 
         d0 B_h = 0 and C_{h+1} d0 = 0 (E0 lies in ker d0 and is orthogonal
         to im d0), so of d = d0 + D1_h only the frame-field part D1_h enters.
         """
-        if h in self._d_matrices:
-            return self._d_matrices[h]
-        if not 0 <= h <= self.top:
-            raise ValueError("degree out of range")
         if h == self.top:
-            mat = OperatorMatrix.zero(self.n, h, h + 1, 0, self.cores[h].dim)
-        else:
-            embed = self._constant(self._embed[h], self.cores[h].dim, h, h)
-            coords = self._constant(self._coords[h + 1], len(self.masks[h + 1]), h + 1, h + 1)
-            d1 = self._d_operator(h)
-            d0_inv = self._constant(self.d0_pinv[h + 1], len(self.masks[h + 1]), h + 1, h)
-            # P_E on E0, where d0^{-1} vanishes and d = D1_h, is 1 - d0^{-1} D1_h
-            rumin = embed - d0_inv.compose(d1.compose(embed))
-            mat = coords.compose(d1.compose(rumin))
-        self._d_matrices[h] = mat
-        return mat
+            return OperatorMatrix.zero(self.n, 0, self.cores[h].dim)
+        embed = self._constant(self._embed[h], self.cores[h].dim)
+        coords = self._constant(self._coords[h + 1], len(self.masks[h + 1]))
+        d1 = self._d_operator(h)
+        d0_inv = self._constant(self.d0_pinv[h + 1], len(self.masks[h + 1]))
+        # P_E on E0, where d0^{-1} vanishes and d = D1_h, is 1 - d0^{-1} D1_h
+        rumin = embed - d0_inv.compose(d1.compose(embed))
+        return coords.compose(d1.compose(rumin))
 
     def rumin_delta_matrix(self, h: int) -> OperatorMatrix:
         """delta_c: E0^{h+1} -> E0^h, the formal L2 adjoint of d_c."""
-        if h not in self._delta_matrices:
-            d = self.rumin_d_matrix(h)
-            self._delta_matrices[h] = d.adjoint(self.gram(h), self.gram(h + 1))
-        return self._delta_matrices[h]
+        return self._keep(("delta_c", h), lambda: self.rumin_d_matrix(h).adjoint(
+            self.gram(h), self.gram(h + 1)))
 
     def rumin_d_delta(self, h: int) -> OperatorMatrix:
         """d_c delta_c on E0^h, for 1 <= h <= top."""
-        if h not in self._d_delta:
-            self._d_delta[h] = self.rumin_d_matrix(h - 1).compose(self.rumin_delta_matrix(h - 1))
-        return self._d_delta[h]
+        return self._keep(("d_c delta_c", h), lambda: self.rumin_d_matrix(h - 1).compose(
+            self.rumin_delta_matrix(h - 1)))
 
     def rumin_delta_d(self, h: int) -> OperatorMatrix:
         """delta_c d_c on E0^h, for 0 <= h <= top."""
-        if h not in self._delta_d:
-            self._delta_d[h] = self.rumin_delta_matrix(h).compose(self.rumin_d_matrix(h))
-        return self._delta_d[h]
+        return self._keep(("delta_c d_c", h), lambda: self.rumin_delta_matrix(h).compose(
+            self.rumin_d_matrix(h)))
 
     def rumin_laplacian(self, h: int) -> OperatorMatrix:
         """The degree-h intrinsic Laplacian, homogeneous of order 2 or 4.

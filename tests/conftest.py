@@ -24,10 +24,10 @@ from rumincalc.exterior_weights import (
     Covector,
     Subspace,
     _d0_between,
-    _merge_sign,
     algebraic_d,
     covector_coords,
     lambda_masks,
+    merge_sign,
 )
 
 # the test modules import random_form, random_section and random_poly from here
@@ -107,7 +107,7 @@ def wedge_terms(a: Mapping, b: Mapping) -> dict:
             if m1 & m2:
                 continue
             m = m1 | m2
-            term = c1 * c2 if _merge_sign(m1, m2) > 0 else -(c1 * c2)
+            term = c1 * c2 if merge_sign(m1, m2) > 0 else -(c1 * c2)
             s = terms.get(m)
             terms[m] = term if s is None else s + term
     return terms

@@ -24,7 +24,7 @@ from conftest import (
     shared_context,
 )
 from rumincalc.envelope import EnvOp
-from rumincalc.exterior_weights import covector_coords, d0_pseudo_inverse
+from rumincalc.exterior_weights import covector_coords
 from rumincalc.forms import Form, exterior_d, to_coordinate_frame, to_left_frame
 from rumincalc.linalg import matmul
 from rumincalc.polynomials import Poly
@@ -120,7 +120,7 @@ def _random_operator_matrix(rng, n, rows, cols, support=lambda i, j: True):
                 for _ in range(rng.randrange(1, 4))
             })
         entries.append(row)
-    return OperatorMatrix(n, 0, 0, entries, (rows, cols))
+    return OperatorMatrix(n, entries, (rows, cols))
 
 
 def test_compose_matches_applying_the_factors_in_turn():
@@ -209,7 +209,7 @@ def test_operator_matrices_store_no_zero_entry():
             assert (m + other) - other == m
     # the shape is never inferred from the entries
     with pytest.raises(TypeError):
-        OperatorMatrix(1, 0, 0, [{}])
+        OperatorMatrix(1, [{}])
 
 
 def test_dc_squares_to_zero_on_random_sections(ctx1):
@@ -304,16 +304,15 @@ def test_delta_is_the_gram_adjoint(ctx1, ctx2):
     delta_top = ctx1.rumin_delta_matrix(top)
     assert delta_top.shape == (dim, 0)
     assert delta_top.is_zero()
-    # in every degree the shapes and degrees follow the E0 dimensions
+    # in every degree the shapes follow the E0 dimensions
     for ctx in (ctx1, ctx2):
         dims = ctx.core_dims() + [0]
         for h in range(ctx.top + 1):
             d, delta = ctx.rumin_d_matrix(h), ctx.rumin_delta_matrix(h)
-            assert (d.src_degree, d.dst_degree, d.shape) == (h, h + 1, (dims[h + 1], dims[h]))
-            assert (delta.src_degree, delta.dst_degree, delta.shape) == (
-                h + 1, h, (dims[h], dims[h + 1]))
+            assert d.shape == (dims[h + 1], dims[h])
+            assert delta.shape == (dims[h], dims[h + 1])
     # the shape takes part in equality
-    assert OperatorMatrix.zero(1, 3, 4, 0, 1) != OperatorMatrix.zero(1, 3, 4, 0, 0)
+    assert OperatorMatrix.zero(1, 0, 1) != OperatorMatrix.zero(1, 0, 0)
 
 
 def test_degree_zero_laplacian_is_sum_of_squares(ctx1, ctx2):
@@ -419,6 +418,7 @@ def test_context_builds_delta_and_the_products_once(ctx1, ctx2):
     for ctx in (ctx1, ctx2, shared_context(3)):
         for h in range(ctx.top + 1):
             d = ctx.rumin_d_matrix(h)
+            assert ctx.rumin_d_matrix(h) is d
             delta = ctx.rumin_delta_matrix(h)
             assert ctx.rumin_delta_matrix(h) is delta
             fresh = d.adjoint(ctx.gram(h), ctx.gram(h + 1))
@@ -477,6 +477,25 @@ def test_rumin_d_requires_left_frame(ctx1):
     assert ctx1.project_core(to_left_frame(dt)) == expected
 
 
+@pytest.mark.parametrize("n", [1, 2])
+def test_context_maps_act_degree_by_degree_on_mixed_degree_forms(n):
+    # d0^{-1}, P_E0, P_E0 P_E and d_c are linear, so on a + b with a and b of
+    # different degrees each one is the sum of its values on a and on b
+    ctx = shared_context(n)
+    rng = random.Random(40 + n)
+    forms = [random_form(rng, n, k, 2) for k in range(ctx.top + 1)]
+    assert ctx.d0_inverse(forms[2])
+    for ka in range(ctx.top + 1):
+        for kb in range(ka + 1, ctx.top + 1):
+            a, b = forms[ka], forms[kb]
+            for op in (ctx.d0_inverse, ctx.project_core, ctx.core_part, ctx.rumin_d):
+                assert op(a + b) == op(a) + op(b), (op.__name__, ka, kb)
+    # d0^{-1} is zero on functions
+    assert forms[0] and ctx.d0_inverse(forms[0]) == Form.zero(n)
+    with pytest.raises(ValueError, match="E0 and d0 act on forms in the left-invariant frame"):
+        ctx.d0_inverse(to_coordinate_frame(forms[1] + forms[2]))
+
+
 def test_core_projector_is_the_d0_projector_and_coordinates_invert_the_basis():
     # the E0 coordinates B_h, C_h give P_E0 = B_h C_h; its defining formula
     # 1 - d0^{-1} d0 - d0 d0^{-1} is the oracle
@@ -513,7 +532,7 @@ def test_context_keeps_the_constant_maps_as_rows_without_zeros(n):
         kept = [(ctx._embed[h], embed, dim), (ctx._coords[h], coords, size),
                 (ctx._p_e0[h], matmul(embed, coords), size)]
         if h < ctx.top:
-            kept.append((ctx.d0_pinv[h + 1], d0_pseudo_inverse(n, h), len(ctx.masks[h + 1])))
+            kept.append((ctx.d0_pinv[h + 1], dense_pseudo_inverse(n, h), len(ctx.masks[h + 1])))
         for rows, want, cols in kept:
             assert all(c != 0 and 0 <= j < cols for row in rows for j, c in row.items())
             assert dense(rows, cols) == want, (n, h)
@@ -588,15 +607,15 @@ def test_first_difference_names_the_first_entry_and_exponent():
     # first in sorted order
     n = 1
     X, Y, T = (EnvOp.generator(n, g) for g in range(3))
-    left = OperatorMatrix(n, 0, 1, [{1: X}, {0: X + Y * T, 2: T}], (2, 3))
-    right = OperatorMatrix(n, 0, 1, [{1: X}, {0: (Y * T).scale(2), 2: T.scale(3)}], (2, 3))
+    left = OperatorMatrix(n, [{1: X}, {0: X + Y * T, 2: T}], (2, 3))
+    right = OperatorMatrix(n, [{1: X}, {0: (Y * T).scale(2), 2: T.scale(3)}], (2, 3))
     assert first_difference(left, left) is None
     assert first_difference(left, right) == {
         "row": 1, "column": 0, "exponent": [0, 1, 1], "got": "1", "expected": "2"}
     assert first_difference(right, left)["expected"] == "1"
     # an entry missing on one side counts as zero there
-    short = OperatorMatrix(n, 0, 1, [{1: X}, {2: T}], (2, 3))
+    short = OperatorMatrix(n, [{1: X}, {2: T}], (2, 3))
     assert first_difference(left, short) == {
         "row": 1, "column": 0, "exponent": [0, 1, 1], "got": "1", "expected": "0"}
-    wide = OperatorMatrix.zero(n, 0, 1, 2, 4)
+    wide = OperatorMatrix.zero(n, 2, 4)
     assert first_difference(left, wide) == {"shapes": [[2, 3], [2, 4]]}

@@ -24,7 +24,6 @@ from rumincalc import linalg
 from rumincalc.exterior_weights import (
     Covector,
     _lefschetz_power_matrix,
-    _merge_sign,
     algebraic_d,
     build_spaces,
     core_dimension_oracle,
@@ -32,6 +31,7 @@ from rumincalc.exterior_weights import (
     d_table,
     lambda_masks,
     mask_weight,
+    merge_sign,
     singleton_blocks,
     singleton_pattern,
 )
@@ -104,9 +104,9 @@ def theta_complement(c):
 
 
 def test_merge_sign_examples():
-    assert _merge_sign(0b01, 0b10) == 1
-    assert _merge_sign(0b10, 0b01) == -1
-    assert _merge_sign(0b101, 0b010) == -1  # move bit 1 past bit 2
+    assert merge_sign(0b01, 0b10) == 1
+    assert merge_sign(0b10, 0b01) == -1
+    assert merge_sign(0b101, 0b010) == -1  # move bit 1 past bit 2
 
 
 def test_wedge_is_graded_anticommutative():

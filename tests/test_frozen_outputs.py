@@ -35,15 +35,16 @@ def env_to_rows(a) -> list:
     ]
 
 
-def to_json(matrix) -> str:
-    """An ``OperatorMatrix`` as canonical JSON: degrees, shape and the term
-    rows of every entry, an absent one as the zero operator, with sorted keys."""
+def to_json(matrix, src_degree: int, dst_degree: int) -> str:
+    """An ``OperatorMatrix`` from degree ``src_degree`` to ``dst_degree`` as
+    canonical JSON: degrees, shape and the term rows of every entry, an
+    absent one as the zero operator, with sorted keys."""
     zero = EnvOp.zero(matrix.n)
     return json.dumps(
         {
             "n": matrix.n,
-            "src_degree": matrix.src_degree,
-            "dst_degree": matrix.dst_degree,
+            "src_degree": src_degree,
+            "dst_degree": dst_degree,
             "shape": list(matrix.shape),
             "entries": [
                 [env_to_rows(row.get(j, zero)) for j in range(matrix.cols)]
@@ -54,18 +55,18 @@ def to_json(matrix) -> str:
     )
 
 
-def _digest(matrix) -> str:
-    return hashlib.sha256(to_json(matrix).encode()).hexdigest()
+def _digest(matrix, src_degree: int, dst_degree: int) -> str:
+    return hashlib.sha256(to_json(matrix, src_degree, dst_degree).encode()).hexdigest()
 
 
 def current_digests() -> dict:
     out = {"d_c": {}, "laplacian": {}}
     for n in DC_NS:
         ctx = shared_context(n)
-        out["d_c"][str(n)] = [_digest(ctx.rumin_d_matrix(h)) for h in range(ctx.top + 1)]
+        out["d_c"][str(n)] = [_digest(ctx.rumin_d_matrix(h), h, h + 1) for h in range(ctx.top + 1)]
     for n in LAPLACIAN_NS:
         ctx = shared_context(n)
-        out["laplacian"][str(n)] = [_digest(ctx.rumin_laplacian(h)) for h in range(ctx.top + 1)]
+        out["laplacian"][str(n)] = [_digest(ctx.rumin_laplacian(h), h, h) for h in range(ctx.top + 1)]
     return out
 
 
@@ -90,7 +91,7 @@ def test_n5_dc_squares_to_zero_and_matches_frozen_digests():
     # d_c out of the top degree is the empty map, so d_c^2 is defined up to top - 1
     for h in range(ctx.top):
         assert d[h + 1].compose(d[h]).is_zero(), f"d_c^2 != 0 out of degree {h}"
-    got = [_digest(m) for m in d]
+    got = [_digest(m, h, h + 1) for h, m in enumerate(d)]
     elapsed = time.perf_counter() - start
     want = json.loads(FROZEN.read_text())[N5_KEY]
     assert len(want) == len(got) == 12
@@ -101,5 +102,6 @@ def test_n5_dc_squares_to_zero_and_matches_frozen_digests():
 
 if __name__ == "__main__":
     n5 = RuminContext(5)
-    frozen = {**current_digests(), N5_KEY: [_digest(n5.rumin_d_matrix(h)) for h in range(n5.top + 1)]}
+    frozen = {**current_digests(), N5_KEY: [_digest(n5.rumin_d_matrix(h), h, h + 1)
+                                             for h in range(n5.top + 1)]}
     FROZEN.write_text(json.dumps(frozen, indent=1, sort_keys=True) + "\n")
