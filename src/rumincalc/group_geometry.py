@@ -107,22 +107,34 @@ def _spans(a, b) -> bool:
     )
 
 
-def gauge4(p: Point, t_weight=1):
+def gauge4(p: Point, t_weight=1, out=None):
     """rho^4 = |z|^4 + t_weight t^2; exact on exact input.
 
     Only ``kernels.folland_remainder`` weighs t, on ``Poly`` points with int
-    weights. A t_weight of 1 costs no multiply, since (1 t) t = t t. Both
+    weights. A t_weight of 1 costs no multiply, since (t t) 1 = t t. Both
     terms are fresh values, so on float arrays the sum is written into
-    whichever of them already has its full shape; no caller array is
-    written to.
+    whichever of them already has its full shape, and no caller array is
+    written to, unless the caller passes ``out``: a float array of the full
+    broadcast shape, which receives the gauge. It may be ``p.t`` itself, so
+    that a caller done with its t coordinate holds one full array, not two.
     """
     h2 = horizontal_norm2(p)
     h4 = h2 * h2
-    t2 = p.t * p.t if t_weight == 1 else t_weight * p.t * p.t
-    if _spans(h4, t2):
-        h4 += t2
-        return h4
+    if out is None:
+        t2 = p.t * p.t
+    elif _spans(out, h4) and _spans(out, p.t):
+        if out is not p.t:
+            out[...] = p.t
+        out *= p.t
+        t2 = out
+    else:
+        raise ValueError("out needs the float shape of the whole gauge")
+    if t_weight != 1:
+        t2 *= t_weight
     if _spans(t2, h4):
         t2 += h4  # a + b == b + a in floating point
         return t2
+    if _spans(h4, t2):
+        h4 += t2
+        return h4
     return h4 + t2

@@ -8,13 +8,15 @@ on anisotropy-adapted grids; for mu <= 0 the cell is excluded (principal
 value) and flagged. The t axis is the centre of the group, so q^{-1} p
 depends on the t coordinates of q and p only through their difference. The
 sum runs over live horizontal source columns against every output column
-and t offset; on the grid's uniform t axis a pair of columns has 2T - 1
-offsets for its T^2 (source, output) cell pairs, so the quadrature is a
-Toeplitz product along t. Singular cells are searched for only in the
-column pairs with |z|^4 < eps^4, which is exact because
-rho^4 = |z|^4 + t^2 >= |z|^4. Everything downstream - decay slopes, L^p - L^q
-ratio probes and the scalar Sobolev-quotient check - is an invariance test,
-never a constant computation, and the fundamental-solution gauge check is exact.
+and t offset, on one slab whose t coordinate the kernel values overwrite;
+on the grid's uniform t axis a pair of columns has T + s_hi - s_lo offsets
+for the source t rows s_lo..s_hi that hold a live value (2T - 1 on full
+columns), so the quadrature is a Toeplitz product along t. Singular cells
+are searched for only in the column pairs with |z|^4 < eps^4, which is
+exact because rho^4 = |z|^4 + t^2 >= |z|^4. Everything downstream - decay
+slopes, L^p - L^q ratio probes and the scalar Sobolev-quotient check - is an
+invariance test, never a constant computation, and the fundamental-solution
+gauge check is exact.
 """
 
 from __future__ import annotations
@@ -66,10 +68,12 @@ class HomogeneousKernel:
     def Q(self) -> int:
         return homogeneous_dimension(self.n)
 
-    def evaluate(self, coords) -> np.ndarray:
+    def evaluate(self, coords, out=None) -> np.ndarray:
+        """The kernel at float coordinates, written into ``out`` when given
+        (as ``gauge4`` takes it; it may be the t coordinate itself)."""
         # on float arrays rho^{negative} is numpy's inf at the origin; gauge4
-        # returns a fresh value, so the power may overwrite it
-        rho4 = gauge4(from_coords([np.asarray(c, dtype=float) for c in coords]))
+        # returns a fresh value or out, so the power may overwrite it
+        rho4 = gauge4(from_coords([np.asarray(c, dtype=float) for c in coords]), out=out)
         with np.errstate(divide="ignore"):
             rho4 **= (self.mu - self.Q) / 4.0
         return rho4
@@ -106,15 +110,18 @@ def group_convolve(f: Grid, kernel, output_points: np.ndarray | None = None,
     columns of f (those holding a nonzero value), shaped (h, 1, 1) at t = 0,
     and the outputs are horizontal columns (1, C, 1) with a t-offset axis, so
     broadcasting runs the group law, the gauge and the kernel on one
-    (h, C, D) slab:
+    (h, C, D) slab. The kernel is written over the slab's own t coordinate,
+    so the slab is one full array. Only the source t rows s_lo..s_hi that
+    hold a live value enter, as the S columns of the weights F[h, s]:
 
     - on the grid, the t axis is uniform and t_o - t_s = d dt depends only on
-      the lattice offset d = o - s, so the D = 2T - 1 offsets d dt carry every
-      kernel value; one matrix product with F[h, s] and 2T - 1 shifted
-      slice-adds along t sum the Toeplitz structure into acc[C, T];
-    - at output points, the offset axis is -t_s for the T source t values
+      the lattice offset d = o - s, so the D = T + s_hi - s_lo offsets
+      d = -s_hi..T - 1 - s_lo carry every kernel value (2T - 1 on full
+      columns); one matrix product with F and D shifted slice-adds along t
+      sum the Toeplitz structure into the (C, T) output;
+    - at output points, the offset axis is -t_s for the S source t values
       and each output keeps its own t, so the slab holds every (source cell,
-      output) value and is contracted against F[h, s] directly.
+      output) value and is contracted against F directly.
 
     Since rho^4 = |z|^4 + t^2 >= |z|^4 in floating point, only
     the (column, column) pairs with |z|^4 < eps^4 can hold a singular
@@ -128,13 +135,16 @@ def group_convolve(f: Grid, kernel, output_points: np.ndarray | None = None,
     axes = [f.axis(i) for i in range(nv)]
     by_column = f.values.reshape(-1, T)
     live = np.any(by_column != 0.0, axis=1)
-    F = by_column[live] * f.cell_volume  # (h, T): the live columns' quadrature weights
     support = by_column[live] != 0.0
+    # the source t rows s_lo..s_hi that hold a live value (all T when none do)
+    rows = support.any(axis=0)
+    s_lo, s_hi = int(rows.argmax()), T - 1 - int(rows[::-1].argmax())
+    F = by_column[live, s_lo : s_hi + 1] * f.cell_volume  # (h, S): quadrature weights
     horizontal = [c.reshape(-1) for c in np.meshgrid(*axes[:-1], indexing="ij")]
     sources = [c[live] for c in horizontal]
 
-    ds = np.arange(1 - T, T)
     if output_points is None:
+        ds = np.arange(-s_hi, T - s_lo)
         outputs = from_coords([c.reshape(1, -1, 1) for c in horizontal]
                               + [(ds * f.steps()[-1]).reshape(1, 1, -1)])
         # live source cells (h, s) that the slab entry at offset d stands for:
@@ -147,13 +157,14 @@ def group_convolve(f: Grid, kernel, output_points: np.ndarray | None = None,
             pts = pts[None, :]
         if pts.shape[1] != nv:
             raise ValueError("output points need 2n+1 coordinates")
+        source_t = axes[-1][s_lo : s_hi + 1]
         outputs = from_coords([pts[:, i].reshape(1, -1, 1) for i in range(nv - 1)]
-                              + [pts[:, -1].reshape(1, -1, 1) + (-axes[-1]).reshape(1, 1, -1)])
-        stands_for = support.astype(int)
+                              + [pts[:, -1].reshape(1, -1, 1) + (-source_t).reshape(1, 1, -1)])
+        stands_for = support[:, s_lo : s_hi + 1].astype(int)
 
     columns, depth = np.broadcast(*outputs.coords()).shape[1:]
     # on the grid acc[(c, d), s] = sum_h k[h, c, d] F[h, s], folded along t below
-    acc = np.zeros((columns * depth, T) if output_points is None else columns)
+    acc = np.zeros((columns * depth, F.shape[1]) if output_points is None else columns)
     eps = (f.cell_volume / gauge_ball_volume(n)) ** (1.0 / (2 * n + 2))
     policy = kernel.cell_estimate(eps)
     singular_touched = 0
@@ -164,17 +175,18 @@ def group_convolve(f: Grid, kernel, output_points: np.ndarray | None = None,
         # z = w^{-1} x for the block of source columns against every output
         block = from_coords([c[start:stop, None, None] for c in sources] + [0.0])
         z = multiply(inverse(block), outputs)
-        vals = kernel.evaluate(z.coords())
         if policy is not None:
+            # rho^4 >= |z|^4, so a singular entry lies in an offset row kept
+            # here; gathered first, since the kernel is written over z.t
             h2 = horizontal_norm2(z)
-            # rho^4 >= |z|^4, so a singular entry lies in an offset row kept here
             cells, cols, _ = np.nonzero(h2 * h2 < eps**4)
-            if cells.size:
-                near = gauge4(from_coords([c[cells, cols] for c in z.coords()])) < eps**4
-                singular_touched += int(stands_for[start + cells][near].sum())
-                offset_rows = vals[cells, cols]
-                offset_rows[near] = 0.0 if policy == "pv" else policy
-                vals[cells, cols] = offset_rows
+            near = gauge4(from_coords([c[cells, cols] for c in z.coords()])) < eps**4
+            singular_touched += int(stands_for[start + cells][near].sum())
+        vals = kernel.evaluate(z.coords(), out=z.t)
+        if policy is not None:
+            offset_rows = vals[cells, cols]
+            offset_rows[near] = 0.0 if policy == "pv" else policy
+            vals[cells, cols] = offset_rows
         if output_points is None:
             acc += vals.reshape(stop - start, -1).T @ F[start:stop]
         else:
@@ -189,14 +201,13 @@ def group_convolve(f: Grid, kernel, output_points: np.ndarray | None = None,
     }
     if output_points is not None:
         return acc, report
-    # the output at t index s + d collects acc[(c, d), s]
-    acc = acc.reshape(columns, depth, T)
+    # the output at t index o collects acc[(c, d), o - d - s_lo]
+    acc = acc.reshape(columns, depth, -1)
     out = np.zeros((columns, T))
     for j, d in enumerate(ds):
-        if d >= 0:
-            out[:, d:] += acc[:, j, : T - d]
-        else:
-            out[:, : T + d] += acc[:, j, -d:]
+        lo = s_lo + d  # the output row that source row s_lo reaches
+        a, b = max(0, lo), min(T, lo + F.shape[1])
+        out[:, a:b] += acc[:, j, a - lo : b - lo]
     return f.copy_with(out.reshape(f.shape)), report
 
 

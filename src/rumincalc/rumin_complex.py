@@ -204,8 +204,14 @@ class RuminContext:
 
     # -- exact matrix data -------------------------------------------------
 
+    def _check_degree(self, h: int, top: int) -> None:
+        if not 0 <= h <= top:
+            raise ValueError("degree out of range")
+
     def gram(self, h: int) -> list:
-        """Squared norms of the E0^h basis; empty past the top degree."""
+        """Squared norms of the E0^h basis; empty one past the top degree,
+        where ``rumin_delta_matrix(top)`` reads it."""
+        self._check_degree(h, self.top + 1)
         return self.cores[h].norms2 if h <= self.top else []
 
     def core_dims(self) -> list:
@@ -243,6 +249,7 @@ class RuminContext:
         return self.core_part(exterior_d(self.project_core(form)))
 
     def form_from_core(self, h: int, polys: list) -> Form:
+        self._check_degree(h, self.top)
         if len(polys) != self.cores[h].dim:
             raise ValueError("coefficient count mismatch")
         image = matrix_times_polys(self._embed[h], polys, 2 * self.n + 1)
@@ -280,8 +287,7 @@ class RuminContext:
 
     def rumin_d_matrix(self, h: int) -> OperatorMatrix:
         """The matrix of d_c: E0^h -> E0^{h+1}."""
-        if not 0 <= h <= self.top:
-            raise ValueError("degree out of range")
+        self._check_degree(h, self.top)
         return self._keep(("d_c", h), lambda: self._build_d_matrix(h))
 
     def _build_d_matrix(self, h: int) -> OperatorMatrix:
@@ -323,8 +329,7 @@ class RuminContext:
         have matching homogeneity. At the two ends of the complex only the
         term that stays inside it is present.
         """
-        if not 0 <= h <= self.top:
-            raise ValueError("degree out of range")
+        self._check_degree(h, self.top)
         lap = None
         if h > 0:
             lower = self.rumin_d_delta(h)

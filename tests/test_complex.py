@@ -345,6 +345,19 @@ def test_laplacian_orders_and_self_adjointness(ctx1, ctx2):
                 ctx.rumin_laplacian(h)
 
 
+def test_form_from_core_and_gram_refuse_a_degree_out_of_range(ctx1):
+    # a negative degree would read the top degree by wrap-around
+    top = ctx1.top
+    for call in (lambda: ctx1.form_from_core(-1, [Poly.const(3, 3)]),
+                 lambda: ctx1.form_from_core(top + 1, []),
+                 lambda: ctx1.gram(-1),
+                 lambda: ctx1.gram(top + 2)):
+        with pytest.raises(ValueError, match="degree out of range"):
+            call()
+    # rumin_delta_matrix(top) reads the empty basis one past the top
+    assert ctx1.gram(top + 1) == []
+
+
 def test_laplacian_commutation_identities(ctx1, ctx2):
     for ctx, expected_count in ((ctx1, 6), (ctx2, 10)):
         report = laplacian_commutation_report(ctx)

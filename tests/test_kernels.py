@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -51,7 +52,7 @@ class KernelFlowDerivative:
     def mu(self) -> float:
         return self.base.mu - 1
 
-    def evaluate(self, coords) -> np.ndarray:
+    def evaluate(self, coords, out=None) -> np.ndarray:
         n = self.base.n
         Q = self.base.Q
         p = from_coords([np.asarray(c, dtype=float) for c in coords])
@@ -99,7 +100,7 @@ class CutoffKernel:
         if self.R <= 0:
             raise ValueError("cutoff radius must be positive")
 
-    def evaluate(self, coords) -> np.ndarray:
+    def evaluate(self, coords, out=None) -> np.ndarray:
         rho = _gauge(coords)
         psi = _smoothstep(rho, self.R)
         out = np.zeros_like(rho)
@@ -205,6 +206,28 @@ def test_gauge4_and_kernel_values_leave_the_inputs_alone(case, a):
         assert np.array_equal(c, b)  # no caller array is written to
         if isinstance(c, np.ndarray):
             assert not np.shares_memory(c, got) and not np.shares_memory(c, got_k)
+
+
+@pytest.mark.parametrize("case", list(_float_cases()))
+@pytest.mark.parametrize("a", [1, 16.0, 3.0])
+def test_gauge4_and_kernel_values_written_into_out_equal_the_fresh_values(case, a):
+    x, y, t = _float_cases()[case]
+    shape = np.broadcast(x, y, t).shape
+    kernel = HomogeneousKernel(1, 2.0)
+    want = gauge4(from_coords([x, y, t]), a)
+    want_k = kernel.evaluate([x, y, t])
+    # out is t itself, or a fresh array of the full shape
+    for out_is_t in (True, False):
+        for call, value in ((lambda c, out: gauge4(from_coords(c), a, out=out), want),
+                            (kernel.evaluate, want_k)):
+            ts = np.array(t, dtype=float)  # a copy that out may overwrite
+            out = ts if out_is_t else np.empty(shape)
+            if np.shape(out) != shape or not shape:
+                with pytest.raises(ValueError, match="out needs"):
+                    call([x, y, ts], out)
+                continue
+            got = call([x, y, ts], out)
+            assert got is out and np.array_equal(got, value)
 
 
 def test_gauge4_of_exact_points():
@@ -351,6 +374,17 @@ def _off_centre_source(n, res, seed):
     return f
 
 
+def _t_band_source(n, res, seed):
+    """Seeded values that fill the t rows 1..res // 3 of an off-centre box:
+    a band below the centre, where ``_off_centre_source`` lies above it, so
+    that only some of the 2T - 1 t offsets are reached."""
+    rng = np.random.default_rng(seed)
+    f = Grid.empty(n, 1.0, res)
+    box = tuple([slice(2, res - 1)] * (2 * n) + [slice(1, res // 3 + 1)])
+    f.values[box] = rng.uniform(0.5, 1.0, f.values[box].shape)
+    return f
+
+
 @pytest.mark.parametrize("n, res", [(1, 12), (2, 6)])
 def test_group_convolve_equals_the_full_array_loop(n, res):
     step = 2.0 / res
@@ -364,12 +398,15 @@ def test_group_convolve_equals_the_full_array_loop(n, res):
         horizontal_derivative(base, 2 * n),
         *kernel_split(base, 0.5),
     ]
-    # the even bump, and seeded values that would show a reversed t shift
-    sources = [bump_grid(n, 1.0, res, 0.5), _off_centre_source(n, res, seed=20 + n)]
+    # the even bump, seeded values that would show a reversed t shift, and
+    # a band of t rows that would show a misplaced or missing t offset
+    sources = [bump_grid(n, 1.0, res, 0.5), _off_centre_source(n, res, seed=20 + n),
+               _t_band_source(n, res, seed=30 + n)]
     # each source's first point is a lattice cell with t != 0 in its support,
     # so it meets a singular cell
     first_points = [[0.5 * step] * (2 * n) + [-0.5 * step],
-                    [-1.0 + 1.5 * step] * (2 * n) + [0.5 * step]]
+                    [-1.0 + 1.5 * step] * (2 * n) + [0.5 * step],
+                    [-1.0 + 2.5 * step] * (2 * n) + [-1.0 + 1.5 * step]]
     policies = set()
     for f, first in zip(sources, first_points):
         pts = np.array([
@@ -403,27 +440,58 @@ class _CountingKernel:
     def cell_estimate(self, eps):
         return self.base.cell_estimate(eps)
 
-    def evaluate(self, coords):
+    def evaluate(self, coords, out=None):
         self.points += np.broadcast(*coords).size
-        return self.base.evaluate(coords)
+        return self.base.evaluate(coords, out=out)
 
 
 @pytest.mark.parametrize("n, res", [(1, 12), (2, 6)])
 def test_grid_convolution_evaluates_one_value_per_t_offset(n, res):
     # on the grid, k(q^{-1} p) depends on the t indices of q and p only
-    # through their difference: 2T - 1 values per pair of columns, where the
+    # through their difference: a pair of columns takes one value for each
+    # of the T + s_hi - s_lo offsets from the live source t rows s_lo..s_hi
+    # to the T output rows, 2T - 1 on full t columns, where the
     # (cells x outputs) quadrature has T^2 on full t columns
-    f = _off_centre_source(n, res, seed=20 + n)
-    T = f.shape[-1]
-    live = np.any(f.values != 0.0, axis=-1)
-    f.values[live] = np.random.default_rng(n).uniform(0.5, 1.0, (int(live.sum()), T))
-    columns = live.size
-    for chunk in (1 << 22, 5000):
-        kernel = _CountingKernel(HomogeneousKernel(n, 2.0))
-        _, report = group_convolve(f, kernel, chunk=chunk)
-        assert report["singular_evaluations"] > 0
-        assert kernel.points == int(live.sum()) * columns * (2 * T - 1)
-        assert report["cells"] * report["outputs"] == int(live.sum()) * columns * T * T
+    full = _off_centre_source(n, res, seed=20 + n)
+    T = full.shape[-1]
+    live = np.any(full.values != 0.0, axis=-1)
+    full.values[live] = np.random.default_rng(n).uniform(0.5, 1.0, (int(live.sum()), T))
+    s_lo, s_hi = 1, res // 3
+    band = _t_band_source(n, res, seed=30 + n)
+    live_rows = np.any(band.values != 0.0, axis=tuple(range(2 * n)))
+    assert np.flatnonzero(live_rows).tolist() == list(range(s_lo, s_hi + 1))
+    for f, depth in ((full, 2 * T - 1), (band, T + s_hi - s_lo)):
+        live = np.any(f.values != 0.0, axis=-1)
+        columns = live.size
+        for chunk in (1 << 22, 5000):
+            kernel = _CountingKernel(HomogeneousKernel(n, 2.0))
+            _, report = group_convolve(f, kernel, chunk=chunk)
+            assert report["singular_evaluations"] > 0
+            assert kernel.points == int(live.sum()) * columns * depth
+            assert report["cells"] * report["outputs"] == int((f.values != 0.0).sum()) * columns * T
+
+
+def test_grid_convolution_holds_one_slab():
+    # the kernel is written over the slab's own t coordinate, and the slab
+    # spans only the offsets that the live t rows reach: one call peaks near
+    # one (live x columns x offsets) float array, where a second full array
+    # and all 2T - 1 offsets take it past 3 times that
+    f = bump_grid(1, 1.0, 20, 0.5)
+    kernel = HomogeneousKernel(1, 1.0)
+    by_column = f.values.reshape(-1, 20)
+    live = np.any(by_column != 0.0, axis=1)
+    rows = np.flatnonzero(np.any(by_column != 0.0, axis=0))
+    shape = (int(live.sum()), live.size, 20 + int(rows[-1] - rows[0]))
+    assert shape == (80, 400, 29)
+    slab_bytes = 8 * math.prod(shape)
+    group_convolve(f, kernel)
+    tracemalloc.start()
+    try:
+        group_convolve(f, kernel)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * slab_bytes, (peak, slab_bytes)
 
 
 def test_group_convolve_of_nothing_is_empty():
